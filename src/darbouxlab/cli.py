@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .darboux import (CofactorLattice, EvalDomainError,
                       LatticeTooLargeError, assemble_darboux_integrals,
-                      default_lattice, rational_obstruction, search_darboux,
-                      search_exp_factors)
+                      certificates_from_kernels, cofactor_kernels,
+                      default_lattice, obstruction_from_kernels,
+                      search_darboux, search_exp_factors)
 from .exactcore import PolyParseError, parse_poly
 from .field import FieldParseError, VectorField, load_field
 from .numerics import (NonFiniteStateError, conservation_drift, emit_csv,
@@ -58,17 +57,10 @@ def _report(command: str, X: VectorField | None, config: dict, results: dict) ->
     return report
 
 
-def _recheck_darboux(X, certs) -> None:
-    from .field import lie_derivative
-    for cert in certs:
-        if not (lie_derivative(X, cert.f) - cert.K * cert.f).is_zero():
-            raise InternalCheckError(f"certificate {cert.f} failed re-check")
-
-
-def _recheck_expfactors(X, certs) -> None:
+def _recheck(X, certs) -> None:
     for cert in certs:
         if not cert.check(X):
-            raise InternalCheckError(f"exponential factor {cert.g} failed re-check")
+            raise InternalCheckError(f"certificate {cert.record()} failed re-check")
 
 
 def _recheck_functions(funcs) -> None:
@@ -85,7 +77,7 @@ def _lattice_from_args(X, args) -> CofactorLattice:
 def cmd_darboux(X: VectorField, args) -> dict:
     lattice = _lattice_from_args(X, args)
     certs = search_darboux(X, args.degree, lattice)
-    _recheck_darboux(X, certs)
+    _recheck(X, certs)
     return {
         "lattice": {"generators": [str(g) for g in lattice.generators],
                     "bound": lattice.bound},
@@ -96,19 +88,18 @@ def cmd_darboux(X: VectorField, args) -> dict:
 
 def cmd_expfactors(X: VectorField, args) -> dict:
     certs = search_exp_factors(X, args.g_degree, args.s_bound)
-    _recheck_expfactors(X, certs)
+    _recheck(X, certs)
     return {"factors": [c.record() for c in certs]}
 
 
 def cmd_integrals(X: VectorField, args) -> dict:
-    lattice = _lattice_from_args(X, args)
-    certs = search_darboux(X, args.degree, lattice)
+    kernels = cofactor_kernels(X, args.degree, _lattice_from_args(X, args))
+    certs = certificates_from_kernels(X, kernels)
     efacts = search_exp_factors(X, args.g_degree, args.s_bound)
-    _recheck_darboux(X, certs)
-    _recheck_expfactors(X, efacts)
+    _recheck(X, certs + efacts)
     funcs = assemble_darboux_integrals(certs, efacts)
     _recheck_functions(funcs)
-    obstruction = rational_obstruction(X, args.degree, lattice)
+    obstruction = obstruction_from_kernels(args.degree, kernels)
     return {
         "certificates": [c.record() for c in certs],
         "exp_factors": [c.record() for c in efacts],
@@ -175,45 +166,10 @@ def cmd_lyapunov(X: VectorField, args) -> dict:
 
 
 def cmd_analyze(X: VectorField, args) -> dict:
-    lattice = _lattice_from_args(X, args)
-
-    def run_darboux():
-        certs = search_darboux(X, args.degree, lattice)
-        _recheck_darboux(X, certs)
-        return certs
-
-    def run_expfactors():
-        certs = search_exp_factors(X, args.g_degree, args.s_bound)
-        _recheck_expfactors(X, certs)
-        return certs
-
-    def run_formal():
-        return formal_integral_space(X, args.order, args.margin)
-
-    def run_obstruction():
-        return rational_obstruction(X, args.degree, lattice)
-
-    workers = int(os.environ.get("DARBOUX_LAB_THREADS", "1") or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            f1 = pool.submit(run_darboux)
-            f2 = pool.submit(run_expfactors)
-            f3 = pool.submit(run_formal)
-            f4 = pool.submit(run_obstruction)
-            certs, efacts = f1.result(), f2.result()
-            space, obstruction = f3.result(), f4.result()
-    else:
-        certs, efacts = run_darboux(), run_expfactors()
-        space, obstruction = run_formal(), run_obstruction()
-    funcs = assemble_darboux_integrals(certs, efacts)
-    _recheck_functions(funcs)
-    return {
-        "certificates": [c.record() for c in certs],
-        "exp_factors": [c.record() for c in efacts],
-        "darboux_first_integrals": [f.record() for f in funcs],
-        "rational_obstruction": obstruction.record(),
-        "series_space": space.record(),
-    }
+    results = cmd_integrals(X, args)
+    space = formal_integral_space(X, args.order, args.margin)
+    results["series_space"] = space.record()
+    return results
 
 
 def _render_text(report: dict, out) -> None:

@@ -8,12 +8,13 @@ exact cofactor and can re-verify itself by independent exact arithmetic.
 Search strategy: the equation X(f) = K*f is bilinear in (f, K), so the search
 enumerates K over a finite integer lattice of generator combinations and
 solves the remaining linear problem exactly.  Results are complete relative
-to the lattice.  Small lattices are materialized and screened candidate by
-candidate; large lattices go through a graded sieve that fixes K one
+to the lattice.  Every lattice goes through a graded sieve that fixes K one
 homogeneous layer at a time (top degree first) and discards whole families
-whose layer equations already have no nonzero solution.  Both screens reject
-only on full rank modulo a prime, which is sound; every surviving cofactor is
-solved exactly over the rationals.
+whose layer equations already have no nonzero solution; the survivors then
+pass one rank screen on the full operator.  Both screens reject only on full
+rank modulo a prime, which is sound.  Each surviving cofactor is solved
+exactly over the rationals once per command, and the certificates and the
+rational obstruction are both read off those kernels.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .exactcore import (Poly, RatMatrix, divides, grlex_key,
 from .field import VectorField, lie_derivative
 
 _ZERO = Fraction(0)
-_DIRECT_LATTICE_LIMIT = 200_000
 _MATERIALIZE_LIMIT = 5_000_000
 _SIEVE_BASES_LIMIT = 200_000
 _PRESCREEN_CHUNK = 8192
@@ -133,9 +133,6 @@ class CofactorLattice:
     def __post_init__(self):
         if self.bound < 0:
             raise ValueError("bound must be non-negative")
-
-    def raw_count(self) -> int:
-        return (2 * self.bound + 1) ** len(self.generators)
 
 
 def default_lattice(X: VectorField, bound: int) -> CofactorLattice:
@@ -259,8 +256,8 @@ def search_darboux_fixed_cofactor(X: VectorField, K: Poly, d: int) -> list[Poly]
 # lattice screens
 # --------------------------------------------------------------------------
 
-def _direct_candidates(X: VectorField, d: int,
-                       candidates: list[Poly]) -> list[Poly]:
+def _full_operator_screen(X: VectorField, d: int,
+                          candidates: list[Poly]) -> list[Poly]:
     """Keep candidates whose operator matrix is rank-deficient (mod-p screen)."""
     if not candidates:
         return []
@@ -300,7 +297,7 @@ def _direct_candidates(X: VectorField, d: int,
     return survivors
 
 
-# ---- graded sieve for large lattices --------------------------------------
+# ---- graded sieve ------------------------------------------------------------
 
 class _LatticeBoxes:
     """Candidates as {base + per-monomial box offsets}.
@@ -375,27 +372,51 @@ class _LatticeBoxes:
         """Distinct degree-`degree` parts reachable from the compatible bases.
 
         Maps the integer-scaled coefficient tuple (over monos_of_degree) to
-        the set of bases that can realize it.
+        the set of bases that can realize it; callers sort the keys.
         """
         monos = self.monos_of_degree(degree)
-        groups: dict[tuple[int, ...], list[int]] = {}
+        out: dict[tuple[int, ...], set[int]] = {}
         for t in compat:
             base = self.bases[t]
             key = tuple(base.get(m, 0) for m in monos)
-            groups.setdefault(key, []).append(t)
-        offset_lists = [self.box.get(m, (0,)) for m in monos]
-        out: dict[tuple[int, ...], set[int]] = {}
-        for key, members in groups.items():
-            for combo in itertools.product(*offset_lists):
-                val = tuple(k + o for k, o in zip(key, combo))
-                out.setdefault(val, set()).update(members)
-        return {val: frozenset(members) for val, members in out.items()}
+            out.setdefault(key, set()).add(t)
+        # shift one coordinate at a time by its box offsets, merging the
+        # base sets of keys that meet: far fewer unions than per full offset
+        for j, m in enumerate(monos):
+            shifted: dict[tuple[int, ...], set[int]] = {}
+            for key, members in out.items():
+                head, k, tail = key[:j], key[j], key[j + 1:]
+                for o in self.box.get(m, (0,)):
+                    val = head + (k + o,) + tail
+                    if val in shifted:
+                        shifted[val] |= members
+                    else:
+                        shifted[val] = set(members)
+            out = shifted
+        frozen = {}
+        while out:  # free each set as it is frozen: the sieve's peak memory
+            val, members = out.popitem()
+            frozen[val] = frozenset(members)
+        return frozen
 
     def section_poly(self, variables: Sequence[str], degree: int,
                      value: tuple[int, ...]) -> Poly:
         monos = self.monos_of_degree(degree)
         return Poly(variables, {m: Fraction(v, self.scale[m])
                                 for m, v in zip(monos, value)})
+
+    def section_residues(self, degree: int,
+                         values: Sequence[tuple[int, ...]]) -> np.ndarray:
+        """Section values as coefficient residues mod p, one row per value.
+
+        Reduced in Python integers, so large scaled coefficients cannot
+        overflow int64; raises ModPUnavailableError when p divides a scale.
+        """
+        p = _modp.PRIME
+        inverses = [_modp.fraction_to_modp(Fraction(1, self.scale[m]))
+                    for m in self.monos_of_degree(degree)]
+        return np.array([[v * inv % p for v, inv in zip(val, inverses)]
+                         for val in values], dtype=np.int64)
 
 
 def _matmul(A: Sequence[Sequence[Fraction]],
@@ -502,10 +523,7 @@ class _GradedSieve:
                     self._mult_matrix(unit, n, nv, top_deg)))
             dir_stack = (np.stack(dirs) if dirs else
                          np.zeros((0,) + base.shape, dtype=np.int64))
-            coeffs = np.array(
-                [[v * pow(self.boxes.scale[m], _modp.PRIME - 2, _modp.PRIME)
-                  for v, m in zip(val, monos)] for val in values],
-                dtype=np.int64) % _modp.PRIME
+            coeffs = self.boxes.section_residues(top_deg, values)
             mats = _modp.batched_combination(base, dir_stack, coeffs)
             ranks = _modp.batched_rank(mats)
             screened = [val for val, rank in zip(values, ranks)
@@ -633,10 +651,7 @@ class _GradedSieve:
                                 for D in theta_dirs])
                       if theta_dirs else
                       np.zeros((0,) + T0_p.shape, dtype=np.int64))
-            coeffs = np.array(
-                [[v * pow(self.boxes.scale[m], _modp.PRIME - 2, _modp.PRIME)
-                  for v, m in zip(val, monos)] for val in values],
-                dtype=np.int64) % _modp.PRIME
+            coeffs = self.boxes.section_residues(ell, values)
             mats = _modp.batched_combination(T0_p, dirs_p, coeffs)
             ranks = _modp.batched_rank(mats)
             screened = [val for val, rank in zip(values, ranks) if rank < w]
@@ -652,19 +667,16 @@ class _GradedSieve:
 
 def _candidate_cofactors(X: VectorField, d: int,
                          lattice: CofactorLattice) -> list[Poly]:
-    """Screened cofactor candidates, complete relative to the lattice."""
+    """Screened cofactor candidates, complete relative to the lattice.
+
+    The zero cofactor comes first, then the coordinate cofactors, then the
+    remaining sieve survivors that also pass the full-operator screen.
+    """
     priority = [Poly.zero(X.variables)]
     for v in X.variables:
         if X.is_kolmogorov(v):
             priority.append(X.coordinate_cofactor(v))
-
-    if lattice.raw_count() <= _DIRECT_LATTICE_LIMIT:
-        max_deg = max(X.degree - 1, 0)
-        cands = [K for K in enumerate_cofactors(X, lattice)
-                 if K.total_degree() <= max_deg or K.is_zero()]
-        survivors = _direct_candidates(X, d, cands)
-    else:
-        survivors = _GradedSieve(X, d, lattice).run()
+    survivors = _full_operator_screen(X, d, _GradedSieve(X, d, lattice).run())
 
     out = []
     seen = set()
@@ -675,32 +687,36 @@ def _candidate_cofactors(X: VectorField, d: int,
     return out
 
 
-def search_darboux(X: VectorField, d: int,
-                   lattice: CofactorLattice | None = None) -> list[DarbouxCert]:
-    """All Darboux certificates of degree <= d, complete relative to the lattice.
+CofactorKernels = list[tuple[Poly, list[Poly]]]
 
-    Products of previously found certificates are filtered out (after
-    stripping monomial content), so the returned list contains only
-    certificates that are new relative to everything already reported.
+
+def cofactor_kernels(X: VectorField, d: int,
+                     lattice: CofactorLattice) -> CofactorKernels:
+    """[(K, exact basis of {f : deg f <= d, X(f) = K*f})] per screened cofactor.
+
+    This is the one exact pass of a command: the Darboux certificates and the
+    rational obstruction are both derived from its result.
     """
-    if lattice is None:
-        lattice = default_lattice(X, d)
-    raw: list[tuple[Poly, Poly]] = []  # (f, K) pairs
-    for K in _candidate_cofactors(X, d, lattice):
-        for f in search_darboux_fixed_cofactor(X, K, d):
-            if not f.is_constant():
-                raw.append((f, K))
+    return [(K, search_darboux_fixed_cofactor(X, K, d))
+            for K in _candidate_cofactors(X, d, lattice)]
 
+
+def certificates_from_kernels(X: VectorField,
+                              kernels: CofactorKernels) -> list[DarbouxCert]:
+    """Darboux certificates in canonical order, products filtered out."""
     # strip monomial content; the content variables are certificates
     # themselves (every irreducible factor of a Darboux polynomial is one)
     prepared: dict[Poly, Poly] = {}
-    for f, K in raw:
-        stripped, content_cof, content_vars = _strip_monomial_content(X, f)
-        for v in content_vars:
-            prepared.setdefault(Poly.variable(X.variables, v),
-                                X.coordinate_cofactor(v))
-        if not stripped.is_constant():
-            prepared.setdefault(stripped, K - content_cof)
+    for K, basis in kernels:
+        for f in basis:
+            if f.is_constant():
+                continue
+            stripped, content_cof, content_vars = _strip_monomial_content(X, f)
+            for v in content_vars:
+                prepared.setdefault(Poly.variable(X.variables, v),
+                                    X.coordinate_cofactor(v))
+            if not stripped.is_constant():
+                prepared.setdefault(stripped, K - content_cof)
 
     certs: list[DarbouxCert] = []
     found: list[Poly] = []
@@ -713,6 +729,19 @@ def search_darboux(X: VectorField, d: int,
         certs.append(cert)
         found.append(f)
     return certs
+
+
+def search_darboux(X: VectorField, d: int,
+                   lattice: CofactorLattice | None = None) -> list[DarbouxCert]:
+    """All Darboux certificates of degree <= d, complete relative to the lattice.
+
+    Products of previously found certificates are filtered out (after
+    stripping monomial content), so the returned list contains only
+    certificates that are new relative to everything already reported.
+    """
+    if lattice is None:
+        lattice = default_lattice(X, d)
+    return certificates_from_kernels(X, cofactor_kernels(X, d, lattice))
 
 
 def _strip_monomial_content(X: VectorField, f: Poly
@@ -975,6 +1004,16 @@ class ObstructionReport:
         }
 
 
+def obstruction_from_kernels(d: int,
+                             kernels: CofactorKernels) -> ObstructionReport:
+    """The obstruction report read off the kernels of one exact pass."""
+    witnesses = tuple(f for K, basis in kernels if K.is_zero()
+                      for f in basis if not f.is_constant())
+    pairs = tuple((K, basis[0], basis[1]) for K, basis in kernels
+                  if not K.is_zero() and len(basis) >= 2)
+    return ObstructionReport(d, not witnesses, witnesses, pairs)
+
+
 def rational_obstruction(X: VectorField, d: int,
                          lattice: CofactorLattice | None = None
                          ) -> ObstructionReport:
@@ -986,15 +1025,4 @@ def rational_obstruction(X: VectorField, d: int,
     """
     if lattice is None:
         lattice = default_lattice(X, d)
-    zero = Poly.zero(X.variables)
-    poly_space = search_darboux_fixed_cofactor(X, zero, d)
-    witnesses = tuple(f for f in poly_space if not f.is_constant())
-
-    pairs = []
-    for K in _candidate_cofactors(X, d, lattice):
-        if K.is_zero():
-            continue
-        basis = search_darboux_fixed_cofactor(X, K, d)
-        if len(basis) >= 2:
-            pairs.append((K, basis[0], basis[1]))
-    return ObstructionReport(d, not witnesses, witnesses, tuple(pairs))
+    return obstruction_from_kernels(d, cofactor_kernels(X, d, lattice))

@@ -165,11 +165,38 @@ def test_module_entry_point():
     assert "darbouxlab" in proc.stdout
 
 
-def test_analyze_pipeline_threads(monkeypatch):
-    monkeypatch.setenv("DARBOUX_LAB_THREADS", "2")
-    args = ["analyze", "corpus/restricted_z0_c2.vf", "--degree", "2",
-            "--order", "4", "--margin", "1", "--s-bound", "0"]
-    _, threaded, _ = run_cli(args)
-    monkeypatch.setenv("DARBOUX_LAB_THREADS", "1")
-    _, sequential, _ = run_cli(args)
-    assert threaded == sequential
+def test_analyze_shares_integrals_pass():
+    # analyze derives certificates and the obstruction from the same single
+    # pass that integrals runs
+    common = ["corpus/restricted_z0_c2.vf", "--degree", "2",
+              "--lattice-bound", "2", "--s-bound", "0"]
+    _, analyzed, _ = run_cli(["analyze", *common, "--order", "4",
+                              "--margin", "1"])
+    _, integrals, _ = run_cli(["integrals", *common])
+    analyzed = json.loads(analyzed)["results"]
+    integrals = json.loads(integrals)["results"]
+    for key in ("certificates", "rational_obstruction"):
+        assert analyzed[key] == integrals[key]
+
+
+@pytest.mark.parametrize("bound", ["1", "3"])
+@pytest.mark.parametrize("param", [
+    "98765432123/1000003", "4294967294/3", "-123456789012345678901/7",
+    "1/2147483647"])
+def test_large_rational_parameter_sieve(tmp_path, param, bound):
+    # scaled lattice coefficients beyond int64 must be reduced mod p
+    # exactly, and a denominator divisible by p falls back to exact screens
+    text = (REPO / "corpus" / "samardzija_greller.vf").read_text()
+    field = tmp_path / "bignum.vf"
+    field.write_text("".join(
+        f"param a = {param}\n" if line.startswith("param a =") else line
+        for line in text.splitlines(keepends=True)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "darbouxlab", "darboux", str(field),
+         "--degree", "2", "--lattice-bound", bound],
+        capture_output=True, text=True, cwd=REPO)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    polys = sorted(c["poly"] for c in
+                   json.loads(proc.stdout)["results"]["certificates"])
+    assert polys == ["x", "y", "z"]

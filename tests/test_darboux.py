@@ -161,47 +161,50 @@ class TestSearch:
 
 
 class TestSieveAgainstBruteForce:
-    """The graded sieve must return exactly the brute-force result set."""
+    """The screened candidates must equal the brute-force reference list."""
 
-    def _both_paths(self, X, d, lattice, monkeypatch):
+    def _both_paths(self, X, d, lattice):
         import darbouxlab.darboux as dbx
 
-        direct = search_darboux(X, d, lattice)
-        monkeypatch.setattr(dbx, "_DIRECT_LATTICE_LIMIT", 0)
-        sieved = search_darboux(X, d, lattice)
-        return ({(str(c.f), str(c.K)) for c in direct},
-                {(str(c.f), str(c.K)) for c in sieved})
+        max_deg = max(X.degree - 1, 0)
+        brute = [K for K in enumerate_cofactors(X, lattice)
+                 if K.is_zero() or K.total_degree() <= max_deg]
+        priority = [Poly.zero(X.variables)] + [
+            X.coordinate_cofactor(v) for v in X.variables if X.is_kolmogorov(v)]
+        oracle = list(dict.fromkeys(
+            priority + dbx._full_operator_screen(X, d, brute)))
+        assert dbx._candidate_cofactors(X, d, lattice) == oracle
 
-    def test_restricted_y0(self, monkeypatch):
+        brute_certs = dbx.certificates_from_kernels(
+            X, [(K, search_darboux_fixed_cofactor(X, K, d)) for K in oracle])
+        return ({(str(c.f), str(c.K)) for c in brute_certs},
+                {(str(c.f), str(c.K)) for c in search_darboux(X, d, lattice)})
+
+    def test_restricted_y0(self):
         X = parse_field(RESTRICTED_Y0_A0)
-        direct, sieved = self._both_paths(X, 2, default_lattice(X, 2),
-                                          monkeypatch)
+        direct, sieved = self._both_paths(X, 2, default_lattice(X, 2))
         assert direct == sieved
 
-    def test_restricted_z0(self, monkeypatch):
+    def test_restricted_z0(self):
         X = parse_field(RESTRICTED_Z0)
-        direct, sieved = self._both_paths(X, 3, default_lattice(X, 2),
-                                          monkeypatch)
+        direct, sieved = self._both_paths(X, 3, default_lattice(X, 2))
         assert direct == sieved
 
-    def test_full_system_small_lattice(self, desk_field, monkeypatch):
+    def test_full_system_small_lattice(self, desk_field):
         lattice = default_lattice(desk_field, 1)
-        direct, sieved = self._both_paths(desk_field, 2, lattice, monkeypatch)
+        direct, sieved = self._both_paths(desk_field, 2, lattice)
         assert direct == sieved
 
-    def test_reference_field_lattice(self, reference_field, monkeypatch):
+    def test_reference_field_lattice(self, reference_field):
         # same lattice geometry as the flagship search, at a bound where the
-        # direct enumeration is still feasible
+        # brute-force enumeration is still feasible
         lattice = default_lattice(reference_field, 1)
-        direct, sieved = self._both_paths(reference_field, 2, lattice,
-                                          monkeypatch)
+        direct, sieved = self._both_paths(reference_field, 2, lattice)
         assert direct == sieved
         assert {f for f, _ in direct} == {"x", "y", "z"}
 
-    def test_random_small_lattices(self, desk_field, monkeypatch):
+    def test_random_small_lattices(self, desk_field):
         import random
-
-        import darbouxlab.darboux as dbx
 
         rng = random.Random(5)
         pool = [
@@ -213,12 +216,7 @@ class TestSieveAgainstBruteForce:
         for _ in range(6):
             gens = tuple(rng.sample(pool, rng.randint(2, 4)))
             lattice = CofactorLattice(gens, rng.randint(1, 2))
-            direct = {(str(c.f), str(c.K))
-                      for c in search_darboux(desk_field, 2, lattice)}
-            monkeypatch.setattr(dbx, "_DIRECT_LATTICE_LIMIT", 0)
-            sieved = {(str(c.f), str(c.K))
-                      for c in search_darboux(desk_field, 2, lattice)}
-            monkeypatch.setattr(dbx, "_DIRECT_LATTICE_LIMIT", 200_000)
+            direct, sieved = self._both_paths(desk_field, 2, lattice)
             assert direct == sieved, f"paths disagree for generators {gens}"
 
 
