@@ -24,7 +24,7 @@ from .exactcore import PolyParseError, parse_poly
 from .field import FieldParseError, VectorField, load_field
 from .numerics import (NonFiniteStateError, conservation_drift, emit_csv,
                        lyapunov_max, simulate)
-from .series import formal_integral_space, formal_space_extended, promote_parameter
+from .series import formal_integral_space, promote_parameter
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -111,7 +111,7 @@ def cmd_integrals(X: VectorField, args) -> dict:
 def cmd_formal(X: VectorField, args) -> dict:
     if args.promote:
         extended = promote_parameter(X, args.promote)
-        space = formal_space_extended(extended, args.order, args.margin)
+        space = formal_integral_space(extended, args.order, args.margin)
         record = space.record()
         record["promoted"] = args.promote
         record["promoted_only"] = space.depends_only_on(args.promote)

@@ -1,16 +1,19 @@
 """Floating-point validation: trajectories, conservation drift, Lyapunov exponent.
 
-The exact polynomial right-hand side is compiled once into a flat float64
-evaluation function (plain sums of coefficient*power products, so a state
-with x_i = 0 yields exactly 0.0 for a component divisible by x_i, keeping
-coordinate planes invariant to the last bit).  Integration is a fixed-step
-classical RK4 or an embedded Dormand-Prince 5(4) pair with a deterministic
-PI step controller:
+The exact polynomial right-hand side is compiled into flat float64 code
+(plain sums of coefficient*power products, so a state with x_i = 0 yields
+exactly 0.0 for a component divisible by x_i, keeping coordinate planes
+invariant to the last bit).  Integration is a fixed-step classical RK4 or an
+embedded Dormand-Prince 5(4) pair with a deterministic PI step controller:
 
     factor = 0.9 * err^(-0.7/5) * err_prev^(0.4/5), clipped to [0.2, 10]
 
 with absolute/relative tolerances 1e-10 by default and initial step 1e-3.
-All arithmetic is sequential float64, so runs are bit-reproducible.
+The Dormand-Prince trial step (all seven stages, the 5th-order solution and
+the error norm) is generated per call as one straight-line function on Python
+floats, with no numpy inside the step; the Lyapunov estimate runs the same
+step on the field augmented by its tangent equation.  All arithmetic is
+sequential float64, so runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -89,14 +92,23 @@ def _poly_source(p: Poly, names: Sequence[str]) -> str:
     return " + ".join(_term_source(c, m, names) for m, c in ordered)
 
 
+def _names(n: int) -> list[str]:
+    return [f"v{i}" for i in range(n)]
+
+
+def _field_sources(X: VectorField) -> list[str]:
+    """Component i of the field as a float expression in v0, v1, ..."""
+    names = _names(len(X.variables))
+    return [_poly_source(comp, names) for comp in X.components]
+
+
 def compile_rhs(X: VectorField) -> Callable[[float, np.ndarray, np.ndarray], np.ndarray]:
     """Compile the field into rhs(t, state, out) -> out, pure float64."""
-    names = [f"v{i}" for i in range(len(X.variables))]
     lines = ["def _rhs(t, s, out):"]
-    for i, name in enumerate(names):
+    for i, name in enumerate(_names(len(X.variables))):
         lines.append(f"    {name} = s[{i}]")
-    for i, comp in enumerate(X.components):
-        lines.append(f"    out[{i}] = {_poly_source(comp, names)}")
+    for i, source in enumerate(_field_sources(X)):
+        lines.append(f"    out[{i}] = {source}")
     lines.append("    return out")
     namespace: dict = {}
     exec("\n".join(lines), namespace)
@@ -109,7 +121,7 @@ def jacobian_polys(X: VectorField) -> list[list[Poly]]:
 
 def compile_jacobian(X: VectorField) -> Callable[[float, np.ndarray, np.ndarray], np.ndarray]:
     """Compile the analytic Jacobian into jac(t, state, out) -> out (n x n)."""
-    names = [f"v{i}" for i in range(len(X.variables))]
+    names = _names(len(X.variables))
     lines = ["def _jac(t, s, out):"]
     for i, name in enumerate(names):
         lines.append(f"    {name} = s[{i}]")
@@ -127,10 +139,25 @@ def jacobian_at(X: VectorField, state: Sequence[float]) -> np.ndarray:
     return compile_jacobian(X)(0.0, np.asarray(state, dtype=float), out)
 
 
+def _tangent_sources(X: VectorField) -> list[str]:
+    """Row i of J(x) w, for x in v0..v(n-1) and w in vn..v(2n-1).
+
+    The nonzero Jacobian entries are multiplied into w and summed left to
+    right.
+    """
+    n = len(X.variables)
+    names = _names(n)
+    rows = []
+    for row in jacobian_polys(X):
+        terms = [f"({_poly_source(entry, names)})*v{n + j}"
+                 for j, entry in enumerate(row) if entry.terms]
+        rows.append(" + ".join(terms) or "0.0")
+    return rows
+
+
 # -- integrators --------------------------------------------------------------
 
 # Dormand-Prince 5(4) tableau (FSAL: the 7th stage is the next step's first)
-_DP_C = (0.2, 0.3, 0.8, 8.0 / 9.0, 1.0, 1.0)
 _DP_A = (
     (0.2,),
     (3.0 / 40.0, 9.0 / 40.0),
@@ -145,83 +172,119 @@ _DP_ERR = (71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
            -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
 
 
-class _DormandPrince:
-    """Minimal deterministic embedded 5(4) stepper with a PI controller."""
+def _dp_source(sources: Sequence[str], rtol: float, atol: float) -> str:
+    """Source of `_f(y) -> k` and `_trial(dt, y, k1) -> (err, y_new, k7)`.
 
-    def __init__(self, rhs, dim: int, rtol: float, atol: float, dt_init: float):
-        self.rhs = rhs
-        self.rtol = rtol
-        self.atol = atol
+    `sources[i]` is component i of the right-hand side in v0, v1, ...; states
+    and stages are tuples of floats.  Each stage argument is accumulated left
+    to right, w_i = y_i + (dt*a_j0)*k_j0_i + ..., skipping zero coefficients,
+    and the error norm sums its squares in component order, which is what
+    the same operations on float64 vectors give (numpy's sum is sequential
+    below 8 elements).  A trial state that is not finite returns err = inf.
+    """
+    n = len(sources)
+
+    def row(prefix: str) -> str:
+        return ", ".join(f"{prefix}{i}" for i in range(n)) + ","
+
+    lines = ["def _f(y):",
+             f"    {row('v')} = y",
+             f"    return ({', '.join(sources)},)",
+             "",
+             "def _trial(dt, y, k1):",
+             f"    {row('y')} = y",
+             f"    {row('k1_')} = k1"]
+    for s, a_row in enumerate(_DP_A, start=2):       # stage s from k1..k(s-1)
+        used = [j for j, a in enumerate(a_row, start=1) if a != 0.0]
+        lines += [f"    h{s}{j} = dt*{a_row[j - 1]!r}" for j in used]
+        for i in range(n):
+            terms = "".join(f" + h{s}{j}*k{j}_{i}" for j in used)
+            lines.append(f"    v{i} = y{i}{terms}")
+        lines += [f"    k{s}_{i} = {src}" for i, src in enumerate(sources)]
+    # v holds the 5th-order solution: stage 7's argument (FSAL construction)
+    finite = " and ".join(f"isfinite(v{i})" for i in range(n))
+    lines += [f"    if not ({finite}):", "        return inf, None, None"]
+    used = [j for j, e in enumerate(_DP_ERR, start=1) if e != 0.0]
+    lines += [f"    d{j} = dt*{_DP_ERR[j - 1]!r}" for j in used]
+    for i in range(n):
+        terms = "".join(f" + d{j}*k{j}_{i}" for j in used)
+        lines.append(f"    q{i} = (0.0{terms}) / "
+                     f"({atol!r} + {rtol!r}*max(abs(y{i}), abs(v{i})))")
+    squares = " + ".join(f"q{i}*q{i}" for i in range(n))
+    lines.append(f"    return sqrt(({squares}) / {n}), ({row('v')}), "
+                 f"({row('k7_')})")
+    return "\n".join(lines)
+
+
+class _DormandPrince:
+    """Minimal deterministic embedded 5(4) stepper with a PI controller.
+
+    `sources` are the right-hand side components as float expressions in
+    v0, v1, ... (see `_field_sources`); the trial step is generated from them.
+    """
+
+    def __init__(self, sources: Sequence[str], rtol: float, atol: float,
+                 dt_init: float):
+        namespace = {"sqrt": math.sqrt, "isfinite": math.isfinite,
+                     "inf": math.inf}
+        exec(_dp_source(sources, float(rtol), float(atol)), namespace)
+        self.rhs, self.trial = namespace["_f"], namespace["_trial"]
         self.dt = dt_init
         self.err_prev = 1.0
-        self.k = [np.empty(dim, dtype=float) for _ in range(7)]
-        self.work = np.empty(dim, dtype=float)
-        self.y_new = np.empty(dim, dtype=float)
-        self.have_k1 = False
+        self.k1 = None          # first stage at the current state, if known
         self.n_accepted = 0
         self.n_rejected = 0
 
     def advance(self, t: float, y: np.ndarray, t_stop: float,
                 on_accept=None) -> float:
-        """Integrate y in place from t to t_stop; returns the final time."""
-        with np.errstate(all="ignore"):  # blow-ups handled by rejection
-            return self._advance(t, y, t_stop, on_accept)
+        """Integrate y in place from t to t_stop; returns the final time.
 
-    def _advance(self, t, y, t_stop, on_accept):
-        rhs, k = self.rhs, self.k
-        while t < t_stop:
-            dt = min(self.dt, t_stop - t)
-            if not self.have_k1:
-                rhs(t, y, k[0])
-                self.have_k1 = True
-            for stage in range(6):
-                a = _DP_A[stage]
-                self.work[:] = y
-                for j, coeff in enumerate(a):
-                    if coeff != 0.0:
-                        self.work += (dt * coeff) * k[j]
-                t_stage = t + dt * (_DP_C[stage] if stage < 5 else 1.0)
-                rhs(t_stage, self.work, k[stage + 1])
-            # 5th-order solution is stage 6's argument (FSAL construction)
-            self.y_new[:] = y
-            for j, coeff in enumerate(_DP_A[5]):
-                if coeff != 0.0:
-                    self.y_new += (dt * coeff) * k[j]
-            err_vec = np.zeros_like(y)
-            for j, coeff in enumerate(_DP_ERR):
-                if coeff != 0.0:
-                    err_vec += (dt * coeff) * k[j]
-            scale = self.atol + self.rtol * np.maximum(np.abs(y),
-                                                       np.abs(self.y_new))
-            with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-                err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
-            if not math.isfinite(err) or not np.isfinite(self.y_new).all():
-                self.n_rejected += 1
-                self.dt = dt * FACTOR_MIN
-                self.have_k1 = False
-                if self.dt < DT_FLOOR:
-                    raise NonFiniteStateError(t)
-                continue
-            if err <= 1.0:
-                clipped = dt < self.dt
-                t = t + dt
-                y[:] = self.y_new
-                k[0][:] = k[6]          # FSAL
-                self.n_accepted += 1
-                factor = SAFETY * (err ** -PI_ALPHA if err > 0.0 else
-                                   FACTOR_MAX) * (self.err_prev ** PI_BETA)
-                self.err_prev = max(err, 1e-4)
-                if not clipped:  # a boundary-clipped step says nothing new
-                    self.dt = dt * min(FACTOR_MAX, max(FACTOR_MIN, factor))
-                if on_accept is not None:
-                    on_accept(t, y)
-            else:
-                self.n_rejected += 1
-                factor = SAFETY * err ** -PI_ALPHA
-                self.dt = dt * min(1.0, max(FACTOR_MIN, factor))
-                self.have_k1 = False
-                if self.dt < DT_FLOOR:
-                    raise NonFiniteStateError(t)
+        The state is held as floats and written back to y before each
+        on_accept(t, y) call and on exit.
+        """
+        rhs, trial = self.rhs, self.trial
+        state, k1 = y.tolist(), self.k1
+        dt_next, err_prev = self.dt, self.err_prev
+        accepted = rejected = 0
+        try:
+            while t < t_stop:
+                dt = min(dt_next, t_stop - t)
+                try:
+                    if k1 is None:
+                        k1 = rhs(state)
+                    err, y_new, k7 = trial(dt, state, k1)
+                except OverflowError:   # float ** overflowed: not finite
+                    err = math.inf
+                if not math.isfinite(err):
+                    rejected += 1
+                    dt_next = dt * FACTOR_MIN
+                    if dt_next < DT_FLOOR:
+                        raise NonFiniteStateError(t)
+                    continue
+                if err <= 1.0:
+                    clipped = dt < dt_next
+                    t = t + dt
+                    state, k1 = y_new, k7     # FSAL
+                    accepted += 1
+                    factor = SAFETY * (err ** -PI_ALPHA if err > 0.0 else
+                                       FACTOR_MAX) * (err_prev ** PI_BETA)
+                    err_prev = max(err, 1e-4)
+                    if not clipped:  # a boundary-clipped step says nothing new
+                        dt_next = dt * min(FACTOR_MAX, max(FACTOR_MIN, factor))
+                    if on_accept is not None:
+                        y[:] = state
+                        on_accept(t, y)
+                else:
+                    rejected += 1
+                    factor = SAFETY * err ** -PI_ALPHA
+                    dt_next = dt * min(1.0, max(FACTOR_MIN, factor))
+                    if dt_next < DT_FLOOR:
+                        raise NonFiniteStateError(t)
+        finally:
+            y[:] = state
+            self.k1, self.dt, self.err_prev = k1, dt_next, err_prev
+            self.n_accepted += accepted
+            self.n_rejected += rejected
         return t
 
 
@@ -267,7 +330,6 @@ def simulate(X: VectorField, x0: Sequence[float], t_end: float,
     dim = len(X.variables)
     if len(x0) != dim:
         raise ValueError(f"x0 must have {dim} components")
-    rhs = compile_rhs(X)
     y = np.array([float(v) for v in x0], dtype=float)
     if not np.isfinite(y).all():
         raise NonFiniteStateError(0.0)
@@ -282,11 +344,11 @@ def simulate(X: VectorField, x0: Sequence[float], t_end: float,
         if dt is None or dt <= 0:
             raise ValueError("rk4 requires a positive fixed dt")
         counters = [0]
-        _rk4_advance(rhs, 0.0, y, t_end, dt, on_accept, counters)
+        _rk4_advance(compile_rhs(X), 0.0, y, t_end, dt, on_accept, counters)
         meta = {"method": "rk4", "dt": dt, "n_accepted": counters[0],
                 "n_rejected": 0}
     elif method == "dp54":
-        stepper = _DormandPrince(rhs, dim, rtol, atol, dt_init)
+        stepper = _DormandPrince(_field_sources(X), rtol, atol, dt_init)
         stepper.advance(0.0, y, t_end, on_accept)
         meta = {"method": "dp54", "rtol": rtol, "atol": atol,
                 "dt_init": dt_init, "n_accepted": stepper.n_accepted,
@@ -298,9 +360,27 @@ def simulate(X: VectorField, x0: Sequence[float], t_end: float,
 
 # -- conserved-quantity drift -------------------------------------------------
 
+def _compile_poly(p: Poly) -> Callable[[Sequence[float]], float]:
+    """p as one scalar function of a state, equal to p.evaluate_float.
+
+    Terms are summed in dict order starting from 0.0, and each term is its
+    coefficient times v**e per variable, left to right, as evaluate_float
+    does, so the two agree bit for bit.
+    """
+    names = _names(len(p.variables))
+    terms = ["0.0"]
+    for mono, coeff in p.terms.items():
+        powers = [f"{name}**{e}" for name, e in zip(names, mono) if e]
+        terms.append("*".join([repr(float(coeff))] + powers))
+    namespace: dict = {}
+    exec(f"def _p(s):\n    {', '.join(names)}, = s\n"
+         f"    return {' + '.join(terms)}", namespace)
+    return namespace["_p"]
+
+
 def _as_evaluator(H) -> tuple[str, Callable[[Sequence[float]], float]]:
     if isinstance(H, Poly):
-        return str(H), H.evaluate_float
+        return str(H), _compile_poly(H)
     if hasattr(H, "evaluate_float"):
         name = H.text() if hasattr(H, "text") else type(H).__name__
         return name, H.evaluate_float
@@ -314,9 +394,10 @@ def conservation_drift(traj: Trajectory, H, name: str | None = None) -> DriftRep
     ident, evaluator = _as_evaluator(H)
     if name is not None:
         ident = name
-    h0 = evaluator(traj.states[0])
+    states = traj.states.tolist()
+    h0 = evaluator(states[0])
     max_abs = 0.0
-    for state in traj.states[1:]:
+    for state in states[1:]:
         value = evaluator(state)
         if not math.isfinite(value):
             raise EvalDomainError(f"{ident} non-finite along the trajectory")
@@ -342,20 +423,13 @@ def lyapunov_max(X: VectorField, x0: Sequence[float], t_end: float,
     dim = len(X.variables)
     if len(x0) != dim:
         raise ValueError(f"x0 must have {dim} components")
-    rhs = compile_rhs(X)
-    jac = compile_jacobian(X)
-    jmat = np.empty((dim, dim), dtype=float)
-
-    def rhs_aug(t, s, out):
-        rhs(t, s[:dim], out[:dim])
-        jac(t, s[:dim], jmat)
-        out[dim:] = jmat @ s[dim:]
-        return out
-
+    if rtol <= 0 or atol <= 0:
+        raise ValueError("tolerances must be positive")
     y = np.empty(2 * dim, dtype=float)
     y[:dim] = [float(v) for v in x0]
     y[dim:] = 1.0 / math.sqrt(dim)
-    stepper = _DormandPrince(rhs_aug, 2 * dim, rtol, atol, dt_init)
+    stepper = _DormandPrince(_field_sources(X) + _tangent_sources(X),
+                             rtol, atol, dt_init)
     n_intervals = int(round(t_end / renorm_dt))
     log_sum = 0.0
     t = 0.0
@@ -366,7 +440,7 @@ def lyapunov_max(X: VectorField, x0: Sequence[float], t_end: float,
             raise NonFiniteStateError(t)
         log_sum += math.log(norm)
         y[dim:] /= norm
-        stepper.have_k1 = False  # tangent was rescaled: stage cache invalid
+        stepper.k1 = None  # tangent was rescaled: stage cache invalid
     return log_sum / (n_intervals * renorm_dt)
 
 
@@ -379,7 +453,7 @@ def emit_csv(traj: Trajectory, path: str | Path,
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         header = ["t", *traj.variables, *(name for name, _ in evaluators)]
         fh.write(",".join(header) + "\n")
-        for t, state in zip(traj.times, traj.states):
+        for t, state in zip(traj.times.tolist(), traj.states.tolist()):
             row = [f"{t:.17g}"]
             row.extend(f"{v:.17g}" for v in state)
             row.extend(f"{ev(state):.17g}" for _, ev in evaluators)

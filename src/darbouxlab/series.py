@@ -24,14 +24,6 @@ from .field import VectorField, lie_derivative, parse_field
 
 
 @dataclass(frozen=True)
-class ExtendedField:
-    """A field with one former parameter promoted to a zero-dynamics variable."""
-
-    field: VectorField
-    promoted: str
-
-
-@dataclass(frozen=True)
 class SeriesSpace:
     """Basis of truncated formal first integrals (constants included)."""
 
@@ -103,16 +95,15 @@ def formal_integral_space(X: VectorField, N: int, m: int = 2) -> SeriesSpace:
     return SeriesSpace(N, m, tuple(basis))
 
 
-def promote_parameter(X: VectorField, name: str) -> ExtendedField:
-    """Re-parse the field with `name` as a variable whose equation is zero."""
+def promote_parameter(X: VectorField, name: str) -> VectorField:
+    """Re-parse the field with `name` as a variable whose equation is zero.
+
+    Solve the result with `formal_integral_space`; `SeriesSpace.depends_only_on`
+    then says whether every basis element is a polynomial in `name` alone.
+    """
     if X.source_text is None:
         raise ValueError("field carries no source text to re-parse")
     if name not in X.source_params:
         raise ValueError(f"unknown parameter {name!r}; "
                          f"bound parameters: {sorted(X.source_params)}")
-    return ExtendedField(parse_field(X.source_text, promote=name), name)
-
-
-def formal_space_extended(Xb: ExtendedField, N: int, m: int = 2) -> SeriesSpace:
-    """Same solver on the extended field; see SeriesSpace.depends_only_on."""
-    return formal_integral_space(Xb.field, N, m)
+    return parse_field(X.source_text, promote=name)

@@ -21,8 +21,7 @@ from darbouxlab.exactcore import Poly, RatMatrix, parse_poly, poly_divmod
 from darbouxlab.field import lie_derivative, load_field, parse_field
 from darbouxlab.numerics import (compile_rhs, conservation_drift, jacobian_at,
                                  lyapunov_max, simulate)
-from darbouxlab.series import (formal_integral_space, formal_space_extended,
-                               promote_parameter)
+from darbouxlab.series import formal_integral_space, promote_parameter
 
 from conftest import corpus_path, make_lv3, LV3_TEMPLATE
 
@@ -137,7 +136,7 @@ def test_criterion_6_formal_truncations():
     dim_b0 = formal_integral_space(make_lv3(3, 0, 2), 6, 2).dimension
 
     ext = promote_parameter(make_lv3(3, 3, 2), "b")
-    space_ext = formal_space_extended(ext, 4, 1)
+    space_ext = formal_integral_space(ext, 4, 1)
     basis_ext = [str(p) for p in space_ext.basis]
 
     elapsed = time.perf_counter() - t0

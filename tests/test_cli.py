@@ -200,3 +200,30 @@ def test_large_rational_parameter_sieve(tmp_path, param, bound):
     polys = sorted(c["poly"] for c in
                    json.loads(proc.stdout)["results"]["certificates"])
     assert polys == ["x", "y", "z"]
+
+
+@pytest.mark.parametrize("text, args", [
+    ("vars: x\ndx/dt = x^2\n",
+     ["simulate", "--x0", "1", "--t-end", "5"]),
+    ("vars: x y z\ndx/dt = x^3\ndy/dt = y\ndz/dt = z\n",
+     ["lyapunov", "--x0", "1,1,1", "--t-end", "5", "--renorm-dt", "0.5"]),
+])
+def test_blow_up_exits_2(tmp_path, text, args):
+    # finite-time blow-up: float overflow inside a step is a rejected step,
+    # and the step-size floor ends the run with a usage-class error
+    field = tmp_path / "blowup.vf"
+    field.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "darbouxlab", args[0], str(field), *args[1:]],
+        capture_output=True, text=True, cwd=REPO)
+    assert proc.returncode == 2
+    assert "error: state became non-finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_lyapunov_zero_tolerance_exits_2():
+    # the error norm divides by atol + rtol*|y|, so both must be positive
+    code, _, err = run_cli(["lyapunov", "corpus/samardzija_greller.vf",
+                            "--x0", "0.5,1,2", "--t-end", "5", "--tol", "0"])
+    assert code == 2
+    assert "tolerances must be positive" in err

@@ -1,5 +1,6 @@
 """Trajectory integration, drift measurement, Lyapunov estimation."""
 
+import hashlib
 import math
 import random
 
@@ -159,3 +160,53 @@ def test_deterministic_repeat(reference_field):
     b = simulate(reference_field, (0.5, 1.0, 2.0), 10.0)
     assert np.array_equal(a.times, b.times)
     assert np.array_equal(a.states, b.states)
+
+
+# Trajectories pinned by sha256 of times.tobytes() and states.tobytes(), and
+# the CLI's t_end = 2000 runs by final state and step counts.  The values
+# were taken from the numpy-vector stage loop that the generated scalar step
+# replaced; the generated step must reproduce it bit for bit.
+PINNED_DIGESTS = {
+    "reference": ((0.5, 1.0, 2.0),
+                  "bc8f7e1c48fc4f330ffa3026a9154a10bea49b6d70d25562fc281c64a8801813",
+                  "9bc069cbad3646d32b3477e2dcff989b7a0dff08708fc27b89fb11d12f4cc155"),
+    "integrable": ((0.5, 0.5, 1.0),
+                   "d92e1f35154c4ee3d8aec08439c95a3d9dcb9c2cf025dcd49a1cc4f8b9afa284",
+                   "2e9ea29673a650a1101fbe7db6a117906b035b5f50242c6b8836c1e213c241b8"),
+}
+PINNED_FINAL = {
+    "reference": ((0.5, 1.0, 2.0),
+                  (1.0023284863109183, 0.8854526892513545, 0.7082771300527044),
+                  34441, 0),
+    "integrable": ((0.5, 0.5, 1.0),
+                   (0.3701917521824893, 1.226678904570099, 1.0), 48243, 0),
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_fields(reference_field, integrable_field):
+    return {"reference": reference_field, "integrable": integrable_field}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+def test_pinned_trajectory_digests(pinned_fields, name):
+    x0, times_sha, states_sha = PINNED_DIGESTS[name]
+    traj = simulate(pinned_fields[name], x0, 200.0)
+    assert hashlib.sha256(traj.times.tobytes()).hexdigest() == times_sha
+    assert hashlib.sha256(traj.states.tobytes()).hexdigest() == states_sha
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_FINAL))
+def test_pinned_final_states(pinned_fields, name):
+    # the CLI's simulate defaults: adaptive pair, rtol = atol = 1e-10
+    x0, final, accepted, rejected = PINNED_FINAL[name]
+    traj = simulate(pinned_fields[name], x0, 2000.0, rtol=1e-10, atol=1e-10)
+    assert tuple(traj.states[-1].tolist()) == final
+    assert traj.metadata["n_accepted"] == accepted
+    assert traj.metadata["n_rejected"] == rejected
+
+
+def test_lyapunov_deterministic_repeat(reference_field):
+    a = lyapunov_max(reference_field, (0.5, 1.0, 2.0), 50.0, 0.5)
+    b = lyapunov_max(reference_field, (0.5, 1.0, 2.0), 50.0, 0.5)
+    assert a == b
