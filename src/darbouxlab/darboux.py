@@ -56,7 +56,9 @@ class NotExpFactorError(ArithmeticError):
 
 
 class EvalDomainError(ArithmeticError):
-    """A Darboux function factor vanishes (or is negative) where forbidden."""
+    """A value cannot be evaluated in floats: a Darboux function factor
+    vanishes (or is negative) where forbidden, or a number is too large
+    for a float64."""
 
 
 class LatticeTooLargeError(ValueError):
@@ -299,12 +301,18 @@ def _full_operator_screen(X: VectorField, d: int,
 
 # ---- graded sieve ------------------------------------------------------------
 
+def _mask_indices(mask: int) -> list[int]:
+    """Positions of the set bits of a non-negative int, ascending."""
+    return [t for t, bit in enumerate(reversed(bin(mask))) if bit == "1"]
+
+
 class _LatticeBoxes:
     """Candidates as {base + per-monomial box offsets}.
 
     Single-term generators become independent per-monomial offset ranges;
     every combination of the remaining generators is expanded into a "base".
-    All coefficient bookkeeping is integer-scaled per monomial.
+    All coefficient bookkeeping is integer-scaled per monomial.  A set of
+    bases is one int bitmask, bit t standing for base t.
     """
 
     def __init__(self, lattice: CofactorLattice):
@@ -352,52 +360,40 @@ class _LatticeBoxes:
     def monos_of_degree(self, degree: int) -> list[tuple]:
         return [m for m in self.support if sum(m) == degree]
 
-    def legal_bases(self, max_degree: int) -> list[int]:
+    def legal_bases(self, max_degree: int) -> int:
         """Bases whose parts of degree > max_degree can be cancelled to zero."""
-        out = []
-        high = [m for m in self.support if sum(m) > max_degree]
+        high = [(m, set(self.box.get(m, (0,))))
+                for m in self.support if sum(m) > max_degree]
+        mask = 0
         for t, base in enumerate(self.bases):
-            ok = True
-            for m in high:
-                need = -base.get(m, 0)
-                if need not in set(self.box.get(m, (0,))):
-                    ok = False
-                    break
-            if ok:
-                out.append(t)
-        return out
+            if all(-base.get(m, 0) in offsets for m, offsets in high):
+                mask |= 1 << t
+        return mask
 
-    def sections(self, compat: Sequence[int], degree: int
-                 ) -> dict[tuple[int, ...], frozenset[int]]:
+    def sections(self, compat: int, degree: int) -> dict[tuple[int, ...], int]:
         """Distinct degree-`degree` parts reachable from the compatible bases.
 
         Maps the integer-scaled coefficient tuple (over monos_of_degree) to
-        the set of bases that can realize it; callers sort the keys.
+        the bitmask of the bases that can realize it; callers sort the keys.
         """
         monos = self.monos_of_degree(degree)
-        out: dict[tuple[int, ...], set[int]] = {}
-        for t in compat:
+        out: dict[tuple[int, ...], int] = {}
+        for t in _mask_indices(compat):
             base = self.bases[t]
             key = tuple(base.get(m, 0) for m in monos)
-            out.setdefault(key, set()).add(t)
+            out[key] = out.get(key, 0) | 1 << t
         # shift one coordinate at a time by its box offsets, merging the
-        # base sets of keys that meet: far fewer unions than per full offset
+        # base masks of keys that meet: far fewer merges than per full offset
         for j, m in enumerate(monos):
-            shifted: dict[tuple[int, ...], set[int]] = {}
+            offsets = self.box.get(m, (0,))
+            shifted: dict[tuple[int, ...], int] = {}
             for key, members in out.items():
                 head, k, tail = key[:j], key[j], key[j + 1:]
-                for o in self.box.get(m, (0,)):
+                for o in offsets:
                     val = head + (k + o,) + tail
-                    if val in shifted:
-                        shifted[val] |= members
-                    else:
-                        shifted[val] = set(members)
+                    shifted[val] = shifted.get(val, 0) | members
             out = shifted
-        frozen = {}
-        while out:  # free each set as it is frozen: the sieve's peak memory
-            val, members = out.popitem()
-            frozen[val] = frozenset(members)
-        return frozen
+        return out
 
     def section_poly(self, variables: Sequence[str], degree: int,
                      value: tuple[int, ...]) -> Poly:
@@ -504,7 +500,7 @@ class _GradedSieve:
             self._top_level(n, compat0)
         return sorted(self.found, key=Poly.sort_key)
 
-    def _top_level(self, n: int, compat: Sequence[int]) -> None:
+    def _top_level(self, n: int, compat: int) -> None:
         M, nv = self.M, self.nv
         variables = self.X.variables
         top_deg = M - 1
@@ -545,8 +541,7 @@ class _GradedSieve:
             W = [list(vec) for vec in kernel]  # columns of the W basis
             self._descend(n, {top_deg: tau}, sections[val], 1, W)
 
-    def _descend(self, n: int, parts: dict[int, Poly],
-                 compat: frozenset[int] | Sequence[int], r: int,
+    def _descend(self, n: int, parts: dict[int, Poly], compat: int, r: int,
                  W: list[list[Fraction]]) -> None:
         M, nv = self.M, self.nv
         variables = self.X.variables
@@ -557,7 +552,7 @@ class _GradedSieve:
             self.found.add(K)
             return
         ell = M - 1 - r
-        sections = self.boxes.sections(sorted(compat), ell)
+        sections = self.boxes.sections(compat, ell)
         if not sections:
             return
         monos = self.boxes.monos_of_degree(ell)

@@ -8,14 +8,20 @@ compare total degree first, then the exponent tuple lexicographically.
 The canonical printed form of a polynomial (descending graded-lex, normalized
 rationals, explicit ``*``) is unique, so string equality of printed forms is
 mathematical equality.
+
+Gauss-Jordan elimination runs on integer rows (each row scaled to a primitive
+integer vector), not on Fraction objects; its results are still Fractions,
+formed once per entry at the end, and equal the unique RREF over Q.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 Rational = Fraction
+_ZERO = Fraction(0)
 Monomial = tuple  # exponent tuple, one entry per ambient variable
 
 
@@ -590,35 +596,52 @@ class RatMatrix:
                           for j in range(self.cols)])
 
     def rref(self) -> tuple["RatMatrix", tuple[int, ...]]:
-        """Reduced row echelon form and the pivot column indices."""
-        m = [row[:] for row in self.entries]
+        """Reduced row echelon form and the pivot column indices.
+
+        Each row is scaled to a primitive integer vector, which keeps its
+        span, and elimination runs on those integer rows: an update is
+        ``(a/g)*row - (b/g)*pivot_row`` over the pivot row's nonzero columns,
+        followed by division by the row's content.  Every integer row stays a
+        nonzero rational multiple of the row Fraction elimination would hold,
+        so the pivots agree and dividing each pivot row by its pivot gives the
+        unique RREF over Q.
+        """
+        m = [_primitive_row(row) for row in self.entries]
         pivots = []
         pr = 0
         for pc in range(self.cols):
             pivot_row = None
             for r in range(pr, self.rows):
-                if m[r][pc] != 0:
+                if m[r][pc]:
                     pivot_row = r
                     break
             if pivot_row is None:
                 continue
             m[pr], m[pivot_row] = m[pivot_row], m[pr]
-            inv = Fraction(1) / m[pr][pc]
-            m[pr] = [x * inv for x in m[pr]]
+            prow = m[pr]
+            a = prow[pc]
+            # columns left of pc are zero in the pivot row
+            support = [(j, prow[j]) for j in range(pc, self.cols) if prow[j]]
             for r in range(self.rows):
-                if r == pr:
+                b = m[r][pc]
+                if r == pr or not b:
                     continue
-                factor = m[r][pc]
-                if factor == 0:
-                    continue
-                prow = m[pr]
-                m[r] = [a - factor * b for a, b in zip(m[r], prow)]
+                g = math.gcd(a, b)
+                ka, kb = a // g, b // g
+                row = m[r] if ka == 1 else [ka * x for x in m[r]]
+                for j, v in support:
+                    row[j] -= kb * v
+                content = math.gcd(*row)
+                m[r] = row if content <= 1 else [x // content for x in row]
             pivots.append(pc)
             pr += 1
             if pr == self.rows:
                 break
+        entries = [[Fraction(x, row[pc]) if x else _ZERO for x in row]
+                   for row, pc in zip(m, pivots)]
+        entries += [[_ZERO] * self.cols for _ in range(self.rows - len(pivots))]
         out = RatMatrix.__new__(RatMatrix)
-        out.entries = m
+        out.entries = entries
         out.rows = self.rows
         out.cols = self.cols
         return out, tuple(pivots)
@@ -642,6 +665,14 @@ class RatMatrix:
 
     def __str__(self) -> str:
         return "\n".join(" ".join(str(x) for x in row) for row in self.entries)
+
+
+def _primitive_row(row: Sequence[Fraction]) -> list[int]:
+    """The row times the lcm of its denominators, divided by its content."""
+    scale = math.lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (scale // x.denominator) for x in row]
+    content = math.gcd(*ints)
+    return ints if content <= 1 else [x // content for x in ints]
 
 
 def nullspace(matrix: RatMatrix) -> list[list[Fraction]]:

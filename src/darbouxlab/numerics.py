@@ -75,8 +75,17 @@ class DriftReport:
 
 # -- compilation of the exact RHS into float64 code --------------------------
 
+def _float_coeff(coeff: Fraction) -> float:
+    """The coefficient as a float64; one too large for it is a domain error."""
+    try:
+        return float(coeff)
+    except OverflowError:
+        raise EvalDomainError(
+            f"coefficient {coeff} is too large for a float64") from None
+
+
 def _term_source(coeff: Fraction, mono: tuple, names: Sequence[str]) -> str:
-    parts = [repr(float(coeff))]
+    parts = [repr(_float_coeff(coeff))]
     for name, e in zip(names, mono):
         if e == 1:
             parts.append(name)
@@ -371,7 +380,7 @@ def _compile_poly(p: Poly) -> Callable[[Sequence[float]], float]:
     terms = ["0.0"]
     for mono, coeff in p.terms.items():
         powers = [f"{name}**{e}" for name, e in zip(names, mono) if e]
-        terms.append("*".join([repr(float(coeff))] + powers))
+        terms.append("*".join([repr(_float_coeff(coeff))] + powers))
     namespace: dict = {}
     exec(f"def _p(s):\n    {', '.join(names)}, = s\n"
          f"    return {' + '.join(terms)}", namespace)
@@ -394,14 +403,21 @@ def conservation_drift(traj: Trajectory, H, name: str | None = None) -> DriftRep
     ident, evaluator = _as_evaluator(H)
     if name is not None:
         ident = name
-    states = traj.states.tolist()
-    h0 = evaluator(states[0])
-    max_abs = 0.0
-    for state in states[1:]:
-        value = evaluator(state)
+
+    def finite_value(state: Sequence[float]) -> float:
+        try:
+            value = evaluator(state)
+        except OverflowError:   # float ** overflowed: not finite
+            value = math.inf
         if not math.isfinite(value):
             raise EvalDomainError(f"{ident} non-finite along the trajectory")
-        max_abs = max(max_abs, abs(value - h0))
+        return value
+
+    states = traj.states.tolist()
+    h0 = finite_value(states[0])
+    max_abs = 0.0
+    for state in states[1:]:
+        max_abs = max(max_abs, abs(finite_value(state) - h0))
     relative = max_abs / abs(h0) if h0 != 0.0 else max_abs
     return DriftReport(ident, h0, max_abs, relative)
 

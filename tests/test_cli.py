@@ -5,11 +5,17 @@ import contextlib
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from darbouxlab._modp import PRIME
 from darbouxlab.cli import main
+from darbouxlab.exactcore import parse_poly
+from darbouxlab.field import lie_derivative, load_field
 
 REPO = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -227,3 +233,61 @@ def test_lyapunov_zero_tolerance_exits_2():
                             "--x0", "0.5,1,2", "--t-end", "5", "--tol", "0"])
     assert code == 2
     assert "tolerances must be positive" in err
+
+
+RATIONAL_PARTS = st.one_of(st.integers(1, 10**20),
+                           st.integers(1, 10**11).map(lambda k: k * PRIME))
+
+
+@settings(max_examples=20, deadline=None)
+@given(num=RATIONAL_PARTS, negative=st.booleans(), den=RATIONAL_PARTS,
+       bound=st.sampled_from(["1", "3"]))
+@example(num=3 * PRIME, negative=True, den=10**20 - 11, bound="3")
+@example(num=10**20 - 1, negative=False, den=7 * PRIME, bound="3")
+def test_large_rational_exit_contract(num, negative, den, bound):
+    # exit 0 with re-checked certificates, or exit 2 without a traceback
+    text = (REPO / "corpus" / "samardzija_greller.vf").read_text()
+    param = f"{'-' if negative else ''}{num}/{den}"
+    with tempfile.TemporaryDirectory() as tmp:
+        field = Path(tmp) / "fuzz.vf"
+        field.write_text("".join(
+            f"param a = {param}\n" if line.startswith("param a =") else line
+            for line in text.splitlines(keepends=True)))
+        code, out, err = run_cli(["darboux", str(field), "--degree", "2",
+                                  "--lattice-bound", bound])
+        assert code in (0, 2), err
+        assert "Traceback" not in err
+        if code == 0:
+            X = load_field(field)
+            for cert in json.loads(out)["results"]["certificates"]:
+                f = parse_poly(cert["poly"], X.variables)
+                K = parse_poly(cert["cofactor"], X.variables)
+                assert lie_derivative(X, f) == K * f
+
+
+def run_module(args):
+    return subprocess.run([sys.executable, "-m", "darbouxlab", *args],
+                          capture_output=True, text=True, cwd=REPO)
+
+
+def test_observable_overflow_exits_2():
+    # the state stays finite; float ** overflows in the observed polynomial
+    proc = run_module(["simulate", "corpus/lv3_a0_b0_c0.vf", "--x0", "5,0.5,1",
+                       "--t-end", "1", "--observe", "x^500"])
+    assert proc.returncode == 2
+    assert "error: x^500 non-finite along the trajectory" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate", "--x0", "1", "--t-end", "1"],
+    ["lyapunov", "--x0", "1", "--t-end", "1", "--renorm-dt", "0.5"],
+])
+def test_coefficient_beyond_float64_exits_2(tmp_path, args):
+    big = "9" * 400
+    field = tmp_path / "big.vf"
+    field.write_text(f"vars: x\nparam a = {big}\ndx/dt = a*x\n")
+    proc = run_module([args[0], str(field), *args[1:]])
+    assert proc.returncode == 2
+    assert f"error: coefficient {big} is too large for a float64" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -11,7 +11,7 @@ from darbouxlab.exactcore import (InexactDivisionError, Poly, RatMatrix,
                                   nullspace, parse_poly, poly_divide_exact,
                                   poly_divmod)
 
-from conftest import nonzero_polys, polys
+from conftest import nonzero_polys, polys, small_fractions
 
 XYZ = ("x", "y", "z")
 
@@ -130,6 +130,93 @@ def test_nullspace_soundness(rows, cols, seed):
     for vec in kernel:
         assert all(v == 0 for v in m.matvec(vec))
     assert m.rank() + len(kernel) == cols
+
+
+def fraction_rref(entries):
+    """Gauss-Jordan on Fractions, row by row: the reference for RatMatrix.rref.
+
+    Pivot columns left to right, pivot row = first row with a nonzero entry.
+    """
+    m = [[Fraction(x) for x in row] for row in entries]
+    rows, cols = len(m), len(m[0]) if m else 0
+    pivots = []
+    pr = 0
+    for pc in range(cols):
+        pivot_row = next((r for r in range(pr, rows) if m[r][pc] != 0), None)
+        if pivot_row is None:
+            continue
+        m[pr], m[pivot_row] = m[pivot_row], m[pr]
+        inv = 1 / m[pr][pc]
+        m[pr] = [x * inv for x in m[pr]]
+        for r in range(rows):
+            factor = m[r][pc]
+            if r != pr and factor != 0:
+                m[r] = [a - factor * b for a, b in zip(m[r], m[pr])]
+        pivots.append(pc)
+        pr += 1
+        if pr == rows:
+            break
+    return m, tuple(pivots)
+
+
+def fraction_nullspace(entries):
+    red, pivots = fraction_rref(entries)
+    cols = len(entries[0]) if entries else 0
+    basis = []
+    for fc in (j for j in range(cols) if j not in pivots):
+        vec = [Fraction(0)] * cols
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -red[r][fc]
+        basis.append(vec)
+    return basis
+
+
+HUGE = 10**30
+entries_of = st.one_of(
+    st.just(Fraction(0)),
+    small_fractions,
+    st.builds(Fraction, st.integers(-HUGE, HUGE), st.integers(1, HUGE)))
+
+
+@st.composite
+def rational_matrices(draw):
+    """Matrices up to 7x7 with zero rows and columns and dependent rows."""
+    rows = draw(st.integers(min_value=0, max_value=7))
+    cols = draw(st.integers(min_value=1, max_value=7)) if rows else 0
+    m = [[draw(entries_of) for _ in range(cols)] for _ in range(rows)]
+    for r in range(rows):
+        kind = draw(st.sampled_from(["free", "zero", "combination"]))
+        if kind == "zero":
+            m[r] = [Fraction(0)] * cols
+        elif kind == "combination" and r >= 2:
+            a, b = draw(entries_of), draw(entries_of)
+            i, j = draw(st.integers(0, r - 1)), draw(st.integers(0, r - 1))
+            m[r] = [a * x + b * y for x, y in zip(m[i], m[j])]
+    for c in draw(st.sets(st.integers(0, max(cols - 1, 0)), max_size=2)):
+        if c < cols:
+            for row in m:
+                row[c] = Fraction(0)
+    return m
+
+
+class TestIntegerRowElimination:
+    """RatMatrix.rref on integer rows against Fraction Gauss-Jordan."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rational_matrices())
+    def test_matches_fraction_elimination(self, entries):
+        red, pivots = RatMatrix(entries).rref()
+        assert (red.entries, pivots) == fraction_rref(entries)
+        assert RatMatrix(entries).nullspace() == fraction_nullspace(entries)
+
+    def test_empty_and_single_row(self):
+        red, pivots = RatMatrix([]).rref()
+        assert (red.rows, red.cols, red.entries, pivots) == (0, 0, [], ())
+        assert RatMatrix([]).nullspace() == []
+        row = [[Fraction(0), Fraction(-HUGE, 3), Fraction(7, HUGE + 1)]]
+        assert RatMatrix(row).rref() == (RatMatrix(fraction_rref(row)[0]), (1,))
+        assert RatMatrix(row).nullspace() == fraction_nullspace(row)
 
 
 def test_monomial_order_is_graded_lex():
