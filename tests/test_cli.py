@@ -28,6 +28,11 @@ def run_cli(args):
     return code, buf.getvalue(), err.getvalue()
 
 
+def run_module(args):
+    return subprocess.run([sys.executable, "-m", "darbouxlab", *args],
+                          capture_output=True, text=True, cwd=REPO)
+
+
 @pytest.fixture(autouse=True)
 def repo_cwd(monkeypatch):
     monkeypatch.chdir(REPO)
@@ -263,11 +268,6 @@ def test_large_rational_exit_contract(num, negative, den, bound):
                 f = parse_poly(cert["poly"], X.variables)
                 K = parse_poly(cert["cofactor"], X.variables)
                 assert lie_derivative(X, f) == K * f
-
-
-def run_module(args):
-    return subprocess.run([sys.executable, "-m", "darbouxlab", *args],
-                          capture_output=True, text=True, cwd=REPO)
 
 
 def test_observable_overflow_exits_2():
