@@ -21,26 +21,26 @@ class ModPUnavailableError(ArithmeticError):
     """A denominator is divisible by the prime; caller must use exact arithmetic."""
 
 
-def fraction_to_modp(value: Fraction, p: int = PRIME) -> int:
-    den = value.denominator % p
+def fraction_to_modp(value: Fraction) -> int:
+    den = value.denominator % PRIME
     if den == 0:
-        raise ModPUnavailableError(f"denominator divisible by {p}")
-    return (value.numerator % p) * pow(den, p - 2, p) % p
+        raise ModPUnavailableError(f"denominator divisible by {PRIME}")
+    return (value.numerator % PRIME) * pow(den, PRIME - 2, PRIME) % PRIME
 
 
-def fraction_rows_to_modp(rows: Sequence[Sequence[Fraction]], p: int = PRIME) -> np.ndarray:
-    return np.array([[fraction_to_modp(x, p) for x in row] for row in rows],
+def fraction_rows_to_modp(rows: Sequence[Sequence[Fraction]]) -> np.ndarray:
+    return np.array([[fraction_to_modp(x) for x in row] for row in rows],
                     dtype=np.int64)
 
 
-def batched_rank(mats: np.ndarray, p: int = PRIME) -> np.ndarray:
+def batched_rank(mats: np.ndarray) -> np.ndarray:
     """Ranks of a stack of matrices (N, R, C) over Z/p, vectorized over N.
 
     Fraction-free row updates (row*pivot - factor*pivot_row) keep every value
     in [0, p); pivots are chosen as the first eligible nonzero row, so the
     result does not depend on batch order.
     """
-    A = np.ascontiguousarray(np.asarray(mats, dtype=np.int64) % p)
+    A = np.ascontiguousarray(np.asarray(mats, dtype=np.int64) % PRIME)
     if A.ndim != 3:
         raise ValueError("expected a (N, R, C) stack")
     N, R, C = A.shape
@@ -71,7 +71,8 @@ def batched_rank(mats: np.ndarray, p: int = PRIME) -> np.ndarray:
         pivval = pivrow[:, col]
         factors = sub[:, :, col].copy()
         factors[krange, r0] = 0
-        updated = (sub * pivval[:, None, None] - factors[:, :, None] * pivrow[:, None, :]) % p
+        updated = (sub * pivval[:, None, None]
+                   - factors[:, :, None] * pivrow[:, None, :]) % PRIME
         keep = rows_idx[None, :] <= r0[:, None]
         A[sel] = np.where(keep[:, :, None], sub, updated)
         lead[sel] = r0 + 1
@@ -79,17 +80,19 @@ def batched_rank(mats: np.ndarray, p: int = PRIME) -> np.ndarray:
 
 
 def batched_combination(base: np.ndarray, directions: np.ndarray,
-                        coefficients: np.ndarray, p: int = PRIME) -> np.ndarray:
+                        coefficients: np.ndarray) -> np.ndarray:
     """Stack base - sum_k coefficients[:, k] * directions[k] over Z/p.
 
     base: (R, C); directions: (S, R, C); coefficients: (N, S) residues.
     Returns (N, R, C).
     """
-    coefficients = np.asarray(coefficients, dtype=np.int64) % p
+    coefficients = np.asarray(coefficients, dtype=np.int64) % PRIME
     if directions.shape[0] == 0:
-        out = np.broadcast_to(base % p, (coefficients.shape[0],) + base.shape)
+        out = np.broadcast_to(base % PRIME,
+                              (coefficients.shape[0],) + base.shape)
         return np.ascontiguousarray(out)
     acc = np.zeros((coefficients.shape[0],) + base.shape, dtype=np.int64)
     for k in range(directions.shape[0]):
-        acc = (acc + coefficients[:, k, None, None] * (directions[k] % p)) % p
-    return (base % p - acc) % p
+        acc = (acc + coefficients[:, k, None, None]
+               * (directions[k] % PRIME)) % PRIME
+    return (base % PRIME - acc) % PRIME

@@ -296,10 +296,8 @@ def main(argv=None) -> int:
     try:
         results = _COMMANDS[args.command](X, args)
     except (FieldParseError, PolyParseError, LatticeTooLargeError,
-            argparse.ArgumentTypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (NonFiniteStateError, EvalDomainError) as exc:
+            argparse.ArgumentTypeError, ValueError, NonFiniteStateError,
+            EvalDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InternalCheckError as exc:

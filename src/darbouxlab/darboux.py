@@ -11,19 +11,23 @@ solves the remaining linear problem exactly.  Results are complete relative
 to the lattice.  Every lattice goes through a graded sieve that fixes K one
 homogeneous layer at a time (top degree first) and discards whole families
 whose layer equations already have no nonzero solution; the survivors then
-pass one rank screen on the full operator.  Both screens reject only on full
-rank modulo a prime, which is sound.  Each surviving cofactor is solved
-exactly over the rationals once per command, and the certificates and the
-rational obstruction are both read off those kernels.
+pass one rank screen on the full operator.  All three rank screens (the
+sieve's top level, its lower levels and the full operator) go through
+`_rank_screen`, which rejects only on full rank modulo a prime, which is
+sound, and keeps every value when the prime divides a denominator.  Each
+surviving cofactor is solved exactly over the rationals once per command,
+and the certificates and the rational obstruction are both read off those
+kernels.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -31,7 +35,7 @@ from . import _modp
 from .exactcore import (Poly, RatMatrix, divides, grlex_key,
                         monomials_of_degree, monomials_upto,
                         normalize_kernel_vector, poly_divmod)
-from .field import VectorField, lie_derivative
+from .field import VectorField, degree_split, lie_derivative
 
 _ZERO = Fraction(0)
 _MATERIALIZE_LIMIT = 5_000_000
@@ -62,7 +66,9 @@ class EvalDomainError(ArithmeticError):
 
 
 class LatticeTooLargeError(ValueError):
-    """The requested lattice cannot be materialized element by element."""
+    """The requested lattice is too large: it cannot be materialized element
+    by element, or the sieve would expand too many combinations of its
+    non-monomial generators."""
 
 
 @dataclass(frozen=True)
@@ -258,6 +264,59 @@ def search_darboux_fixed_cofactor(X: VectorField, K: Poly, d: int) -> list[Poly]
 # lattice screens
 # --------------------------------------------------------------------------
 
+def _mult_matrix(theta: Poly, cols: Sequence[tuple],
+                 rows: Sequence[tuple]) -> list[list[Fraction]]:
+    """Matrix of f -> theta*f from the span of cols to the span of rows."""
+    row_index = {m: i for i, m in enumerate(rows)}
+    out = [[_ZERO] * len(cols) for _ in rows]
+    for c, mono in enumerate(cols):
+        for tm, tc in theta.terms.items():
+            out[row_index[tuple(a + b for a, b in zip(tm, mono))]][c] = tc
+    return out
+
+
+def _add_block(dst: list[list[Fraction]], row0: int, col0: int,
+               block: Sequence[Sequence[Fraction]], sign: int) -> None:
+    """dst[row0 + a][col0 + b] += sign * block[a][b], sign being +1 or -1."""
+    for a, row in enumerate(block):
+        out = dst[row0 + a]
+        for b, v in enumerate(row):
+            if v != 0:
+                out[col0 + b] += v if sign > 0 else -v
+
+
+def _rank_screen(values: Sequence, base: Sequence[Sequence[Fraction]],
+                 directions: Sequence[Sequence[Sequence[Fraction]]],
+                 residues: Callable[[Sequence], np.ndarray],
+                 full_rank: int) -> list:
+    """The values whose matrix is rank-deficient mod p, in their given order.
+
+    The matrix of values[i] is base - sum_k c[i][k] * directions[k] with
+    c = residues(values), an (N, len(directions)) array of residues mod p.
+    A value is rejected only when that matrix has rank full_rank mod p,
+    which proves its rational kernel trivial.  When p divides a denominator
+    nothing is proved, and every value is kept.
+    """
+    if not values:
+        return []
+    try:
+        base_p = _modp.fraction_rows_to_modp(base)
+        dir_stack = np.zeros((len(directions),) + base_p.shape, dtype=np.int64)
+        for k, direction in enumerate(directions):
+            dir_stack[k] = _modp.fraction_rows_to_modp(direction)
+        coeffs = residues(values)
+    except _modp.ModPUnavailableError:
+        return list(values)
+    survivors = []
+    for start in range(0, len(values), _PRESCREEN_CHUNK):
+        chunk = slice(start, start + _PRESCREEN_CHUNK)
+        ranks = _modp.batched_rank(
+            _modp.batched_combination(base_p, dir_stack, coeffs[chunk]))
+        survivors.extend(v for v, rank in zip(values[chunk], ranks)
+                         if rank < full_rank)
+    return survivors
+
+
 def _full_operator_screen(X: VectorField, d: int,
                           candidates: list[Poly]) -> list[Poly]:
     """Keep candidates whose operator matrix is rank-deficient (mod-p screen)."""
@@ -266,37 +325,16 @@ def _full_operator_screen(X: VectorField, d: int,
     n = len(X.variables)
     cols = monomials_upto(n, d)
     rows = monomials_upto(n, d + max(X.degree - 1, 0))
-    zero = Poly.zero(X.variables)
-    try:
-        base = _modp.fraction_rows_to_modp(
-            _operator_matrix(X, zero, cols, rows))
-        support = sorted({m for K in candidates for m in K.terms},
-                         key=grlex_key)
-        directions = []
-        row_index = {m: i for i, m in enumerate(rows)}
-        for mono in support:
-            mult = [[_ZERO] * len(cols) for _ in rows]
-            for j, cm in enumerate(cols):
-                prod = tuple(a + b for a, b in zip(mono, cm))
-                mult[row_index[prod]][j] = Fraction(1)
-            directions.append(_modp.fraction_rows_to_modp(mult))
-        dir_stack = (np.stack(directions) if directions
-                     else np.zeros((0, len(rows), len(cols)), dtype=np.int64))
-        coeffs = np.array(
-            [[_modp.fraction_to_modp(K.coefficient(m)) for m in support]
-             for K in candidates], dtype=np.int64)
-    except _modp.ModPUnavailableError:
-        return list(candidates)
+    support = sorted({m for K in candidates for m in K.terms}, key=grlex_key)
+    units = [_mult_matrix(Poly.from_monomial(X.variables, m), cols, rows)
+             for m in support]
 
-    survivors = []
-    for start in range(0, len(candidates), _PRESCREEN_CHUNK):
-        chunk = slice(start, start + _PRESCREEN_CHUNK)
-        mats = _modp.batched_combination(base, dir_stack, coeffs[chunk])
-        ranks = _modp.batched_rank(mats)
-        for offset, rank in enumerate(ranks):
-            if rank < len(cols):
-                survivors.append(candidates[start + offset])
-    return survivors
+    def residues(Ks: Sequence[Poly]) -> np.ndarray:
+        return np.array([[_modp.fraction_to_modp(K.coefficient(m))
+                          for m in support] for K in Ks], dtype=np.int64)
+
+    base = _operator_matrix(X, Poly.zero(X.variables), cols, rows)
+    return _rank_screen(candidates, base, units, residues, len(cols))
 
 
 # ---- graded sieve ------------------------------------------------------------
@@ -448,10 +486,7 @@ class _GradedSieve:
         self.M = X.degree
         self.nv = len(X.variables)
         self.boxes = _LatticeBoxes(lattice)
-        self.layers: dict[int, VectorField] = {}
-        from .field import degree_split
-        for deg, layer in degree_split(X):
-            self.layers[deg] = layer
+        self.layers: dict[int, VectorField] = dict(degree_split(X))
         self._layer_cache: dict[tuple[int, int], list[list[Fraction]]] = {}
         self.found: set[Poly] = set()
 
@@ -477,18 +512,17 @@ class _GradedSieve:
             self._layer_cache[key] = out
         return self._layer_cache[key]
 
-    @staticmethod
-    def _mult_matrix(theta: Poly, k: int, nv: int, ell: int) -> list[list[Fraction]]:
+    def _homogeneous_mult(self, theta: Poly, k: int,
+                          ell: int) -> list[list[Fraction]]:
         """Multiplication by the homogeneous degree-ell poly theta, from H_k."""
-        cols = monomials_of_degree(nv, k)
-        rows = monomials_of_degree(nv, k + ell)
-        row_index = {m: i for i, m in enumerate(rows)}
-        out = [[_ZERO] * len(cols) for _ in rows]
-        for c, mono in enumerate(cols):
-            for tm, tc in theta.terms.items():
-                prod = tuple(a + b for a, b in zip(tm, mono))
-                out[row_index[prod]][c] = tc
-        return out
+        return _mult_matrix(theta, monomials_of_degree(self.nv, k),
+                            monomials_of_degree(self.nv, k + ell))
+
+    def _unit_mults(self, k: int, ell: int) -> list[list[list[Fraction]]]:
+        """Multiplication by each degree-ell lattice monomial, from H_k."""
+        return [self._homogeneous_mult(Poly.from_monomial(self.X.variables, m),
+                                       k, ell)
+                for m in self.boxes.monos_of_degree(ell)]
 
     # the sieve proper ----------------------------------------------------
 
@@ -501,40 +535,20 @@ class _GradedSieve:
         return sorted(self.found, key=Poly.sort_key)
 
     def _top_level(self, n: int, compat: int) -> None:
-        M, nv = self.M, self.nv
-        variables = self.X.variables
-        top_deg = M - 1
+        top_deg = self.M - 1
         sections = self.boxes.sections(compat, top_deg)
         if not sections:
             return
-        top_op = self._layer_matrix(M, n)
-        monos = self.boxes.monos_of_degree(top_deg)
-        values = sorted(sections)
-        try:
-            base = _modp.fraction_rows_to_modp(top_op)
-            dirs = []
-            for m in monos:
-                unit = Poly.from_monomial(variables, m)
-                dirs.append(_modp.fraction_rows_to_modp(
-                    self._mult_matrix(unit, n, nv, top_deg)))
-            dir_stack = (np.stack(dirs) if dirs else
-                         np.zeros((0,) + base.shape, dtype=np.int64))
-            coeffs = self.boxes.section_residues(top_deg, values)
-            mats = _modp.batched_combination(base, dir_stack, coeffs)
-            ranks = _modp.batched_rank(mats)
-            screened = [val for val, rank in zip(values, ranks)
-                        if rank < self._hdim(n)]
-        except _modp.ModPUnavailableError:
-            screened = values
+        top_op = self._layer_matrix(self.M, n)
+        screened = _rank_screen(
+            sorted(sections), top_op, self._unit_mults(n, top_deg),
+            functools.partial(self.boxes.section_residues, top_deg),
+            self._hdim(n))
 
         for val in screened:
-            tau = self.boxes.section_poly(variables, top_deg, val)
-            op = [row[:] for row in self._layer_matrix(M, n)]
-            mult = self._mult_matrix(tau, n, nv, top_deg)
-            for i in range(len(op)):
-                for j in range(len(op[0])):
-                    if mult[i][j] != 0:
-                        op[i][j] = op[i][j] - mult[i][j]
+            tau = self.boxes.section_poly(self.X.variables, top_deg, val)
+            op = [row[:] for row in top_op]
+            _add_block(op, 0, 0, self._homogeneous_mult(tau, n, top_deg), -1)
             kernel = RatMatrix(op).nullspace()
             if not kernel:
                 continue
@@ -543,7 +557,7 @@ class _GradedSieve:
 
     def _descend(self, n: int, parts: dict[int, Poly], compat: int, r: int,
                  W: list[list[Fraction]]) -> None:
-        M, nv = self.M, self.nv
+        M = self.M
         variables = self.X.variables
         if r > M - 1:
             K = Poly.zero(variables)
@@ -555,14 +569,14 @@ class _GradedSieve:
         sections = self.boxes.sections(compat, ell)
         if not sections:
             return
-        monos = self.boxes.monos_of_degree(ell)
         values = sorted(sections)
 
         w = len(W)
         wmat = [[W[c][i] for c in range(w)]
                 for i in range(len(W[0]))]  # H_n x w
 
-        # stacked equations i = 1..r; unknown blocks f_{n-1}..f_{n-r}
+        # stacked equations i = 1..r; unknown blocks f_{n-1}..f_{n-r}.
+        # parts holds the layers of K of degree M-1 .. M-r.
         row_blocks = [self._hdim(n + M - 1 - i) for i in range(1, r + 1)]
         row_offsets = [0]
         for rb in row_blocks:
@@ -577,22 +591,13 @@ class _GradedSieve:
         for s, width in zip(f_blocks, f_widths):
             for i in range(1, r + 1):
                 roff = row_offsets[i - 1]
-                j = M - i + s
-                if 0 <= j <= M and n - s + j - 1 == n + M - 1 - i:
-                    block = self._layer_matrix(j, n - s)
-                    for a, row in enumerate(block):
-                        Fr = F[roff + a]
-                        for b, vv in enumerate(row):
-                            if vv != 0:
-                                Fr[col0 + b] = Fr[col0 + b] + vv
+                if s <= i:
+                    _add_block(F, roff, col0,
+                               self._layer_matrix(M - i + s, n - s), 1)
                 ellp = M - 1 - i + s
-                if 0 <= ellp <= M - 1 and ellp in parts and not parts[ellp].is_zero():
-                    block = self._mult_matrix(parts[ellp], n - s, nv, ellp)
-                    for a, row in enumerate(block):
-                        Fr = F[roff + a]
-                        for b, vv in enumerate(row):
-                            if vv != 0:
-                                Fr[col0 + b] = Fr[col0 + b] - vv
+                if ellp in parts and not parts[ellp].is_zero():
+                    _add_block(F, roff, col0, self._homogeneous_mult(
+                        parts[ellp], n - s, ellp), -1)
             col0 += width
 
         # cokernel of the fixed block
@@ -602,58 +607,31 @@ class _GradedSieve:
             P = [[_ZERO] * total_rows for _ in range(total_rows)]
             for i in range(total_rows):
                 P[i][i] = Fraction(1)
-        if not P:
-            # every equation is absorbed by the free blocks: no constraint here
-            for val in values:
-                theta = self.boxes.section_poly(variables, ell, val)
-                new_parts = dict(parts)
-                new_parts[ell] = theta
-                self._descend(n, new_parts, sections[val], r + 1, W)
-            return
+        # with P empty every equation is absorbed by the free blocks, so
+        # this level constrains nothing and every section value descends
+        if P:
+            # w-columns: fixed contributions for equations 1..r
+            wcols_fixed = [[_ZERO] * w for _ in range(total_rows)]
+            for i in range(1, r + 1):
+                roff = row_offsets[i - 1]
+                _add_block(wcols_fixed, roff, 0,
+                           _matmul(self._layer_matrix(M - i, n), wmat), 1)
+                ellp = M - 1 - i
+                if ellp in parts and not parts[ellp].is_zero():
+                    _add_block(wcols_fixed, roff, 0, _matmul(
+                        self._homogeneous_mult(parts[ellp], n, ellp), wmat), -1)
 
-        # w-columns: fixed contributions for equations 1..r, theta-part at eq r
-        wcols_fixed = [[_ZERO] * w for _ in range(total_rows)]
-        for i in range(1, r + 1):
-            roff = row_offsets[i - 1]
-            j = M - i
-            if 0 <= j <= M:
-                block = _matmul(self._layer_matrix(j, n), wmat)
-                for a, row in enumerate(block):
-                    for b, vv in enumerate(row):
-                        if vv != 0:
-                            wcols_fixed[roff + a][b] += vv
-            ellp = M - 1 - i
-            if i < r and ellp in parts and not parts[ellp].is_zero():
-                block = _matmul(self._mult_matrix(parts[ellp], n, nv, ellp), wmat)
-                for a, row in enumerate(block):
-                    for b, vv in enumerate(row):
-                        if vv != 0:
-                            wcols_fixed[roff + a][b] -= vv
+            # the theta-part enters equation r only
+            roff_r = row_offsets[r - 1]
+            rows_r = self._hdim(n + M - 1 - r)
+            P_r = [prow[roff_r:roff_r + rows_r] for prow in P]
+            theta_dirs = [_matmul(P_r, _matmul(E, wmat))
+                          for E in self._unit_mults(n, ell)]
+            values = _rank_screen(
+                values, _matmul(P, wcols_fixed), theta_dirs,
+                functools.partial(self.boxes.section_residues, ell), w)
 
-        T0 = _matmul(P, wcols_fixed)
-        roff_r = row_offsets[r - 1]
-        rows_r = self._hdim(n + M - 1 - r)
-        P_r = [prow[roff_r:roff_r + rows_r] for prow in P]
-        theta_dirs = []
-        for m in monos:
-            unit = Poly.from_monomial(variables, m)
-            EW = _matmul(self._mult_matrix(unit, n, nv, ell), wmat)
-            theta_dirs.append(_matmul(P_r, EW))
-
-        try:
-            T0_p = _modp.fraction_rows_to_modp(T0)
-            dirs_p = (np.stack([_modp.fraction_rows_to_modp(D)
-                                for D in theta_dirs])
-                      if theta_dirs else
-                      np.zeros((0,) + T0_p.shape, dtype=np.int64))
-            coeffs = self.boxes.section_residues(ell, values)
-            mats = _modp.batched_combination(T0_p, dirs_p, coeffs)
-            ranks = _modp.batched_rank(mats)
-            screened = [val for val, rank in zip(values, ranks) if rank < w]
-        except _modp.ModPUnavailableError:
-            screened = values
-
-        for val in screened:
+        for val in values:
             theta = self.boxes.section_poly(variables, ell, val)
             new_parts = dict(parts)
             new_parts[ell] = theta

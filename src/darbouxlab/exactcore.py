@@ -20,7 +20,6 @@ import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-Rational = Fraction
 _ZERO = Fraction(0)
 Monomial = tuple  # exponent tuple, one entry per ambient variable
 
@@ -130,9 +129,6 @@ class Poly:
 
     def is_constant(self) -> bool:
         return all(sum(m) == 0 for m in self.terms)
-
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.variables), Fraction(0))
 
     def total_degree(self) -> int:
         """Total degree; the zero polynomial has degree 0 by convention here."""
@@ -571,16 +567,6 @@ class RatMatrix:
         if any(len(row) != self.cols for row in self.entries):
             raise ValueError("ragged rows")
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls([[Fraction(0)] * cols for _ in range(rows)])
-
-    def copy(self) -> "RatMatrix":
-        return RatMatrix([row[:] for row in self.entries])
-
-    def __getitem__(self, rc: tuple[int, int]) -> Fraction:
-        return self.entries[rc[0]][rc[1]]
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, RatMatrix)
                 and self.entries == other.entries)
@@ -673,10 +659,6 @@ def _primitive_row(row: Sequence[Fraction]) -> list[int]:
     ints = [x.numerator * (scale // x.denominator) for x in row]
     content = math.gcd(*ints)
     return ints if content <= 1 else [x // content for x in ints]
-
-
-def nullspace(matrix: RatMatrix) -> list[list[Fraction]]:
-    return matrix.nullspace()
 
 
 def normalize_kernel_vector(vec: Sequence[Fraction]) -> list[Fraction]:

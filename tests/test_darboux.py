@@ -261,6 +261,56 @@ class TestSieveAgainstBruteForce:
             assert direct == sieved, f"paths disagree for generators {gens}"
 
 
+class TestRankScreen:
+    """The one mod-p screen behind the sieve levels and the full operator."""
+
+    def test_empty_values(self):
+        import darbouxlab.darboux as dbx
+
+        def residues(values):
+            raise AssertionError("no residues are needed for no values")
+
+        assert dbx._rank_screen([], [[Fraction(1)]], [], residues, 1) == []
+
+    def test_rejects_only_full_rank(self):
+        import darbouxlab.darboux as dbx
+        import numpy as np
+
+        # base - c * direction = diag(1 - c, 1): singular only at c = 1
+        base = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+        direction = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(0)]]
+        kept = dbx._rank_screen(
+            [3, 1, 0, 2], base, [direction],
+            lambda values: np.array([[v] for v in values], dtype=np.int64), 2)
+        assert kept == [1]
+
+    def test_unavailable_prime_keeps_every_value(self):
+        import darbouxlab.darboux as dbx
+        from darbouxlab._modp import ModPUnavailableError
+
+        def residues(values):
+            raise ModPUnavailableError("denominator divisible by the prime")
+
+        values = [(2,), (0,), (1,)]
+        assert dbx._rank_screen(values, [[Fraction(1)]], [[[Fraction(1)]]],
+                                residues, 1) == values
+
+    @pytest.mark.parametrize("chunk", [1, 2])
+    def test_chunked_screens_agree(self, monkeypatch, desk_field, chunk):
+        import darbouxlab.darboux as dbx
+
+        restricted = parse_field(RESTRICTED_Z0)
+        cases = [(restricted, 3, default_lattice(restricted, 2)),
+                 (desk_field, 2, default_lattice(desk_field, 1))]
+        unpatched = [(dbx._GradedSieve(X, d, lattice).run(),
+                      dbx._candidate_cofactors(X, d, lattice))
+                     for X, d, lattice in cases]
+        monkeypatch.setattr(dbx, "_PRESCREEN_CHUNK", chunk)
+        for (X, d, lattice), expected in zip(cases, unpatched):
+            assert (dbx._GradedSieve(X, d, lattice).run(),
+                    dbx._candidate_cofactors(X, d, lattice)) == expected
+
+
 class TestExpFactors:
     def test_verify_sum_factor(self, desk_field):
         cert = verify_exp_factor(desk_field, P("x + z"))

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from darbouxlab.exactcore import (InexactDivisionError, Poly, RatMatrix,
                                   VariableMismatchError, monomials_upto,
-                                  nullspace, parse_poly, poly_divide_exact,
-                                  poly_divmod)
+                                  parse_poly, poly_divide_exact, poly_divmod)
 
 from conftest import nonzero_polys, polys, small_fractions
 
@@ -86,12 +85,12 @@ class TestCanonicalText:
 
 class TestLinearAlgebra:
     def test_simple_kernel(self):
-        basis = nullspace(RatMatrix([[1, 1, 0], [0, 0, 0]]))
+        basis = RatMatrix([[1, 1, 0], [0, 0, 0]]).nullspace()
         assert basis == [[-1, 1, 0], [0, 0, 1]]
 
     def test_identity_has_trivial_kernel(self):
         eye = RatMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        assert nullspace(eye) == []
+        assert eye.nullspace() == []
 
     def test_cofactor_balance_matrix_trivial_kernel(self):
         # columns: the five cofactors of the a=3, b=3, c=2 model on the
@@ -104,7 +103,7 @@ class TestLinearAlgebra:
             [0, 0, -1, 0, 0, 1, 0, 0, 0, 0],    # xy - y
         ]
         matrix = RatMatrix([[cols[j][i] for j in range(5)] for i in range(10)])
-        assert nullspace(matrix) == []
+        assert matrix.nullspace() == []
 
     def test_rref_idempotent(self):
         m = RatMatrix([[2, 4, 1], [1, 2, 3], [3, 6, 4]])
