@@ -130,9 +130,7 @@ def _parse_x0(text: str, dim: int) -> list[float]:
 
 def cmd_simulate(X: VectorField, args) -> dict:
     x0 = _parse_x0(args.x0, len(X.variables))
-    method = "rk4" if args.dt else "dp54"
-    traj = simulate(X, x0, args.t_end, method=method, rtol=args.tol,
-                    atol=args.tol, dt=args.dt)
+    traj = simulate(X, x0, args.t_end, args.tol, args.dt)
     integrals = []
     for expr in args.observe or []:
         poly = parse_poly(expr, X.variables)
@@ -154,8 +152,7 @@ def cmd_simulate(X: VectorField, args) -> dict:
 
 def cmd_lyapunov(X: VectorField, args) -> dict:
     x0 = _parse_x0(args.x0, len(X.variables))
-    value = lyapunov_max(X, x0, args.t_end, args.renorm_dt,
-                         rtol=args.tol, atol=args.tol)
+    value = lyapunov_max(X, x0, args.t_end, args.renorm_dt, args.tol)
     return {
         "lyapunov_max": value,
         "x0": x0,

@@ -16,6 +16,8 @@ formed once per entry at the end, and equal the unique RREF over Q.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -41,24 +43,24 @@ def grlex_key(mono: Sequence[int]) -> tuple:
     return (sum(mono), tuple(mono))
 
 
+@functools.cache
+def _monomials_of_degree(nvars: int, degree: int) -> tuple[tuple[int, ...], ...]:
+    # stars and bars: bar positions in lex order give exponents in lex order
+    if degree < 0 or nvars == 0:
+        return ((),) if degree == nvars == 0 else ()
+    slots = degree + nvars - 1
+    return tuple(tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,)))
+                 for bars in itertools.combinations(range(slots), nvars - 1))
+
+
 def monomials_of_degree(nvars: int, degree: int) -> list[tuple[int, ...]]:
     """All exponent tuples of the given total degree, graded-lex ascending."""
-    if nvars == 0:
-        return [()] if degree == 0 else []
-    out = []
-    for head in range(degree + 1):
-        for tail in monomials_of_degree(nvars - 1, degree - head):
-            out.append((head,) + tail)
-    out.sort(key=grlex_key)
-    return out
+    return list(_monomials_of_degree(nvars, degree))   # a copy of the memo
 
 
 def monomials_upto(nvars: int, degree: int) -> list[tuple[int, ...]]:
     """All exponent tuples of total degree <= degree, graded-lex ascending."""
-    out = []
-    for d in range(degree + 1):
-        out.extend(monomials_of_degree(nvars, d))
-    return out
+    return [m for d in range(degree + 1) for m in _monomials_of_degree(nvars, d)]
 
 
 def _as_fraction(value) -> Fraction:

@@ -8,12 +8,14 @@ embedded Dormand-Prince 5(4) pair with a deterministic PI step controller:
 
     factor = 0.9 * err^(-0.7/5) * err_prev^(0.4/5), clipped to [0.2, 10]
 
-with absolute/relative tolerances 1e-10 by default and initial step 1e-3.
-The Dormand-Prince trial step (all seven stages, the 5th-order solution and
-the error norm) is generated per call as one straight-line function on Python
-floats, with no numpy inside the step; the Lyapunov estimate runs the same
-step on the field augmented by its tangent equation.  All arithmetic is
-sequential float64, so runs are bit-reproducible.
+with one tolerance, absolute and relative (1e-10 by default), and initial
+step 1e-3.  Both steps are generated per call by one stage generator as
+straight-line functions on tuples of Python floats, with no numpy inside the
+step; the Lyapunov estimate runs the Dormand-Prince step on the field
+augmented by its tangent equation.  All arithmetic is sequential float64, so
+runs are bit-reproducible.  No command runs the numpy closures of
+`compile_rhs`/`compile_jacobian`/`jacobian_at`: the finite-difference
+Jacobian tests and the benchmark trace use them.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ PI_BETA = 0.4 / 5.0    # exponent on the previous error
 FACTOR_MIN = 0.2
 FACTOR_MAX = 10.0
 DT_FLOOR = 1e-13
+DT_INIT = 1e-3         # first trial step of the adaptive pair
 
 
 class NonFiniteStateError(RuntimeError):
@@ -84,44 +87,46 @@ def _float_coeff(coeff: Fraction) -> float:
             f"coefficient {coeff} is too large for a float64") from None
 
 
-def _term_source(coeff: Fraction, mono: tuple, names: Sequence[str]) -> str:
+def _term_source(coeff: Fraction, mono: tuple) -> str:
     parts = [repr(_float_coeff(coeff))]
-    for name, e in zip(names, mono):
+    for i, e in enumerate(mono):
         if e == 1:
-            parts.append(name)
+            parts.append(f"v{i}")
         elif e > 1:
-            parts.append(f"{name}**{e}")
+            parts.append(f"v{i}**{e}")
     return "*".join(parts)
 
 
-def _poly_source(p: Poly, names: Sequence[str]) -> str:
+def _poly_source(p: Poly) -> str:
     if not p.terms:
         return "0.0"
     ordered = sorted(p.terms.items(), key=lambda t: (sum(t[0]), t[0]))
-    return " + ".join(_term_source(c, m, names) for m, c in ordered)
+    return " + ".join(_term_source(c, m) for m, c in ordered)
 
 
-def _names(n: int) -> list[str]:
-    return [f"v{i}" for i in range(n)]
+def _row(prefix: str, n: int) -> str:
+    """`p0, p1, ...,`: a tuple target or display of n numbered names."""
+    return ", ".join(f"{prefix}{i}" for i in range(n)) + ","
+
+
+def _compile(source: str) -> dict:
+    """Run generated source in a fresh namespace; returns what it defined."""
+    namespace = {"sqrt": math.sqrt, "isfinite": math.isfinite,
+                 "inf": math.inf}
+    exec(source, namespace)
+    return namespace
 
 
 def _field_sources(X: VectorField) -> list[str]:
     """Component i of the field as a float expression in v0, v1, ..."""
-    names = _names(len(X.variables))
-    return [_poly_source(comp, names) for comp in X.components]
+    return [_poly_source(comp) for comp in X.components]
 
 
 def compile_rhs(X: VectorField) -> Callable[[float, np.ndarray, np.ndarray], np.ndarray]:
     """Compile the field into rhs(t, state, out) -> out, pure float64."""
-    lines = ["def _rhs(t, s, out):"]
-    for i, name in enumerate(_names(len(X.variables))):
-        lines.append(f"    {name} = s[{i}]")
-    for i, source in enumerate(_field_sources(X)):
-        lines.append(f"    out[{i}] = {source}")
-    lines.append("    return out")
-    namespace: dict = {}
-    exec("\n".join(lines), namespace)
-    return namespace["_rhs"]
+    return _compile(f"def _rhs(t, s, out):\n    {_row('v', len(X.variables))} = s\n"
+                    f"    out[:] = ({', '.join(_field_sources(X))},)\n"
+                    "    return out")["_rhs"]
 
 
 def jacobian_polys(X: VectorField) -> list[list[Poly]]:
@@ -130,17 +135,10 @@ def jacobian_polys(X: VectorField) -> list[list[Poly]]:
 
 def compile_jacobian(X: VectorField) -> Callable[[float, np.ndarray, np.ndarray], np.ndarray]:
     """Compile the analytic Jacobian into jac(t, state, out) -> out (n x n)."""
-    names = _names(len(X.variables))
-    lines = ["def _jac(t, s, out):"]
-    for i, name in enumerate(names):
-        lines.append(f"    {name} = s[{i}]")
-    for i, row in enumerate(jacobian_polys(X)):
-        for j, entry in enumerate(row):
-            lines.append(f"    out[{i}, {j}] = {_poly_source(entry, names)}")
-    lines.append("    return out")
-    namespace: dict = {}
-    exec("\n".join(lines), namespace)
-    return namespace["_jac"]
+    entries = [_poly_source(e) for row in jacobian_polys(X) for e in row]
+    return _compile(f"def _jac(t, s, out):\n    {_row('v', len(X.variables))} = s\n"
+                    f"    out.flat[:] = ({', '.join(entries)},)\n"
+                    "    return out")["_jac"]
 
 
 def jacobian_at(X: VectorField, state: Sequence[float]) -> np.ndarray:
@@ -155,10 +153,9 @@ def _tangent_sources(X: VectorField) -> list[str]:
     right.
     """
     n = len(X.variables)
-    names = _names(n)
     rows = []
     for row in jacobian_polys(X):
-        terms = [f"({_poly_source(entry, names)})*v{n + j}"
+        terms = [f"({_poly_source(entry)})*v{n + j}"
                  for j, entry in enumerate(row) if entry.terms]
         rows.append(" + ".join(terms) or "0.0")
     return rows
@@ -166,7 +163,10 @@ def _tangent_sources(X: VectorField) -> list[str]:
 
 # -- integrators --------------------------------------------------------------
 
-# Dormand-Prince 5(4) tableau (FSAL: the 7th stage is the next step's first)
+# Butcher tableaux below the diagonal: row s-2 gives stage s from k1..k(s-1).
+# Classical RK4: dt*0.5 and dt*1.0 are exactly h/2.0 and h.
+_RK4_A = ((0.5,), (0.0, 0.5), (0.0, 0.0, 1.0))
+# Dormand-Prince 5(4) (FSAL: the 7th stage is the next step's first)
 _DP_A = (
     (0.2,),
     (3.0 / 40.0, 9.0 / 40.0),
@@ -181,36 +181,64 @@ _DP_ERR = (71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
            -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
 
 
-def _dp_source(sources: Sequence[str], rtol: float, atol: float) -> str:
-    """Source of `_f(y) -> k` and `_trial(dt, y, k1) -> (err, y_new, k7)`.
+def _stages(sources: Sequence[str], tableau) -> list[str]:
+    """Lines computing stages 2.. of an explicit Runge-Kutta step from y, k1.
 
-    `sources[i]` is component i of the right-hand side in v0, v1, ...; states
-    and stages are tuples of floats.  Each stage argument is accumulated left
-    to right, w_i = y_i + (dt*a_j0)*k_j0_i + ..., skipping zero coefficients,
-    and the error norm sums its squares in component order, which is what
-    the same operations on float64 vectors give (numpy's sum is sequential
-    below 8 elements).  A trial state that is not finite returns err = inf.
+    `sources[i]` is component i of the right-hand side in v0, v1, ....  Each
+    stage argument v_i = y_i + (dt*a_j0)*k_j0_i + ... is summed left to right,
+    skipping zero coefficients, as the same float64 vector operations do.
     """
-    n = len(sources)
-
-    def row(prefix: str) -> str:
-        return ", ".join(f"{prefix}{i}" for i in range(n)) + ","
-
-    lines = ["def _f(y):",
-             f"    {row('v')} = y",
-             f"    return ({', '.join(sources)},)",
-             "",
-             "def _trial(dt, y, k1):",
-             f"    {row('y')} = y",
-             f"    {row('k1_')} = k1"]
-    for s, a_row in enumerate(_DP_A, start=2):       # stage s from k1..k(s-1)
+    lines = []
+    for s, a_row in enumerate(tableau, start=2):
         used = [j for j, a in enumerate(a_row, start=1) if a != 0.0]
         lines += [f"    h{s}{j} = dt*{a_row[j - 1]!r}" for j in used]
-        for i in range(n):
+        for i in range(len(sources)):
             terms = "".join(f" + h{s}{j}*k{j}_{i}" for j in used)
             lines.append(f"    v{i} = y{i}{terms}")
         lines += [f"    k{s}_{i} = {src}" for i, src in enumerate(sources)]
+    return lines
+
+
+def _rk4_source(sources: Sequence[str]) -> str:
+    """Source of `_step(dt, y) -> y_new`, one classical RK4 step on tuples.
+
+    The update is y_i + h6*(k1_i + 2.0*k2_i + 2.0*k3_i + k4_i) with
+    h6 = dt/6.0, the float64 vector update's operations in its order.  A
+    result that is not finite returns None.
+    """
+    n = len(sources)
+    lines = ["def _step(dt, y):",
+             f"    {_row('y', n)} = y",
+             f"    {_row('v', n)} = y"]
+    lines += [f"    k1_{i} = {src}" for i, src in enumerate(sources)]
+    lines += _stages(sources, _RK4_A)
+    lines.append("    h6 = dt/6.0")
+    lines += [f"    v{i} = y{i} + h6*(k1_{i} + 2.0*k2_{i} + 2.0*k3_{i} + k4_{i})"
+              for i in range(n)]
+    finite = " and ".join(f"isfinite(v{i})" for i in range(n))
+    lines += [f"    if not ({finite}):", "        return None",
+              f"    return ({_row('v', n)})"]
+    return "\n".join(lines)
+
+
+def _dp_source(sources: Sequence[str], tol: float) -> str:
+    """Source of `_f(y) -> k` and `_trial(dt, y, k1) -> (err, y_new, k7)`.
+
+    States and stages are tuples of floats.  The error norm sums its squares
+    in component order (numpy's sum is sequential below 8 elements).  `tol`
+    is both the absolute and the relative tolerance.  A trial state that is
+    not finite returns err = inf.
+    """
+    n = len(sources)
+    lines = ["def _f(y):",
+             f"    {_row('v', n)} = y",
+             f"    return ({', '.join(sources)},)",
+             "",
+             "def _trial(dt, y, k1):",
+             f"    {_row('y', n)} = y",
+             f"    {_row('k1_', n)} = k1"]
     # v holds the 5th-order solution: stage 7's argument (FSAL construction)
+    lines += _stages(sources, _DP_A)
     finite = " and ".join(f"isfinite(v{i})" for i in range(n))
     lines += [f"    if not ({finite}):", "        return inf, None, None"]
     used = [j for j, e in enumerate(_DP_ERR, start=1) if e != 0.0]
@@ -218,10 +246,10 @@ def _dp_source(sources: Sequence[str], rtol: float, atol: float) -> str:
     for i in range(n):
         terms = "".join(f" + d{j}*k{j}_{i}" for j in used)
         lines.append(f"    q{i} = (0.0{terms}) / "
-                     f"({atol!r} + {rtol!r}*max(abs(y{i}), abs(v{i})))")
+                     f"({tol!r} + {tol!r}*max(abs(y{i}), abs(v{i})))")
     squares = " + ".join(f"q{i}*q{i}" for i in range(n))
-    lines.append(f"    return sqrt(({squares}) / {n}), ({row('v')}), "
-                 f"({row('k7_')})")
+    lines.append(f"    return sqrt(({squares}) / {n}), ({_row('v', n)}), "
+                 f"({_row('k7_', n)})")
     return "\n".join(lines)
 
 
@@ -232,36 +260,31 @@ class _DormandPrince:
     v0, v1, ... (see `_field_sources`); the trial step is generated from them.
     """
 
-    def __init__(self, sources: Sequence[str], rtol: float, atol: float,
-                 dt_init: float):
-        namespace = {"sqrt": math.sqrt, "isfinite": math.isfinite,
-                     "inf": math.inf}
-        exec(_dp_source(sources, float(rtol), float(atol)), namespace)
-        self.rhs, self.trial = namespace["_f"], namespace["_trial"]
-        self.dt = dt_init
+    def __init__(self, sources: Sequence[str], tol: float):
+        compiled = _compile(_dp_source(sources, float(tol)))
+        self.rhs, self.trial = compiled["_f"], compiled["_trial"]
+        self.dt = DT_INIT
         self.err_prev = 1.0
         self.k1 = None          # first stage at the current state, if known
         self.n_accepted = 0
         self.n_rejected = 0
 
-    def advance(self, t: float, y: np.ndarray, t_stop: float,
-                on_accept=None) -> float:
-        """Integrate y in place from t to t_stop; returns the final time.
+    def advance(self, t: float, y: tuple, t_stop: float,
+                on_accept=None) -> tuple[float, tuple]:
+        """Integrate the state tuple y from t to t_stop; returns (t, y).
 
-        The state is held as floats and written back to y before each
-        on_accept(t, y) call and on exit.
+        on_accept(t, y) is called after every accepted step.
         """
         rhs, trial = self.rhs, self.trial
-        state, k1 = y.tolist(), self.k1
-        dt_next, err_prev = self.dt, self.err_prev
+        k1, dt_next, err_prev = self.k1, self.dt, self.err_prev
         accepted = rejected = 0
         try:
             while t < t_stop:
                 dt = min(dt_next, t_stop - t)
                 try:
                     if k1 is None:
-                        k1 = rhs(state)
-                    err, y_new, k7 = trial(dt, state, k1)
+                        k1 = rhs(y)
+                    err, y_new, k7 = trial(dt, y, k1)
                 except OverflowError:   # float ** overflowed: not finite
                     err = math.inf
                 if not math.isfinite(err):
@@ -273,7 +296,7 @@ class _DormandPrince:
                 if err <= 1.0:
                     clipped = dt < dt_next
                     t = t + dt
-                    state, k1 = y_new, k7     # FSAL
+                    y, k1 = y_new, k7     # FSAL
                     accepted += 1
                     factor = SAFETY * (err ** -PI_ALPHA if err > 0.0 else
                                        FACTOR_MAX) * (err_prev ** PI_BETA)
@@ -281,7 +304,6 @@ class _DormandPrince:
                     if not clipped:  # a boundary-clipped step says nothing new
                         dt_next = dt * min(FACTOR_MAX, max(FACTOR_MIN, factor))
                     if on_accept is not None:
-                        y[:] = state
                         on_accept(t, y)
                 else:
                     rejected += 1
@@ -290,80 +312,60 @@ class _DormandPrince:
                     if dt_next < DT_FLOOR:
                         raise NonFiniteStateError(t)
         finally:
-            y[:] = state
             self.k1, self.dt, self.err_prev = k1, dt_next, err_prev
             self.n_accepted += accepted
             self.n_rejected += rejected
-        return t
+        return t, y
 
 
-def _rk4_advance(rhs, t: float, y: np.ndarray, t_stop: float, dt: float,
-                 on_accept=None, counters=None) -> float:
-    dim = len(y)
-    k1, k2, k3, k4 = (np.empty(dim) for _ in range(4))
-    work = np.empty(dim)
-    with np.errstate(all="ignore"):
-        return _rk4_loop(rhs, t, y, t_stop, dt, on_accept, counters,
-                         k1, k2, k3, k4, work)
-
-
-def _rk4_loop(rhs, t, y, t_stop, dt, on_accept, counters, k1, k2, k3, k4, work):
-    while t < t_stop - 1e-15 * max(1.0, abs(t_stop)):
-        h = min(dt, t_stop - t)
-        rhs(t, y, k1)
-        work[:] = y + (h / 2.0) * k1
-        rhs(t + h / 2.0, work, k2)
-        work[:] = y + (h / 2.0) * k2
-        rhs(t + h / 2.0, work, k3)
-        work[:] = y + h * k3
-        rhs(t + h, work, k4)
-        y += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
-        if not np.isfinite(y).all():
-            raise NonFiniteStateError(t)
-        if counters is not None:
-            counters[0] += 1
-        if on_accept is not None:
-            on_accept(t, y)
-    return t
+def _require_positive(value: float, what: str) -> None:
+    """Reject a zero, negative, infinite or NaN integrator input."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{what} must be positive and finite")
 
 
 def simulate(X: VectorField, x0: Sequence[float], t_end: float,
-             method: str = "dp54", rtol: float = 1e-10, atol: float = 1e-10,
-             dt: float | None = None, dt_init: float = 1e-3) -> Trajectory:
-    """Deterministic trajectory of the field from x0 over [0, t_end]."""
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
-    if rtol <= 0 or atol <= 0:
-        raise ValueError("tolerances must be positive")
+             tol: float = 1e-10, dt: float | None = None) -> Trajectory:
+    """Deterministic trajectory of the field from x0 over [0, t_end]: the
+    adaptive Dormand-Prince pair, or fixed-step RK4 when dt is given."""
+    _require_positive(t_end, "t_end")
+    _require_positive(tol, "tolerances")
+    if dt is not None:
+        _require_positive(dt, "dt")
     dim = len(X.variables)
     if len(x0) != dim:
         raise ValueError(f"x0 must have {dim} components")
-    y = np.array([float(v) for v in x0], dtype=float)
-    if not np.isfinite(y).all():
+    y = tuple(float(v) for v in x0)
+    if not all(map(math.isfinite, y)):
         raise NonFiniteStateError(0.0)
     times = [0.0]
-    states = [y.copy()]
+    states = [y]
 
     def on_accept(t, state):
         times.append(t)
-        states.append(state.copy())
+        states.append(state)
 
-    if method == "rk4":
-        if dt is None or dt <= 0:
-            raise ValueError("rk4 requires a positive fixed dt")
-        counters = [0]
-        _rk4_advance(compile_rhs(X), 0.0, y, t_end, dt, on_accept, counters)
-        meta = {"method": "rk4", "dt": dt, "n_accepted": counters[0],
-                "n_rejected": 0}
-    elif method == "dp54":
-        stepper = _DormandPrince(_field_sources(X), rtol, atol, dt_init)
+    if dt is None:
+        stepper = _DormandPrince(_field_sources(X), tol)
         stepper.advance(0.0, y, t_end, on_accept)
-        meta = {"method": "dp54", "rtol": rtol, "atol": atol,
-                "dt_init": dt_init, "n_accepted": stepper.n_accepted,
+        meta = {"method": "dp54", "rtol": tol, "atol": tol,
+                "dt_init": DT_INIT, "n_accepted": stepper.n_accepted,
                 "n_rejected": stepper.n_rejected}
     else:
-        raise ValueError(f"unknown method {method!r}")
+        step = _compile(_rk4_source(_field_sources(X)))["_step"]
+        t = 0.0
+        while t < t_end - 1e-15 * max(1.0, t_end):
+            h = min(dt, t_end - t)
+            try:
+                y = step(h, y)
+            except OverflowError:   # float ** overflowed: not finite
+                y = None
+            t += h
+            if y is None:
+                raise NonFiniteStateError(t)
+            on_accept(t, y)
+        meta = {"method": "rk4", "dt": dt, "n_accepted": len(times) - 1,
+                "n_rejected": 0}
     return Trajectory(np.array(times), np.array(states), X.variables, meta)
 
 
@@ -376,15 +378,12 @@ def _compile_poly(p: Poly) -> Callable[[Sequence[float]], float]:
     coefficient times v**e per variable, left to right, as evaluate_float
     does, so the two agree bit for bit.
     """
-    names = _names(len(p.variables))
     terms = ["0.0"]
     for mono, coeff in p.terms.items():
-        powers = [f"{name}**{e}" for name, e in zip(names, mono) if e]
+        powers = [f"v{i}**{e}" for i, e in enumerate(mono) if e]
         terms.append("*".join([repr(_float_coeff(coeff))] + powers))
-    namespace: dict = {}
-    exec(f"def _p(s):\n    {', '.join(names)}, = s\n"
-         f"    return {' + '.join(terms)}", namespace)
-    return namespace["_p"]
+    return _compile(f"def _p(s):\n    {_row('v', len(p.variables))} = s\n"
+                    f"    return {' + '.join(terms)}")["_p"]
 
 
 def _as_evaluator(H) -> tuple[str, Callable[[Sequence[float]], float]]:
@@ -425,8 +424,7 @@ def conservation_drift(traj: Trajectory, H, name: str | None = None) -> DriftRep
 # -- largest Lyapunov exponent ------------------------------------------------
 
 def lyapunov_max(X: VectorField, x0: Sequence[float], t_end: float,
-                 renorm_dt: float, rtol: float = 1e-8, atol: float = 1e-8,
-                 dt_init: float = 1e-3) -> float:
+                 renorm_dt: float, tol: float = 1e-8) -> float:
     """Average log stretching rate of one tangent vector along the flow.
 
     The state and a unit tangent vector (evolved by the analytic Jacobian)
@@ -434,28 +432,28 @@ def lyapunov_max(X: VectorField, x0: Sequence[float], t_end: float,
     the accumulated log norm divided by the total time.  Deterministic for
     fixed inputs.
     """
-    if renorm_dt <= 0 or t_end <= renorm_dt:
+    _require_positive(t_end, "t_end")
+    _require_positive(renorm_dt, "renorm_dt")
+    if t_end <= renorm_dt:
         raise ValueError("need t_end > renorm_dt > 0")
+    if not math.isfinite(t_end / renorm_dt):
+        raise ValueError("t_end / renorm_dt must be finite")
     dim = len(X.variables)
     if len(x0) != dim:
         raise ValueError(f"x0 must have {dim} components")
-    if rtol <= 0 or atol <= 0:
-        raise ValueError("tolerances must be positive")
-    y = np.empty(2 * dim, dtype=float)
-    y[:dim] = [float(v) for v in x0]
-    y[dim:] = 1.0 / math.sqrt(dim)
-    stepper = _DormandPrince(_field_sources(X) + _tangent_sources(X),
-                             rtol, atol, dt_init)
+    _require_positive(tol, "tolerances")
+    y = tuple(float(v) for v in x0) + (1.0 / math.sqrt(dim),) * dim
+    stepper = _DormandPrince(_field_sources(X) + _tangent_sources(X), tol)
     n_intervals = int(round(t_end / renorm_dt))
     log_sum = 0.0
     t = 0.0
     for i in range(1, n_intervals + 1):
-        t = stepper.advance(t, y, i * renorm_dt)
+        t, y = stepper.advance(t, y, i * renorm_dt)
         norm = float(np.linalg.norm(y[dim:]))
         if norm == 0.0 or not math.isfinite(norm):
             raise NonFiniteStateError(t)
         log_sum += math.log(norm)
-        y[dim:] /= norm
+        y = y[:dim] + tuple(w / norm for w in y[dim:])
         stepper.k1 = None  # tangent was rescaled: stage cache invalid
     return log_sum / (n_intervals * renorm_dt)
 

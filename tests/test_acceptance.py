@@ -103,7 +103,7 @@ def test_criterion_4_integrable_regime():
                 and {str(c.f) for c, _ in h1.darboux_terms} == {"x", "y"}
                 and [str(c.f) for c, _ in h2.darboux_terms] == ["z"])
 
-    traj = simulate(X, (0.5, 0.5, 1.0), 100.0, rtol=1e-10, atol=1e-10)
+    traj = simulate(X, (0.5, 0.5, 1.0), 100.0, tol=1e-10)
     drift_h1 = conservation_drift(traj, h1)
     drift_h2 = conservation_drift(traj, h2)
     report(4, ok_kernel and ok_forms and assembly_elapsed < 1.0
@@ -169,7 +169,7 @@ def test_criterion_7_lyapunov_thresholds(reference_field):
                                   2000.0, 0.5)
     lam_reference = lyapunov_max(reference_field, (0.5, 1.0, 2.0), 2000.0, 0.5)
     lam_reference_tight = lyapunov_max(reference_field, (0.5, 1.0, 2.0),
-                                       2000.0, 0.5, rtol=1e-10, atol=1e-10)
+                                       2000.0, 0.5, tol=1e-10)
     elapsed = time.perf_counter() - t0
     ok = (lam_lorenz > 0.01
           and abs(lam_lorenz - LORENZ63_LAMBDA) <= 0.05 * LORENZ63_LAMBDA
@@ -243,9 +243,9 @@ def test_criterion_8_property_suites():
     for _ in range(100):  # RK4 order-4 drift scaling
         x0 = (rng.uniform(0.3, 0.8), rng.uniform(0.3, 0.8), 1.0)
         coarse = conservation_drift(
-            simulate(X0, x0, 2.0, method="rk4", dt=0.04), h1).max_abs_drift
+            simulate(X0, x0, 2.0, dt=0.04), h1).max_abs_drift
         fine = conservation_drift(
-            simulate(X0, x0, 2.0, method="rk4", dt=0.02), h1).max_abs_drift
+            simulate(X0, x0, 2.0, dt=0.02), h1).max_abs_drift
         if coarse > 1e-14 and coarse / max(fine, 1e-300) < 8.0:
             failures.append("rk4 order")
 

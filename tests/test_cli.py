@@ -28,9 +28,10 @@ def run_cli(args):
     return code, buf.getvalue(), err.getvalue()
 
 
-def run_module(args):
+def run_module(args, timeout=None):
     return subprocess.run([sys.executable, "-m", "darbouxlab", *args],
-                          capture_output=True, text=True, cwd=REPO)
+                          capture_output=True, text=True, cwd=REPO,
+                          timeout=timeout)
 
 
 @pytest.fixture(autouse=True)
@@ -233,11 +234,42 @@ def test_blow_up_exits_2(tmp_path, text, args):
 
 
 def test_lyapunov_zero_tolerance_exits_2():
-    # the error norm divides by atol + rtol*|y|, so both must be positive
+    # the error norm divides by tol + tol*|y|, so tol must be positive
     code, _, err = run_cli(["lyapunov", "corpus/samardzija_greller.vf",
                             "--x0", "0.5,1,2", "--t-end", "5", "--tol", "0"])
     assert code == 2
     assert "tolerances must be positive" in err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["simulate", "--t-end", "inf"], "t_end must be positive and finite"),
+    (["simulate", "--t-end", "nan"], "t_end must be positive and finite"),
+    (["simulate", "--t-end", "5", "--tol", "nan"],
+     "tolerances must be positive"),
+    (["simulate", "--t-end", "5", "--tol", "inf"],
+     "tolerances must be positive"),
+    (["simulate", "--t-end", "5", "--dt", "0"], "dt must be positive and finite"),
+    (["simulate", "--t-end", "5", "--dt", "-1"],
+     "dt must be positive and finite"),
+    (["simulate", "--t-end", "5", "--dt", "inf"],
+     "dt must be positive and finite"),
+    (["lyapunov", "--t-end", "5", "--tol", "nan"],
+     "tolerances must be positive"),
+    (["lyapunov", "--t-end", "inf"], "t_end must be positive and finite"),
+    (["lyapunov", "--t-end", "5", "--renorm-dt", "nan"],
+     "renorm_dt must be positive and finite"),
+    (["lyapunov", "--t-end", "1e300", "--renorm-dt", "1e-300"],
+     "t_end / renorm_dt must be finite"),
+])
+def test_nonfinite_integrator_inputs_exit_2(args, message):
+    # in a child process under a timeout: an infinite t_end must be refused,
+    # not integrated until memory runs out
+    proc = run_module([args[0], "corpus/samardzija_greller.vf",
+                       "--x0", "0.5,1,2", *args[1:]], timeout=30)
+    assert proc.returncode == 2
+    assert f"error: {message}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 RATIONAL_PARTS = st.one_of(st.integers(1, 10**20),

@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic, division, and rational linear algebra."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from darbouxlab.exactcore import (InexactDivisionError, Poly, RatMatrix,
-                                  VariableMismatchError, monomials_upto,
+                                  VariableMismatchError, monomials_of_degree,
+                                  monomials_upto,
                                   parse_poly, poly_divide_exact, poly_divmod)
 
 from conftest import nonzero_polys, polys, small_fractions
@@ -221,3 +223,15 @@ class TestIntegerRowElimination:
 def test_monomial_order_is_graded_lex():
     monos = monomials_upto(2, 2)
     assert monos == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+
+
+def test_monomials_of_degree_matches_brute_force():
+    for nvars in range(5):
+        for degree in range(-1, 7):
+            brute = sorted(m for m in itertools.product(range(degree + 1),
+                                                        repeat=nvars)
+                           if sum(m) == degree)
+            monos = monomials_of_degree(nvars, degree)
+            assert monos == brute
+            monos.append("mutated")   # the memo hands out copies
+            assert monomials_of_degree(nvars, degree) == brute

@@ -11,7 +11,8 @@ from darbouxlab.darboux import (assemble_darboux_integrals, search_darboux,
                                 search_exp_factors)
 from darbouxlab.exactcore import parse_poly
 from darbouxlab.field import parse_field
-from darbouxlab.numerics import (NonFiniteStateError, compile_rhs,
+from darbouxlab.numerics import (NonFiniteStateError, _DormandPrince,
+                                 _field_sources, _tangent_sources, compile_rhs,
                                  conservation_drift, emit_csv, jacobian_at,
                                  lyapunov_max, simulate)
 
@@ -88,8 +89,7 @@ def test_rk4_order_four_scaling(integrable_field, conserved_quantities):
     h1, _ = conserved_quantities
     drifts = []
     for dt in (0.02, 0.01):
-        traj = simulate(integrable_field, (0.5, 0.5, 1.0), 20.0,
-                        method="rk4", dt=dt)
+        traj = simulate(integrable_field, (0.5, 0.5, 1.0), 20.0, dt=dt)
         drifts.append(conservation_drift(traj, h1).max_abs_drift)
     ratio = drifts[0] / drifts[1]
     assert 8.0 <= ratio <= 32.0  # 16x within a factor of two
@@ -102,9 +102,9 @@ def test_rk4_order_scaling_random_instances(integrable_field,
     for _ in range(100):
         x0 = (rng.uniform(0.3, 0.8), rng.uniform(0.3, 0.8), 1.0)
         coarse = conservation_drift(
-            simulate(integrable_field, x0, 2.0, method="rk4", dt=0.04), h1)
+            simulate(integrable_field, x0, 2.0, dt=0.04), h1)
         fine = conservation_drift(
-            simulate(integrable_field, x0, 2.0, method="rk4", dt=0.02), h1)
+            simulate(integrable_field, x0, 2.0, dt=0.02), h1)
         assert fine.max_abs_drift < coarse.max_abs_drift
         if coarse.max_abs_drift > 1e-14:  # above rounding noise
             assert coarse.max_abs_drift / max(fine.max_abs_drift, 1e-300) > 8.0
@@ -127,6 +127,21 @@ def test_jacobian_matches_finite_differences(reference_field):
             fd = (fplus - fminus) / (2 * eps)
             scale = np.maximum(np.abs(jac[:, j]), 1.0)
             assert np.all(np.abs(fd - jac[:, j]) / scale < 1e-6)
+
+
+def test_tangent_step_matches_jacobian(reference_field):
+    # the generated right-hand side that lyapunov integrates, evaluated on
+    # (x, e_j), carries column j of the analytic Jacobian exactly
+    X = reference_field
+    rhs = _DormandPrince(_field_sources(X) + _tangent_sources(X), 1e-8).rhs
+    rng = random.Random(13)
+    for _ in range(100):
+        x = [rng.uniform(-2.0, 2.0) for _ in range(3)]
+        jac = jacobian_at(X, x)
+        for j in range(3):
+            e_j = [0.0, 0.0, 0.0]
+            e_j[j] = 1.0
+            assert rhs(tuple(x + e_j))[3:] == tuple(jac[:, j].tolist())
 
 
 def test_lyapunov_linear_field():
@@ -183,6 +198,20 @@ PINNED_FINAL = {
 }
 
 
+# Fixed-step RK4 runs to t = 20 (x0, dt, times sha256, states sha256) and
+# one Lyapunov estimate, taken from the numpy-vector RK4 loop and the
+# numpy-state Dormand-Prince driver that the generated tuple steps replaced.
+PINNED_RK4 = {
+    "reference": ((0.5, 1.0, 2.0), 0.01,
+                  "c78b2279b413838711dbd0aae9c3662911af9146c1ad15acabcec853dbb0a57a",
+                  "e53de3674d643bc0981488636ae989f1e6af3d79a1e5312027b0c09d6b12193d"),
+    "integrable": ((0.5, 0.5, 1.0), 0.02,
+                   "a43c5694e9654af0a9899c76baef72858ac927ee4c56e96b7816c8d3a5207895",
+                   "56f2789d0e70d47092c20f51ac337d8df4c23158cb7329dee604dc6f870537b1"),
+}
+PINNED_LYAPUNOV = -0.024599670695437007   # reference, (0.5, 1, 2), T = 50
+
+
 @pytest.fixture(scope="module")
 def pinned_fields(reference_field, integrable_field):
     return {"reference": reference_field, "integrable": integrable_field}
@@ -196,11 +225,19 @@ def test_pinned_trajectory_digests(pinned_fields, name):
     assert hashlib.sha256(traj.states.tobytes()).hexdigest() == states_sha
 
 
+@pytest.mark.parametrize("name", sorted(PINNED_RK4))
+def test_pinned_rk4_digests(pinned_fields, name):
+    x0, dt, times_sha, states_sha = PINNED_RK4[name]
+    traj = simulate(pinned_fields[name], x0, 20.0, dt=dt)
+    assert hashlib.sha256(traj.times.tobytes()).hexdigest() == times_sha
+    assert hashlib.sha256(traj.states.tobytes()).hexdigest() == states_sha
+
+
 @pytest.mark.parametrize("name", sorted(PINNED_FINAL))
 def test_pinned_final_states(pinned_fields, name):
-    # the CLI's simulate defaults: adaptive pair, rtol = atol = 1e-10
+    # the CLI's simulate defaults: adaptive pair, tol = 1e-10
     x0, final, accepted, rejected = PINNED_FINAL[name]
-    traj = simulate(pinned_fields[name], x0, 2000.0, rtol=1e-10, atol=1e-10)
+    traj = simulate(pinned_fields[name], x0, 2000.0, tol=1e-10)
     assert tuple(traj.states[-1].tolist()) == final
     assert traj.metadata["n_accepted"] == accepted
     assert traj.metadata["n_rejected"] == rejected
@@ -209,4 +246,4 @@ def test_pinned_final_states(pinned_fields, name):
 def test_lyapunov_deterministic_repeat(reference_field):
     a = lyapunov_max(reference_field, (0.5, 1.0, 2.0), 50.0, 0.5)
     b = lyapunov_max(reference_field, (0.5, 1.0, 2.0), 50.0, 0.5)
-    assert a == b
+    assert a == b == PINNED_LYAPUNOV
