@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import __version__
-from .darboux import (CofactorLattice, EvalDomainError,
+from .darboux import (CofactorLattice, EvalDomainError, InternalCheckError,
                       LatticeTooLargeError, assemble_darboux_integrals,
                       certificates_from_kernels, cofactor_kernels,
                       default_lattice, obstruction_from_kernels,
@@ -29,10 +29,6 @@ from .series import formal_integral_space, promote_parameter
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_USAGE = 2
-
-
-class InternalCheckError(RuntimeError):
-    """A certificate failed its independent re-verification."""
 
 
 def _field_record(X: VectorField) -> dict:

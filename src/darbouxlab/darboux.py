@@ -18,6 +18,10 @@ sound, and keeps every value when the prime divides a denominator.  Each
 surviving cofactor is solved exactly over the rationals once per command,
 and the certificates and the rational obstruction are both read off those
 kernels.
+
+Every exact matrix here is `coefficient_matrix` of the images of a basis
+under a linear map (X(f) - K*f, or multiplication by a monomial) on a window
+of monomials; no other code scatters polynomial terms into a matrix.
 """
 
 from __future__ import annotations
@@ -27,15 +31,15 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import _modp
-from .exactcore import (Poly, RatMatrix, divides, grlex_key,
-                        monomials_of_degree, monomials_upto,
+from .exactcore import (Poly, RatMatrix, coefficient_matrix, divides,
+                        grlex_key, monomials_of_degree, monomials_upto,
                         normalize_kernel_vector, poly_divmod)
-from .field import VectorField, degree_split, lie_derivative
+from .field import VectorField, lie_derivative
 
 _ZERO = Fraction(0)
 _MATERIALIZE_LIMIT = 5_000_000
@@ -63,6 +67,10 @@ class EvalDomainError(ArithmeticError):
     """A value cannot be evaluated in floats: a Darboux function factor
     vanishes (or is negative) where forbidden, or a number is too large
     for a float64."""
+
+
+class InternalCheckError(RuntimeError):
+    """A certificate failed its independent re-verification."""
 
 
 class LatticeTooLargeError(ValueError):
@@ -224,22 +232,20 @@ def enumerate_cofactors(X: VectorField, lattice: CofactorLattice) -> list[Poly]:
 # linear solves for a fixed cofactor
 # --------------------------------------------------------------------------
 
-def _scatter_poly(p: Poly, row_index: Mapping[tuple, int],
-                  column: int, rows: list[list[Fraction]]) -> None:
-    for mono, coeff in p.terms.items():
-        rows[row_index[mono]][column] = coeff
+def _operator_image(Xf: Poly, K: Poly, f: Poly) -> Poly:
+    """X(f) - K*f from the image X(f), accumulated in one term dict."""
+    if not K.terms:
+        return Xf
+    terms = dict(Xf.terms)
+    for km, kc in K.terms.items():
+        for fm, fc in f.terms.items():
+            t = tuple(a + b for a, b in zip(km, fm))
+            terms[t] = terms.get(t, _ZERO) - kc * fc
+    return Poly(Xf.variables, terms)
 
 
-def _operator_matrix(X: VectorField, K: Poly, col_monos: Sequence[tuple],
-                     row_monos: Sequence[tuple]) -> list[list[Fraction]]:
-    """Matrix of f -> X(f) - K*f on the given monomial bases."""
-    row_index = {m: i for i, m in enumerate(row_monos)}
-    rows = [[_ZERO] * len(col_monos) for _ in row_monos]
-    for j, mono in enumerate(col_monos):
-        basis = Poly.from_monomial(X.variables, mono)
-        image = lie_derivative(X, basis) - K * basis
-        _scatter_poly(image, row_index, j, rows)
-    return rows
+def _monomial_basis(X: VectorField, monos: Sequence[tuple]) -> list[Poly]:
+    return [Poly.from_monomial(X.variables, m) for m in monos]
 
 
 def search_darboux_fixed_cofactor(X: VectorField, K: Poly, d: int) -> list[Poly]:
@@ -250,9 +256,10 @@ def search_darboux_fixed_cofactor(X: VectorField, K: Poly, d: int) -> list[Poly]
         raise ValueError("cofactor degree exceeds deg(X) - 1")
     n = len(X.variables)
     cols = monomials_upto(n, d)
-    row_bound = d + max(X.degree - 1, 0)
-    rows = monomials_upto(n, row_bound)
-    matrix = RatMatrix(_operator_matrix(X, K, cols, rows))
+    rows = monomials_upto(n, d + max(X.degree - 1, 0))
+    matrix = RatMatrix(coefficient_matrix(
+        [_operator_image(lie_derivative(X, b), K, b)
+         for b in _monomial_basis(X, cols)], rows))
     basis = []
     for vec in matrix.nullspace():
         poly = Poly(X.variables, {cols[j]: vec[j] for j in range(len(cols))})
@@ -264,25 +271,13 @@ def search_darboux_fixed_cofactor(X: VectorField, K: Poly, d: int) -> list[Poly]
 # lattice screens
 # --------------------------------------------------------------------------
 
-def _mult_matrix(theta: Poly, cols: Sequence[tuple],
-                 rows: Sequence[tuple]) -> list[list[Fraction]]:
-    """Matrix of f -> theta*f from the span of cols to the span of rows."""
-    row_index = {m: i for i, m in enumerate(rows)}
-    out = [[_ZERO] * len(cols) for _ in rows]
-    for c, mono in enumerate(cols):
-        for tm, tc in theta.terms.items():
-            out[row_index[tuple(a + b for a, b in zip(tm, mono))]][c] = tc
-    return out
-
-
-def _add_block(dst: list[list[Fraction]], row0: int, col0: int,
-               block: Sequence[Sequence[Fraction]], sign: int) -> None:
-    """dst[row0 + a][col0 + b] += sign * block[a][b], sign being +1 or -1."""
-    for a, row in enumerate(block):
-        out = dst[row0 + a]
-        for b, v in enumerate(row):
-            if v != 0:
-                out[col0 + b] += v if sign > 0 else -v
+def _unit_directions(variables: Sequence[str], units: Sequence[tuple],
+                     basis: Sequence[Poly], rows: Sequence[tuple]
+                     ) -> list[list[list[Fraction]]]:
+    """Per monomial u of `units`, the matrix of f -> u*f on basis and rows."""
+    return [coefficient_matrix(
+        [Poly.from_monomial(variables, u) * b for b in basis], rows)
+        for u in units]
 
 
 def _rank_screen(values: Sequence, base: Sequence[Sequence[Fraction]],
@@ -323,18 +318,18 @@ def _full_operator_screen(X: VectorField, d: int,
     if not candidates:
         return []
     n = len(X.variables)
-    cols = monomials_upto(n, d)
+    basis = _monomial_basis(X, monomials_upto(n, d))
     rows = monomials_upto(n, d + max(X.degree - 1, 0))
     support = sorted({m for K in candidates for m in K.terms}, key=grlex_key)
-    units = [_mult_matrix(Poly.from_monomial(X.variables, m), cols, rows)
-             for m in support]
 
     def residues(Ks: Sequence[Poly]) -> np.ndarray:
         return np.array([[_modp.fraction_to_modp(K.coefficient(m))
                           for m in support] for K in Ks], dtype=np.int64)
 
-    base = _operator_matrix(X, Poly.zero(X.variables), cols, rows)
-    return _rank_screen(candidates, base, units, residues, len(cols))
+    base = coefficient_matrix([lie_derivative(X, b) for b in basis], rows)
+    return _rank_screen(candidates, base,
+                        _unit_directions(X.variables, support, basis, rows),
+                        residues, len(basis))
 
 
 # ---- graded sieve ------------------------------------------------------------
@@ -486,45 +481,18 @@ class _GradedSieve:
         self.M = X.degree
         self.nv = len(X.variables)
         self.boxes = _LatticeBoxes(lattice)
-        self.layers: dict[int, VectorField] = dict(degree_split(X))
-        self._layer_cache: dict[tuple[int, int], list[list[Fraction]]] = {}
+        self._lie: dict[tuple, Poly] = {}   # X(m) for the monomials m seen
         self.found: set[Poly] = set()
 
-    # matrices between graded spaces ------------------------------------
-
-    def _hdim(self, k: int) -> int:
-        return math.comb(k + self.nv - 1, self.nv - 1)
-
-    def _layer_matrix(self, j: int, k: int) -> list[list[Fraction]]:
-        """Layer-j part of X as a map from homogeneous degree k to k+j-1."""
-        key = (j, k)
-        if key not in self._layer_cache:
-            cols = monomials_of_degree(self.nv, k)
-            rows = monomials_of_degree(self.nv, k + j - 1)
-            row_index = {m: i for i, m in enumerate(rows)}
-            out = [[_ZERO] * len(cols) for _ in rows]
-            layer = self.layers.get(j)
-            if layer is not None:
-                for c, mono in enumerate(cols):
-                    image = lie_derivative(layer, Poly.from_monomial(
-                        self.X.variables, mono))
-                    _scatter_poly(image, row_index, c, out)
-            self._layer_cache[key] = out
-        return self._layer_cache[key]
-
-    def _homogeneous_mult(self, theta: Poly, k: int,
-                          ell: int) -> list[list[Fraction]]:
-        """Multiplication by the homogeneous degree-ell poly theta, from H_k."""
-        return _mult_matrix(theta, monomials_of_degree(self.nv, k),
-                            monomials_of_degree(self.nv, k + ell))
-
-    def _unit_mults(self, k: int, ell: int) -> list[list[list[Fraction]]]:
-        """Multiplication by each degree-ell lattice monomial, from H_k."""
-        return [self._homogeneous_mult(Poly.from_monomial(self.X.variables, m),
-                                       k, ell)
-                for m in self.boxes.monos_of_degree(ell)]
-
-    # the sieve proper ----------------------------------------------------
+    def _images(self, K: Poly, monos: Sequence[tuple]) -> list[Poly]:
+        """X(m) - K*m for each monomial m, X(m) computed once per sieve."""
+        out = []
+        for mono in monos:
+            b = Poly.from_monomial(self.X.variables, mono)
+            if mono not in self._lie:
+                self._lie[mono] = lie_derivative(self.X, b)
+            out.append(_operator_image(self._lie[mono], K, b))
+        return out
 
     def run(self) -> list[Poly]:
         compat0 = self.boxes.legal_bases(max(self.M - 1, 0))
@@ -539,30 +507,36 @@ class _GradedSieve:
         sections = self.boxes.sections(compat, top_deg)
         if not sections:
             return
-        top_op = self._layer_matrix(self.M, n)
+        variables = self.X.variables
+        cols = monomials_of_degree(self.nv, n)
+        rows = monomials_of_degree(self.nv, n + top_deg)
         screened = _rank_screen(
-            sorted(sections), top_op, self._unit_mults(n, top_deg),
+            sorted(sections),
+            coefficient_matrix(self._images(Poly.zero(variables), cols), rows),
+            _unit_directions(variables, self.boxes.monos_of_degree(top_deg),
+                             _monomial_basis(self.X, cols), rows),
             functools.partial(self.boxes.section_residues, top_deg),
-            self._hdim(n))
+            len(cols))
 
         for val in screened:
-            tau = self.boxes.section_poly(self.X.variables, top_deg, val)
-            op = [row[:] for row in top_op]
-            _add_block(op, 0, 0, self._homogeneous_mult(tau, n, top_deg), -1)
-            kernel = RatMatrix(op).nullspace()
+            tau = self.boxes.section_poly(variables, top_deg, val)
+            kernel = RatMatrix(
+                coefficient_matrix(self._images(tau, cols), rows)).nullspace()
             if not kernel:
                 continue
-            W = [list(vec) for vec in kernel]  # columns of the W basis
-            self._descend(n, {top_deg: tau}, sections[val], 1, W)
+            W = [Poly(variables, dict(zip(cols, vec))) for vec in kernel]
+            self._descend(n, tau, sections[val], 1,
+                          [(w, lie_derivative(self.X, w)) for w in W])
 
-    def _descend(self, n: int, parts: dict[int, Poly], compat: int, r: int,
-                 W: list[list[Fraction]]) -> None:
+    def _descend(self, n: int, K: Poly, compat: int, r: int,
+                 W: list[tuple[Poly, Poly]]) -> None:
+        """Fix the degree-(M-1-r) layer of K, the layers above summing to K.
+
+        W holds the pairs (w, X(w)) of a basis of the admissible f_n.
+        """
         M = self.M
         variables = self.X.variables
         if r > M - 1:
-            K = Poly.zero(variables)
-            for part in parts.values():
-                K = K + part
             self.found.add(K)
             return
         ell = M - 1 - r
@@ -571,71 +545,30 @@ class _GradedSieve:
             return
         values = sorted(sections)
 
-        w = len(W)
-        wmat = [[W[c][i] for c in range(w)]
-                for i in range(len(W[0]))]  # H_n x w
-
-        # stacked equations i = 1..r; unknown blocks f_{n-1}..f_{n-r}.
-        # parts holds the layers of K of degree M-1 .. M-r.
-        row_blocks = [self._hdim(n + M - 1 - i) for i in range(1, r + 1)]
-        row_offsets = [0]
-        for rb in row_blocks:
-            row_offsets.append(row_offsets[-1] + rb)
-        total_rows = row_offsets[-1]
-
-        f_blocks = [s for s in range(1, r + 1) if n - s >= 0]
-        f_widths = [self._hdim(n - s) for s in f_blocks]
-        total_f = sum(f_widths)
-        F = [[_ZERO] * total_f for _ in range(total_rows)]
-        col0 = 0
-        for s, width in zip(f_blocks, f_widths):
-            for i in range(1, r + 1):
-                roff = row_offsets[i - 1]
-                if s <= i:
-                    _add_block(F, roff, col0,
-                               self._layer_matrix(M - i + s, n - s), 1)
-                ellp = M - 1 - i + s
-                if ellp in parts and not parts[ellp].is_zero():
-                    _add_block(F, roff, col0, self._homogeneous_mult(
-                        parts[ellp], n - s, ellp), -1)
-            col0 += width
-
+        # equations 1..r are the graded parts of X(f) - K*f of degrees
+        # n+M-2 down to n+M-1-r; the unknown blocks are f_{n-1}..f_{n-r}
+        rows = [m for i in range(1, r + 1)
+                for m in monomials_of_degree(self.nv, n + M - 1 - i)]
+        cols = [m for s in range(1, min(r, n) + 1)
+                for m in monomials_of_degree(self.nv, n - s)]
         # cokernel of the fixed block
-        if total_f and total_rows:
-            P = RatMatrix(F).transpose().nullspace()
-        else:
-            P = [[_ZERO] * total_rows for _ in range(total_rows)]
-            for i in range(total_rows):
-                P[i][i] = Fraction(1)
+        P = RatMatrix(coefficient_matrix(self._images(K, cols), rows)
+                      ).transpose().nullspace()
         # with P empty every equation is absorbed by the free blocks, so
         # this level constrains nothing and every section value descends
         if P:
-            # w-columns: fixed contributions for equations 1..r
-            wcols_fixed = [[_ZERO] * w for _ in range(total_rows)]
-            for i in range(1, r + 1):
-                roff = row_offsets[i - 1]
-                _add_block(wcols_fixed, roff, 0,
-                           _matmul(self._layer_matrix(M - i, n), wmat), 1)
-                ellp = M - 1 - i
-                if ellp in parts and not parts[ellp].is_zero():
-                    _add_block(wcols_fixed, roff, 0, _matmul(
-                        self._homogeneous_mult(parts[ellp], n, ellp), wmat), -1)
-
-            # the theta-part enters equation r only
-            roff_r = row_offsets[r - 1]
-            rows_r = self._hdim(n + M - 1 - r)
-            P_r = [prow[roff_r:roff_r + rows_r] for prow in P]
-            theta_dirs = [_matmul(P_r, _matmul(E, wmat))
-                          for E in self._unit_mults(n, ell)]
+            fixed = coefficient_matrix(
+                [_operator_image(Xw, K, w) for w, Xw in W], rows)
+            theta_dirs = [_matmul(P, D) for D in _unit_directions(
+                variables, self.boxes.monos_of_degree(ell),
+                [w for w, _ in W], rows)]
             values = _rank_screen(
-                values, _matmul(P, wcols_fixed), theta_dirs,
-                functools.partial(self.boxes.section_residues, ell), w)
+                values, _matmul(P, fixed), theta_dirs,
+                functools.partial(self.boxes.section_residues, ell), len(W))
 
         for val in values:
             theta = self.boxes.section_poly(variables, ell, val)
-            new_parts = dict(parts)
-            new_parts[ell] = theta
-            self._descend(n, new_parts, sections[val], r + 1, W)
+            self._descend(n, K + theta, sections[val], r + 1, W)
 
 
 def _candidate_cofactors(X: VectorField, d: int,
@@ -698,7 +631,7 @@ def certificates_from_kernels(X: VectorField,
             continue
         cert = DarbouxCert(f, prepared[f])
         if not cert.check(X):
-            raise AssertionError(f"internal certificate check failed for {f}")
+            raise InternalCheckError(f"certificate check failed for {f}")
         certs.append(cert)
         found.append(f)
     return certs
@@ -787,6 +720,11 @@ def search_exp_factors(X: VectorField, deg_g: int,
     nv = len(X.variables)
     variables = X.variables
     max_L = max(X.degree - 1, 0)
+    g_monos = monomials_upto(nv, deg_g)
+    L_monos = monomials_upto(nv, max_L)
+    g_basis = _monomial_basis(X, g_monos)
+    g_images = [lie_derivative(X, g) for g in g_basis]
+    L_basis = _monomial_basis(X, L_monos)
     results: list[ExpFactorCert] = []
     for s in itertools.product(range(s_bound + 1), repeat=nv):
         balance = Poly.zero(variables)
@@ -802,20 +740,11 @@ def search_exp_factors(X: VectorField, deg_g: int,
             denom = denom * Poly.variable(variables, v) ** e
         if invalid:
             continue
-        g_monos = monomials_upto(nv, deg_g)
-        L_monos = monomials_upto(nv, max_L)
-        row_bound = max(deg_g + max(X.degree - 1, 0), max_L + sum(s), 0)
-        rows = monomials_upto(nv, row_bound)
-        row_index = {m: i for i, m in enumerate(rows)}
-        mat = [[_ZERO] * (len(g_monos) + len(L_monos)) for _ in rows]
-        for j, mono in enumerate(g_monos):
-            basis = Poly.from_monomial(variables, mono)
-            image = lie_derivative(X, basis) - basis * balance
-            _scatter_poly(image, row_index, j, mat)
-        for j, mono in enumerate(L_monos):
-            image = -(Poly.from_monomial(variables, mono) * denom)
-            _scatter_poly(image, row_index, len(g_monos) + j, mat)
-        kernel = RatMatrix(mat).nullspace()
+        rows = monomials_upto(nv, max(deg_g + max_L, max_L + sum(s)))
+        images = [_operator_image(Xg, balance, g)
+                  for g, Xg in zip(g_basis, g_images)]
+        images += [-(L * denom) for L in L_basis]
+        kernel = RatMatrix(coefficient_matrix(images, rows)).nullspace()
         if not kernel:
             continue
         reduced, _ = RatMatrix(kernel).rref()
@@ -835,7 +764,8 @@ def search_exp_factors(X: VectorField, deg_g: int,
                 continue  # not coprime with the denominator
             cert = ExpFactorCert(g, s, L)
             if not cert.check(X):
-                raise AssertionError("internal exponential-factor check failed")
+                raise InternalCheckError(
+                    f"exponential-factor check failed for {cert.record()}")
             results.append(cert)
     return results
 
@@ -935,8 +865,7 @@ def assemble_darboux_integrals(certs: Sequence[DarbouxCert],
                      key=grlex_key)
     if not support:
         support = [(0,) * len(variables)]
-    rows = [[cof.coefficient(m) for cof in cofactors] for m in support]
-    kernel = RatMatrix(rows).nullspace()
+    kernel = RatMatrix(coefficient_matrix(cofactors, support)).nullspace()
     out = []
     for vec in kernel:
         vec = normalize_kernel_vector(vec)

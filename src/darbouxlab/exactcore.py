@@ -9,9 +9,12 @@ The canonical printed form of a polynomial (descending graded-lex, normalized
 rationals, explicit ``*``) is unique, so string equality of printed forms is
 mathematical equality.
 
-Gauss-Jordan elimination runs on integer rows (each row scaled to a primitive
-integer vector), not on Fraction objects; its results are still Fractions,
-formed once per entry at the end, and equal the unique RREF over Q.
+Every exact linear system of the package is built by one function,
+`coefficient_matrix`: column j holds the coefficients of the j-th polynomial
+on a list of monomials.  Gauss-Jordan elimination runs on integer rows (each
+row scaled to a primitive integer vector), not on Fraction objects; its
+results are still Fractions, formed once per entry at the end, and equal the
+unique RREF over Q.
 """
 
 from __future__ import annotations
@@ -553,6 +556,23 @@ def parse_poly(text: str, variables: Sequence[str],
 
 # -- exact dense linear algebra ----------------------------------------------
 
+def coefficient_matrix(polys: Sequence[Poly],
+                       monos: Sequence[tuple]) -> list[list[Fraction]]:
+    """One row per monomial of `monos`, column j the coefficients of polys[j].
+
+    Terms outside `monos` are not represented, so passing only the monomials
+    of a degree window imposes exactly that window's equations.
+    """
+    row_index = {m: i for i, m in enumerate(monos)}
+    rows = [[_ZERO] * len(polys) for _ in monos]
+    for j, p in enumerate(polys):
+        for mono, coeff in p.terms.items():
+            i = row_index.get(mono)
+            if i is not None:
+                rows[i][j] = coeff
+    return rows
+
+
 class RatMatrix:
     """Dense matrix of Fractions with exact Gauss-Jordan elimination.
 
@@ -665,16 +685,8 @@ def _primitive_row(row: Sequence[Fraction]) -> list[int]:
 
 def normalize_kernel_vector(vec: Sequence[Fraction]) -> list[Fraction]:
     """Scale to a primitive integer vector with positive first nonzero entry."""
-    nz = [x for x in vec if x != 0]
-    if not nz:
+    if not any(vec):
         return list(vec)
-    from math import gcd
-    lcm_den = 1
-    for x in nz:
-        lcm_den = lcm_den * x.denominator // gcd(lcm_den, x.denominator)
-    scaled = [x * lcm_den for x in vec]
-    g = 0
-    for x in scaled:
-        g = gcd(g, abs(x.numerator))
-    sign = 1 if next(x for x in scaled if x != 0) > 0 else -1
-    return [x * sign / g for x in scaled]
+    ints = _primitive_row(vec)
+    sign = 1 if next(x for x in ints if x) > 0 else -1
+    return [Fraction(sign * x) for x in ints]

@@ -13,7 +13,8 @@ step 1e-3.  Both steps are generated per call by one stage generator as
 straight-line functions on tuples of Python floats, with no numpy inside the
 step; the Lyapunov estimate runs the Dormand-Prince step on the field
 augmented by its tangent equation.  All arithmetic is sequential float64, so
-runs are bit-reproducible.  No command runs the numpy closures of
+runs are bit-reproducible.  One call takes at most MAX_STEPS trial steps (or
+Lyapunov renormalisation intervals); a longer request is a ValueError.  No command runs the numpy closures of
 `compile_rhs`/`compile_jacobian`/`jacobian_at`: the finite-difference
 Jacobian tests and the benchmark trace use them.
 """
@@ -39,6 +40,7 @@ FACTOR_MIN = 0.2
 FACTOR_MAX = 10.0
 DT_FLOOR = 1e-13
 DT_INIT = 1e-3         # first trial step of the adaptive pair
+MAX_STEPS = 2_000_000  # trial steps (or Lyapunov intervals) per call
 
 
 class NonFiniteStateError(RuntimeError):
@@ -278,8 +280,12 @@ class _DormandPrince:
         rhs, trial = self.rhs, self.trial
         k1, dt_next, err_prev = self.k1, self.dt, self.err_prev
         accepted = rejected = 0
+        budget = MAX_STEPS - self.n_accepted - self.n_rejected
         try:
             while t < t_stop:
+                if accepted + rejected >= budget:
+                    raise ValueError(f"t_end needs more than {MAX_STEPS} "
+                                     f"integrator steps")
                 dt = min(dt_next, t_stop - t)
                 try:
                     if k1 is None:
@@ -332,6 +338,8 @@ def simulate(X: VectorField, x0: Sequence[float], t_end: float,
     _require_positive(tol, "tolerances")
     if dt is not None:
         _require_positive(dt, "dt")
+        if t_end / dt > MAX_STEPS:   # ceil(t_end / dt) steps
+            raise ValueError(f"t_end / dt exceeds {MAX_STEPS} RK4 steps")
     dim = len(X.variables)
     if len(x0) != dim:
         raise ValueError(f"x0 must have {dim} components")
@@ -438,13 +446,15 @@ def lyapunov_max(X: VectorField, x0: Sequence[float], t_end: float,
         raise ValueError("need t_end > renorm_dt > 0")
     if not math.isfinite(t_end / renorm_dt):
         raise ValueError("t_end / renorm_dt must be finite")
+    n_intervals = int(round(t_end / renorm_dt))
+    if n_intervals > MAX_STEPS:
+        raise ValueError(f"t_end / renorm_dt exceeds {MAX_STEPS} intervals")
     dim = len(X.variables)
     if len(x0) != dim:
         raise ValueError(f"x0 must have {dim} components")
     _require_positive(tol, "tolerances")
     y = tuple(float(v) for v in x0) + (1.0 / math.sqrt(dim),) * dim
     stepper = _DormandPrince(_field_sources(X) + _tangent_sources(X), tol)
-    n_intervals = int(round(t_end / renorm_dt))
     log_sum = 0.0
     t = 0.0
     for i in range(1, n_intervals + 1):

@@ -16,10 +16,9 @@ solution) and re-added to the reported basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
 
-from .exactcore import Poly, RatMatrix, grlex_key, monomials_of_degree
+from .exactcore import (Poly, RatMatrix, coefficient_matrix, grlex_key,
+                        monomials_upto)
 from .field import VectorField, lie_derivative, parse_field
 
 
@@ -39,10 +38,9 @@ class SeriesSpace:
         """Exact membership of f (degree <= order) in the spanned space."""
         monos = sorted({m for b in self.basis for m in b.terms} | set(f.terms),
                        key=grlex_key)
-        rows = [[b.coefficient(m) for b in self.basis] for m in monos]
-        target = [f.coefficient(m) for m in monos]
-        augmented = RatMatrix([row + [t] for row, t in zip(rows, target)])
-        return augmented.rank() == RatMatrix(rows).rank()
+        augmented = coefficient_matrix(self.basis + (f,), monos)
+        return (RatMatrix(augmented).rank()
+                == RatMatrix(coefficient_matrix(self.basis, monos)).rank())
 
     def depends_only_on(self, name: str) -> bool:
         """Whether every basis element is a polynomial in `name` alone."""
@@ -59,13 +57,6 @@ class SeriesSpace:
         }
 
 
-def _block_columns(nvars: int, degrees: Sequence[int]) -> list[tuple]:
-    cols = []
-    for d in degrees:
-        cols.extend(monomials_of_degree(nvars, d))
-    return cols
-
-
 def formal_integral_space(X: VectorField, N: int, m: int = 2) -> SeriesSpace:
     """Exact kernel of the graded components of X(f) through degree N+m.
 
@@ -75,16 +66,10 @@ def formal_integral_space(X: VectorField, N: int, m: int = 2) -> SeriesSpace:
     if N < 1 or m < 0:
         raise ValueError("need N >= 1 and margin >= 0")
     nv = len(X.variables)
-    columns = _block_columns(nv, range(1, N + 1))
-    row_monos = _block_columns(nv, range(0, N + m + 1))
-    row_index = {mono: i for i, mono in enumerate(row_monos)}
-    matrix = [[Fraction(0)] * len(columns) for _ in row_monos]
-    for j, mono in enumerate(columns):
-        image = lie_derivative(X, Poly.from_monomial(X.variables, mono))
-        for im_mono, coeff in image.terms.items():
-            i = row_index.get(im_mono)
-            if i is not None:
-                matrix[i][j] = coeff
+    columns = monomials_upto(nv, N)[1:]   # degrees 1..N
+    matrix = coefficient_matrix(
+        [lie_derivative(X, Poly.from_monomial(X.variables, mono))
+         for mono in columns], monomials_upto(nv, N + m))
 
     basis: list[Poly] = [Poly.constant(X.variables, 1)]
     for vec in RatMatrix(matrix).nullspace():

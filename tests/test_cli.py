@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from darbouxlab._modp import PRIME
 from darbouxlab.cli import main
+from darbouxlab.darboux import DarbouxCert, ExpFactorCert
 from darbouxlab.exactcore import parse_poly
 from darbouxlab.field import lie_derivative, load_field
 
@@ -233,6 +234,21 @@ def test_blow_up_exits_2(tmp_path, text, args):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("args, cert_class", [
+    (["darboux", "corpus/restricted_y0_a0.vf", "--degree", "2"], DarbouxCert),
+    (["expfactors", "corpus/lv3_a0_b3_c2.vf"], ExpFactorCert),
+])
+def test_failed_certificate_check_exits_1(monkeypatch, args, cert_class):
+    # a certificate failing its exact re-check is an internal error: exit 1
+    # with a message, never a traceback
+    monkeypatch.setattr(cert_class, "check", lambda self, X: False)
+    code, out, err = run_cli(args)
+    assert code == 1
+    assert err.startswith("internal error: ")
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_lyapunov_zero_tolerance_exits_2():
     # the error norm divides by tol + tol*|y|, so tol must be positive
     code, _, err = run_cli(["lyapunov", "corpus/samardzija_greller.vf",
@@ -260,10 +276,16 @@ def test_lyapunov_zero_tolerance_exits_2():
      "renorm_dt must be positive and finite"),
     (["lyapunov", "--t-end", "1e300", "--renorm-dt", "1e-300"],
      "t_end / renorm_dt must be finite"),
+    (["simulate", "--t-end", "1e12"],
+     "t_end needs more than 2000000 integrator steps"),
+    (["simulate", "--t-end", "1e12", "--dt", "0.01"],
+     "t_end / dt exceeds 2000000 RK4 steps"),
+    (["lyapunov", "--t-end", "1e300", "--renorm-dt", "1e-5"],
+     "t_end / renorm_dt exceeds 2000000 intervals"),
 ])
 def test_nonfinite_integrator_inputs_exit_2(args, message):
-    # in a child process under a timeout: an infinite t_end must be refused,
-    # not integrated until memory runs out
+    # in a child process under a timeout: an infinite or unreachable t_end
+    # must be refused, not integrated until memory or time runs out
     proc = run_module([args[0], "corpus/samardzija_greller.vf",
                        "--x0", "0.5,1,2", *args[1:]], timeout=30)
     assert proc.returncode == 2

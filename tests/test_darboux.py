@@ -385,21 +385,16 @@ class TestExpFactors:
     def test_search_exhausts_the_solution_space(self, desk_field):
         # the raw kernel of the defining identity over (g, L) with s = 0 has
         # exactly the reported certificates plus the trivial exp(constant)
-        from darbouxlab.exactcore import monomials_upto
-        from darbouxlab.darboux import _scatter_poly
+        from darbouxlab.exactcore import coefficient_matrix, monomials_upto
 
         X = desk_field
         g_monos = monomials_upto(3, 2)
         L_monos = monomials_upto(3, 2)
         rows = monomials_upto(3, 4)
-        row_index = {m: i for i, m in enumerate(rows)}
-        mat = [[Fraction(0)] * (len(g_monos) + len(L_monos)) for _ in rows]
-        for j, mono in enumerate(g_monos):
-            image = lie_derivative(X, Poly.from_monomial(X.variables, mono))
-            _scatter_poly(image, row_index, j, mat)
-        for j, mono in enumerate(L_monos):
-            image = -Poly.from_monomial(X.variables, mono)
-            _scatter_poly(image, row_index, len(g_monos) + j, mat)
+        images = [lie_derivative(X, Poly.from_monomial(X.variables, mono))
+                  for mono in g_monos]
+        images += [-Poly.from_monomial(X.variables, mono) for mono in L_monos]
+        mat = coefficient_matrix(images, rows)
         kernel_dim = len(RatMatrix(mat).nullspace())
         reported = search_exp_factors(X, 2, 0)
         assert kernel_dim == len(reported) + 1  # + trivial constant direction

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from darbouxlab.exactcore import (InexactDivisionError, Poly, RatMatrix,
-                                  VariableMismatchError, monomials_of_degree,
-                                  monomials_upto,
+                                  VariableMismatchError, coefficient_matrix,
+                                  monomials_of_degree, monomials_upto,
                                   parse_poly, poly_divide_exact, poly_divmod)
 
 from conftest import nonzero_polys, polys, small_fractions
@@ -235,3 +235,26 @@ def test_monomials_of_degree_matches_brute_force():
             assert monos == brute
             monos.append("mutated")   # the memo hands out copies
             assert monomials_of_degree(nvars, degree) == brute
+
+
+@settings(max_examples=100)
+@given(ps=st.lists(polys(), max_size=4),
+       monos=st.lists(st.sampled_from(monomials_upto(3, 3)), unique=True))
+def test_coefficient_matrix_entries(ps, monos):
+    # any subset of the monomials in any order; terms outside it are dropped
+    mat = coefficient_matrix(ps, monos)
+    assert len(mat) == len(monos)
+    assert all(len(row) == len(ps) for row in mat)
+    for i, m in enumerate(monos):
+        for j, p in enumerate(ps):
+            assert mat[i][j] == p.coefficient(m)
+            assert isinstance(mat[i][j], Fraction)
+
+
+def test_coefficient_matrix_window_and_empty_shapes():
+    p = P("2*x^2 - 1/3*y + 5")
+    assert coefficient_matrix([p], [(2, 0, 0), (0, 0, 0)]) == [[2], [5]]
+    assert coefficient_matrix([p, -p], [(0, 1, 0)]) == [
+        [Fraction(-1, 3), Fraction(1, 3)]]
+    assert coefficient_matrix([], monomials_upto(3, 1)) == [[], [], [], []]
+    assert coefficient_matrix([p, p], []) == []

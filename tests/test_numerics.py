@@ -10,6 +10,7 @@ import pytest
 from darbouxlab.darboux import (assemble_darboux_integrals, search_darboux,
                                 search_exp_factors)
 from darbouxlab.exactcore import parse_poly
+from darbouxlab import numerics
 from darbouxlab.field import parse_field
 from darbouxlab.numerics import (NonFiniteStateError, _DormandPrince,
                                  _field_sources, _tangent_sources, compile_rhs,
@@ -58,6 +59,17 @@ def test_nonfinite_detected():
     X = parse_field("vars: x\ndx/dt = x^2\n")  # finite-time blow-up
     with pytest.raises(NonFiniteStateError):
         simulate(X, (1.0,), 5.0)
+
+
+def test_adaptive_step_cap(monkeypatch, reference_field):
+    # the adaptive loop refuses to go on once the cap of trial steps per
+    # call is used up, also across the Lyapunov renormalisation intervals
+    monkeypatch.setattr(numerics, "MAX_STEPS", 1000)
+    with pytest.raises(ValueError, match="more than 1000 integrator steps"):
+        simulate(reference_field, (0.5, 1.0, 2.0), 1e6)
+    with pytest.raises(ValueError, match="more than 1000 integrator steps"):
+        lyapunov_max(reference_field, (0.5, 1.0, 2.0), 400.0, 0.5)
+    assert len(simulate(reference_field, (0.5, 1.0, 2.0), 1.0)) < 1000
 
 
 def test_drift_of_conserved_quantity(integrable_trajectory, conserved_quantities):
