@@ -9,15 +9,18 @@ Search strategy: the equation X(f) = K*f is bilinear in (f, K), so the search
 enumerates K over a finite integer lattice of generator combinations and
 solves the remaining linear problem exactly.  Results are complete relative
 to the lattice.  Every lattice goes through a graded sieve that fixes K one
-homogeneous layer at a time (top degree first) and discards whole families
-whose layer equations already have no nonzero solution; the survivors then
-pass one rank screen on the full operator.  All three rank screens (the
-sieve's top level, its lower levels and the full operator) go through
-`_rank_screen`, which rejects only on full rank modulo a prime, which is
-sound, and keeps every value when the prime divides a denominator.  Each
-surviving cofactor is solved exactly over the rationals once per command,
-and the certificates and the rational obstruction are both read off those
-kernels.
+homogeneous layer at a time (top degree first), in one traversal for every
+f-degree, and discards whole families whose layer equations already have no
+nonzero solution; the survivors then pass one rank screen on the full
+operator.  All three rank screens (the sieve's top level, its lower levels
+and the full operator) go through `_rank_screen`, which rejects only on full
+rank modulo a prime, which is sound, and keeps every value when the prime
+divides a denominator.  The kernel of each candidate K is computed once per
+command, and the certificates and the rational obstruction are both read off
+those kernels.  Where K's known monomial solutions x^e (X(x^e) = K*x^e) are
+as many as the kernel dimension mod p, they are the kernel: they lie in the
+rational kernel, whose dimension is at most the one mod p.  Every other
+candidate is solved exactly over the rationals.
 
 Every exact matrix here is `coefficient_matrix` of the images of a basis
 under a linear map (X(f) - K*f, or multiplication by a monomial) on a window
@@ -29,9 +32,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import types
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -248,6 +252,18 @@ def _monomial_basis(X: VectorField, monos: Sequence[tuple]) -> list[Poly]:
     return [Poly.from_monomial(X.variables, m) for m in monos]
 
 
+@functools.lru_cache(maxsize=1)
+def _monomial_images(X: VectorField, d: int) -> Mapping[tuple, Poly]:
+    """Read-only {m: X(m)} for every monomial of degree <= d, graded-lex.
+
+    Kept for the last (field, degree) only, so the sieve, the full-operator
+    screen and every exact solve of one command share one X(m) per column.
+    """
+    cols = monomials_upto(len(X.variables), d)
+    return types.MappingProxyType(
+        {m: lie_derivative(X, b) for m, b in zip(cols, _monomial_basis(X, cols))})
+
+
 def search_darboux_fixed_cofactor(X: VectorField, K: Poly, d: int) -> list[Poly]:
     """Exact basis of {f : deg f <= d, X(f) = K*f}, monic, deterministic order."""
     if isinstance(K, (int, Fraction)):
@@ -257,9 +273,10 @@ def search_darboux_fixed_cofactor(X: VectorField, K: Poly, d: int) -> list[Poly]
     n = len(X.variables)
     cols = monomials_upto(n, d)
     rows = monomials_upto(n, d + max(X.degree - 1, 0))
+    images = _monomial_images(X, d)
     matrix = RatMatrix(coefficient_matrix(
-        [_operator_image(lie_derivative(X, b), K, b)
-         for b in _monomial_basis(X, cols)], rows))
+        [_operator_image(images[m], K, b)
+         for m, b in zip(cols, _monomial_basis(X, cols))], rows))
     basis = []
     for vec in matrix.nullspace():
         poly = Poly(X.variables, {cols[j]: vec[j] for j in range(len(cols))})
@@ -280,20 +297,15 @@ def _unit_directions(variables: Sequence[str], units: Sequence[tuple],
         for u in units]
 
 
-def _rank_screen(values: Sequence, base: Sequence[Sequence[Fraction]],
-                 directions: Sequence[Sequence[Sequence[Fraction]]],
-                 residues: Callable[[Sequence], np.ndarray],
-                 full_rank: int) -> list:
-    """The values whose matrix is rank-deficient mod p, in their given order.
+def _ranks(values: Sequence, base: Sequence[Sequence[Fraction]],
+           directions: Sequence[Sequence[Sequence[Fraction]]],
+           residues: Callable[[Sequence], np.ndarray]) -> list[int] | None:
+    """Mod-p rank of each value's matrix; None when p divides a denominator.
 
     The matrix of values[i] is base - sum_k c[i][k] * directions[k] with
     c = residues(values), an (N, len(directions)) array of residues mod p.
-    A value is rejected only when that matrix has rank full_rank mod p,
-    which proves its rational kernel trivial.  When p divides a denominator
-    nothing is proved, and every value is kept.
+    Its rank mod p bounds the rank over Q from below.
     """
-    if not values:
-        return []
     try:
         base_p = _modp.fraction_rows_to_modp(base)
         dir_stack = np.zeros((len(directions),) + base_p.shape, dtype=np.int64)
@@ -301,22 +313,35 @@ def _rank_screen(values: Sequence, base: Sequence[Sequence[Fraction]],
             dir_stack[k] = _modp.fraction_rows_to_modp(direction)
         coeffs = residues(values)
     except _modp.ModPUnavailableError:
-        return list(values)
-    survivors = []
+        return None
+    ranks: list[int] = []
     for start in range(0, len(values), _PRESCREEN_CHUNK):
-        chunk = slice(start, start + _PRESCREEN_CHUNK)
-        ranks = _modp.batched_rank(
-            _modp.batched_combination(base_p, dir_stack, coeffs[chunk]))
-        survivors.extend(v for v, rank in zip(values[chunk], ranks)
-                         if rank < full_rank)
-    return survivors
+        ranks.extend(_modp.batched_rank(_modp.batched_combination(
+            base_p, dir_stack, coeffs[start:start + _PRESCREEN_CHUNK])).tolist())
+    return ranks
 
 
-def _full_operator_screen(X: VectorField, d: int,
-                          candidates: list[Poly]) -> list[Poly]:
-    """Keep candidates whose operator matrix is rank-deficient (mod-p screen)."""
-    if not candidates:
+def _rank_screen(values: Sequence, base: Sequence[Sequence[Fraction]],
+                 directions: Sequence[Sequence[Sequence[Fraction]]],
+                 residues: Callable[[Sequence], np.ndarray],
+                 full_rank: int) -> list:
+    """The values whose matrix is rank-deficient mod p, in their given order.
+
+    A value is rejected only when its matrix (see `_ranks`) has rank
+    full_rank mod p, which proves its rational kernel trivial.  When p
+    divides a denominator nothing is proved, and every value is kept.
+    """
+    if not values:
         return []
+    ranks = _ranks(values, base, directions, residues)
+    if ranks is None:
+        return list(values)
+    return [v for v, rank in zip(values, ranks) if rank < full_rank]
+
+
+def _full_operator(X: VectorField, d: int, candidates: Sequence[Poly]):
+    """`_ranks` arguments for the matrices X(m) - K*m over the monomials m of
+    degree <= d, one per candidate K, and their column count."""
     n = len(X.variables)
     basis = _monomial_basis(X, monomials_upto(n, d))
     rows = monomials_upto(n, d + max(X.degree - 1, 0))
@@ -326,10 +351,17 @@ def _full_operator_screen(X: VectorField, d: int,
         return np.array([[_modp.fraction_to_modp(K.coefficient(m))
                           for m in support] for K in Ks], dtype=np.int64)
 
-    base = coefficient_matrix([lie_derivative(X, b) for b in basis], rows)
-    return _rank_screen(candidates, base,
-                        _unit_directions(X.variables, support, basis, rows),
-                        residues, len(basis))
+    base = coefficient_matrix(list(_monomial_images(X, d).values()), rows)
+    return (base, _unit_directions(X.variables, support, basis, rows),
+            residues, len(basis))
+
+
+def _full_operator_screen(X: VectorField, d: int,
+                          candidates: list[Poly]) -> list[Poly]:
+    """Keep candidates whose operator matrix is rank-deficient (mod-p screen)."""
+    if not candidates:
+        return []
+    return _rank_screen(candidates, *_full_operator(X, d, candidates))
 
 
 # ---- graded sieve ------------------------------------------------------------
@@ -438,14 +470,17 @@ class _LatticeBoxes:
                          values: Sequence[tuple[int, ...]]) -> np.ndarray:
         """Section values as coefficient residues mod p, one row per value.
 
-        Reduced in Python integers, so large scaled coefficients cannot
-        overflow int64; raises ModPUnavailableError when p divides a scale.
+        Each value is reduced mod p as a Python integer first, so large
+        scaled coefficients cannot overflow int64 (two residues multiply
+        below 2^62); raises ModPUnavailableError when p divides a scale.
         """
         p = _modp.PRIME
-        inverses = [_modp.fraction_to_modp(Fraction(1, self.scale[m]))
-                    for m in self.monos_of_degree(degree)]
-        return np.array([[v * inv % p for v, inv in zip(val, inverses)]
-                         for val in values], dtype=np.int64)
+        inverses = np.array([_modp.fraction_to_modp(Fraction(1, self.scale[m]))
+                             for m in self.monos_of_degree(degree)],
+                            dtype=np.int64)
+        reduced = np.array(values, dtype=object).reshape(
+            len(values), len(inverses)) % p
+        return reduced.astype(np.int64) * inverses % p
 
 
 def _matmul(A: Sequence[Sequence[Fraction]],
@@ -473,6 +508,10 @@ class _GradedSieve:
     with l = deg(X)-1-r.  Fixing K from the top down, each level's equations
     are linear with only the new layer's coefficients varying, so whole
     sections of the lattice are rejected by one small rank test each.
+
+    One traversal serves every f-degree n = 1..d: a node (K, compat, r)
+    carries the branches (n, W) still alive there, so its sections are
+    computed once however many degrees reach it.
     """
 
     def __init__(self, X: VectorField, d: int, lattice: CofactorLattice):
@@ -481,58 +520,62 @@ class _GradedSieve:
         self.M = X.degree
         self.nv = len(X.variables)
         self.boxes = _LatticeBoxes(lattice)
-        self._lie: dict[tuple, Poly] = {}   # X(m) for the monomials m seen
+        self._lie = _monomial_images(X, d)
         self.found: set[Poly] = set()
 
     def _images(self, K: Poly, monos: Sequence[tuple]) -> list[Poly]:
-        """X(m) - K*m for each monomial m, X(m) computed once per sieve."""
-        out = []
-        for mono in monos:
-            b = Poly.from_monomial(self.X.variables, mono)
-            if mono not in self._lie:
-                self._lie[mono] = lie_derivative(self.X, b)
-            out.append(_operator_image(self._lie[mono], K, b))
-        return out
+        """X(m) - K*m for each monomial m."""
+        return [_operator_image(self._lie[m], K,
+                                Poly.from_monomial(self.X.variables, m))
+                for m in monos]
 
     def run(self) -> list[Poly]:
         compat0 = self.boxes.legal_bases(max(self.M - 1, 0))
-        if not compat0:
-            return []
-        for n in range(1, self.d + 1):
-            self._top_level(n, compat0)
+        if compat0:
+            self._top_level(compat0)
         return sorted(self.found, key=Poly.sort_key)
 
-    def _top_level(self, n: int, compat: int) -> None:
+    def _top_level(self, compat: int) -> None:
+        """Fix the top layer of K, screening it once per f-degree n."""
         top_deg = self.M - 1
         sections = self.boxes.sections(compat, top_deg)
         if not sections:
             return
         variables = self.X.variables
-        cols = monomials_of_degree(self.nv, n)
-        rows = monomials_of_degree(self.nv, n + top_deg)
-        screened = _rank_screen(
-            sorted(sections),
-            coefficient_matrix(self._images(Poly.zero(variables), cols), rows),
-            _unit_directions(variables, self.boxes.monos_of_degree(top_deg),
-                             _monomial_basis(self.X, cols), rows),
-            functools.partial(self.boxes.section_residues, top_deg),
-            len(cols))
+        values = sorted(sections)
+        units = self.boxes.monos_of_degree(top_deg)
+        residues = functools.partial(self.boxes.section_residues, top_deg)
+        taus: dict[tuple, Poly] = {}
+        alive: dict[tuple, list] = {}   # value -> branches (n, W) alive
+        for n in range(1, self.d + 1):
+            cols = monomials_of_degree(self.nv, n)
+            rows = monomials_of_degree(self.nv, n + top_deg)
+            screened = _rank_screen(
+                values,
+                coefficient_matrix(self._images(Poly.zero(variables), cols),
+                                   rows),
+                _unit_directions(variables, units,
+                                 _monomial_basis(self.X, cols), rows),
+                residues, len(cols))
+            for val in screened:
+                if val not in taus:
+                    taus[val] = self.boxes.section_poly(variables, top_deg, val)
+                kernel = RatMatrix(coefficient_matrix(
+                    self._images(taus[val], cols), rows)).nullspace()
+                if kernel:
+                    W = [Poly(variables, dict(zip(cols, vec))) for vec in kernel]
+                    alive.setdefault(val, []).append(
+                        (n, [(w, lie_derivative(self.X, w)) for w in W]))
+        for val in values:
+            if val in alive:
+                self._descend(taus[val], sections[val], 1, alive[val])
 
-        for val in screened:
-            tau = self.boxes.section_poly(variables, top_deg, val)
-            kernel = RatMatrix(
-                coefficient_matrix(self._images(tau, cols), rows)).nullspace()
-            if not kernel:
-                continue
-            W = [Poly(variables, dict(zip(cols, vec))) for vec in kernel]
-            self._descend(n, tau, sections[val], 1,
-                          [(w, lie_derivative(self.X, w)) for w in W])
-
-    def _descend(self, n: int, K: Poly, compat: int, r: int,
-                 W: list[tuple[Poly, Poly]]) -> None:
+    def _descend(self, K: Poly, compat: int, r: int,
+                 branches: list[tuple[int, list[tuple[Poly, Poly]]]]) -> None:
         """Fix the degree-(M-1-r) layer of K, the layers above summing to K.
 
-        W holds the pairs (w, X(w)) of a basis of the admissible f_n.
+        Each branch (n, W) is an f-degree n still alive at this node, W the
+        pairs (w, X(w)) of a basis of its admissible f_n.
         """
         M = self.M
         variables = self.X.variables
@@ -544,31 +587,46 @@ class _GradedSieve:
         if not sections:
             return
         values = sorted(sections)
-
-        # equations 1..r are the graded parts of X(f) - K*f of degrees
-        # n+M-2 down to n+M-1-r; the unknown blocks are f_{n-1}..f_{n-r}
-        rows = [m for i in range(1, r + 1)
-                for m in monomials_of_degree(self.nv, n + M - 1 - i)]
-        cols = [m for s in range(1, min(r, n) + 1)
-                for m in monomials_of_degree(self.nv, n - s)]
-        # cokernel of the fixed block
-        P = RatMatrix(coefficient_matrix(self._images(K, cols), rows)
-                      ).transpose().nullspace()
-        # with P empty every equation is absorbed by the free blocks, so
-        # this level constrains nothing and every section value descends
-        if P:
-            fixed = coefficient_matrix(
-                [_operator_image(Xw, K, w) for w, Xw in W], rows)
-            theta_dirs = [_matmul(P, D) for D in _unit_directions(
-                variables, self.boxes.monos_of_degree(ell),
-                [w for w, _ in W], rows)]
-            values = _rank_screen(
-                values, _matmul(P, fixed), theta_dirs,
-                functools.partial(self.boxes.section_residues, ell), len(W))
+        units = self.boxes.monos_of_degree(ell)
+        residues = functools.partial(self.boxes.section_residues, ell)
+        alive: dict[tuple, list] = {}   # value -> branches (n, W) alive
+        for n, W in branches:
+            # equations 1..r are the graded parts of X(f) - K*f of degrees
+            # n+M-2 down to n+M-1-r; the unknown blocks are f_{n-1}..f_{n-r}
+            rows = [m for i in range(1, r + 1)
+                    for m in monomials_of_degree(self.nv, n + M - 1 - i)]
+            cols = [m for s in range(1, min(r, n) + 1)
+                    for m in monomials_of_degree(self.nv, n - s)]
+            # cokernel of the fixed block
+            P = RatMatrix(coefficient_matrix(self._images(K, cols), rows)
+                          ).transpose().nullspace()
+            # with P empty every equation is absorbed by the free blocks, so
+            # this level constrains nothing and every section value descends
+            kept = values
+            if P:
+                fixed = coefficient_matrix(
+                    [_operator_image(Xw, K, w) for w, Xw in W], rows)
+                theta_dirs = [_matmul(P, D) for D in _unit_directions(
+                    variables, units, [w for w, _ in W], rows)]
+                kept = _rank_screen(values, _matmul(P, fixed), theta_dirs,
+                                    residues, len(W))
+            for val in kept:
+                alive.setdefault(val, []).append((n, W))
 
         for val in values:
-            theta = self.boxes.section_poly(variables, ell, val)
-            self._descend(n, K + theta, sections[val], r + 1, W)
+            if val in alive:
+                theta = self.boxes.section_poly(variables, ell, val)
+                self._descend(K + theta, sections[val], r + 1, alive[val])
+
+
+class _Candidates(list):
+    """Screened cofactors in order, with `kernel_dims[K]`, the kernel
+    dimension mod p of K's full operator matrix, which bounds the rational
+    one from above (empty when the prime divides a denominator)."""
+
+    def __init__(self, cofactors: Sequence[Poly], kernel_dims: dict[Poly, int]):
+        super().__init__(cofactors)
+        self.kernel_dims = kernel_dims
 
 
 def _candidate_cofactors(X: VectorField, d: int,
@@ -576,20 +634,44 @@ def _candidate_cofactors(X: VectorField, d: int,
     """Screened cofactor candidates, complete relative to the lattice.
 
     The zero cofactor comes first, then the coordinate cofactors, then the
-    remaining sieve survivors that also pass the full-operator screen.
+    remaining sieve survivors that also pass the full-operator screen.  Every
+    candidate, the first ones included, carries its kernel dimension mod p.
     """
     priority = [Poly.zero(X.variables)]
     for v in X.variables:
         if X.is_kolmogorov(v):
             priority.append(X.coordinate_cofactor(v))
-    survivors = _full_operator_screen(X, d, _GradedSieve(X, d, lattice).run())
+    priority = list(dict.fromkeys(priority))
+    sieved = [K for K in _GradedSieve(X, d, lattice).run()
+              if K not in priority]
+    values = priority + sieved
+    *system, full_rank = _full_operator(X, d, values)
+    ranks = _ranks(values, *system)
+    if ranks is None:
+        return _Candidates(values, {})
+    survivors = [K for K, rank in zip(sieved, ranks[len(priority):])
+                 if rank < full_rank]
+    return _Candidates(priority + survivors,
+                       {K: full_rank - rank for K, rank in zip(values, ranks)})
 
-    out = []
-    seen = set()
-    for K in priority + survivors:
-        if K not in seen:
-            seen.add(K)
-            out.append(K)
+
+def _monomial_solutions(X: VectorField, d: int) -> dict[Poly, list[tuple]]:
+    """{K: the monomials x^e with X(x^e) = K*x^e}, in column order.
+
+    Only Kolmogorov variables (X_v = x_v*K_v) enter e, |e| <= d, and the
+    cofactor of x^e is sum_v e_v*K_v.
+    """
+    cofactors = [X.coordinate_cofactor(v) if X.is_kolmogorov(v) else None
+                 for v in X.variables]
+    out: dict[Poly, list[tuple]] = {}
+    for mono in monomials_upto(len(X.variables), d):
+        if any(e and K_v is None for e, K_v in zip(mono, cofactors)):
+            continue
+        K = Poly.zero(X.variables)
+        for e, K_v in zip(mono, cofactors):
+            if e:
+                K = K + K_v * e
+        out.setdefault(K, []).append(mono)
     return out
 
 
@@ -601,10 +683,21 @@ def cofactor_kernels(X: VectorField, d: int,
     """[(K, exact basis of {f : deg f <= d, X(f) = K*f})] per screened cofactor.
 
     This is the one exact pass of a command: the Darboux certificates and the
-    rational obstruction are both derived from its result.
+    rational obstruction are both derived from its result.  Where the known
+    monomial solutions of K are as many as the kernel dimension mod p allows,
+    they are the basis: they lie in the rational kernel, whose dimension is at
+    most the one mod p.  Every other cofactor is solved exactly.
     """
-    return [(K, search_darboux_fixed_cofactor(X, K, d))
-            for K in _candidate_cofactors(X, d, lattice)]
+    candidates = _candidate_cofactors(X, d, lattice)
+    known = _monomial_solutions(X, d)
+    out = []
+    for K in candidates:
+        monos = known.get(K, [])
+        if candidates.kernel_dims.get(K) == len(monos):
+            out.append((K, _monomial_basis(X, monos)))
+        else:
+            out.append((K, search_darboux_fixed_cofactor(X, K, d)))
+    return out
 
 
 def certificates_from_kernels(X: VectorField,

@@ -60,6 +60,10 @@ class VectorField:
                 raise VariableMismatchError(
                     "components must live over the declared variables")
 
+    def __hash__(self) -> int:
+        # source_params is a dict; equal fields have equal equations
+        return hash((self.variables, self.components))
+
     @property
     def degree(self) -> int:
         return max((c.total_degree() for c in self.components), default=0)

@@ -22,6 +22,7 @@ Jacobian tests and the benchmark trace use them.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from pathlib import Path
@@ -346,12 +347,13 @@ def simulate(X: VectorField, x0: Sequence[float], t_end: float,
     y = tuple(float(v) for v in x0)
     if not all(map(math.isfinite, y)):
         raise NonFiniteStateError(0.0)
-    times = [0.0]
-    states = [y]
+    # flat float64 buffers rather than a tuple object per accepted state
+    times = array("d", (0.0,))
+    states = array("d", y)
 
     def on_accept(t, state):
         times.append(t)
-        states.append(state)
+        states.extend(state)
 
     if dt is None:
         stepper = _DormandPrince(_field_sources(X), tol)
@@ -374,7 +376,8 @@ def simulate(X: VectorField, x0: Sequence[float], t_end: float,
             on_accept(t, y)
         meta = {"method": "rk4", "dt": dt, "n_accepted": len(times) - 1,
                 "n_rejected": 0}
-    return Trajectory(np.array(times), np.array(states), X.variables, meta)
+    return Trajectory(np.array(times), np.array(states).reshape(-1, dim),
+                      X.variables, meta)
 
 
 # -- conserved-quantity drift -------------------------------------------------

@@ -15,9 +15,9 @@ from darbouxlab.darboux import (CofactorLattice, NotDarbouxError,
                                 search_exp_factors, verify_darboux,
                                 verify_exp_factor)
 from darbouxlab.exactcore import Poly, RatMatrix, grlex_key, parse_poly
-from darbouxlab.field import lie_derivative, parse_field
+from darbouxlab.field import lie_derivative, load_field, parse_field
 
-from conftest import make_lv3, nonzero_polys
+from conftest import CORPUS, make_lv3, nonzero_polys
 
 RESTRICTED_Y0_A0 = """
 vars: x z
@@ -208,8 +208,9 @@ class TestSieveAgainstBruteForce:
             priority + dbx._full_operator_screen(X, d, brute)))
         assert dbx._candidate_cofactors(X, d, lattice) == oracle
 
-        brute_certs = dbx.certificates_from_kernels(
-            X, [(K, search_darboux_fixed_cofactor(X, K, d)) for K in oracle])
+        exact = [(K, search_darboux_fixed_cofactor(X, K, d)) for K in oracle]
+        assert dbx.cofactor_kernels(X, d, lattice) == exact
+        brute_certs = dbx.certificates_from_kernels(X, exact)
         return ({(str(c.f), str(c.K)) for c in brute_certs},
                 {(str(c.f), str(c.K)) for c in search_darboux(X, d, lattice)})
 
@@ -309,6 +310,84 @@ class TestRankScreen:
         for (X, d, lattice), expected in zip(cases, unpatched):
             assert (dbx._GradedSieve(X, d, lattice).run(),
                     dbx._candidate_cofactors(X, d, lattice)) == expected
+
+
+CORPUS_FIELDS = sorted(p.name for p in CORPUS.glob("*.vf"))
+
+
+def _counting(monkeypatch, owner, name):
+    """Wrap owner.name so that every call is counted in the returned list."""
+    original = getattr(owner, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestKernelFromRank:
+    """Monomial kernels read off the mod-p rank equal the exact solves."""
+
+    @pytest.mark.parametrize("name", CORPUS_FIELDS)
+    def test_corpus_kernels_equal_exact_solves(self, name):
+        import darbouxlab.darboux as dbx
+
+        X = load_field(CORPUS / name)
+        for d in (1, 2, 3):
+            lattice = default_lattice(X, d)
+            kernels = dbx.cofactor_kernels(X, d, lattice)
+            assert [K for K, _ in kernels] == dbx._candidate_cofactors(
+                X, d, lattice)
+            assert kernels == [(K, search_darboux_fixed_cofactor(X, K, d))
+                               for K, _ in kernels]
+
+    def test_declines_non_monomial_kernel(self, monkeypatch):
+        import darbouxlab.darboux as dbx
+
+        X = parse_field(RESTRICTED_Y0_A0)
+        K = parse_poly("2*x", X.variables)
+        solves = _counting(monkeypatch, dbx, "search_darboux_fixed_cofactor")
+        kernels = dict(dbx.cofactor_kernels(X, 2, default_lattice(X, 2)))
+        # 1 + 2x has cofactor 2x, and no monomial has: the solve must run
+        assert (X, K, 2) in solves
+        assert [str(f) for f in kernels[K]] == ["x + 1/2"]
+
+    def test_declines_without_kolmogorov_variables(self, monkeypatch):
+        import darbouxlab.darboux as dbx
+
+        X = parse_field("vars: x y\ndx/dt = y\ndy/dt = -x\n")
+        zero = Poly.zero(X.variables)
+        solves = _counting(monkeypatch, dbx, "search_darboux_fixed_cofactor")
+        kernels = dict(dbx.cofactor_kernels(X, 2, default_lattice(X, 2)))
+        assert (X, zero, 2) in solves
+        assert [str(f) for f in kernels[zero]] == ["1", "x^2 + y^2"]
+
+    def test_prime_in_denominator_falls_back(self, monkeypatch):
+        import darbouxlab.darboux as dbx
+
+        text = (CORPUS / "samardzija_greller.vf").read_text().replace(
+            "param a = 29851/10000", "param a = 1/2147483647")
+        X = parse_field(text)
+        solves = _counting(monkeypatch, dbx, "search_darboux_fixed_cofactor")
+        kernels = dbx.cofactor_kernels(X, 2, default_lattice(X, 1))
+        assert dbx._candidate_cofactors(
+            X, 2, default_lattice(X, 1)).kernel_dims == {}
+        assert len(solves) == len(kernels)
+        assert [str(f) for _, basis in kernels[1:4] for f in basis] == [
+            "x", "y", "z"]
+
+    def test_reference_search_counts(self, monkeypatch, reference_field):
+        import darbouxlab.darboux as dbx
+
+        solves = _counting(monkeypatch, dbx, "search_darboux_fixed_cofactor")
+        sections = _counting(monkeypatch, dbx._LatticeBoxes, "sections")
+        certs = search_darboux(reference_field, 4)
+        assert sorted(str(c.f) for c in certs) == ["x", "y", "z"]
+        assert len(solves) == 0
+        assert len(sections) <= 210
 
 
 class TestExpFactors:
