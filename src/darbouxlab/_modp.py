@@ -1,10 +1,13 @@
-"""Batched rank computations modulo a fixed prime, used only to prescreen.
+"""Batched rank computations modulo a fixed prime: screens and kernel bounds.
 
 Rank over Z/p never exceeds rank over Q, so "full column rank mod p" is a
-sound proof of a trivial rational kernel.  Candidates that are rank-deficient
-mod p are always confirmed (or discarded) by exact rational elimination, so a
-chance rank drop mod p costs time but never correctness.  Everything here is
-deterministic: no randomness, fixed prime, fixed pivot order.
+sound proof of a trivial rational kernel, and the kernel dimension mod p is
+an upper bound on the rational one.  A candidate that is rank-deficient mod p
+is either solved by exact rational elimination or, when as many independent
+rational solutions as its kernel dimension mod p are already known, has those
+as its kernel.  Either way a chance rank drop mod p costs time but never
+correctness.  Everything here is deterministic: no randomness, fixed prime,
+fixed pivot order.
 """
 
 from __future__ import annotations

@@ -12,15 +12,17 @@ to the lattice.  Every lattice goes through a graded sieve that fixes K one
 homogeneous layer at a time (top degree first), in one traversal for every
 f-degree, and discards whole families whose layer equations already have no
 nonzero solution; the survivors then pass one rank screen on the full
-operator.  All three rank screens (the sieve's top level, its lower levels
-and the full operator) go through `_rank_screen`, which rejects only on full
-rank modulo a prime, which is sound, and keeps every value when the prime
-divides a denominator.  The kernel of each candidate K is computed once per
-command, and the certificates and the rational obstruction are both read off
-those kernels.  Where K's known monomial solutions x^e (X(x^e) = K*x^e) are
-as many as the kernel dimension mod p, they are the kernel: they lie in the
-rational kernel, whose dimension is at most the one mod p.  Every other
-candidate is solved exactly over the rationals.
+operator.  The sections a sieve node screens are filtered from one table per
+degree of every reachable layer value, built once per lattice.  All three
+rank screens (the sieve's top level, its lower levels and the full operator)
+go through `_rank_screen`, which rejects only on full rank modulo a prime,
+which is sound, and keeps every value when the prime divides a denominator.
+The kernel of each candidate K is computed once per command, and the
+certificates and the rational obstruction are both read off those kernels.
+Where K's known monomial solutions x^e (X(x^e) = K*x^e) are as many as the
+kernel dimension mod p, they are the kernel: they lie in the rational kernel,
+whose dimension is at most the one mod p.  Every other candidate is solved
+exactly over the rationals.
 
 Every exact matrix here is `coefficient_matrix` of the images of a basis
 under a linear map (X(f) - K*f, or multiplication by a monomial) on a window
@@ -366,18 +368,16 @@ def _full_operator_screen(X: VectorField, d: int,
 
 # ---- graded sieve ------------------------------------------------------------
 
-def _mask_indices(mask: int) -> list[int]:
-    """Positions of the set bits of a non-negative int, ascending."""
-    return [t for t, bit in enumerate(reversed(bin(mask))) if bit == "1"]
-
-
 class _LatticeBoxes:
     """Candidates as {base + per-monomial box offsets}.
 
     Single-term generators become independent per-monomial offset ranges;
     every combination of the remaining generators is expanded into a "base".
     All coefficient bookkeeping is integer-scaled per monomial.  A set of
-    bases is one int bitmask, bit t standing for base t.
+    bases is one int bitmask, bit t standing for base t.  Whether a base can
+    reach a value does not depend on the other bases, so each degree has one
+    table of every reachable part, built on first use, and sieve sections
+    filter it by their compatible bases.
     """
 
     def __init__(self, lattice: CofactorLattice):
@@ -421,30 +421,22 @@ class _LatticeBoxes:
             if key not in seen:
                 seen.add(key)
                 self.bases.append({m: v for m, v in vec.items() if v})
+        self._tables: dict[int, dict[tuple[int, ...], int]] = {}
 
     def monos_of_degree(self, degree: int) -> list[tuple]:
         return [m for m in self.support if sum(m) == degree]
 
-    def legal_bases(self, max_degree: int) -> int:
-        """Bases whose parts of degree > max_degree can be cancelled to zero."""
-        high = [(m, set(self.box.get(m, (0,))))
-                for m in self.support if sum(m) > max_degree]
-        mask = 0
-        for t, base in enumerate(self.bases):
-            if all(-base.get(m, 0) in offsets for m, offsets in high):
-                mask |= 1 << t
-        return mask
+    def _table(self, degree: int) -> dict[tuple[int, ...], int]:
+        if degree not in self._tables:
+            self._tables[degree] = self._reachable(degree)
+        return self._tables[degree]
 
-    def sections(self, compat: int, degree: int) -> dict[tuple[int, ...], int]:
-        """Distinct degree-`degree` parts reachable from the compatible bases.
-
-        Maps the integer-scaled coefficient tuple (over monos_of_degree) to
-        the bitmask of the bases that can realize it; callers sort the keys.
-        """
+    def _reachable(self, degree: int) -> dict[tuple[int, ...], int]:
+        """Every degree-`degree` part of a candidate -> bitmask of all the
+        bases that can realize it."""
         monos = self.monos_of_degree(degree)
         out: dict[tuple[int, ...], int] = {}
-        for t in _mask_indices(compat):
-            base = self.bases[t]
+        for t, base in enumerate(self.bases):
             key = tuple(base.get(m, 0) for m in monos)
             out[key] = out.get(key, 0) | 1 << t
         # shift one coordinate at a time by its box offsets, merging the
@@ -459,6 +451,23 @@ class _LatticeBoxes:
                     shifted[val] = shifted.get(val, 0) | members
             out = shifted
         return out
+
+    def legal_bases(self, max_degree: int) -> int:
+        """Bases whose parts of degree > max_degree can be cancelled to zero."""
+        mask = (1 << len(self.bases)) - 1
+        for degree in {sum(m) for m in self.support if sum(m) > max_degree}:
+            zero = (0,) * len(self.monos_of_degree(degree))
+            mask &= self._table(degree).get(zero, 0)
+        return mask
+
+    def sections(self, compat: int, degree: int) -> dict[tuple[int, ...], int]:
+        """Distinct degree-`degree` parts reachable from the compatible bases.
+
+        Maps the integer-scaled coefficient tuple (over monos_of_degree) to
+        the bitmask of the bases that can realize it; callers sort the keys.
+        """
+        return {key: mask & compat for key, mask in self._table(degree).items()
+                if mask & compat}
 
     def section_poly(self, variables: Sequence[str], degree: int,
                      value: tuple[int, ...]) -> Poly:

@@ -33,14 +33,6 @@ class VariableMismatchError(ValueError):
     """Raised when two polynomials over different variable sets are combined."""
 
 
-class InexactDivisionError(ArithmeticError):
-    """Raised by :func:`poly_divide_exact` when division leaves a remainder."""
-
-    def __init__(self, remainder: "Poly"):
-        super().__init__(f"division leaves nonzero remainder {remainder}")
-        self.remainder = remainder
-
-
 def grlex_key(mono: Sequence[int]) -> tuple:
     """Sort key realizing the graded-lexicographic order."""
     return (sum(mono), tuple(mono))
@@ -278,18 +270,6 @@ class Poly:
         return Poly(self.variables,
                     {m: c for m, c in self.terms.items() if sum(m) <= degree})
 
-    def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
-        """Exact evaluation at a rational point."""
-        vals = [_as_fraction(point[v]) for v in self.variables]
-        total = Fraction(0)
-        for mono, coeff in self.terms.items():
-            term = coeff
-            for v, e in zip(vals, mono):
-                if e:
-                    term *= v ** e
-            total += term
-        return total
-
     def evaluate_float(self, point: Sequence[float]) -> float:
         total = 0.0
         for mono, coeff in self.terms.items():
@@ -396,14 +376,6 @@ def poly_divmod(num: Poly, den: Poly) -> tuple[Poly, Poly]:
         else:
             remainder[mono] = coeff
     return Poly(num.variables, quotient), Poly(num.variables, remainder)
-
-
-def poly_divide_exact(num: Poly, den: Poly) -> Poly:
-    """Exact quotient; raises :class:`InexactDivisionError` with the remainder."""
-    q, r = poly_divmod(num, den)
-    if not r.is_zero():
-        raise InexactDivisionError(r)
-    return q
 
 
 def divides(den: Poly, num: Poly) -> bool:

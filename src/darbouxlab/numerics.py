@@ -14,9 +14,10 @@ straight-line functions on tuples of Python floats, with no numpy inside the
 step; the Lyapunov estimate runs the Dormand-Prince step on the field
 augmented by its tangent equation.  All arithmetic is sequential float64, so
 runs are bit-reproducible.  One call takes at most MAX_STEPS trial steps (or
-Lyapunov renormalisation intervals); a longer request is a ValueError.  No command runs the numpy closures of
-`compile_rhs`/`compile_jacobian`/`jacobian_at`: the finite-difference
-Jacobian tests and the benchmark trace use them.
+Lyapunov renormalisation intervals); a longer request is a ValueError.  No
+command runs the numpy closures of `compile_rhs`/`compile_jacobian`/
+`jacobian_at`: the finite-difference Jacobian tests and the benchmark trace
+use them.
 """
 
 from __future__ import annotations

@@ -190,10 +190,13 @@ class TestSieveAgainstBruteForce:
                            for m in boxes.support if sum(m) > max_deg))
         assert boxes.legal_bases(max_deg) == legal
         every_other = sum(1 << t for t in range(0, len(boxes.bases), 2))
-        for compat in (legal, legal & every_other):
-            for degree in range(max_deg + 1):
+        # the degrees above max_deg are the tables legal_bases reads
+        degrees = set(range(max_deg + 1)) | {sum(m) for m in boxes.support}
+        for compat in (legal, legal & every_other, 0):
+            for degree in sorted(degrees):
                 assert (boxes.sections(compat, degree)
                         == brute_force_sections(boxes, compat, degree))
+        assert all(boxes.sections(0, degree) == {} for degree in degrees)
         # raw sieve survivors: count and sha256 prefix of the printed list,
         # captured from the set-based sections and Fraction elimination
         survivors = dbx._GradedSieve(X, d, lattice).run()
@@ -260,6 +263,19 @@ class TestSieveAgainstBruteForce:
             direct, sieved = self._both_paths(desk_field, 2, lattice,
                                               sieve_digest)
             assert direct == sieved, f"paths disagree for generators {gens}"
+
+    def test_generators_above_cofactor_degree(self):
+        # degree-2 generators on a quadratic field: only the bases whose
+        # degree-2 part the x^2 and x*y boxes cancel are legal (325 of 625)
+        X = parse_field(RESTRICTED_Z0)
+        gens = (X.coordinate_cofactor("x"), X.coordinate_cofactor("y"),
+                P("1", X.variables), P("x^2", X.variables),
+                P("x*y", X.variables), P("2*x^2 + x", X.variables),
+                P("x^2 - x*y + y", X.variables))
+        lattice = CofactorLattice(gens, 2)
+        direct, sieved = self._both_paths(X, 2, lattice,
+                                          (9, "c728a084de389899"))
+        assert direct == sieved == {("x", "2*x - y + 1"), ("y", "x - 1")}
 
 
 class TestRankScreen:
@@ -384,10 +400,13 @@ class TestKernelFromRank:
 
         solves = _counting(monkeypatch, dbx, "search_darboux_fixed_cofactor")
         sections = _counting(monkeypatch, dbx._LatticeBoxes, "sections")
+        tables = _counting(monkeypatch, dbx._LatticeBoxes, "_reachable")
         certs = search_darboux(reference_field, 4)
         assert sorted(str(c.f) for c in certs) == ["x", "y", "z"]
         assert len(solves) == 0
         assert len(sections) <= 210
+        # one reachable table per degree, however many sections filter it
+        assert len(tables) <= 3
 
 
 class TestExpFactors:
