@@ -8,14 +8,19 @@ rational solutions as its kernel dimension mod p are already known, has those
 as its kernel.  Either way a chance rank drop mod p costs time but never
 correctness.  Everything here is deterministic: no randomness, fixed prime,
 fixed pivot order.
+
+This is the only module that uses numpy, and it imports numpy inside the
+functions that build arrays, so a command that runs no rank screen never
+loads it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 PRIME = 2**31 - 1  # products of two residues stay inside int64
 
@@ -32,8 +37,35 @@ def fraction_to_modp(value: Fraction) -> int:
 
 
 def fraction_rows_to_modp(rows: Sequence[Sequence[Fraction]]) -> np.ndarray:
+    import numpy as np
     return np.array([[fraction_to_modp(x) for x in row] for row in rows],
                     dtype=np.int64)
+
+
+def fraction_stack_to_modp(matrices: Sequence[Sequence[Sequence[Fraction]]],
+                           shape: tuple[int, ...]) -> np.ndarray:
+    """Residues of a stack of `shape` matrices, (len(matrices),) + shape."""
+    import numpy as np
+    stack = np.zeros((len(matrices),) + shape, dtype=np.int64)
+    for k, matrix in enumerate(matrices):
+        stack[k] = fraction_rows_to_modp(matrix)
+    return stack
+
+
+def scaled_rows_to_modp(rows: Sequence[Sequence[int]],
+                        scales: Sequence[int]) -> np.ndarray:
+    """Residues of rows[i][j] / scales[j], one row per entry of rows.
+
+    Each integer is reduced mod p as a Python integer first, so large
+    numerators cannot overflow int64 (two residues multiply below 2^62);
+    raises ModPUnavailableError when p divides a scale.
+    """
+    import numpy as np
+    inverses = np.array([fraction_to_modp(Fraction(1, s)) for s in scales],
+                        dtype=np.int64)
+    reduced = np.array(rows, dtype=object).reshape(
+        len(rows), len(inverses)) % PRIME
+    return reduced.astype(np.int64) * inverses % PRIME
 
 
 def batched_rank(mats: np.ndarray) -> np.ndarray:
@@ -43,6 +75,7 @@ def batched_rank(mats: np.ndarray) -> np.ndarray:
     in [0, p); pivots are chosen as the first eligible nonzero row, so the
     result does not depend on batch order.
     """
+    import numpy as np
     A = np.ascontiguousarray(np.asarray(mats, dtype=np.int64) % PRIME)
     if A.ndim != 3:
         raise ValueError("expected a (N, R, C) stack")
@@ -89,6 +122,7 @@ def batched_combination(base: np.ndarray, directions: np.ndarray,
     base: (R, C); directions: (S, R, C); coefficients: (N, S) residues.
     Returns (N, R, C).
     """
+    import numpy as np
     coefficients = np.asarray(coefficients, dtype=np.int64) % PRIME
     if directions.shape[0] == 0:
         out = np.broadcast_to(base % PRIME,

@@ -135,7 +135,7 @@ def cmd_simulate(X: VectorField, args) -> dict:
              for name, H in integrals]
     if args.emit:
         emit_csv(traj, args.emit, integrals)
-    final = traj.states[-1]
+    final = traj.states[-len(X.variables):]
     return {
         "integrator": traj.metadata,
         "t_final": traj.times[-1],

@@ -39,8 +39,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-import numpy as np
-
 from . import _modp
 from .exactcore import (Poly, RatMatrix, coefficient_matrix, divides,
                         grlex_key, monomials_of_degree, monomials_upto,
@@ -301,7 +299,8 @@ def _unit_directions(variables: Sequence[str], units: Sequence[tuple],
 
 def _ranks(values: Sequence, base: Sequence[Sequence[Fraction]],
            directions: Sequence[Sequence[Sequence[Fraction]]],
-           residues: Callable[[Sequence], np.ndarray]) -> list[int] | None:
+           residues: Callable[[Sequence], Sequence[Sequence[int]]]
+           ) -> list[int] | None:
     """Mod-p rank of each value's matrix; None when p divides a denominator.
 
     The matrix of values[i] is base - sum_k c[i][k] * directions[k] with
@@ -310,9 +309,7 @@ def _ranks(values: Sequence, base: Sequence[Sequence[Fraction]],
     """
     try:
         base_p = _modp.fraction_rows_to_modp(base)
-        dir_stack = np.zeros((len(directions),) + base_p.shape, dtype=np.int64)
-        for k, direction in enumerate(directions):
-            dir_stack[k] = _modp.fraction_rows_to_modp(direction)
+        dir_stack = _modp.fraction_stack_to_modp(directions, base_p.shape)
         coeffs = residues(values)
     except _modp.ModPUnavailableError:
         return None
@@ -325,7 +322,7 @@ def _ranks(values: Sequence, base: Sequence[Sequence[Fraction]],
 
 def _rank_screen(values: Sequence, base: Sequence[Sequence[Fraction]],
                  directions: Sequence[Sequence[Sequence[Fraction]]],
-                 residues: Callable[[Sequence], np.ndarray],
+                 residues: Callable[[Sequence], Sequence[Sequence[int]]],
                  full_rank: int) -> list:
     """The values whose matrix is rank-deficient mod p, in their given order.
 
@@ -349,9 +346,9 @@ def _full_operator(X: VectorField, d: int, candidates: Sequence[Poly]):
     rows = monomials_upto(n, d + max(X.degree - 1, 0))
     support = sorted({m for K in candidates for m in K.terms}, key=grlex_key)
 
-    def residues(Ks: Sequence[Poly]) -> np.ndarray:
-        return np.array([[_modp.fraction_to_modp(K.coefficient(m))
-                          for m in support] for K in Ks], dtype=np.int64)
+    def residues(Ks: Sequence[Poly]) -> Sequence[Sequence[int]]:
+        return _modp.fraction_rows_to_modp(
+            [[K.coefficient(m) for m in support] for K in Ks])
 
     base = coefficient_matrix(list(_monomial_images(X, d).values()), rows)
     return (base, _unit_directions(X.variables, support, basis, rows),
@@ -475,21 +472,12 @@ class _LatticeBoxes:
         return Poly(variables, {m: Fraction(v, self.scale[m])
                                 for m, v in zip(monos, value)})
 
-    def section_residues(self, degree: int,
-                         values: Sequence[tuple[int, ...]]) -> np.ndarray:
-        """Section values as coefficient residues mod p, one row per value.
-
-        Each value is reduced mod p as a Python integer first, so large
-        scaled coefficients cannot overflow int64 (two residues multiply
-        below 2^62); raises ModPUnavailableError when p divides a scale.
-        """
-        p = _modp.PRIME
-        inverses = np.array([_modp.fraction_to_modp(Fraction(1, self.scale[m]))
-                             for m in self.monos_of_degree(degree)],
-                            dtype=np.int64)
-        reduced = np.array(values, dtype=object).reshape(
-            len(values), len(inverses)) % p
-        return reduced.astype(np.int64) * inverses % p
+    def section_residues(self, degree: int, values: Sequence[tuple[int, ...]]
+                         ) -> Sequence[Sequence[int]]:
+        """Section values as coefficient residues mod p, one row per value;
+        raises ModPUnavailableError when p divides a scale."""
+        return _modp.scaled_rows_to_modp(
+            values, [self.scale[m] for m in self.monos_of_degree(degree)])
 
 
 def _matmul(A: Sequence[Sequence[Fraction]],

@@ -10,14 +10,15 @@ embedded Dormand-Prince 5(4) pair with a deterministic PI step controller:
 
 with one tolerance, absolute and relative (1e-10 by default), and initial
 step 1e-3.  Both steps are generated per call by one stage generator as
-straight-line functions on tuples of Python floats, with no numpy inside the
-step; the Lyapunov estimate runs the Dormand-Prince step on the field
-augmented by its tangent equation.  All arithmetic is sequential float64, so
-runs are bit-reproducible.  One call takes at most MAX_STEPS trial steps (or
-Lyapunov renormalisation intervals); a longer request is a ValueError.  No
-command runs the numpy closures of `compile_rhs`/`compile_jacobian`/
-`jacobian_at`: the finite-difference Jacobian tests and the benchmark trace
-use them.
+straight-line functions on tuples of Python floats; the Lyapunov estimate
+runs the Dormand-Prince step on the field augmented by its tangent equation.
+Every norm, of the step error and of the Lyapunov tangent, is the sqrt of
+its squares summed left to right.  All arithmetic is sequential float64 on
+Python floats, with no BLAS call, so runs are bit-reproducible.  One call
+takes at most MAX_STEPS trial steps (or Lyapunov renormalisation intervals);
+a longer request is a ValueError.  No command runs the closures of
+`compile_rhs`/`compile_jacobian`: the finite-difference Jacobian tests and
+the benchmark trace use them.
 """
 
 from __future__ import annotations
@@ -27,9 +28,7 @@ from array import array
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import Callable, Iterator, Sequence
 
 from .darboux import EvalDomainError
 from .exactcore import Poly
@@ -55,13 +54,17 @@ class NonFiniteStateError(RuntimeError):
 
 @dataclass
 class Trajectory:
-    times: np.ndarray            # strictly increasing, shape (n_points,)
-    states: np.ndarray           # shape (n_points, dim)
+    times: array                 # strictly increasing, n_points floats
+    states: array                # row-major, n_points * dim floats
     variables: tuple[str, ...]
     metadata: dict = dc_field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.times)
+
+    def rows(self) -> Iterator[tuple[float, ...]]:
+        """The states, one tuple of dim floats per point."""
+        return zip(*[iter(self.states)] * len(self.variables))
 
 
 @dataclass(frozen=True)
@@ -126,7 +129,7 @@ def _field_sources(X: VectorField) -> list[str]:
     return [_poly_source(comp) for comp in X.components]
 
 
-def compile_rhs(X: VectorField) -> Callable[[float, np.ndarray, np.ndarray], np.ndarray]:
+def compile_rhs(X: VectorField) -> Callable:
     """Compile the field into rhs(t, state, out) -> out, pure float64."""
     return _compile(f"def _rhs(t, s, out):\n    {_row('v', len(X.variables))} = s\n"
                     f"    out[:] = ({', '.join(_field_sources(X))},)\n"
@@ -137,17 +140,13 @@ def jacobian_polys(X: VectorField) -> list[list[Poly]]:
     return [[comp.diff(v) for v in X.variables] for comp in X.components]
 
 
-def compile_jacobian(X: VectorField) -> Callable[[float, np.ndarray, np.ndarray], np.ndarray]:
-    """Compile the analytic Jacobian into jac(t, state, out) -> out (n x n)."""
+def compile_jacobian(X: VectorField) -> Callable:
+    """Compile the analytic Jacobian into jac(t, state, out) -> out, where
+    out is an n x n array whose `flat` view takes the entries row by row."""
     entries = [_poly_source(e) for row in jacobian_polys(X) for e in row]
     return _compile(f"def _jac(t, s, out):\n    {_row('v', len(X.variables))} = s\n"
                     f"    out.flat[:] = ({', '.join(entries)},)\n"
                     "    return out")["_jac"]
-
-
-def jacobian_at(X: VectorField, state: Sequence[float]) -> np.ndarray:
-    out = np.empty((len(X.variables), len(X.variables)), dtype=float)
-    return compile_jacobian(X)(0.0, np.asarray(state, dtype=float), out)
 
 
 def _tangent_sources(X: VectorField) -> list[str]:
@@ -229,9 +228,9 @@ def _dp_source(sources: Sequence[str], tol: float) -> str:
     """Source of `_f(y) -> k` and `_trial(dt, y, k1) -> (err, y_new, k7)`.
 
     States and stages are tuples of floats.  The error norm sums its squares
-    in component order (numpy's sum is sequential below 8 elements).  `tol`
-    is both the absolute and the relative tolerance.  A trial state that is
-    not finite returns err = inf.
+    in component order, as the Lyapunov tangent norm does.  `tol` is both the
+    absolute and the relative tolerance.  A trial state that is not finite
+    returns err = inf.
     """
     n = len(sources)
     lines = ["def _f(y):",
@@ -377,8 +376,7 @@ def simulate(X: VectorField, x0: Sequence[float], t_end: float,
             on_accept(t, y)
         meta = {"method": "rk4", "dt": dt, "n_accepted": len(times) - 1,
                 "n_rejected": 0}
-    return Trajectory(np.array(times), np.array(states).reshape(-1, dim),
-                      X.variables, meta)
+    return Trajectory(times, states, X.variables, meta)
 
 
 # -- conserved-quantity drift -------------------------------------------------
@@ -424,10 +422,10 @@ def conservation_drift(traj: Trajectory, H, name: str | None = None) -> DriftRep
             raise EvalDomainError(f"{ident} non-finite along the trajectory")
         return value
 
-    states = traj.states.tolist()
-    h0 = finite_value(states[0])
+    rows = traj.rows()
+    h0 = finite_value(next(rows))
     max_abs = 0.0
-    for state in states[1:]:
+    for state in rows:
         max_abs = max(max_abs, abs(finite_value(state) - h0))
     relative = max_abs / abs(h0) if h0 != 0.0 else max_abs
     return DriftReport(ident, h0, max_abs, relative)
@@ -463,7 +461,10 @@ def lyapunov_max(X: VectorField, x0: Sequence[float], t_end: float,
     t = 0.0
     for i in range(1, n_intervals + 1):
         t, y = stepper.advance(t, y, i * renorm_dt)
-        norm = float(np.linalg.norm(y[dim:]))
+        squares = 0.0
+        for w in y[dim:]:
+            squares += w * w
+        norm = math.sqrt(squares)
         if norm == 0.0 or not math.isfinite(norm):
             raise NonFiniteStateError(t)
         log_sum += math.log(norm)
@@ -481,7 +482,7 @@ def emit_csv(traj: Trajectory, path: str | Path,
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         header = ["t", *traj.variables, *(name for name, _ in evaluators)]
         fh.write(",".join(header) + "\n")
-        for t, state in zip(traj.times.tolist(), traj.states.tolist()):
+        for t, state in zip(traj.times, traj.rows()):
             row = [f"{t:.17g}"]
             row.extend(f"{v:.17g}" for v in state)
             row.extend(f"{ev(state):.17g}" for _, ev in evaluators)

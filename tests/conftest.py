@@ -3,11 +3,13 @@ from __future__ import annotations
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from darbouxlab.exactcore import Poly
 from darbouxlab.field import load_field, parse_field
+from darbouxlab.numerics import compile_jacobian
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -29,6 +31,17 @@ dz/dt = z*(-b + a*x^2)
 
 def make_lv3(a, b, c):
     return parse_field(LV3_TEMPLATE.format(a=a, b=b, c=c))
+
+
+def jacobian_at(X, state):
+    """The analytic Jacobian of X at state, an (n, n) float64 array."""
+    out = np.empty((len(X.variables), len(X.variables)), dtype=float)
+    return compile_jacobian(X)(0.0, np.asarray(state, dtype=float), out)
+
+
+def state_rows(traj):
+    """The trajectory's states as an (n_points, dim) array."""
+    return np.asarray(traj.states).reshape(-1, len(traj.variables))
 
 
 @pytest.fixture(scope="session")

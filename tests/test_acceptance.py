@@ -19,11 +19,11 @@ from darbouxlab.darboux import (assemble_darboux_integrals, default_lattice,
                                 verify_exp_factor)
 from darbouxlab.exactcore import Poly, RatMatrix, parse_poly, poly_divmod
 from darbouxlab.field import lie_derivative, load_field, parse_field
-from darbouxlab.numerics import (compile_rhs, conservation_drift, jacobian_at,
-                                 lyapunov_max, simulate)
+from darbouxlab.numerics import (compile_rhs, conservation_drift, lyapunov_max,
+                                 simulate)
 from darbouxlab.series import formal_integral_space, promote_parameter
 
-from conftest import corpus_path, make_lv3, LV3_TEMPLATE
+from conftest import corpus_path, jacobian_at, make_lv3, LV3_TEMPLATE
 
 
 def report(number, ok, detail):

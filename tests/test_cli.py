@@ -178,6 +178,35 @@ def test_module_entry_point():
     assert "darbouxlab" in proc.stdout
 
 
+# Runs cli.main in a fresh interpreter; prints its exit code, whether
+# importing the CLI loaded the mod-p layer, and whether numpy got loaded.
+_MODULES_AFTER_MAIN = """
+import contextlib, io, sys
+import darbouxlab.cli
+modp = "darbouxlab._modp" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    code = darbouxlab.cli.main(sys.argv[1:])
+print(code, modp, "numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("args, numpy_loaded", [
+    (["simulate", "corpus/lv3_a0_b0_c0.vf", "--x0", "0.5,0.5,1.0",
+      "--t-end", "1", "--observe", "z"], False),
+    (["lyapunov", "corpus/samardzija_greller.vf", "--x0", "0.5,1.0,2.0",
+      "--t-end", "2", "--renorm-dt", "0.5"], False),
+    (["formal", "corpus/restricted_z0_c2.vf", "--order", "4"], False),
+    (["expfactors", "corpus/lv3_a0_b0_c2.vf"], False),
+    (["darboux", "corpus/restricted_y0_a0.vf", "--degree", "2"], True),
+])
+def test_numpy_loaded_only_by_rank_screens(args, numpy_loaded):
+    proc = subprocess.run([sys.executable, "-c", _MODULES_AFTER_MAIN, *args],
+                          capture_output=True, text=True, cwd=REPO,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "True", str(numpy_loaded)]
+
+
 def test_analyze_shares_integrals_pass():
     # analyze derives certificates and the obstruction from the same single
     # pass that integrals runs

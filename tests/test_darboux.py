@@ -2,8 +2,10 @@
 
 import hashlib
 import itertools
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -37,6 +39,44 @@ dy/dt = y*(-1 + x)
 
 def P(text, variables=("x", "y", "z")):
     return parse_poly(text, variables)
+
+
+def lattice_key(lattice):
+    """An injective integer key on the points of the lattice.
+
+    A point's coefficients, scaled to integers, are read as digits of a
+    mixed radix wide enough for every point, so the key is linear: the key
+    of sum n_i g_i is sum n_i key(g_i).  Keying a polynomial outside that
+    range fails.
+    """
+    gens = lattice.generators
+    scale = math.lcm(*(c.denominator for g in gens for c in g.terms.values()))
+    weights, reach, weight = {}, {}, 1
+    for m in sorted({m for g in gens for m in g.terms}):
+        reach[m] = lattice.bound * sum(
+            int(abs(g.coefficient(m)) * scale) for g in gens)
+        weights[m] = weight
+        weight *= 2 * reach[m] + 1
+    assert weight < 2**62
+
+    def key(K):
+        total = 0
+        for m, c in K.terms.items():
+            digit = c * scale
+            assert digit.denominator == 1 and abs(digit) <= reach[m]
+            total += int(digit) * weights[m]
+        return total
+    return key
+
+
+def lattice_point_keys(lattice, key):
+    """Keys of all (2B+1)^n combinations sum n_i g_i, |n_i| <= B, in one
+    int64 array built by numpy outer sums."""
+    steps = np.arange(-lattice.bound, lattice.bound + 1, dtype=np.int64)
+    keys = np.zeros(1, dtype=np.int64)
+    for g in lattice.generators:
+        keys = (keys[:, None] + steps * key(g)).ravel()
+    return keys
 
 
 class TestVerify:
@@ -106,9 +146,19 @@ class TestEnumerate:
         assert got == {"0", "-3", "3", "-2*x", "2*x",
                        "-2*x - 3", "-2*x + 3", "2*x - 3", "2*x + 3"}
 
+    def test_point_keys_match_enumerate_at_b1(self, desk_field):
+        lattice = CofactorLattice(default_lattice(desk_field, 2).generators, 1)
+        key = lattice_key(lattice)
+        keys = lattice_point_keys(lattice, key)
+        assert keys.size == 3 ** len(lattice.generators)
+        assert set(np.unique(keys).tolist()) == {
+            key(K) for K in enumerate_cofactors(desk_field, lattice)}
+
     def test_default_lattice_b2_contains_structural_combinations(self, desk_field):
         lattice = default_lattice(desk_field, 2)
-        cands = set(enumerate_cofactors(desk_field, lattice))
+        key = lattice_key(lattice)
+        keys = lattice_point_keys(lattice, key)
+        assert keys.size == 5 ** len(lattice.generators) == 5 ** 9
         expected = [
             desk_field.coordinate_cofactor("x"),
             desk_field.coordinate_cofactor("y"),
@@ -117,7 +167,7 @@ class TestEnumerate:
             Poly.zero(desk_field.variables),
         ]
         for K in expected:
-            assert K in cands
+            assert (keys == key(K)).any()
 
     def test_canonical_order(self, desk_field):
         lattice = CofactorLattice((P("x"), P("1")), 1)
@@ -291,7 +341,6 @@ class TestRankScreen:
 
     def test_rejects_only_full_rank(self):
         import darbouxlab.darboux as dbx
-        import numpy as np
 
         # base - c * direction = diag(1 - c, 1): singular only at c = 1
         base = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
