@@ -15,8 +15,15 @@ nonzero solution; the survivors then pass one rank screen on the full
 operator.  The sections a sieve node screens are filtered from one table per
 degree of every reachable layer value, built once per lattice.  All three
 rank screens (the sieve's top level, its lower levels and the full operator)
-go through `_rank_screen`, which rejects only on full rank modulo a prime,
-which is sound, and keeps every value when the prime divides a denominator.
+rank residue arrays with `_ranks`, and reject only on full rank modulo a
+prime, which is sound; each keeps every value when the prime divides a
+denominator.  The sieve levels only reject, through `_rank_screen`, which
+first ranks their tall matrices M compressed to G*M, for a fixed G with two
+more rows than M has columns: rank(G*M) <= rank(M), so full rank there
+proves the rejection, and only the few values it leaves open are ranked on
+M.  The full operator's ranks stay uncompressed, since they also bound
+kernel dimensions.  The lower levels project onto a rational cokernel P and
+form P*M mod p from the residues of P and M.
 The kernel of each candidate K is computed once per command, and the
 certificates and the rational obstruction are both read off those kernels.
 Where K's known monomial solutions x^e (X(x^e) = K*x^e) are as many as the
@@ -37,13 +44,16 @@ import math
 import types
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 from . import _modp
 from .exactcore import (Poly, RatMatrix, coefficient_matrix, divides,
                         grlex_key, monomials_of_degree, monomials_upto,
                         normalize_kernel_vector, poly_divmod)
 from .field import VectorField, lie_derivative
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _ZERO = Fraction(0)
 _MATERIALIZE_LIMIT = 5_000_000
@@ -297,70 +307,69 @@ def _unit_directions(variables: Sequence[str], units: Sequence[tuple],
         for u in units]
 
 
-def _ranks(values: Sequence, base: Sequence[Sequence[Fraction]],
-           directions: Sequence[Sequence[Sequence[Fraction]]],
-           residues: Callable[[Sequence], Sequence[Sequence[int]]]
-           ) -> list[int] | None:
-    """Mod-p rank of each value's matrix; None when p divides a denominator.
+def _ranks(base: np.ndarray, directions: np.ndarray,
+           coefficients: np.ndarray) -> list[int]:
+    """Mod-p rank of base - sum_k coefficients[i][k] * directions[k] for
+    each row i of coefficients, in `_PRESCREEN_CHUNK` batches.
 
-    The matrix of values[i] is base - sum_k c[i][k] * directions[k] with
-    c = residues(values), an (N, len(directions)) array of residues mod p.
-    Its rank mod p bounds the rank over Q from below.
+    base is an (R, C) and directions an (S, R, C) array of residues mod p.
+    Each rank bounds the rank over Q of the rational matrix from below.
     """
-    try:
-        base_p = _modp.fraction_rows_to_modp(base)
-        dir_stack = _modp.fraction_stack_to_modp(directions, base_p.shape)
-        coeffs = residues(values)
-    except _modp.ModPUnavailableError:
-        return None
     ranks: list[int] = []
-    for start in range(0, len(values), _PRESCREEN_CHUNK):
+    for start in range(0, len(coefficients), _PRESCREEN_CHUNK):
         ranks.extend(_modp.batched_rank(_modp.batched_combination(
-            base_p, dir_stack, coeffs[start:start + _PRESCREEN_CHUNK])).tolist())
+            base, directions,
+            coefficients[start:start + _PRESCREEN_CHUNK])).tolist())
     return ranks
 
 
-def _rank_screen(values: Sequence, base: Sequence[Sequence[Fraction]],
-                 directions: Sequence[Sequence[Sequence[Fraction]]],
-                 residues: Callable[[Sequence], Sequence[Sequence[int]]],
-                 full_rank: int) -> list:
+def _rank_screen(values: Sequence, base: np.ndarray, directions: np.ndarray,
+                 residues: Callable[[Sequence], np.ndarray]) -> list:
     """The values whose matrix is rank-deficient mod p, in their given order.
 
-    A value is rejected only when its matrix (see `_ranks`) has rank
-    full_rank mod p, which proves its rational kernel trivial.  When p
-    divides a denominator nothing is proved, and every value is kept.
+    The matrix of values[i] is base - sum_k c[i][k] * directions[k] (residue
+    arrays, see `_ranks`) with c = residues(values).  A value is rejected
+    only when its matrix has full column rank mod p, which proves its
+    rational kernel trivial.  When p divides a denominator nothing is
+    proved, and every value is kept.  Tall matrices are first ranked
+    compressed to G*M (`_modp.compressor`): full rank there proves full rank
+    of M, and only the other values are ranked on M itself.
     """
     if not values:
         return []
-    ranks = _ranks(values, base, directions, residues)
-    if ranks is None:
+    try:
+        coeffs = residues(values)
+    except _modp.ModPUnavailableError:
         return list(values)
+    full_rank = base.shape[1]
+    G = _modp.compressor(*base.shape)
+    if G is not None:
+        ranks = _ranks(_modp.matmul(G, base), _modp.matmul(G, directions),
+                       coeffs)
+        undecided = [i for i, rank in enumerate(ranks) if rank < full_rank]
+        values = [values[i] for i in undecided]
+        coeffs = coeffs[undecided]
+    ranks = _ranks(base, directions, coeffs)
     return [v for v, rank in zip(values, ranks) if rank < full_rank]
 
 
 def _full_operator(X: VectorField, d: int, candidates: Sequence[Poly]):
     """`_ranks` arguments for the matrices X(m) - K*m over the monomials m of
-    degree <= d, one per candidate K, and their column count."""
+    degree <= d, one per candidate K: residue arrays of the base X(m), of
+    one direction per monomial of the candidates' support, and of the
+    candidates' coefficients; raises ModPUnavailableError when p divides a
+    denominator."""
     n = len(X.variables)
     basis = _monomial_basis(X, monomials_upto(n, d))
     rows = monomials_upto(n, d + max(X.degree - 1, 0))
     support = sorted({m for K in candidates for m in K.terms}, key=grlex_key)
-
-    def residues(Ks: Sequence[Poly]) -> Sequence[Sequence[int]]:
-        return _modp.fraction_rows_to_modp(
-            [[K.coefficient(m) for m in support] for K in Ks])
-
-    base = coefficient_matrix(list(_monomial_images(X, d).values()), rows)
-    return (base, _unit_directions(X.variables, support, basis, rows),
-            residues, len(basis))
-
-
-def _full_operator_screen(X: VectorField, d: int,
-                          candidates: list[Poly]) -> list[Poly]:
-    """Keep candidates whose operator matrix is rank-deficient (mod-p screen)."""
-    if not candidates:
-        return []
-    return _rank_screen(candidates, *_full_operator(X, d, candidates))
+    base = _modp.fraction_rows_to_modp(
+        coefficient_matrix(list(_monomial_images(X, d).values()), rows))
+    directions = _modp.fraction_stack_to_modp(
+        _unit_directions(X.variables, support, basis, rows), base.shape)
+    coefficients = _modp.fraction_rows_to_modp(
+        [[K.coefficient(m) for m in support] for K in candidates])
+    return base, directions, coefficients
 
 
 # ---- graded sieve ------------------------------------------------------------
@@ -480,23 +489,6 @@ class _LatticeBoxes:
             values, [self.scale[m] for m in self.monos_of_degree(degree)])
 
 
-def _matmul(A: Sequence[Sequence[Fraction]],
-            B: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    cols_b = len(B[0]) if B else 0
-    out = []
-    for row in A:
-        acc = [_ZERO] * cols_b
-        for k, a in enumerate(row):
-            if a == 0:
-                continue
-            brow = B[k]
-            for j in range(cols_b):
-                if brow[j] != 0:
-                    acc[j] += a * brow[j]
-        out.append(acc)
-    return out
-
-
 class _GradedSieve:
     """Layer-by-layer elimination of cofactor candidates for one field.
 
@@ -547,13 +539,16 @@ class _GradedSieve:
         for n in range(1, self.d + 1):
             cols = monomials_of_degree(self.nv, n)
             rows = monomials_of_degree(self.nv, n + top_deg)
-            screened = _rank_screen(
-                values,
-                coefficient_matrix(self._images(Poly.zero(variables), cols),
-                                   rows),
-                _unit_directions(variables, units,
-                                 _monomial_basis(self.X, cols), rows),
-                residues, len(cols))
+            try:
+                base = _modp.fraction_rows_to_modp(coefficient_matrix(
+                    self._images(Poly.zero(variables), cols), rows))
+                directions = _modp.fraction_stack_to_modp(_unit_directions(
+                    variables, units, _monomial_basis(self.X, cols), rows),
+                    base.shape)
+            except _modp.ModPUnavailableError:
+                screened = values
+            else:
+                screened = _rank_screen(values, base, directions, residues)
             for val in screened:
                 if val not in taus:
                     taus[val] = self.boxes.section_poly(variables, top_deg, val)
@@ -601,12 +596,23 @@ class _GradedSieve:
             # this level constrains nothing and every section value descends
             kept = values
             if P:
-                fixed = coefficient_matrix(
-                    [_operator_image(Xw, K, w) for w, Xw in W], rows)
-                theta_dirs = [_matmul(P, D) for D in _unit_directions(
-                    variables, units, [w for w, _ in W], rows)]
-                kept = _rank_screen(values, _matmul(P, fixed), theta_dirs,
-                                    residues, len(W))
+                # project onto the cokernel mod p: reduction mod p is a ring
+                # homomorphism on these rationals, so P*fixed mod p is the
+                # residue of the rational product
+                try:
+                    P_p = _modp.fraction_rows_to_modp(P)
+                    fixed = _modp.fraction_rows_to_modp(coefficient_matrix(
+                        [_operator_image(Xw, K, w) for w, Xw in W], rows))
+                    directions = _modp.fraction_stack_to_modp(
+                        _unit_directions(variables, units,
+                                         [w for w, _ in W], rows),
+                        fixed.shape)
+                except _modp.ModPUnavailableError:
+                    pass
+                else:
+                    kept = _rank_screen(values, _modp.matmul(P_p, fixed),
+                                        _modp.matmul(P_p, directions),
+                                        residues)
             for val in kept:
                 alive.setdefault(val, []).append((n, W))
 
@@ -642,10 +648,12 @@ def _candidate_cofactors(X: VectorField, d: int,
     sieved = [K for K in _GradedSieve(X, d, lattice).run()
               if K not in priority]
     values = priority + sieved
-    *system, full_rank = _full_operator(X, d, values)
-    ranks = _ranks(values, *system)
-    if ranks is None:
+    try:
+        base, directions, coefficients = _full_operator(X, d, values)
+        ranks = _ranks(base, directions, coefficients)
+    except _modp.ModPUnavailableError:
         return _Candidates(values, {})
+    full_rank = base.shape[1]
     survivors = [K for K, rank in zip(sieved, ranks[len(priority):])
                  if rank < full_rank]
     return _Candidates(priority + survivors,

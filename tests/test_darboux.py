@@ -16,7 +16,9 @@ from darbouxlab.darboux import (CofactorLattice, NotDarbouxError,
                                 search_darboux_fixed_cofactor,
                                 search_exp_factors, verify_darboux,
                                 verify_exp_factor)
-from darbouxlab.exactcore import Poly, RatMatrix, grlex_key, parse_poly
+from darbouxlab import _modp
+from darbouxlab.exactcore import (Poly, RatMatrix, coefficient_matrix,
+                                  monomials_upto, parse_poly)
 from darbouxlab.field import lie_derivative, load_field, parse_field
 
 from conftest import CORPUS, make_lv3, nonzero_polys
@@ -227,6 +229,31 @@ def brute_force_sections(boxes, compat, degree):
     return out
 
 
+def full_operator_screen(X, d, candidates):
+    """The candidates K whose matrix X(m) - K*m over the monomials m of
+    degree <= d is rank-deficient mod p, each matrix ranked on its own rows:
+    the brute-force reference of the full-operator screen."""
+    n = len(X.variables)
+    basis = [Poly.from_monomial(X.variables, m) for m in monomials_upto(n, d)]
+    rows = monomials_upto(n, d + max(X.degree - 1, 0))
+    support = sorted({m for K in candidates for m in K.terms})
+    base = _modp.fraction_rows_to_modp(
+        coefficient_matrix([lie_derivative(X, b) for b in basis], rows))
+    directions = _modp.fraction_stack_to_modp(
+        [coefficient_matrix([Poly.from_monomial(X.variables, u) * b
+                             for b in basis], rows) for u in support],
+        base.shape)
+    kept = []
+    for start in range(0, len(candidates), 4096):
+        chunk = candidates[start:start + 4096]
+        coeffs = _modp.fraction_rows_to_modp(
+            [[K.coefficient(u) for u in support] for K in chunk])
+        ranks = _modp.batched_rank(
+            _modp.batched_combination(base, directions, coeffs))
+        kept += [K for K, rank in zip(chunk, ranks) if rank < len(basis)]
+    return kept
+
+
 class TestSieveAgainstBruteForce:
     """The screened candidates must equal the brute-force reference list."""
 
@@ -258,7 +285,7 @@ class TestSieveAgainstBruteForce:
         priority = [Poly.zero(X.variables)] + [
             X.coordinate_cofactor(v) for v in X.variables if X.is_kolmogorov(v)]
         oracle = list(dict.fromkeys(
-            priority + dbx._full_operator_screen(X, d, brute)))
+            priority + full_operator_screen(X, d, brute)))
         assert dbx._candidate_cofactors(X, d, lattice) == oracle
 
         exact = [(K, search_darboux_fixed_cofactor(X, K, d)) for K in oracle]
@@ -329,7 +356,7 @@ class TestSieveAgainstBruteForce:
 
 
 class TestRankScreen:
-    """The one mod-p screen behind the sieve levels and the full operator."""
+    """The one mod-p screen behind the sieve levels."""
 
     def test_empty_values(self):
         import darbouxlab.darboux as dbx
@@ -337,17 +364,18 @@ class TestRankScreen:
         def residues(values):
             raise AssertionError("no residues are needed for no values")
 
-        assert dbx._rank_screen([], [[Fraction(1)]], [], residues, 1) == []
+        one = np.ones((1, 1), dtype=np.int64)
+        assert dbx._rank_screen([], one, one[None], residues) == []
 
     def test_rejects_only_full_rank(self):
         import darbouxlab.darboux as dbx
 
         # base - c * direction = diag(1 - c, 1): singular only at c = 1
-        base = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
-        direction = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(0)]]
+        base = np.array([[1, 0], [0, 1]], dtype=np.int64)
+        direction = np.array([[1, 0], [0, 0]], dtype=np.int64)
         kept = dbx._rank_screen(
-            [3, 1, 0, 2], base, [direction],
-            lambda values: np.array([[v] for v in values], dtype=np.int64), 2)
+            [3, 1, 0, 2], base, direction[None],
+            lambda values: np.array([[v] for v in values], dtype=np.int64))
         assert kept == [1]
 
     def test_unavailable_prime_keeps_every_value(self):
@@ -358,9 +386,81 @@ class TestRankScreen:
             raise ModPUnavailableError("denominator divisible by the prime")
 
         values = [(2,), (0,), (1,)]
-        assert dbx._rank_screen(values, [[Fraction(1)]], [[[Fraction(1)]]],
-                                residues, 1) == values
+        one = np.ones((1, 1), dtype=np.int64)
+        assert dbx._rank_screen(values, one, one[None], residues) == values
 
+    def test_unavailable_prime_in_lower_level_keeps_every_value(self):
+        # p divides the z coefficient b, which reaches the sieve's lower
+        # levels (the residues of X(w) - K*w) and the full operator, but not
+        # the top level: nothing is proved there, so every sieve survivor is
+        # a candidate, without a kernel bound, and the exact solves still
+        # find the certificates
+        import darbouxlab.darboux as dbx
+
+        X = parse_field(RESTRICTED_Y0_A0.replace(
+            "param b = 3", f"param b = 3/{_modp.PRIME}"))
+        lattice = default_lattice(X, 2)
+        candidates = dbx._candidate_cofactors(X, 2, lattice)
+        priority = [Poly.zero(X.variables), X.coordinate_cofactor("x"),
+                    X.coordinate_cofactor("z")]
+        sieved = dbx._GradedSieve(X, 2, lattice).run()
+        assert candidates == priority + [K for K in sieved
+                                         if K not in priority]
+        assert candidates.kernel_dims == {}
+        assert {str(c.f) for c in search_darboux(X, 2, lattice)} == {
+            "x", "z", "x + 1/2"}
+
+    @pytest.mark.parametrize("shape", [(12, 3, 2), (9, 2, 3), (20, 1, 1),
+                                       (8, 5, 4)])
+    def test_compressed_screen_keeps_what_full_ranks_keep(self, shape):
+        import random
+
+        import darbouxlab.darboux as dbx
+
+        R, C, S = shape
+        p = _modp.PRIME
+        rng = random.Random(R * 100 + C * 10 + S)
+        G = _modp.compressor(R, C)
+        assert G is not None and G.shape == (C + 2, R)
+        # integer kernel vectors of G: columns in ker G give a matrix of
+        # full rank whose compressed rank is 0
+        G_int = [[(a + 2) ** r for r in range(R)] for a in range(C + 2)]
+        ker = [[int(x * math.lcm(*(y.denominator for y in v))) for x in v]
+               for v in RatMatrix(G_int).nullspace()]
+
+        def planted(rank):
+            # an (R, C) product of rank <= `rank`
+            U = np.array([rng.randint(-3, 3) for _ in range(R * rank)],
+                         dtype=np.int64).reshape(R, rank)
+            V = np.array([rng.randint(-3, 3) for _ in range(rank * C)],
+                         dtype=np.int64).reshape(rank, C)
+            return (U @ V) % p
+
+        deficient = planted(C - 1)
+        hidden = np.array([[ker[j % len(ker)][r] for j in range(C)]
+                           for r in range(R)], dtype=object) % p
+        hidden = hidden.astype(np.int64)
+        # base - c.directions is `deficient` at c = (1, ..., 1) and `hidden`
+        # at c = (2, ..., 2): the directions sum to deficient - hidden
+        directions = np.array([[[rng.randrange(p) for _ in range(C)]
+                                for _ in range(R)] for _ in range(S)],
+                              dtype=np.int64)
+        directions[0] = (deficient - hidden - directions[1:].sum(axis=0)) % p
+        base = (2 * deficient - hidden) % p
+        values = [(v,) * S for v in (1, 2)] + [
+            tuple(rng.randint(-5, 5) for _ in range(S)) for _ in range(40)]
+        rng.shuffle(values)
+
+        def residues(vals):
+            return np.array(vals, dtype=np.int64) % p
+
+        ranks = _modp.batched_rank(
+            _modp.batched_combination(base, directions, residues(values)))
+        expected = [v for v, rank in zip(values, ranks) if rank < C]
+        assert dbx._rank_screen(values, base, directions, residues) == expected
+        assert (1,) * S in expected
+        # a full-rank matrix that G compresses to zero is still rejected
+        assert ((2,) * S in expected) == (len(ker) < C)
     @pytest.mark.parametrize("chunk", [1, 2])
     def test_chunked_screens_agree(self, monkeypatch, desk_field, chunk):
         import darbouxlab.darboux as dbx

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from darbouxlab import _modp
 from darbouxlab.exactcore import RatMatrix
@@ -39,3 +40,92 @@ def test_linear_combination_stack():
     coeffs = np.array([[0], [1]], dtype=np.int64)
     stack = _modp.batched_combination(base, direction[None], coeffs)
     assert list(_modp.batched_rank(stack)) == [2, 1]
+
+
+def _ranks_agree(matrices):
+    """batched_rank of one same-shape stack against exact rational ranks."""
+    stack = np.array(matrices, dtype=object) % _modp.PRIME
+    ranks = _modp.batched_rank(stack.astype(np.int64))
+    exact = [RatMatrix([[Fraction(int(x)) for x in row] for row in m]).rank()
+             for m in matrices]
+    assert ranks.tolist() == exact
+
+
+@pytest.mark.parametrize("shape", [(2, 5), (3, 7), (5, 2), (11, 3), (20, 1),
+                                   (6, 1), (1, 6), (1, 1), (4, 4)])
+def test_batched_rank_rectangular_stacks(shape):
+    R, C = shape
+    rng = random.Random(R * 31 + C)
+    p1 = _modp.PRIME - 1
+
+    def product(rank):
+        U = [[rng.randint(-4, 4) for _ in range(rank)] for _ in range(R)]
+        V = [[rng.randint(-4, 4) for _ in range(C)] for _ in range(rank)]
+        return [[sum(row[t] * V[t][j] for t in range(rank)) for j in range(C)]
+                for row in U]
+
+    mats = [[[0] * C for _ in range(R)],
+            [[p1] * C for _ in range(R)],
+            [[rng.choice((0, p1)) for _ in range(C)] for _ in range(R)]]
+    mats += [product(rank) for rank in range(min(R, C) + 1) for _ in range(3)]
+    mats += [[[rng.randint(-3, 3) for _ in range(C)] for _ in range(R)]
+             for _ in range(6)]
+    # a zero leading vector on the short side: its step must change nothing
+    for m in [product(min(R, C)) for _ in range(4)]:
+        if C <= R:
+            for row in m:
+                row[0] = 0
+        else:
+            m[0] = [0] * C
+        mats.append(m)
+    _ranks_agree(mats)
+
+
+def test_batched_rank_zero_vector_between_pivots():
+    # the middle column is zero in some matrices and a combination of the
+    # first in others; the third column is independent in all of them
+    mats = [[[1, 0, 0], [0, 0, 1], [2, 0, 3], [0, 0, 0]],
+            [[1, 2, 0], [0, 0, 1], [2, 4, 3], [0, 0, 0]],
+            [[0, 0, 0], [0, 0, 0], [0, 0, 0], [5, 0, 0]],
+            [[3, 0, 0], [1, 0, 0], [0, 0, 0], [0, 0, 0]]]
+    _ranks_agree(mats)
+
+
+def test_matmul_matches_python_ints():
+    p1 = _modp.PRIME - 1
+    rng = random.Random(7)
+    inner = 301
+    A = np.full((3, inner), p1, dtype=np.int64)
+    A[2] = [rng.randrange(_modp.PRIME) for _ in range(inner)]
+    B = np.full((2, inner, 4), p1, dtype=np.int64)
+    B[1] = [[rng.randrange(_modp.PRIME) for _ in range(4)]
+            for _ in range(inner)]
+    got = _modp.matmul(A, B)
+    assert got.shape == (2, 3, 4)
+    for s in range(2):
+        for i in range(3):
+            for j in range(4):
+                want = sum(int(A[i, k]) * int(B[s, k, j])
+                           for k in range(inner)) % _modp.PRIME
+                assert int(got[s, i, j]) == want
+
+
+def test_compressor_is_a_fixed_vandermonde_matrix():
+    assert _modp.compressor(5, 3) is None
+    G = _modp.compressor(9, 3)
+    assert G.tolist() == [[pow(a, r, _modp.PRIME) for r in range(9)]
+                          for a in range(2, 7)]
+
+
+def test_residue_conversion_fast_paths():
+    p = _modp.PRIME
+    assert _modp.fraction_to_modp(Fraction(-3)) == p - 3
+    assert _modp.fraction_to_modp(Fraction(10**30)) == 10**30 % p
+    big = [(10**30, -7), (3, 2 * p)]
+    got = _modp.scaled_rows_to_modp(big, [1, 3])
+    inv3 = pow(3, p - 2, p)
+    assert got.tolist() == [[10**30 % p, -7 * inv3 % p], [3, 2 * p * inv3 % p]]
+    small = _modp.scaled_rows_to_modp([(4, -9)], [1, 3])
+    assert small.tolist() == [[4, p - 3]]
+    with pytest.raises(_modp.ModPUnavailableError):
+        _modp.scaled_rows_to_modp([(1,)], [p])
