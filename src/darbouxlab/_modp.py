@@ -15,7 +15,13 @@ shorter dimension and clears each one's pivot entry from the vectors after
 it.  A reject-only screen may first rank the compressed matrices G*M, for a
 fixed matrix G with fewer rows than M: rank(G*M) <= rank(M) over Z/p, so full
 column rank of G*M proves the rejection, and only the values it does not
-reject need their full matrix ranked (`compressor`).
+reject need their full matrix ranked (`compressor`).  Only the full-operator
+screen ranks without compressing, since its ranks also bound kernel
+dimensions and nearly all of its matrices are rank-deficient.
+
+Every screen builds its arrays the same way: the residues of a basis on its
+monomials, and from them the stack of f -> u*f for each monomial u, which
+`shifted_stack` gathers without forming a product.
 
 This is the only module that uses numpy, and it imports numpy inside the
 functions that build arrays, so a command that runs no rank screen never
@@ -55,14 +61,23 @@ def fraction_rows_to_modp(rows: Sequence[Sequence[Fraction]]) -> np.ndarray:
                      for row in rows], dtype=np.int64)
 
 
-def fraction_stack_to_modp(matrices: Sequence[Sequence[Sequence[Fraction]]],
-                           shape: tuple[int, ...]) -> np.ndarray:
-    """Residues of a stack of `shape` matrices, (len(matrices),) + shape."""
+def shifted_stack(residues: np.ndarray, monos: Sequence[tuple],
+                  units: Sequence[tuple], rows: Sequence[tuple]) -> np.ndarray:
+    """Residues of f -> u*f on a basis, one (len(rows), C) matrix per unit u.
+
+    residues[i, j] is the residue of the coefficient of monos[i] in basis
+    element j, (len(monos), C).  The coefficient of rows[r] in u*b_j is the
+    coefficient of rows[r] - u in b_j, zero when that monomial is not in
+    monos, so the stack is a gather of residue rows: no product is formed.
+    """
     import numpy as np
-    stack = np.zeros((len(matrices),) + shape, dtype=np.int64)
-    for k, matrix in enumerate(matrices):
-        stack[k] = fraction_rows_to_modp(matrix)
-    return stack
+    index = {m: i for i, m in enumerate(monos)}
+    zero = len(monos)   # the index of an appended zero row
+    gather = np.array([[index.get(tuple(a - b for a, b in zip(row, u)), zero)
+                        for row in rows] for u in units], dtype=np.intp)
+    padded = np.vstack([residues,
+                        np.zeros((1, residues.shape[1]), dtype=np.int64)])
+    return padded[gather.reshape(len(units), len(rows))]
 
 
 def scaled_rows_to_modp(rows: Sequence[Sequence[int]],

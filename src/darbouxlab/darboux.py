@@ -15,15 +15,20 @@ nonzero solution; the survivors then pass one rank screen on the full
 operator.  The sections a sieve node screens are filtered from one table per
 degree of every reachable layer value, built once per lattice.  All three
 rank screens (the sieve's top level, its lower levels and the full operator)
-rank residue arrays with `_ranks`, and reject only on full rank modulo a
-prime, which is sound; each keeps every value when the prime divides a
-denominator.  The sieve levels only reject, through `_rank_screen`, which
-first ranks their tall matrices M compressed to G*M, for a fixed G with two
-more rows than M has columns: rank(G*M) <= rank(M), so full rank there
-proves the rejection, and only the few values it leaves open are ranked on
-M.  The full operator's ranks stay uncompressed, since they also bound
-kernel dimensions.  The lower levels project onto a rational cokernel P and
-form P*M mod p from the residues of P and M.
+build their residue arrays with `_screen_arrays` (the images of a basis, and
+the stack of f -> u*f gathered from the basis residues), rank them with
+`_ranks`, and reject only on full rank modulo a prime, which is sound; each
+keeps every value when the prime divides a denominator.  A sieve node
+converts its section values to residues once, inside the same guard as its
+other conversions.  The sieve levels only reject, through `_rank_screen`,
+which first ranks their tall matrices M compressed to G*M, for a fixed G
+with two more rows than M has columns: rank(G*M) <= rank(M), so full rank
+there proves the rejection, and only the few values it leaves open are
+ranked on M.  The full operator's ranks stay uncompressed (`_ranks` alone):
+they also bound kernel dimensions, and nearly all of its candidates are
+rank-deficient, so a prescreen would only add work there.  The lower levels
+project onto a rational cokernel P and form P*M mod p from the residues of P
+and M.
 The kernel of each candidate K is computed once per command, and the
 certificates and the rational obstruction are both read off those kernels.
 Where K's known monomial solutions x^e (X(x^e) = K*x^e) are as many as the
@@ -31,9 +36,10 @@ kernel dimension mod p, they are the kernel: they lie in the rational kernel,
 whose dimension is at most the one mod p.  Every other candidate is solved
 exactly over the rationals.
 
-Every exact matrix here is `coefficient_matrix` of the images of a basis
-under a linear map (X(f) - K*f, or multiplication by a monomial) on a window
-of monomials; no other code scatters polynomial terms into a matrix.
+Every exact matrix here is `coefficient_matrix` of a basis, or of its images
+under X(f) - K*f, on a window of monomials; no other code scatters
+polynomial terms into a matrix.  Multiplication by a monomial needs no
+matrix of its own: its residues are gathered from those of the basis.
 """
 
 from __future__ import annotations
@@ -44,12 +50,12 @@ import math
 import types
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import _modp
 from .exactcore import (Poly, RatMatrix, coefficient_matrix, divides,
                         grlex_key, monomials_of_degree, monomials_upto,
-                        normalize_kernel_vector, poly_divmod)
+                        normalize_kernel_vector)
 from .field import VectorField, lie_derivative
 
 if TYPE_CHECKING:
@@ -59,22 +65,6 @@ _ZERO = Fraction(0)
 _MATERIALIZE_LIMIT = 5_000_000
 _SIEVE_BASES_LIMIT = 200_000
 _PRESCREEN_CHUNK = 8192
-
-
-class NotDarbouxError(ArithmeticError):
-    """X(f) is not an exact polynomial multiple of f; carries the remainder."""
-
-    def __init__(self, f: Poly, remainder: Poly):
-        super().__init__(f"{f} is not a Darboux polynomial "
-                         f"(remainder {remainder})")
-        self.f = f
-        self.remainder = remainder
-
-
-class NotExpFactorError(ArithmeticError):
-    def __init__(self, message: str, remainder: Poly | None = None):
-        super().__init__(message)
-        self.remainder = remainder
 
 
 class EvalDomainError(ArithmeticError):
@@ -136,17 +126,6 @@ class ExpFactorCert:
 
     def record(self) -> dict:
         return {"g": str(self.g), "s": list(self.s), "L": str(self.L)}
-
-
-def verify_darboux(X: VectorField, f: Poly) -> DarbouxCert:
-    """Divide X(f) by f exactly; raises :class:`NotDarbouxError` otherwise."""
-    if f.is_zero() or f.is_constant():
-        raise ValueError("a Darboux polynomial must be non-constant")
-    derivative = lie_derivative(X, f)
-    quotient, remainder = poly_divmod(derivative, f)
-    if not remainder.is_zero():
-        raise NotDarbouxError(f, remainder)
-    return DarbouxCert(f, quotient)
 
 
 # --------------------------------------------------------------------------
@@ -298,13 +277,22 @@ def search_darboux_fixed_cofactor(X: VectorField, K: Poly, d: int) -> list[Poly]
 # lattice screens
 # --------------------------------------------------------------------------
 
-def _unit_directions(variables: Sequence[str], units: Sequence[tuple],
-                     basis: Sequence[Poly], rows: Sequence[tuple]
-                     ) -> list[list[list[Fraction]]]:
-    """Per monomial u of `units`, the matrix of f -> u*f on basis and rows."""
-    return [coefficient_matrix(
-        [Poly.from_monomial(variables, u) * b for b in basis], rows)
-        for u in units]
+def _screen_arrays(images: Sequence[Poly], basis: Sequence[Poly],
+                   monos: Sequence[tuple], units: Sequence[tuple],
+                   rows: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """The residue arrays of one mod-p screen, the only way they are built.
+
+    Returns the matrix of `images` on `rows`, (R, C), and for each monomial
+    u of `units` the matrix of f -> u*f on `basis` and `rows`, (S, R, C),
+    gathered from the residues of the basis on `monos`, which must hold
+    every monomial of the basis.  Raises ModPUnavailableError when p
+    divides a denominator.
+    """
+    base = _modp.fraction_rows_to_modp(coefficient_matrix(images, rows))
+    directions = _modp.shifted_stack(
+        _modp.fraction_rows_to_modp(coefficient_matrix(basis, monos)),
+        monos, units, rows)
+    return base, directions
 
 
 def _ranks(base: np.ndarray, directions: np.ndarray,
@@ -323,24 +311,19 @@ def _ranks(base: np.ndarray, directions: np.ndarray,
     return ranks
 
 
-def _rank_screen(values: Sequence, base: np.ndarray, directions: np.ndarray,
-                 residues: Callable[[Sequence], np.ndarray]) -> list:
+def _rank_screen(values: Sequence, coeffs: np.ndarray, base: np.ndarray,
+                 directions: np.ndarray) -> list:
     """The values whose matrix is rank-deficient mod p, in their given order.
 
-    The matrix of values[i] is base - sum_k c[i][k] * directions[k] (residue
-    arrays, see `_ranks`) with c = residues(values).  A value is rejected
-    only when its matrix has full column rank mod p, which proves its
-    rational kernel trivial.  When p divides a denominator nothing is
-    proved, and every value is kept.  Tall matrices are first ranked
-    compressed to G*M (`_modp.compressor`): full rank there proves full rank
-    of M, and only the other values are ranked on M itself.
+    The matrix of values[i] is base - sum_k coeffs[i][k] * directions[k]
+    (residue arrays, see `_ranks`).  A value is rejected only when its
+    matrix has full column rank mod p, which proves its rational kernel
+    trivial.  Tall matrices are first ranked compressed to G*M
+    (`_modp.compressor`): full rank there proves full rank of M, and only
+    the other values are ranked on M itself.
     """
     if not values:
         return []
-    try:
-        coeffs = residues(values)
-    except _modp.ModPUnavailableError:
-        return list(values)
     full_rank = base.shape[1]
     G = _modp.compressor(*base.shape)
     if G is not None:
@@ -353,23 +336,19 @@ def _rank_screen(values: Sequence, base: np.ndarray, directions: np.ndarray,
     return [v for v, rank in zip(values, ranks) if rank < full_rank]
 
 
-def _full_operator(X: VectorField, d: int, candidates: Sequence[Poly]):
-    """`_ranks` arguments for the matrices X(m) - K*m over the monomials m of
-    degree <= d, one per candidate K: residue arrays of the base X(m), of
-    one direction per monomial of the candidates' support, and of the
-    candidates' coefficients; raises ModPUnavailableError when p divides a
+def _full_operator(X: VectorField, d: int,
+                   candidates: Sequence[Poly]) -> list[int]:
+    """Mod-p ranks of the matrices X(m) - K*m over the monomials m of degree
+    <= d, one per candidate K; raises ModPUnavailableError when p divides a
     denominator."""
     n = len(X.variables)
-    basis = _monomial_basis(X, monomials_upto(n, d))
-    rows = monomials_upto(n, d + max(X.degree - 1, 0))
+    cols = monomials_upto(n, d)
     support = sorted({m for K in candidates for m in K.terms}, key=grlex_key)
-    base = _modp.fraction_rows_to_modp(
-        coefficient_matrix(list(_monomial_images(X, d).values()), rows))
-    directions = _modp.fraction_stack_to_modp(
-        _unit_directions(X.variables, support, basis, rows), base.shape)
-    coefficients = _modp.fraction_rows_to_modp(
-        [[K.coefficient(m) for m in support] for K in candidates])
-    return base, directions, coefficients
+    base, directions = _screen_arrays(
+        list(_monomial_images(X, d).values()), _monomial_basis(X, cols), cols,
+        support, monomials_upto(n, d + max(X.degree - 1, 0)))
+    return _ranks(base, directions, _modp.fraction_rows_to_modp(
+        [[K.coefficient(m) for m in support] for K in candidates]))
 
 
 # ---- graded sieve ------------------------------------------------------------
@@ -533,22 +512,22 @@ class _GradedSieve:
         variables = self.X.variables
         values = sorted(sections)
         units = self.boxes.monos_of_degree(top_deg)
-        residues = functools.partial(self.boxes.section_residues, top_deg)
+        coeffs = None   # section residues, converted once for the node
         taus: dict[tuple, Poly] = {}
         alive: dict[tuple, list] = {}   # value -> branches (n, W) alive
         for n in range(1, self.d + 1):
             cols = monomials_of_degree(self.nv, n)
             rows = monomials_of_degree(self.nv, n + top_deg)
             try:
-                base = _modp.fraction_rows_to_modp(coefficient_matrix(
-                    self._images(Poly.zero(variables), cols), rows))
-                directions = _modp.fraction_stack_to_modp(_unit_directions(
-                    variables, units, _monomial_basis(self.X, cols), rows),
-                    base.shape)
+                if coeffs is None:
+                    coeffs = self.boxes.section_residues(top_deg, values)
+                base, directions = _screen_arrays(
+                    self._images(Poly.zero(variables), cols),
+                    _monomial_basis(self.X, cols), cols, units, rows)
             except _modp.ModPUnavailableError:
                 screened = values
             else:
-                screened = _rank_screen(values, base, directions, residues)
+                screened = _rank_screen(values, coeffs, base, directions)
             for val in screened:
                 if val not in taus:
                     taus[val] = self.boxes.section_poly(variables, top_deg, val)
@@ -580,7 +559,7 @@ class _GradedSieve:
             return
         values = sorted(sections)
         units = self.boxes.monos_of_degree(ell)
-        residues = functools.partial(self.boxes.section_residues, ell)
+        coeffs = None   # section residues, converted once for the node
         alive: dict[tuple, list] = {}   # value -> branches (n, W) alive
         for n, W in branches:
             # equations 1..r are the graded parts of X(f) - K*f of degrees
@@ -600,19 +579,19 @@ class _GradedSieve:
                 # homomorphism on these rationals, so P*fixed mod p is the
                 # residue of the rational product
                 try:
+                    if coeffs is None:
+                        coeffs = self.boxes.section_residues(ell, values)
                     P_p = _modp.fraction_rows_to_modp(P)
-                    fixed = _modp.fraction_rows_to_modp(coefficient_matrix(
-                        [_operator_image(Xw, K, w) for w, Xw in W], rows))
-                    directions = _modp.fraction_stack_to_modp(
-                        _unit_directions(variables, units,
-                                         [w for w, _ in W], rows),
-                        fixed.shape)
+                    fixed, directions = _screen_arrays(
+                        [_operator_image(Xw, K, w) for w, Xw in W],
+                        [w for w, _ in W], monomials_of_degree(self.nv, n),
+                        units, rows)
                 except _modp.ModPUnavailableError:
                     pass
                 else:
-                    kept = _rank_screen(values, _modp.matmul(P_p, fixed),
-                                        _modp.matmul(P_p, directions),
-                                        residues)
+                    kept = _rank_screen(values, coeffs,
+                                        _modp.matmul(P_p, fixed),
+                                        _modp.matmul(P_p, directions))
             for val in kept:
                 alive.setdefault(val, []).append((n, W))
 
@@ -622,23 +601,15 @@ class _GradedSieve:
                 self._descend(K + theta, sections[val], r + 1, alive[val])
 
 
-class _Candidates(list):
-    """Screened cofactors in order, with `kernel_dims[K]`, the kernel
-    dimension mod p of K's full operator matrix, which bounds the rational
-    one from above (empty when the prime divides a denominator)."""
-
-    def __init__(self, cofactors: Sequence[Poly], kernel_dims: dict[Poly, int]):
-        super().__init__(cofactors)
-        self.kernel_dims = kernel_dims
-
-
-def _candidate_cofactors(X: VectorField, d: int,
-                         lattice: CofactorLattice) -> list[Poly]:
-    """Screened cofactor candidates, complete relative to the lattice.
+def _candidate_cofactors(X: VectorField, d: int, lattice: CofactorLattice
+                         ) -> dict[Poly, int | None]:
+    """Screened cofactor candidates, complete relative to the lattice, each
+    mapped to the kernel dimension mod p of its full operator matrix, which
+    bounds the rational one from above (None when the prime divides a
+    denominator).
 
     The zero cofactor comes first, then the coordinate cofactors, then the
-    remaining sieve survivors that also pass the full-operator screen.  Every
-    candidate, the first ones included, carries its kernel dimension mod p.
+    remaining sieve survivors that also pass the full-operator screen.
     """
     priority = [Poly.zero(X.variables)]
     for v in X.variables:
@@ -649,15 +620,12 @@ def _candidate_cofactors(X: VectorField, d: int,
               if K not in priority]
     values = priority + sieved
     try:
-        base, directions, coefficients = _full_operator(X, d, values)
-        ranks = _ranks(base, directions, coefficients)
+        ranks = _full_operator(X, d, values)
     except _modp.ModPUnavailableError:
-        return _Candidates(values, {})
-    full_rank = base.shape[1]
-    survivors = [K for K, rank in zip(sieved, ranks[len(priority):])
-                 if rank < full_rank]
-    return _Candidates(priority + survivors,
-                       {K: full_rank - rank for K, rank in zip(values, ranks)})
+        return dict.fromkeys(values)
+    full_rank = len(monomials_upto(len(X.variables), d))
+    return {K: full_rank - rank for K, rank in zip(values, ranks)
+            if K in priority or rank < full_rank}
 
 
 def _monomial_solutions(X: VectorField, d: int) -> dict[Poly, list[tuple]]:
@@ -693,12 +661,13 @@ def cofactor_kernels(X: VectorField, d: int,
     they are the basis: they lie in the rational kernel, whose dimension is at
     most the one mod p.  Every other cofactor is solved exactly.
     """
-    candidates = _candidate_cofactors(X, d, lattice)
+    if d < 0:
+        raise ValueError(f"degree must be non-negative, got {d}")
     known = _monomial_solutions(X, d)
     out = []
-    for K in candidates:
+    for K, kernel_dim in _candidate_cofactors(X, d, lattice).items():
         monos = known.get(K, [])
-        if candidates.kernel_dims.get(K) == len(monos):
+        if kernel_dim == len(monos):
             out.append((K, _monomial_basis(X, monos)))
         else:
             out.append((K, search_darboux_fixed_cofactor(X, K, d)))
@@ -773,37 +742,6 @@ def _strip_monomial_content(X: VectorField, f: Poly
 # exponential factors
 # --------------------------------------------------------------------------
 
-def verify_exp_factor(X: VectorField, g: Poly,
-                      s: Sequence[int] | None = None) -> ExpFactorCert:
-    """Check exp(g / prod x_i^{s_i}) and compute its cofactor exactly."""
-    s = tuple(s) if s is not None else (0,) * len(X.variables)
-    if len(s) != len(X.variables) or any(e < 0 for e in s):
-        raise ValueError("s must give one non-negative exponent per variable")
-    if g.is_zero() or (g.is_constant() and not any(s)):
-        raise ValueError("the numerator must be non-constant")
-    balance = Poly.zero(X.variables)
-    denom = Poly.constant(X.variables, 1)
-    for v, e in zip(X.variables, s):
-        if e == 0:
-            continue
-        cof = X.coordinate_cofactor(v)  # raises NotInvariantError when invalid
-        balance = balance + cof * e
-        var = Poly.variable(X.variables, v)
-        if divides(var, g):
-            raise NotExpFactorError(
-                f"numerator must be coprime with {v} (s_{v} > 0)")
-        denom = denom * var ** e
-    lhs = lie_derivative(X, g) - g * balance
-    quotient, remainder = poly_divmod(lhs, denom)
-    if not remainder.is_zero():
-        raise NotExpFactorError("defining identity has a nonzero remainder",
-                                remainder)
-    if quotient.total_degree() > max(X.degree - 1, 0) and not quotient.is_zero():
-        raise NotExpFactorError(
-            f"cofactor degree {quotient.total_degree()} exceeds deg(X)-1")
-    return ExpFactorCert(g, s, quotient)
-
-
 def search_exp_factors(X: VectorField, deg_g: int,
                        s_bound: int = 0) -> list[ExpFactorCert]:
     """Complete joint linear search over g (deg <= deg_g) and L (deg <= deg X - 1).
@@ -815,6 +753,9 @@ def search_exp_factors(X: VectorField, deg_g: int,
     with L = 0, which are exponentials of first integrals and belong to the
     first-integral reports instead.
     """
+    if deg_g < 0 or s_bound < 0:
+        raise ValueError("the numerator degree and the denominator exponent "
+                         "bound must be non-negative")
     nv = len(X.variables)
     variables = X.variables
     max_L = max(X.degree - 1, 0)

@@ -254,21 +254,9 @@ class Poly:
         new_vars = self.variables[:idx] + self.variables[idx + 1:]
         return Poly(new_vars, terms)
 
-    def graded_parts(self) -> dict[int, "Poly"]:
-        """Split into homogeneous components, keyed by total degree."""
-        buckets: dict[int, dict[tuple, Fraction]] = {}
-        for mono, coeff in self.terms.items():
-            buckets.setdefault(sum(mono), {})[mono] = coeff
-        return {d: Poly(self.variables, t) for d, t in sorted(buckets.items())}
-
     def homogeneous_part(self, degree: int) -> "Poly":
         return Poly(self.variables,
                     {m: c for m, c in self.terms.items() if sum(m) == degree})
-
-    def truncate(self, degree: int) -> "Poly":
-        """Keep only terms of total degree <= degree."""
-        return Poly(self.variables,
-                    {m: c for m, c in self.terms.items() if sum(m) <= degree})
 
     def evaluate_float(self, point: Sequence[float]) -> float:
         total = 0.0
@@ -564,12 +552,6 @@ class RatMatrix:
     def __eq__(self, other) -> bool:
         return (isinstance(other, RatMatrix)
                 and self.entries == other.entries)
-
-    def matvec(self, vec: Sequence[Fraction]) -> list[Fraction]:
-        if len(vec) != self.cols:
-            raise ValueError("dimension mismatch")
-        return [sum((row[j] * vec[j] for j in range(self.cols)), Fraction(0))
-                for row in self.entries]
 
     def transpose(self) -> "RatMatrix":
         return RatMatrix([[self.entries[i][j] for i in range(self.rows)]

@@ -210,19 +210,6 @@ def lie_derivative(X: VectorField, f: Poly) -> Poly:
     return total
 
 
-def degree_split(X: VectorField) -> list[tuple[int, VectorField]]:
-    """Split into homogeneous layers; summing the layers reproduces the field."""
-    degrees: set[int] = set()
-    for comp in X.components:
-        degrees.update(sum(m) for m in comp.terms)
-    layers = []
-    for d in sorted(degrees):
-        comps = tuple(c.homogeneous_part(d) for c in X.components)
-        layers.append((d, VectorField(X.variables, comps,
-                                      source_params=X.source_params)))
-    return layers
-
-
 def restrict_to_plane(X: VectorField, name: str) -> VectorField:
     """Restrict to the invariant plane {name = 0}; result has one variable fewer."""
     if name not in X.variables:

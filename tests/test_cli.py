@@ -263,6 +263,24 @@ def test_blow_up_exits_2(tmp_path, text, args):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ["darboux", "--degree", "-2", "--lattice-bound", "1"],
+    ["darboux", "--degree", "-1", "--lattice-bound", "1"],
+    ["integrals", "--degree", "-3", "--lattice-bound", "0"],
+    ["analyze", "--degree", "-3", "--lattice-bound", "0"],
+    ["expfactors", "--g-degree", "-1"],
+    ["expfactors", "--s-bound", "-1"],
+])
+def test_negative_degree_exits_2(args):
+    # a negative degree bound is a usage error, never a traceback or an
+    # empty report; --degree 0 stays valid
+    proc = run_module([args[0], "corpus/restricted_z0_c2.vf", *args[1:]])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("args, cert_class", [
     (["darboux", "corpus/restricted_y0_a0.vf", "--degree", "2"], DarbouxCert),
     (["expfactors", "corpus/lv3_a0_b3_c2.vf"], ExpFactorCert),

@@ -9,16 +9,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from darbouxlab.darboux import (CofactorLattice, NotDarbouxError,
-                                NotExpFactorError, assemble_darboux_integrals,
+from darbouxlab.darboux import (CofactorLattice, DarbouxCert, ExpFactorCert,
+                                assemble_darboux_integrals,
+                                certificates_from_kernels, cofactor_kernels,
                                 default_lattice, enumerate_cofactors,
                                 rational_obstruction, search_darboux,
                                 search_darboux_fixed_cofactor,
-                                search_exp_factors, verify_darboux,
-                                verify_exp_factor)
+                                search_exp_factors)
 from darbouxlab import _modp
 from darbouxlab.exactcore import (Poly, RatMatrix, coefficient_matrix,
-                                  monomials_upto, parse_poly)
+                                  monomials_upto, parse_poly, poly_divmod)
 from darbouxlab.field import lie_derivative, load_field, parse_field
 
 from conftest import CORPUS, make_lv3, nonzero_polys
@@ -82,25 +82,31 @@ def lattice_point_keys(lattice, key):
 
 
 class TestVerify:
+    # for f != 0 the cofactor K of X(f) = K*f is unique, so a passing check
+    # names it
     def test_z_cofactor(self, desk_field):
-        cert = verify_darboux(desk_field, P("z"))
-        assert cert.K == P("-3 + 3*x^2")
+        assert DarbouxCert(P("z"), P("-3 + 3*x^2")).check(desk_field)
 
     def test_product_cofactor_is_sum(self, desk_field):
-        cert = verify_darboux(desk_field, P("x^2*y"))
-        k1 = verify_darboux(desk_field, P("x")).K
-        k2 = verify_darboux(desk_field, P("y")).K
-        assert cert.K == 2 * k1 + k2
+        k1, k2 = P("1 - y + 2*x - 3*x*z"), P("-1 + x")
+        assert DarbouxCert(P("x"), k1).check(desk_field)
+        assert DarbouxCert(P("y"), k2).check(desk_field)
+        assert DarbouxCert(P("x^2*y"), 2 * k1 + k2).check(desk_field)
+        assert not DarbouxCert(P("x^2*y"), k1 + k2).check(desk_field)
 
     def test_not_darboux_carries_remainder(self):
         X = make_lv3(0, 3, 0)
-        with pytest.raises(NotDarbouxError) as exc:
-            verify_darboux(X, P("x + y"))
-        assert not exc.value.remainder.is_zero()
+        f = P("x + y")
+        _, remainder = poly_divmod(lie_derivative(X, f), f)
+        assert not remainder.is_zero()
 
     def test_constant_rejected(self, desk_field):
-        with pytest.raises(ValueError):
-            verify_darboux(desk_field, Poly.constant(desk_field.variables, 2))
+        # the zero cofactor's kernel always holds the constants, and the
+        # search reports none of them
+        kernels = cofactor_kernels(desk_field, 2, default_lattice(desk_field, 1))
+        assert any(f.is_constant() for _, basis in kernels for f in basis)
+        certs = certificates_from_kernels(desk_field, kernels)
+        assert certs and not any(c.f.is_constant() for c in certs)
 
     @settings(max_examples=100, deadline=None)
     @given(nonzero_polys(max_degree=2, max_terms=3),
@@ -239,10 +245,10 @@ def full_operator_screen(X, d, candidates):
     support = sorted({m for K in candidates for m in K.terms})
     base = _modp.fraction_rows_to_modp(
         coefficient_matrix([lie_derivative(X, b) for b in basis], rows))
-    directions = _modp.fraction_stack_to_modp(
-        [coefficient_matrix([Poly.from_monomial(X.variables, u) * b
-                             for b in basis], rows) for u in support],
-        base.shape)
+    directions = np.array(
+        [_modp.fraction_rows_to_modp(coefficient_matrix(
+            [Poly.from_monomial(X.variables, u) * b for b in basis], rows))
+         for u in support], dtype=np.int64).reshape((-1,) + base.shape)
     kept = []
     for start in range(0, len(candidates), 4096):
         chunk = candidates[start:start + 4096]
@@ -286,7 +292,7 @@ class TestSieveAgainstBruteForce:
             X.coordinate_cofactor(v) for v in X.variables if X.is_kolmogorov(v)]
         oracle = list(dict.fromkeys(
             priority + full_operator_screen(X, d, brute)))
-        assert dbx._candidate_cofactors(X, d, lattice) == oracle
+        assert list(dbx._candidate_cofactors(X, d, lattice)) == oracle
 
         exact = [(K, search_darboux_fixed_cofactor(X, K, d)) for K in oracle]
         assert dbx.cofactor_kernels(X, d, lattice) == exact
@@ -361,11 +367,9 @@ class TestRankScreen:
     def test_empty_values(self):
         import darbouxlab.darboux as dbx
 
-        def residues(values):
-            raise AssertionError("no residues are needed for no values")
-
         one = np.ones((1, 1), dtype=np.int64)
-        assert dbx._rank_screen([], one, one[None], residues) == []
+        none = np.zeros((0, 1), dtype=np.int64)
+        assert dbx._rank_screen([], none, one, one[None]) == []
 
     def test_rejects_only_full_rank(self):
         import darbouxlab.darboux as dbx
@@ -373,21 +377,32 @@ class TestRankScreen:
         # base - c * direction = diag(1 - c, 1): singular only at c = 1
         base = np.array([[1, 0], [0, 1]], dtype=np.int64)
         direction = np.array([[1, 0], [0, 0]], dtype=np.int64)
-        kept = dbx._rank_screen(
-            [3, 1, 0, 2], base, direction[None],
-            lambda values: np.array([[v] for v in values], dtype=np.int64))
+        kept = dbx._rank_screen([3, 1, 0, 2],
+                                np.array([[3], [1], [0], [2]], dtype=np.int64),
+                                base, direction[None])
         assert kept == [1]
 
-    def test_unavailable_prime_keeps_every_value(self):
+    def test_unavailable_prime_keeps_every_value(self, monkeypatch):
+        # when p divides a section scale no sieve node can screen: every
+        # section value is kept, so the sieve's survivors only grow, and
+        # the exact solves still find the same certificates
         import darbouxlab.darboux as dbx
-        from darbouxlab._modp import ModPUnavailableError
 
-        def residues(values):
-            raise ModPUnavailableError("denominator divisible by the prime")
+        X = parse_field(RESTRICTED_Z0)
+        lattice = default_lattice(X, 2)
+        screened = dbx._GradedSieve(X, 3, lattice).run()
+        certs = {(str(c.f), str(c.K)) for c in search_darboux(X, 3, lattice)}
 
-        values = [(2,), (0,), (1,)]
-        one = np.ones((1, 1), dtype=np.int64)
-        assert dbx._rank_screen(values, one, one[None], residues) == values
+        def unavailable(self, degree, values):
+            raise _modp.ModPUnavailableError("denominator divisible by p")
+
+        monkeypatch.setattr(dbx._LatticeBoxes, "section_residues", unavailable)
+        screens = _counting(monkeypatch, dbx, "_rank_screen")
+        kept = dbx._GradedSieve(X, 3, lattice).run()
+        assert screens == []
+        assert set(screened) < set(kept)
+        assert {(str(c.f), str(c.K))
+                for c in search_darboux(X, 3, lattice)} == certs
 
     def test_unavailable_prime_in_lower_level_keeps_every_value(self):
         # p divides the z coefficient b, which reaches the sieve's lower
@@ -404,9 +419,9 @@ class TestRankScreen:
         priority = [Poly.zero(X.variables), X.coordinate_cofactor("x"),
                     X.coordinate_cofactor("z")]
         sieved = dbx._GradedSieve(X, 2, lattice).run()
-        assert candidates == priority + [K for K in sieved
-                                         if K not in priority]
-        assert candidates.kernel_dims == {}
+        assert list(candidates) == priority + [K for K in sieved
+                                               if K not in priority]
+        assert set(candidates.values()) == {None}
         assert {str(c.f) for c in search_darboux(X, 2, lattice)} == {
             "x", "z", "x + 1/2"}
 
@@ -457,7 +472,8 @@ class TestRankScreen:
         ranks = _modp.batched_rank(
             _modp.batched_combination(base, directions, residues(values)))
         expected = [v for v, rank in zip(values, ranks) if rank < C]
-        assert dbx._rank_screen(values, base, directions, residues) == expected
+        assert dbx._rank_screen(values, residues(values), base,
+                                directions) == expected
         assert (1,) * S in expected
         # a full-rank matrix that G compresses to zero is still rejected
         assert ((2,) * S in expected) == (len(ker) < C)
@@ -469,12 +485,13 @@ class TestRankScreen:
         cases = [(restricted, 3, default_lattice(restricted, 2)),
                  (desk_field, 2, default_lattice(desk_field, 1))]
         unpatched = [(dbx._GradedSieve(X, d, lattice).run(),
-                      dbx._candidate_cofactors(X, d, lattice))
+                      list(dbx._candidate_cofactors(X, d, lattice).items()))
                      for X, d, lattice in cases]
         monkeypatch.setattr(dbx, "_PRESCREEN_CHUNK", chunk)
         for (X, d, lattice), expected in zip(cases, unpatched):
             assert (dbx._GradedSieve(X, d, lattice).run(),
-                    dbx._candidate_cofactors(X, d, lattice)) == expected
+                    list(dbx._candidate_cofactors(X, d, lattice).items())
+                    ) == expected
 
 
 CORPUS_FIELDS = sorted(p.name for p in CORPUS.glob("*.vf"))
@@ -504,8 +521,8 @@ class TestKernelFromRank:
         for d in (1, 2, 3):
             lattice = default_lattice(X, d)
             kernels = dbx.cofactor_kernels(X, d, lattice)
-            assert [K for K, _ in kernels] == dbx._candidate_cofactors(
-                X, d, lattice)
+            assert [K for K, _ in kernels] == list(dbx._candidate_cofactors(
+                X, d, lattice))
             assert kernels == [(K, search_darboux_fixed_cofactor(X, K, d))
                                for K, _ in kernels]
 
@@ -538,8 +555,8 @@ class TestKernelFromRank:
         X = parse_field(text)
         solves = _counting(monkeypatch, dbx, "search_darboux_fixed_cofactor")
         kernels = dbx.cofactor_kernels(X, 2, default_lattice(X, 1))
-        assert dbx._candidate_cofactors(
-            X, 2, default_lattice(X, 1)).kernel_dims == {}
+        assert set(dbx._candidate_cofactors(
+            X, 2, default_lattice(X, 1)).values()) == {None}
         assert len(solves) == len(kernels)
         assert [str(f) for _, basis in kernels[1:4] for f in basis] == [
             "x", "y", "z"]
@@ -559,36 +576,43 @@ class TestKernelFromRank:
 
 
 class TestExpFactors:
+    # with s = 0 the identity reads X(g) = L, so a passing check names L
     def test_verify_sum_factor(self, desk_field):
-        cert = verify_exp_factor(desk_field, P("x + z"))
-        assert cert.L == P("2*x^2 - x*y - 3*z + x")
+        assert ExpFactorCert(P("x + z"), (0, 0, 0),
+                             P("2*x^2 - x*y - 3*z + x")).check(desk_field)
 
     def test_verify_y_factor(self, desk_field):
-        cert = verify_exp_factor(desk_field, P("y"))
-        assert cert.L == P("y*(x - 1)")
+        assert ExpFactorCert(P("y"), (0, 0, 0),
+                             P("y*(x - 1)")).check(desk_field)
 
     def test_square_factor_cofactor_at_c0(self):
         X = make_lv3(3, 3, 0)
-        cert = verify_exp_factor(X, P("(x + y + z)^2"))
-        assert cert.L == P("-2*(x + y + z)*(3*z - x + y)")
+        assert ExpFactorCert(P("(x + y + z)^2"), (0, 0, 0),
+                             P("-2*(x + y + z)*(3*z - x + y)")).check(X)
 
     def test_coprimality_enforced(self, desk_field):
-        with pytest.raises(NotExpFactorError):
-            verify_exp_factor(desk_field, P("x + x*z"), (1, 0, 0))
+        # g = x*(x + z) over x satisfies the identity with the cofactor of
+        # exp(x + z), but g is not coprime with x: only s = 0 is reported
+        L = P("2*x^2 - x*y - 3*z + x")
+        assert ExpFactorCert(P("x*(x + z)"), (1, 0, 0), L).check(desk_field)
+        certs = search_exp_factors(desk_field, 2, 1)
+        assert all(c.s == (0, 0, 0) for c in certs)
 
     def test_denominator_plane_must_be_invariant(self):
-        from darbouxlab.field import NotInvariantError
-
-        X = parse_field("vars: x y\ndx/dt = y\ndy/dt = -x\n")
-        with pytest.raises(NotInvariantError):
-            verify_exp_factor(X, parse_poly("y", X.variables), (1, 0))
+        # {y = 0} is not invariant (dy/dt = x), so no exponent of y enters
+        # a denominator, while exp(1/x) is found
+        X = parse_field("vars: x y\ndx/dt = x^2\ndy/dt = x\n")
+        certs = search_exp_factors(X, 1, 2)
+        assert certs and all(c.s[1] == 0 for c in certs)
+        assert (parse_poly("1", X.variables), (1, 0),
+                parse_poly("-1", X.variables)) in [(c.g, c.s, c.L)
+                                                    for c in certs]
 
     def test_nontrivial_denominator(self):
         # dx/dt = x^2 admits exp(1/x) with constant cofactor -1
         X = parse_field("vars: x\ndx/dt = x^2\n")
         one = parse_poly("1", X.variables)
-        cert = verify_exp_factor(X, one, (1,))
-        assert cert.L == parse_poly("-1", X.variables)
+        assert ExpFactorCert(one, (1,), parse_poly("-1", X.variables)).check(X)
         found = search_exp_factors(X, 1, 1)
         assert [(str(c.g), c.s, str(c.L)) for c in found] == [("1", (1,), "-1")]
 

@@ -1,4 +1,4 @@
-"""Field-file parsing, Lie derivative, degree layers, plane restriction."""
+"""Field-file parsing, Lie derivative, plane restriction."""
 
 from fractions import Fraction
 
@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from darbouxlab.exactcore import Poly, parse_poly
-from darbouxlab.field import (FieldParseError, NotInvariantError, degree_split,
+from darbouxlab.field import (FieldParseError, NotInvariantError,
                               lie_derivative, parse_field, restrict_to_plane)
 
 from conftest import make_lv3, polys
@@ -92,31 +92,6 @@ class TestLieDerivative:
         X = make_lv3(3, 3, 2)
         assert lie_derivative(X, f * g) == \
             f * lie_derivative(X, g) + g * lie_derivative(X, f)
-
-
-class TestDegreeSplit:
-    def test_reference_layers(self, reference_field):
-        X = reference_field
-        layers = degree_split(X)
-        assert [d for d, _ in layers] == [1, 2, 3]
-        top = dict(layers)[3]
-        a = X.source_params["a"]
-        axxz = Poly.from_monomial(X.variables, (2, 0, 1), a)
-        assert top.components == (-axxz, Poly.zero(X.variables), axxz)
-
-    def test_linear_field_single_layer(self):
-        X = parse_field("vars: x y\ndx/dt = -y\ndy/dt = x\n")
-        assert [d for d, _ in degree_split(X)] == [1]
-
-    def test_a0_has_two_layers(self):
-        assert [d for d, _ in degree_split(make_lv3(0, 3, 2))] == [1, 2]
-
-    def test_layers_sum_to_field(self, reference_field):
-        X = reference_field
-        totals = [Poly.zero(X.variables) for _ in X.variables]
-        for _, layer in degree_split(X):
-            totals = [t + c for t, c in zip(totals, layer.components)]
-        assert tuple(totals) == X.components
 
 
 class TestRestriction:

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from darbouxlab import _modp
-from darbouxlab.exactcore import RatMatrix
+from darbouxlab.exactcore import (Poly, RatMatrix, coefficient_matrix,
+                                  monomials_of_degree, monomials_upto,
+                                  parse_poly)
 
 
 def test_batched_rank_matches_exact_rank():
@@ -129,3 +131,41 @@ def test_residue_conversion_fast_paths():
     assert small.tolist() == [[4, p - 3]]
     with pytest.raises(_modp.ModPUnavailableError):
         _modp.scaled_rows_to_modp([(1,)], [p])
+
+
+def _polys(texts, variables):
+    return [parse_poly(t, variables) for t in texts]
+
+
+XY = ("x", "y")
+XYZ = ("x", "y", "z")
+
+
+@pytest.mark.parametrize("basis, monos, units, rows", [
+    # monomial basis
+    ([Poly.from_monomial(XY, m) for m in monomials_upto(2, 2)],
+     monomials_upto(2, 2), [(1, 0), (0, 1)], monomials_upto(2, 3)),
+    # non-monomial homogeneous basis, as the sieve's W
+    (_polys(["x^2 - 3/2*x*y", "y^2 + 5*x*y", "1/7*x*z - z^2"], XYZ),
+     monomials_of_degree(3, 2), monomials_of_degree(3, 1),
+     monomials_of_degree(3, 3)),
+    # rows spanning several degrees, units of two degrees
+    (_polys(["1 + x", "x*y - 2/7*y^2", "3 - 1/1000003*y^2"], XY),
+     monomials_upto(2, 2), [(1, 0), (0, 2), (1, 1)], monomials_upto(2, 4)),
+    # no units
+    (_polys(["x + y", "x*y"], XY), monomials_upto(2, 2), [],
+     monomials_upto(2, 3)),
+    # rows[r] - u with negative exponents on every row of low degree
+    (_polys(["x - y", "y^2"], XY), monomials_upto(2, 2), [(2, 0), (0, 3)],
+     monomials_upto(2, 2)),
+])
+def test_shifted_stack_matches_products(basis, monos, units, rows):
+    variables = basis[0].variables
+    got = _modp.shifted_stack(
+        _modp.fraction_rows_to_modp(coefficient_matrix(basis, monos)),
+        monos, units, rows)
+    assert got.shape == (len(units), len(rows), len(basis))
+    want = [_modp.fraction_rows_to_modp(coefficient_matrix(
+        [Poly.from_monomial(variables, u) * b for b in basis], rows)).tolist()
+        for u in units]
+    assert got.tolist() == want

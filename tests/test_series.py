@@ -22,6 +22,12 @@ def planar(c):
     return parse_field(PLANAR.format(c=c))
 
 
+def truncate(f, degree):
+    """The terms of f of total degree <= degree."""
+    return Poly(f.variables,
+                {m: c for m, c in f.terms.items() if sum(m) <= degree})
+
+
 def h1_truncation(order):
     """Series of x*y*exp(-x-y) through the given total degree, computed
     directly from the exponential series as an independent oracle."""
@@ -33,7 +39,7 @@ def h1_truncation(order):
     for k in range(order + 1):
         total = total + xy * term
         term = term * s * Fraction(1, k + 1)
-    return total.truncate(order)
+    return truncate(total, order)
 
 
 def test_planar_c2_constants_only():
@@ -54,9 +60,8 @@ def test_soundness_of_low_degrees():
     space = formal_integral_space(X, 4, 1)
     for f in space.basis:
         image = lie_derivative(X, f)
-        for degree, part in image.graded_parts().items():
-            if degree <= space.order + space.margin:
-                assert part.is_zero()
+        for degree in range(space.order + space.margin + 1):
+            assert image.homogeneous_part(degree).is_zero()
 
 
 def test_margin_monotonicity():
@@ -70,7 +75,7 @@ def test_nesting():
     big = formal_integral_space(X, 5, 0)
     small = formal_integral_space(X, 3, 0)
     for f in big.basis:
-        assert small.contains(f.truncate(3))
+        assert small.contains(truncate(f, 3))
 
 
 def test_full_system_b0_constants_only():
@@ -90,7 +95,7 @@ def test_darboux_oracle_truncation_in_space():
         total = total + xy * term
         term = term * s * Fraction(1, k + 1)
     space = formal_integral_space(X, 4, 0)
-    assert space.contains(total.truncate(4))
+    assert space.contains(truncate(total, 4))
 
 
 class TestPromotion:
