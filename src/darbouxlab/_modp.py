@@ -1,4 +1,4 @@
-"""Batched rank computations modulo a fixed prime: screens and kernel bounds.
+"""Rank computations modulo a fixed prime: screens, kernel bounds, sieve blocks.
 
 Rank over Z/p never exceeds rank over Q, so "full column rank mod p" is a
 sound proof of a trivial rational kernel, and the kernel dimension mod p is
@@ -19,9 +19,17 @@ reject need their full matrix ranked (`compressor`).  Only the full-operator
 screen ranks without compressing, since its ranks also bound kernel
 dimensions and nearly all of its matrices are rank-deficient.
 
-Every screen builds its arrays the same way: the residues of a basis on its
-monomials, and from them the stack of f -> u*f for each monomial u, which
-`shifted_stack` gathers without forming a product.
+Multiplication by a monomial u is a gather: the coefficient of rows[r] in
+u*b is that of rows[r] - u in b (`shift_index`, `gather`), so neither the
+screens' direction stacks nor the sieve's cofactor blocks form a product.
+
+The sieve's kernels and cokernels come from one Gauss-Jordan elimination
+(`gauss_jordan`, `kernels`).  A cokernel P mod p of a block A may stand in
+for the rational one only when rank_Q(A) = rank_p(A) is proved: free when A
+has full column rank mod p, and otherwise by lifting A's kernel basis mod p
+with `rational_reconstruction` and checking each lift exactly (the lifts
+are independent, being 1 and 0 on the free columns, so rank_Q(A) <= rank_p(A),
+and rank_p never exceeds rank_Q).
 
 This is the only module that uses numpy, and it imports numpy inside the
 functions that build arrays, so a command that runs no rank screen never
@@ -30,6 +38,8 @@ loads it.
 
 from __future__ import annotations
 
+import functools
+import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
@@ -39,6 +49,9 @@ if TYPE_CHECKING:
 PRIME = 2**31 - 1  # products of two residues stay inside int64
 _HALF = 16         # `matmul` splits its left factor into 16-bit halves
 _MARGIN = 2        # rows of a compressed screen matrix beyond its columns
+UNAVAILABLE = -1   # a residue array's entry whose denominator p divides
+# Wang's bound: n/d with |n|, d <= _LIFT_BOUND is unique mod p (2*N*D < p)
+_LIFT_BOUND = math.isqrt(PRIME // 2)
 
 
 class ModPUnavailableError(ArithmeticError):
@@ -51,14 +64,61 @@ def fraction_to_modp(value: Fraction) -> int:
     den = value.denominator % PRIME
     if den == 0:
         raise ModPUnavailableError(f"denominator divisible by {PRIME}")
-    return (value.numerator % PRIME) * pow(den, PRIME - 2, PRIME) % PRIME
+    return (value.numerator % PRIME) * pow(den, -1, PRIME) % PRIME
+
+
+def partial_rows_to_modp(rows: Sequence[Sequence[Fraction]]) -> np.ndarray:
+    """Residues of a rational matrix; an entry whose denominator p divides
+    becomes UNAVAILABLE."""
+    import numpy as np
+
+    def residue(x: Fraction) -> int:
+        try:
+            return fraction_to_modp(x)
+        except ModPUnavailableError:
+            return UNAVAILABLE
+    # most entries of the screens' matrices are zero
+    return np.array([[residue(x) if x else 0 for x in row] for row in rows],
+                    dtype=np.int64)
 
 
 def fraction_rows_to_modp(rows: Sequence[Sequence[Fraction]]) -> np.ndarray:
+    """Residues of a rational matrix; raises ModPUnavailableError when p
+    divides a denominator."""
+    residues = partial_rows_to_modp(rows)
+    if (residues < 0).any():
+        raise ModPUnavailableError(f"denominator divisible by {PRIME}")
+    return residues
+
+
+def unavailable(rows: int, cols: int) -> np.ndarray:
+    """A (rows, cols) residue array of UNAVAILABLE entries."""
     import numpy as np
-    # most entries of the screens' matrices are zero
-    return np.array([[fraction_to_modp(x) if x else 0 for x in row]
-                     for row in rows], dtype=np.int64)
+    return np.full((rows, cols), UNAVAILABLE, dtype=np.int64)
+
+
+def shift_index(monos: Sequence[tuple], units: Sequence[tuple],
+                rows: Sequence[tuple]) -> np.ndarray:
+    """Gather index of f -> u*f, (len(units), len(rows)).
+
+    Entry [s, r] is the position in monos of rows[r] - units[s], or
+    len(monos) when that monomial is not in monos: the coefficient of
+    rows[r] in u*b is the coefficient of rows[r] - u in b.
+    """
+    import numpy as np
+    index = {m: i for i, m in enumerate(monos)}
+    absent = len(monos)
+    return np.array([[index.get(tuple(a - b for a, b in zip(row, u)), absent)
+                      for row in rows] for u in units],
+                    dtype=np.intp).reshape(len(units), len(rows))
+
+
+def gather(residues: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """residues[index], where index len(residues) selects a zero row."""
+    import numpy as np
+    padded = np.vstack([residues,
+                        np.zeros((1,) + residues.shape[1:], dtype=np.int64)])
+    return padded[index]
 
 
 def shifted_stack(residues: np.ndarray, monos: Sequence[tuple],
@@ -66,32 +126,46 @@ def shifted_stack(residues: np.ndarray, monos: Sequence[tuple],
     """Residues of f -> u*f on a basis, one (len(rows), C) matrix per unit u.
 
     residues[i, j] is the residue of the coefficient of monos[i] in basis
-    element j, (len(monos), C).  The coefficient of rows[r] in u*b_j is the
-    coefficient of rows[r] - u in b_j, zero when that monomial is not in
-    monos, so the stack is a gather of residue rows: no product is formed.
+    element j, (len(monos), C); the stack is a gather of its rows.
     """
+    return gather(residues, shift_index(monos, units, rows))
+
+
+def shift_matrices(monos: Sequence[tuple], units: Sequence[tuple],
+                   rows: Sequence[tuple]) -> np.ndarray:
+    """The 0/1 matrices of f -> u*f on the monomial basis `monos`."""
     import numpy as np
-    index = {m: i for i, m in enumerate(monos)}
-    zero = len(monos)   # the index of an appended zero row
-    gather = np.array([[index.get(tuple(a - b for a, b in zip(row, u)), zero)
-                        for row in rows] for u in units], dtype=np.intp)
-    padded = np.vstack([residues,
-                        np.zeros((1, residues.shape[1]), dtype=np.int64)])
-    return padded[gather.reshape(len(units), len(rows))]
+    return shifted_stack(np.eye(len(monos), dtype=np.int64), monos, units, rows)
+
+
+def embed(rows: np.ndarray, positions: Sequence[int], width: int) -> np.ndarray:
+    """The residue rows (N, k) written into columns `positions` of an
+    (N, width) array of zeros."""
+    import numpy as np
+    out = np.zeros((len(rows), width), dtype=np.int64)
+    out[:, positions] = rows
+    return out
+
+
+def inverse_residues(scales: Sequence[int]) -> np.ndarray:
+    """Residues of 1/s for each scale s; raises ModPUnavailableError when
+    p divides a scale."""
+    import numpy as np
+    return np.array([fraction_to_modp(Fraction(1, s)) for s in scales],
+                    dtype=np.int64)
 
 
 def scaled_rows_to_modp(rows: Sequence[Sequence[int]],
-                        scales: Sequence[int]) -> np.ndarray:
-    """Residues of rows[i][j] / scales[j], one row per entry of rows.
+                        inverses: np.ndarray) -> np.ndarray:
+    """Residues of rows[i][j] * inverses[j], one row per entry of rows,
+    where inverses holds the residues of the scales' inverses
+    (`inverse_residues`).
 
     Rows that fit int64 are reduced in numpy; otherwise each integer is
     reduced mod p as a Python integer first, so large numerators cannot
-    overflow (two residues multiply below 2^62).  Raises
-    ModPUnavailableError when p divides a scale.
+    overflow (two residues multiply below 2^62).
     """
     import numpy as np
-    inverses = np.array([fraction_to_modp(Fraction(1, s)) for s in scales],
-                        dtype=np.int64)
     try:
         reduced = np.array(rows, dtype=np.int64) % PRIME
     except OverflowError:
@@ -112,8 +186,10 @@ def matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return ((hi @ B % PRIME << _HALF) + lo @ B) % PRIME
 
 
+@functools.lru_cache(maxsize=None)
 def compressor(rows: int, cols: int) -> np.ndarray | None:
-    """The fixed (cols+2) x rows compression matrix of a reject-only screen.
+    """The fixed (cols+2) x rows compression matrix of a reject-only screen,
+    built once per shape and read-only.
 
     A Vandermonde matrix on the nodes 2 .. cols+3, whose row a is
     (a+2)^0, (a+2)^1, ... mod p; None when rows <= cols + 2, where
@@ -129,7 +205,90 @@ def compressor(rows: int, cols: int) -> np.ndarray | None:
     nodes = np.arange(2, height + 2, dtype=np.int64)
     for r in range(1, rows):
         G[:, r] = G[:, r - 1] * nodes % PRIME
+    G.setflags(write=False)
     return G
+
+
+def gauss_jordan(A: np.ndarray, width: int | None = None
+                 ) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Reduced row echelon form of A over Z/p and its pivot columns.
+
+    Pivots are taken in the first `width` columns only (all by default),
+    left to right, the pivot row being the first row with a nonzero entry:
+    the order of `RatMatrix.rref`, so where every leading block of columns
+    has the same rank over Q and Z/p the pivots agree too.  Each update adds (p - factor) * pivot row, below
+    2^62 + p, and reduces once.
+    """
+    import numpy as np
+    M = np.array(A, dtype=np.int64) % PRIME
+    height = M.shape[0]
+    pivots: list[int] = []
+    for col in range(M.shape[1] if width is None else width):
+        top = len(pivots)
+        if top == height:
+            break
+        nonzero = M[top:, col].nonzero()[0]
+        if not nonzero.size:
+            continue
+        if nonzero[0]:
+            M[[top, top + nonzero[0]]] = M[[top + nonzero[0], top]]
+        row = M[top]
+        row *= pow(int(row[col]), -1, PRIME)
+        row %= PRIME
+        factors = PRIME - M[:, col]
+        factors[top] = 0
+        M += np.multiply.outer(factors, row)
+        M %= PRIME
+        pivots.append(col)
+    return M, tuple(pivots)
+
+
+def kernels(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(kernel basis of A, P*B) over Z/p, for a left-kernel basis P of A.
+
+    Both are read off one elimination of [A | B], pivoting in A only: the
+    rows of the eliminating transform that send A to zero rows are P, so
+    the same rows of the reduced B are P*B (B = I gives P itself).  The
+    kernel basis is one row per free column, ascending, 1 there and 0 on
+    the other free columns (where the pivots agree, the reduction of the
+    basis `RatMatrix.nullspace` gives over Q).
+    """
+    import numpy as np
+    cols = A.shape[1]
+    reduced, pivots = gauss_jordan(np.hstack([A, B]), cols)
+    rank = len(pivots)
+    free = [j for j in range(cols) if j not in pivots]
+    kernel = np.zeros((len(free), cols), dtype=np.int64)
+    kernel[range(len(free)), free] = 1
+    kernel[:, list(pivots)] = -reduced[:rank, free].T % PRIME
+    return kernel, reduced[rank:, cols:]
+
+
+def cokernel_projection(A: np.ndarray, fixed: np.ndarray, stack: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(kernel basis of A, P*fixed, P*stack) for a left-kernel basis P of A,
+    from one elimination (`kernels`); fixed is (R, k), stack (S, R, k)."""
+    import numpy as np
+    S, R, k = stack.shape
+    kernel, projected = kernels(
+        A, np.hstack([fixed, stack.transpose(1, 0, 2).reshape(R, S * k)]))
+    return (kernel, projected[:, :k],
+            projected[:, k:].reshape(len(projected), S, k).transpose(1, 0, 2))
+
+
+def rational_reconstruction(residue: int) -> Fraction | None:
+    """The n/d with |n|, d <= floor(sqrt(p/2)) and n = residue*d mod p, or
+    None when there is none (Wang 1981: the extended Euclidean algorithm on
+    p and the residue, stopped at the first remainder within the bound)."""
+    r0, r1 = PRIME, residue % PRIME
+    t0, t1 = 0, 1
+    while r1 > _LIFT_BOUND:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if abs(t1) > _LIFT_BOUND or math.gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
 
 
 def batched_rank(mats: np.ndarray) -> np.ndarray:

@@ -13,22 +13,26 @@ homogeneous layer at a time (top degree first), in one traversal for every
 f-degree, and discards whole families whose layer equations already have no
 nonzero solution; the survivors then pass one rank screen on the full
 operator.  The sections a sieve node screens are filtered from one table per
-degree of every reachable layer value, built once per lattice.  All three
-rank screens (the sieve's top level, its lower levels and the full operator)
-build their residue arrays with `_screen_arrays` (the images of a basis, and
-the stack of f -> u*f gathered from the basis residues), rank them with
-`_ranks`, and reject only on full rank modulo a prime, which is sound; each
-keeps every value when the prime divides a denominator.  A sieve node
-converts its section values to residues once, inside the same guard as its
-other conversions.  The sieve levels only reject, through `_rank_screen`,
-which first ranks their tall matrices M compressed to G*M, for a fixed G
-with two more rows than M has columns: rank(G*M) <= rank(M), so full rank
-there proves the rejection, and only the few values it leaves open are
-ranked on M.  The full operator's ranks stay uncompressed (`_ranks` alone):
-they also bound kernel dimensions, and nearly all of its candidates are
-rank-deficient, so a prescreen would only add work there.  The lower levels
-project onto a rational cokernel P and form P*M mod p from the residues of P
-and M.
+degree of every reachable layer value, built once per lattice.
+
+The sieve and the full operator work on residues modulo a prime, gathered
+from one table of the residues of X(m) per (field, degree)
+(`_image_residues`); multiplication by a monomial is a gather, not a
+product.  Every screen rejects only on full rank mod p, which proves a
+trivial rational kernel.  The sieve's top level takes the kernel W of each
+top layer mod p; a lower level projects its equations onto the cokernel P
+mod p of the block A of the free unknowns, which is sound once
+rank_Q(A) = rank_p(A) is proved (see `_GradedSieve`): at no cost when A has
+full column rank mod p, and otherwise by lifting A's kernel basis by
+rational reconstruction and checking each lift exactly.  Where that
+fails, or p divides a denominator, the sieve falls back to exact
+elimination for that matrix alone, and the full operator keeps every
+value.  The sieve levels only reject, through `_rank_screen`, which first
+ranks their tall matrices M compressed to G*M, for a fixed G with two more
+rows than M has columns: rank(G*M) <= rank(M), so full rank there proves
+the rejection, and only the few values it leaves open are ranked on M.  The full operator's ranks stay uncompressed
+(`_ranks` alone): they also bound kernel dimensions, and nearly all of its
+candidates are rank-deficient, so a prescreen would only add work there.
 The kernel of each candidate K is computed once per command, and the
 certificates and the rational obstruction are both read off those kernels.
 Where K's known monomial solutions x^e (X(x^e) = K*x^e) are as many as the
@@ -38,8 +42,7 @@ exactly over the rationals.
 
 Every exact matrix here is `coefficient_matrix` of a basis, or of its images
 under X(f) - K*f, on a window of monomials; no other code scatters
-polynomial terms into a matrix.  Multiplication by a monomial needs no
-matrix of its own: its residues are gathered from those of the basis.
+polynomial terms into a matrix.
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ _ZERO = Fraction(0)
 _MATERIALIZE_LIMIT = 5_000_000
 _SIEVE_BASES_LIMIT = 200_000
 _PRESCREEN_CHUNK = 8192
+_EXP_FACTOR_CELLS_LIMIT = 20_000_000
 
 
 class EvalDomainError(ArithmeticError):
@@ -277,22 +281,21 @@ def search_darboux_fixed_cofactor(X: VectorField, K: Poly, d: int) -> list[Poly]
 # lattice screens
 # --------------------------------------------------------------------------
 
-def _screen_arrays(images: Sequence[Poly], basis: Sequence[Poly],
-                   monos: Sequence[tuple], units: Sequence[tuple],
-                   rows: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray]:
-    """The residue arrays of one mod-p screen, the only way they are built.
+@functools.lru_cache(maxsize=1)
+def _image_residues(X: VectorField, d: int) -> np.ndarray:
+    """Read-only residues of X(m) for every monomial m of degree <= d.
 
-    Returns the matrix of `images` on `rows`, (R, C), and for each monomial
-    u of `units` the matrix of f -> u*f on `basis` and `rows`, (S, R, C),
-    gathered from the residues of the basis on `monos`, which must hold
-    every monomial of the basis.  Raises ModPUnavailableError when p
-    divides a denominator.
+    Column j is X(m_j) for the j-th monomial of degree <= d and row i the
+    i-th monomial of degree <= d + deg(X) - 1, both graded-lex: the one
+    table from which the full operator and every sieve block are gathered.
+    An entry whose denominator p divides is `_modp.UNAVAILABLE`.  Kept for
+    the last (field, degree).
     """
-    base = _modp.fraction_rows_to_modp(coefficient_matrix(images, rows))
-    directions = _modp.shifted_stack(
-        _modp.fraction_rows_to_modp(coefficient_matrix(basis, monos)),
-        monos, units, rows)
-    return base, directions
+    rows = monomials_upto(len(X.variables), d + max(X.degree - 1, 0))
+    table = _modp.partial_rows_to_modp(coefficient_matrix(
+        list(_monomial_images(X, d).values()), rows))
+    table.setflags(write=False)
+    return table
 
 
 def _ranks(base: np.ndarray, directions: np.ndarray,
@@ -342,12 +345,14 @@ def _full_operator(X: VectorField, d: int,
     <= d, one per candidate K; raises ModPUnavailableError when p divides a
     denominator."""
     n = len(X.variables)
-    cols = monomials_upto(n, d)
     support = sorted({m for K in candidates for m in K.terms}, key=grlex_key)
-    base, directions = _screen_arrays(
-        list(_monomial_images(X, d).values()), _monomial_basis(X, cols), cols,
-        support, monomials_upto(n, d + max(X.degree - 1, 0)))
-    return _ranks(base, directions, _modp.fraction_rows_to_modp(
+    directions = _modp.shift_matrices(
+        monomials_upto(n, d), support,
+        monomials_upto(n, d + max(X.degree - 1, 0)))
+    table = _image_residues(X, d)
+    if (table < 0).any():
+        raise _modp.ModPUnavailableError("p divides a denominator of X")
+    return _ranks(table, directions, _modp.fraction_rows_to_modp(
         [[K.coefficient(m) for m in support] for K in candidates]))
 
 
@@ -407,6 +412,7 @@ class _LatticeBoxes:
                 seen.add(key)
                 self.bases.append({m: v for m, v in vec.items() if v})
         self._tables: dict[int, dict[tuple[int, ...], int]] = {}
+        self._inverses: dict[int, np.ndarray] = {}
 
     def monos_of_degree(self, degree: int) -> list[tuple]:
         return [m for m in self.support if sum(m) == degree]
@@ -461,11 +467,43 @@ class _LatticeBoxes:
                                 for m, v in zip(monos, value)})
 
     def section_residues(self, degree: int, values: Sequence[tuple[int, ...]]
-                         ) -> Sequence[Sequence[int]]:
+                         ) -> np.ndarray:
         """Section values as coefficient residues mod p, one row per value;
-        raises ModPUnavailableError when p divides a scale."""
-        return _modp.scaled_rows_to_modp(
-            values, [self.scale[m] for m in self.monos_of_degree(degree)])
+        raises ModPUnavailableError when p divides a scale.  Each degree's
+        scales are inverted once per lattice."""
+        if degree not in self._inverses:
+            self._inverses[degree] = _modp.inverse_residues(
+                [self.scale[m] for m in self.monos_of_degree(degree)])
+        return _modp.scaled_rows_to_modp(values, self._inverses[degree])
+
+
+def _residues(rows: Sequence[Sequence[Fraction]]) -> np.ndarray | None:
+    """The residues of a rational matrix, None when p divides a
+    denominator."""
+    try:
+        return _modp.fraction_rows_to_modp(rows)
+    except _modp.ModPUnavailableError:
+        return None
+
+
+@dataclass(frozen=True)
+class _Block:
+    """Where the equations of sieve level r for f-degree n live.
+
+    The unknowns are f_n (the `top` columns, the first `split` of `cols`)
+    and the free blocks f_{n-1} .. f_{n-r} (the rest); `rows` are the
+    graded parts of X(f) - K*f of degrees n+M-2 down to n+M-1-r.  `window`
+    is X on these columns and rows, cut from the image table; `cofactor`
+    gathers the coefficient of K in K*m (row, column) from K's residue
+    vector; `shift` gathers u*f_n on `rows` for each unit u of the level.
+    """
+
+    rows: list
+    cols: list
+    split: int
+    window: np.ndarray
+    cofactor: np.ndarray
+    shift: np.ndarray
 
 
 class _GradedSieve:
@@ -480,6 +518,37 @@ class _GradedSieve:
     One traversal serves every f-degree n = 1..d: a node (K, compat, r)
     carries the branches (n, W) still alive there, so its sections are
     computed once however many degrees reach it.
+
+    Every level works on residues mod p.  A node carries K exactly and as
+    its residue vector over the lattice support (the parent's plus the
+    section row already converted), and gathers the matrices of X - K from
+    one residue table of X(m) per (field, degree).  The top level keeps a
+    value when (X - tau) has a nonzero kernel on f_n mod p; W is a basis of
+    that kernel.  A lower level writes its equations as A*g + F(theta)*c = 0,
+    with g the free blocks, A = (X - K) on them and f_n = W*c, and rejects
+    theta when P*F(theta) has full column rank mod p, for a left-kernel
+    basis P of A mod p.  This is sound once rank_Q(A) = rank_p(A):
+
+    - Scale a rational solution f with f_n != 0 so that f_n is a primitive
+      integer vector.  Its reduction is nonzero and solves the top level
+      mod p, so it is W*c for some c != 0.  A minor of A of size rank_Q(A)
+      that is a p-unit (one exists as rank_p(A) = rank_Q(A)) gives the free
+      blocks a p-integral solution g by Cramer's rule; reducing
+      A*g + F(theta)*f_n = 0 mod p and multiplying by P gives
+      P*F(theta)*W*c = 0, so P*F(theta) (on W) is rank-deficient mod p.
+    - The equality is free when A has full column rank mod p.  Otherwise
+      A's kernel basis mod p is lifted by rational reconstruction and each
+      lift is checked exactly ((X - K)(g) vanishes on the block's rows):
+      the lifts are independent, so rank_Q(A) <= rank_p(A) <= rank_Q(A).
+
+    W is certified the same way, so it is the reduction of the rational
+    kernel.  Where a lift fails (p divides a numerator, or a minor by
+    chance) or p divides a denominator (of X, or of a lattice scale, whose
+    layer of K then has unavailable residues), the sieve falls back to
+    exact elimination for that matrix alone: the exact kernel of the top
+    level, the residues of the exact cokernel of A.  A level keeps every
+    value when even those residues, or those of F or of its section values,
+    are unavailable.  On other inputs the sieve runs no exact elimination.
     """
 
     def __init__(self, X: VectorField, d: int, lattice: CofactorLattice):
@@ -488,20 +557,44 @@ class _GradedSieve:
         self.M = X.degree
         self.nv = len(X.variables)
         self.boxes = _LatticeBoxes(lattice)
-        self._lie = _monomial_images(X, d)
         self.found: set[Poly] = set()
-
-    def _images(self, K: Poly, monos: Sequence[tuple]) -> list[Poly]:
-        """X(m) - K*m for each monomial m."""
-        return [_operator_image(self._lie[m], K,
-                                Poly.from_monomial(self.X.variables, m))
-                for m in monos]
+        support = self.boxes.support
+        self._positions = {m: i for i, m in enumerate(support)}
+        self._width = len(support) + 1   # K's residues, then a zero pad
+        self._rows_at = {m: i for i, m in enumerate(
+            monomials_upto(self.nv, d + max(self.M - 1, 0)))}
+        self._cols_at = {m: i for i, m in enumerate(
+            monomials_upto(self.nv, d))}
+        self._blocks: dict[tuple[int, int], _Block] = {}
 
     def run(self) -> list[Poly]:
         compat0 = self.boxes.legal_bases(max(self.M - 1, 0))
         if compat0:
             self._top_level(compat0)
         return sorted(self.found, key=Poly.sort_key)
+
+    def _section_residues(self, degree: int, values: Sequence[tuple[int, ...]]
+                          ) -> tuple[np.ndarray, bool]:
+        """(residues of the section values, whether they are known); when p
+        divides a scale of the degree every entry is UNAVAILABLE."""
+        try:
+            return self.boxes.section_residues(degree, values), True
+        except _modp.ModPUnavailableError:
+            return _modp.unavailable(
+                len(values), len(self.boxes.monos_of_degree(degree))), False
+
+    def _layer(self, degree: int, coeffs: np.ndarray) -> np.ndarray:
+        """Section residue rows as rows of K's residue vector."""
+        return _modp.embed(coeffs, [self._positions[m] for m in
+                                    self.boxes.monos_of_degree(degree)],
+                           self._width)
+
+    def _window(self, rows: Sequence[tuple], cols: Sequence[tuple]
+                ) -> np.ndarray:
+        """The residues of X(m) for m in cols, on rows."""
+        return _image_residues(self.X, self.d)[
+            [self._rows_at[m] for m in rows]][
+            :, [self._cols_at[m] for m in cols]]
 
     def _top_level(self, compat: int) -> None:
         """Fix the top layer of K, screening it once per f-degree n."""
@@ -511,45 +604,133 @@ class _GradedSieve:
             return
         variables = self.X.variables
         values = sorted(sections)
+        taus = [self.boxes.section_poly(variables, top_deg, val)
+                for val in values]
+        coeffs, known = self._section_residues(top_deg, values)
         units = self.boxes.monos_of_degree(top_deg)
-        coeffs = None   # section residues, converted once for the node
-        taus: dict[tuple, Poly] = {}
-        alive: dict[tuple, list] = {}   # value -> branches (n, W) alive
+        alive: dict[int, list] = {}   # value index -> branches (n, W) alive
         for n in range(1, self.d + 1):
             cols = monomials_of_degree(self.nv, n)
             rows = monomials_of_degree(self.nv, n + top_deg)
-            try:
-                if coeffs is None:
-                    coeffs = self.boxes.section_residues(top_deg, values)
-                base, directions = _screen_arrays(
-                    self._images(Poly.zero(variables), cols),
-                    _monomial_basis(self.X, cols), cols, units, rows)
-            except _modp.ModPUnavailableError:
-                screened = values
+            base = self._window(rows, cols)
+            if not known or (base < 0).any():
+                screened, mats = range(len(values)), None
             else:
-                screened = _rank_screen(values, coeffs, base, directions)
-            for val in screened:
-                if val not in taus:
-                    taus[val] = self.boxes.section_poly(variables, top_deg, val)
-                kernel = RatMatrix(coefficient_matrix(
-                    self._images(taus[val], cols), rows)).nullspace()
+                directions = _modp.shift_matrices(cols, units, rows)
+                screened = _rank_screen(range(len(values)), coeffs, base,
+                                        directions)
+                if not screened:
+                    continue
+                mats = _modp.batched_combination(base, directions,
+                                                 coeffs[screened])
+            for k, i in enumerate(screened):
+                if mats is not None:
+                    W = _modp.kernels(mats[k], mats[k][:, :0])[0]
+                    if self._lifts_exactly(taus[i], cols, rows, W):
+                        alive.setdefault(i, []).append((n, W.T))
+                        continue
+                kernel = RatMatrix(
+                    self._exact_operator(taus[i], cols, rows)).nullspace()
                 if kernel:
-                    W = [Poly(variables, dict(zip(cols, vec))) for vec in kernel]
-                    alive.setdefault(val, []).append(
-                        (n, [(w, lie_derivative(self.X, w)) for w in W]))
-        for val in values:
-            if val in alive:
-                self._descend(taus[val], sections[val], 1, alive[val])
+                    W = _residues(kernel)
+                    alive.setdefault(i, []).append(
+                        (n, None if W is None else W.T))
+        layer = self._layer(top_deg, coeffs)
+        for i, val in enumerate(values):
+            if i in alive:
+                self._descend(taus[i], layer[i], sections[val], 1, alive[i])
 
-    def _descend(self, K: Poly, compat: int, r: int,
-                 branches: list[tuple[int, list[tuple[Poly, Poly]]]]) -> None:
+    def _exact_operator(self, K: Poly, cols: list, rows: list) -> list:
+        """The rational matrix of f -> X(f) - K*f from cols to rows."""
+        variables = self.X.variables
+        images = _monomial_images(self.X, self.d)
+        return coefficient_matrix(
+            [_operator_image(images[m], K, Poly.from_monomial(variables, m))
+             for m in cols], rows)
+
+    def _exact_cokernel(self, K: Poly, cols: list, rows: list
+                        ) -> np.ndarray | None:
+        """The residues of the exact left kernel of (X - K) from cols to
+        rows, one row per vector; None when it is trivial or unavailable."""
+        A = self._exact_operator(K, cols, rows)
+        P = RatMatrix([list(col) for col in zip(*A)]).nullspace()
+        return _residues(P) if P else None
+
+    def _block(self, n: int, r: int) -> _Block:
+        key = (n, r)
+        if key not in self._blocks:
+            M = self.M
+            rows = [m for i in range(1, r + 1)
+                    for m in monomials_of_degree(self.nv, n + M - 1 - i)]
+            top = monomials_of_degree(self.nv, n)
+            cols = top + [m for s in range(1, min(r, n) + 1)
+                          for m in monomials_of_degree(self.nv, n - s)]
+            self._blocks[key] = _Block(
+                rows, cols, len(top), self._window(rows, cols),
+                _modp.shift_index(self.boxes.support, cols, rows).T,
+                _modp.shift_index(top, self.boxes.monos_of_degree(M - 1 - r),
+                                  rows))
+        return self._blocks[key]
+
+    def _lifts_exactly(self, K: Poly, cols: list, rows: list,
+                       kernel: np.ndarray) -> bool:
+        """Whether every vector of a kernel basis mod p of (X - K) from cols
+        to rows lifts, by rational reconstruction, to a rational g with
+        (X - K)(g) zero on rows: then the rational kernel is as large."""
+        images = _monomial_images(self.X, self.d)
+        variables = self.X.variables
+        for vec in kernel:
+            coeffs = [_modp.rational_reconstruction(int(x)) for x in vec]
+            if None in coeffs:
+                return False
+            g = Poly(variables, dict(zip(cols, coeffs)))
+            Xg = Poly.zero(variables)
+            for m, c in g.terms.items():
+                Xg = Xg + images[m] * c
+            image = _operator_image(Xg, K, g)
+            if any(image.coefficient(m) for m in rows):
+                return False
+        return True
+
+    def _projected(self, K: Poly, residues: np.ndarray, n: int, r: int,
+                   W: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        """P*F and the stack P*(u*W) of level r for f-degree n, or None when
+        the level constrains nothing or F has an unavailable residue.
+
+        P is the cokernel of A mod p when rank_Q(A) = rank_p(A) is proved,
+        and otherwise (A has an unavailable residue, or a lift fails) the
+        residues of A's exact cokernel.
+        """
+        block = self._block(n, r)
+        cofactor = residues[block.cofactor]
+        missing = ((block.window < 0) | (cofactor < 0)).any(axis=0)
+        if missing[:block.split].any():
+            return None
+        operator = (block.window - cofactor) % _modp.PRIME
+        lower = block.cols[block.split:]
+        fixed = _modp.matmul(operator[:, :block.split], W)
+        shifted = _modp.gather(W, block.shift)
+        if not missing.any():
+            kernel, P_fixed, P_shifted = _modp.cokernel_projection(
+                operator[:, block.split:], fixed, shifted)
+            if not len(kernel) or self._lifts_exactly(K, lower, block.rows,
+                                                      kernel):
+                # with P empty every equation is absorbed by the free blocks
+                return (P_fixed, P_shifted) if len(P_fixed) else None
+        P = self._exact_cokernel(K, lower, block.rows)
+        if P is None:
+            return None
+        return _modp.matmul(P, fixed), _modp.matmul(P, shifted)
+
+    def _descend(self, K: Poly, residues: np.ndarray, compat: int, r: int,
+                 branches: list[tuple[int, np.ndarray | None]]) -> None:
         """Fix the degree-(M-1-r) layer of K, the layers above summing to K.
 
-        Each branch (n, W) is an f-degree n still alive at this node, W the
-        pairs (w, X(w)) of a basis of its admissible f_n.
+        `residues` is K's residue vector; each branch (n, W) is an f-degree
+        n still alive at this node, W the residues of a basis of its
+        admissible f_n, one column per vector (None when unavailable).
         """
         M = self.M
-        variables = self.X.variables
         if r > M - 1:
             self.found.add(K)
             return
@@ -558,47 +739,25 @@ class _GradedSieve:
         if not sections:
             return
         values = sorted(sections)
-        units = self.boxes.monos_of_degree(ell)
-        coeffs = None   # section residues, converted once for the node
-        alive: dict[tuple, list] = {}   # value -> branches (n, W) alive
+        everything = range(len(values))
+        coeffs, known = self._section_residues(ell, values)
+        alive: dict[int, list] = {}   # value index -> branches (n, W) alive
         for n, W in branches:
-            # equations 1..r are the graded parts of X(f) - K*f of degrees
-            # n+M-2 down to n+M-1-r; the unknown blocks are f_{n-1}..f_{n-r}
-            rows = [m for i in range(1, r + 1)
-                    for m in monomials_of_degree(self.nv, n + M - 1 - i)]
-            cols = [m for s in range(1, min(r, n) + 1)
-                    for m in monomials_of_degree(self.nv, n - s)]
-            # cokernel of the fixed block
-            P = RatMatrix(coefficient_matrix(self._images(K, cols), rows)
-                          ).transpose().nullspace()
-            # with P empty every equation is absorbed by the free blocks, so
-            # this level constrains nothing and every section value descends
-            kept = values
-            if P:
-                # project onto the cokernel mod p: reduction mod p is a ring
-                # homomorphism on these rationals, so P*fixed mod p is the
-                # residue of the rational product
-                try:
-                    if coeffs is None:
-                        coeffs = self.boxes.section_residues(ell, values)
-                    P_p = _modp.fraction_rows_to_modp(P)
-                    fixed, directions = _screen_arrays(
-                        [_operator_image(Xw, K, w) for w, Xw in W],
-                        [w for w, _ in W], monomials_of_degree(self.nv, n),
-                        units, rows)
-                except _modp.ModPUnavailableError:
-                    pass
-                else:
-                    kept = _rank_screen(values, coeffs,
-                                        _modp.matmul(P_p, fixed),
-                                        _modp.matmul(P_p, directions))
-            for val in kept:
-                alive.setdefault(val, []).append((n, W))
+            kept = everything
+            if known and W is not None:
+                projected = self._projected(K, residues, n, r, W)
+                if projected is not None:
+                    kept = _rank_screen(everything, coeffs, *projected)
+            for i in kept:
+                alive.setdefault(i, []).append((n, W))
 
-        for val in values:
-            if val in alive:
+        layer = residues + self._layer(ell, coeffs)
+        variables = self.X.variables
+        for i, val in enumerate(values):
+            if i in alive:
                 theta = self.boxes.section_poly(variables, ell, val)
-                self._descend(K + theta, sections[val], r + 1, alive[val])
+                self._descend(K + theta, layer[i], sections[val], r + 1,
+                              alive[i])
 
 
 def _candidate_cofactors(X: VectorField, d: int, lattice: CofactorLattice
@@ -752,6 +911,10 @@ def search_exp_factors(X: VectorField, deg_g: int,
     kernel directions are not reported: the trivial exp(constant), and pairs
     with L = 0, which are exponentials of first integrals and belong to the
     first-integral reports instead.
+
+    Raises ValueError when the denominator vectors times the cells of the
+    largest matrix exceed `_EXP_FACTOR_CELLS_LIMIT`, before anything is
+    built.
     """
     if deg_g < 0 or s_bound < 0:
         raise ValueError("the numerator degree and the denominator exponent "
@@ -759,6 +922,14 @@ def search_exp_factors(X: VectorField, deg_g: int,
     nv = len(X.variables)
     variables = X.variables
     max_L = max(X.degree - 1, 0)
+    cells = ((s_bound + 1) ** nv
+             * math.comb(nv + max(deg_g + max_L, max_L + nv * s_bound), nv)
+             * (math.comb(nv + deg_g, nv) + math.comb(nv + max_L, nv)))
+    if cells > _EXP_FACTOR_CELLS_LIMIT:
+        raise ValueError(
+            f"{cells} denominator vectors times matrix cells exceed the "
+            f"exponential-factor search limit ({_EXP_FACTOR_CELLS_LIMIT}); "
+            f"lower --g-degree or --s-bound")
     g_monos = monomials_upto(nv, deg_g)
     L_monos = monomials_upto(nv, max_L)
     g_basis = _monomial_basis(X, g_monos)

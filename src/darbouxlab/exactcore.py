@@ -553,10 +553,6 @@ class RatMatrix:
         return (isinstance(other, RatMatrix)
                 and self.entries == other.entries)
 
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix([[self.entries[i][j] for i in range(self.rows)]
-                          for j in range(self.cols)])
-
     def rref(self) -> tuple["RatMatrix", tuple[int, ...]]:
         """Reduced row echelon form and the pivot column indices.
 

@@ -281,6 +281,22 @@ def test_negative_degree_exits_2(args):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("args", [
+    ["--s-bound", "1000000000"],
+    ["--g-degree", "1000000"],
+])
+def test_oversized_expfactors_request_exits_2(args):
+    # the exponential-factor search is refused by its size limit before any
+    # matrix is built; the timeout guards against a search that runs anyway
+    proc = run_module(["expfactors", "corpus/lv3_a3_b3_c2.vf", *args],
+                      timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ")
+    assert "exponential-factor search limit" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("args, cert_class", [
     (["darboux", "corpus/restricted_y0_a0.vf", "--degree", "2"], DarbouxCert),
     (["expfactors", "corpus/lv3_a0_b3_c2.vf"], ExpFactorCert),

@@ -425,6 +425,53 @@ class TestRankScreen:
         assert {str(c.f) for c in search_darboux(X, 2, lattice)} == {
             "x", "z", "x + 1/2"}
 
+    @pytest.mark.parametrize("case", ["restricted_z0", "reference"])
+    def test_failed_lifts_fall_back_to_exact_elimination(
+            self, monkeypatch, reference_field, case):
+        # with no rational lift, no rank equality over Q and mod p is
+        # proved: the top level takes exact kernels, and every lower-level
+        # block A that is rank-deficient mod p its exact cokernel, as the
+        # sieve did before it worked on residues, so the survivors and the
+        # certificates are unchanged
+        import darbouxlab.darboux as dbx
+
+        if case == "restricted_z0":
+            X, d = parse_field(RESTRICTED_Z0), 3
+            lattice = default_lattice(X, 2)
+        else:
+            X, d, lattice = reference_field, 2, default_lattice(
+                reference_field, 1)
+        screened = dbx._GradedSieve(X, d, lattice).run()
+        certs = {(str(c.f), str(c.K)) for c in search_darboux(X, d, lattice)}
+
+        lifts = []
+
+        def no_lift(residue):
+            lifts.append(residue)
+            return None
+
+        dims = []   # kernel dimension mod p of each lower-level block A
+        project = _modp.cokernel_projection
+
+        def recorded(A, fixed, stack):
+            dims.append(len(project(A, fixed, stack)[0]))
+            return project(A, fixed, stack)
+
+        monkeypatch.setattr(_modp, "rational_reconstruction", no_lift)
+        monkeypatch.setattr(_modp, "cokernel_projection", recorded)
+        rrefs = _counting(monkeypatch, RatMatrix, "rref")
+        cokernels = _counting(monkeypatch, dbx._GradedSieve,
+                              "_exact_cokernel")
+        kept = dbx._GradedSieve(X, d, lattice).run()
+        # one exact kernel per live top-level value, one exact cokernel
+        # per rank-deficient lower block
+        assert lifts and cokernels
+        assert len(cokernels) == sum(1 for dim in dims if dim)
+        assert len(rrefs) > len(cokernels)
+        assert kept == screened
+        assert {(str(c.f), str(c.K))
+                for c in search_darboux(X, d, lattice)} == certs
+
     @pytest.mark.parametrize("shape", [(12, 3, 2), (9, 2, 3), (20, 1, 1),
                                        (8, 5, 4)])
     def test_compressed_screen_keeps_what_full_ranks_keep(self, shape):
@@ -567,9 +614,12 @@ class TestKernelFromRank:
         solves = _counting(monkeypatch, dbx, "search_darboux_fixed_cofactor")
         sections = _counting(monkeypatch, dbx._LatticeBoxes, "sections")
         tables = _counting(monkeypatch, dbx._LatticeBoxes, "_reachable")
+        rrefs = _counting(monkeypatch, RatMatrix, "rref")
         certs = search_darboux(reference_field, 4)
         assert sorted(str(c.f) for c in certs) == ["x", "y", "z"]
         assert len(solves) == 0
+        # the sieve works on residues only: no exact elimination at all
+        assert len(rrefs) == 0
         assert len(sections) <= 210
         # one reachable table per degree, however many sections filter it
         assert len(tables) <= 3

@@ -1,5 +1,6 @@
 """The mod-p prescreen must never overestimate rank (sound rejections)."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -117,6 +118,9 @@ def test_compressor_is_a_fixed_vandermonde_matrix():
     G = _modp.compressor(9, 3)
     assert G.tolist() == [[pow(a, r, _modp.PRIME) for r in range(9)]
                           for a in range(2, 7)]
+    # built once per shape, and shared read-only
+    assert _modp.compressor(9, 3) is G
+    assert not G.flags.writeable
 
 
 def test_residue_conversion_fast_paths():
@@ -124,13 +128,15 @@ def test_residue_conversion_fast_paths():
     assert _modp.fraction_to_modp(Fraction(-3)) == p - 3
     assert _modp.fraction_to_modp(Fraction(10**30)) == 10**30 % p
     big = [(10**30, -7), (3, 2 * p)]
-    got = _modp.scaled_rows_to_modp(big, [1, 3])
+    inverses = _modp.inverse_residues([1, 3])
     inv3 = pow(3, p - 2, p)
+    assert inverses.tolist() == [1, inv3]
+    got = _modp.scaled_rows_to_modp(big, inverses)
     assert got.tolist() == [[10**30 % p, -7 * inv3 % p], [3, 2 * p * inv3 % p]]
-    small = _modp.scaled_rows_to_modp([(4, -9)], [1, 3])
+    small = _modp.scaled_rows_to_modp([(4, -9)], inverses)
     assert small.tolist() == [[4, p - 3]]
     with pytest.raises(_modp.ModPUnavailableError):
-        _modp.scaled_rows_to_modp([(1,)], [p])
+        _modp.inverse_residues([p])
 
 
 def _polys(texts, variables):
@@ -169,3 +175,134 @@ def test_shifted_stack_matches_products(basis, monos, units, rows):
         [Poly.from_monomial(variables, u) * b for b in basis], rows)).tolist()
         for u in units]
     assert got.tolist() == want
+
+
+def _residues(matrix):
+    return (np.array(matrix, dtype=object) % _modp.PRIME).astype(np.int64)
+
+
+def _elimination_cases():
+    """Small-integer matrices: tall, wide, 1x1, zero, rank-deficient, and
+    entries p - 1 (which are -1 mod p but large rationals)."""
+    rng = random.Random(11)
+    p1 = _modp.PRIME - 1
+
+    def product(R, C, rank):
+        U = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(R)]
+        V = [[rng.randint(-3, 3) for _ in range(C)] for _ in range(rank)]
+        return [[sum(u[t] * V[t][j] for t in range(rank)) for j in range(C)]
+                for u in U]
+
+    cases = [[[0]], [[5]], [[p1]], [[0] * 4 for _ in range(3)],
+             [[0] * 2 for _ in range(5)], [[p1] * 3 for _ in range(4)],
+             [[p1, 1], [2, p1]], [[1, 2, 3], [2, 4, 6]],
+             [[0, 1, 0, 2], [0, 0, 0, 0], [0, 2, 1, 4]]]
+    for R, C in [(7, 3), (3, 7), (6, 6), (9, 4), (2, 5), (1, 4), (4, 1)]:
+        for rank in range(min(R, C) + 1):
+            cases.append(product(R, C, rank))
+        cases.append([[rng.choice((0, 1, p1, rng.randint(-5, 5)))
+                       for _ in range(C)] for _ in range(R)])
+    # the comparisons need equal ranks over Q and Z/p (a rank drop mod p is
+    # `test_rank_can_drop_mod_p`)
+    return [m for m in cases if RatMatrix(m).rank()
+            == _modp.batched_rank(_residues(m)[None])[0]]
+
+
+def test_rank_can_drop_mod_p():
+    # det = (p-1)^2 - 1 = p*(p-2): rank 2 over Q, 1 mod p, which is why a
+    # cokernel mod p needs its rank equality certified
+    p1 = _modp.PRIME - 1
+    matrix = [[p1, 1], [1, p1]]
+    assert RatMatrix(matrix).rank() == 2
+    assert len(_modp.gauss_jordan(_residues(matrix))[1]) == 1
+
+
+def _modp_rows(rows):
+    return [[_modp.fraction_to_modp(Fraction(x)) for x in row] for row in rows]
+
+
+@pytest.mark.parametrize("matrix", _elimination_cases())
+def test_gauss_jordan_matches_exact_rref(matrix):
+    exact, pivots = RatMatrix(matrix).rref()
+    reduced, got = _modp.gauss_jordan(_residues(matrix))
+    assert got == pivots
+    assert reduced.tolist() == _modp_rows(exact.entries)
+    # pivots restricted to a leading block of columns: the rest is carried
+    width = len(matrix[0]) // 2
+    _, head = _modp.gauss_jordan(_residues(matrix), width)
+    assert head == RatMatrix([row[:width] for row in matrix]).rref()[1]
+
+
+@pytest.mark.parametrize("matrix", _elimination_cases())
+def test_kernels_match_exact_nullspaces(matrix):
+    A = _residues(matrix)
+    R, C = A.shape
+    kernel, left = _modp.kernels(A, np.eye(R, dtype=np.int64))
+    # the kernel basis is the one RatMatrix.nullspace gives, mod p
+    assert kernel.shape == (C - len(RatMatrix(matrix).rref()[1]), C)
+    assert kernel.tolist() == _modp_rows(RatMatrix(matrix).nullspace())
+    # the left kernel is a basis of {y : y*A = 0 mod p}, as large as the
+    # exact one, and spans its images wherever they exist mod p
+    exact_left = RatMatrix([list(col) for col in zip(*matrix)]).nullspace()
+    assert left.shape == (len(exact_left), R)
+    assert not _modp.matmul(left, A).any()
+    if len(exact_left):
+        assert _modp.batched_rank(left[None])[0] == len(exact_left)
+        try:
+            images = _residues(_modp_rows(exact_left))
+        except _modp.ModPUnavailableError:
+            images = left   # a denominator of that basis is divisible by p
+        stacked = np.vstack([left, images])
+        assert _modp.batched_rank(stacked[None])[0] == len(exact_left)
+    # projecting B onto the cokernel is the left kernel times B
+    rng = random.Random(R * 10 + C)
+    B = _residues([[rng.randint(-9, 9) for _ in range(3)] for _ in range(R)])
+    stack = _residues([[[rng.randint(-9, 9) for _ in range(2)]
+                        for _ in range(R)] for _ in range(4)])
+    assert _modp.kernels(A, B)[1].tolist() == _modp.matmul(left, B).tolist()
+    same, fixed, projected = _modp.cokernel_projection(A, B[:, :2], stack)
+    assert same.tolist() == kernel.tolist()
+    assert fixed.tolist() == _modp.matmul(left, B[:, :2]).tolist()
+    assert projected.tolist() == _modp.matmul(left, stack).tolist()
+
+
+def _small_preimage(residue):
+    """Brute force: the n/d with |n|, d <= floor(sqrt(p/2)) and
+    n = residue*d mod p, or None."""
+    p = _modp.PRIME
+    bound = math.isqrt(p // 2)
+    for d in range(1, bound + 1):
+        n = residue * d % p
+        if n > p // 2:
+            n -= p
+        if abs(n) <= bound:
+            return Fraction(n, d)
+    return None
+
+
+def test_rational_reconstruction_round_trips_within_the_bound():
+    p = _modp.PRIME
+    bound = math.isqrt(p // 2)
+    assert bound == 32767
+    rng = random.Random(13)
+    values = [Fraction(0), Fraction(1), Fraction(-1), Fraction(bound),
+              Fraction(-bound, bound - 2), Fraction(1, bound),
+              Fraction(bound - 1, bound)]
+    values += [Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+               for _ in range(200)]
+    for value in values:
+        assert _modp.rational_reconstruction(
+            _modp.fraction_to_modp(value)) == value
+    assert _modp.rational_reconstruction(p - 1) == -1
+
+
+def test_rational_reconstruction_without_a_small_preimage():
+    p = _modp.PRIME
+    bound = math.isqrt(p // 2)
+    # bound + 1 = 2^15: no n/d within the bound is congruent to it
+    assert _modp.rational_reconstruction(bound + 1) is None
+    assert _small_preimage(bound + 1) is None
+    rng = random.Random(17)
+    for residue in [rng.randrange(p) for _ in range(12)]:
+        assert _modp.rational_reconstruction(residue) == _small_preimage(
+            residue)
