@@ -24,16 +24,29 @@ u*b is that of rows[r] - u in b (`shift_index`, `gather`), so neither the
 screens' direction stacks nor the sieve's cofactor blocks form a product.
 
 The sieve's kernels and cokernels come from one Gauss-Jordan elimination
-(`gauss_jordan`, `kernels`).  A cokernel P mod p of a block A may stand in
-for the rational one only when rank_Q(A) = rank_p(A) is proved: free when A
-has full column rank mod p, and otherwise by lifting A's kernel basis mod p
-with `rational_reconstruction` and checking each lift exactly (the lifts
-are independent, being 1 and 0 on the free columns, so rank_Q(A) <= rank_p(A),
+per stack of same-shaped blocks (`batched_kernels`), which pivots without
+row swaps.  Its pivot columns are the column rank profile of A (column j
+is a pivot exactly when it is independent of the columns before it), so
+they are the pivots of any Gauss-Jordan order, `RatMatrix.rref`'s
+included wherever every leading block of columns has the same rank over Q
+and Z/p; given the pivots, the kernel basis that is 1 on its free column
+and 0 on the other free columns is unique.  Each step is invertible (it
+scales every row by the nonzero pivot and subtracts multiples of the
+pivot row from the others), so the R - rank rows that never become pivot
+rows are independent, and they vanish on A: a basis P of A's left kernel.
+Any other basis P' of that space, such as the one a row-swapping
+elimination leaves, is T*P for an invertible T, so P'*F = T*(P*F) for
+every F and each projected matrix has the same rank whichever basis is
+used.  A cokernel P mod p of a block A may stand in for the rational one
+only when rank_Q(A) = rank_p(A) is proved: free when A has full column
+rank mod p, and otherwise by lifting A's kernel basis mod p with
+`rational_reconstruction` and checking each lift exactly (the lifts are
+independent, being 1 and 0 on the free columns, so rank_Q(A) <= rank_p(A),
 and rank_p never exceeds rank_Q).
 
-This is the only module that uses numpy, and it imports numpy inside the
-functions that build arrays, so a command that runs no rank screen never
-loads it.
+Only this module and the screens' array bookkeeping in `darboux` use
+numpy, and both import it inside the functions that build arrays, so a
+command that runs no rank screen never loads it.
 """
 
 from __future__ import annotations
@@ -209,71 +222,57 @@ def compressor(rows: int, cols: int) -> np.ndarray | None:
     return G
 
 
-def gauss_jordan(A: np.ndarray, width: int | None = None
-                 ) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Reduced row echelon form of A over Z/p and its pivot columns.
+def batched_kernels(A: np.ndarray, B: np.ndarray
+                    ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(kernel basis of A[i], P_i*B[i]) over Z/p for each matrix of a stack,
+    P_i a basis of the left kernel of A[i]; A is (N, R, C), B (N, R, k).
 
-    Pivots are taken in the first `width` columns only (all by default),
-    left to right, the pivot row being the first row with a nonzero entry:
-    the order of `RatMatrix.rref`, so where every leading block of columns
-    has the same rank over Q and Z/p the pivots agree too.  Each update adds (p - factor) * pivot row, below
-    2^62 + p, and reduces once.
+    One fraction-free Gauss-Jordan elimination of the stack [A | B],
+    vectorized over N and pivoting in A only, with no row swaps: at column
+    j the pivot row of each matrix is its first row not yet a pivot row
+    with a nonzero entry there, and every other row becomes
+    row*pivot - factor*pivot_row, each product below 2^62 (a matrix
+    without one gets pivot 1 and factor 0, so its step changes nothing).
+    The pivot row keeps its place, scaled by the pivot.  The kernel basis
+    is one row per free column, ascending, 1 there and 0 on the other free
+    columns; the rows that never became pivot rows are zero on A, and their
+    B part is P_i*B[i] (B = I gives P_i itself).
     """
     import numpy as np
-    M = np.array(A, dtype=np.int64) % PRIME
-    height = M.shape[0]
-    pivots: list[int] = []
-    for col in range(M.shape[1] if width is None else width):
-        top = len(pivots)
-        if top == height:
-            break
-        nonzero = M[top:, col].nonzero()[0]
-        if not nonzero.size:
+    N, R, C = A.shape
+    M = np.concatenate([A, B], axis=2) % PRIME
+    mat_idx = np.arange(N)
+    unused = np.ones((N, R), dtype=bool)
+    pivot_row = np.full((N, C), -1)
+    for j in range(C):
+        column = M[:, :, j]
+        candidates = (column != 0) & unused
+        has = candidates.any(axis=1)
+        if not has.any():
             continue
-        if nonzero[0]:
-            M[[top, top + nonzero[0]]] = M[[top + nonzero[0], top]]
-        row = M[top]
-        row *= pow(int(row[col]), -1, PRIME)
-        row %= PRIME
-        factors = PRIME - M[:, col]
-        factors[top] = 0
-        M += np.multiply.outer(factors, row)
+        row = candidates.argmax(axis=1)
+        pivot = M[mat_idx, row]
+        factors = np.where(has[:, None], column, 0)
+        factors[mat_idx, row] = 0
+        M *= np.where(has, pivot[:, j], 1)[:, None, None]
+        M -= factors[:, :, None] * pivot[:, None, :]
         M %= PRIME
-        pivots.append(col)
-    return M, tuple(pivots)
-
-
-def kernels(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(kernel basis of A, P*B) over Z/p, for a left-kernel basis P of A.
-
-    Both are read off one elimination of [A | B], pivoting in A only: the
-    rows of the eliminating transform that send A to zero rows are P, so
-    the same rows of the reduced B are P*B (B = I gives P itself).  The
-    kernel basis is one row per free column, ascending, 1 there and 0 on
-    the other free columns (where the pivots agree, the reduction of the
-    basis `RatMatrix.nullspace` gives over Q).
-    """
-    import numpy as np
-    cols = A.shape[1]
-    reduced, pivots = gauss_jordan(np.hstack([A, B]), cols)
-    rank = len(pivots)
-    free = [j for j in range(cols) if j not in pivots]
-    kernel = np.zeros((len(free), cols), dtype=np.int64)
-    kernel[range(len(free)), free] = 1
-    kernel[:, list(pivots)] = -reduced[:rank, free].T % PRIME
-    return kernel, reduced[rank:, cols:]
-
-
-def cokernel_projection(A: np.ndarray, fixed: np.ndarray, stack: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(kernel basis of A, P*fixed, P*stack) for a left-kernel basis P of A,
-    from one elimination (`kernels`); fixed is (R, k), stack (S, R, k)."""
-    import numpy as np
-    S, R, k = stack.shape
-    kernel, projected = kernels(
-        A, np.hstack([fixed, stack.transpose(1, 0, 2).reshape(R, S * k)]))
-    return (kernel, projected[:, :k],
-            projected[:, k:].reshape(len(projected), S, k).transpose(1, 0, 2))
+        unused[mat_idx[has], row[has]] = False
+        pivot_row[has, j] = row[has]
+    out = []
+    for i in range(N):
+        pivots = (pivot_row[i] >= 0).nonzero()[0]
+        free = (pivot_row[i] < 0).nonzero()[0]
+        kernel = np.zeros((len(free), C), dtype=np.int64)
+        if len(free):
+            rows = pivot_row[i, pivots]
+            inverses = np.array([pow(int(v), -1, PRIME)
+                                 for v in M[i, rows, pivots]], dtype=np.int64)
+            kernel[range(len(free)), free] = 1
+            kernel[:, pivots] = ((PRIME - M[i][np.ix_(rows, free)].T)
+                                 * inverses % PRIME)
+        out.append((kernel, M[i, unused[i], C:]))
+    return out
 
 
 def rational_reconstruction(residue: int) -> Fraction | None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -89,9 +90,11 @@ def cmd_expfactors(X: VectorField, args) -> dict:
 
 
 def cmd_integrals(X: VectorField, args) -> dict:
+    # the exponential factors first: an oversized request is refused before
+    # the Darboux search runs
+    efacts = search_exp_factors(X, args.g_degree, args.s_bound)
     kernels = cofactor_kernels(X, args.degree, _lattice_from_args(X, args))
     certs = certificates_from_kernels(X, kernels)
-    efacts = search_exp_factors(X, args.g_degree, args.s_bound)
     _recheck(X, certs + efacts)
     funcs = assemble_darboux_integrals(certs, efacts)
     _recheck_functions(funcs)
@@ -273,6 +276,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    # numpy starts an OpenBLAS worker pool when it loads; every array here
+    # is int64, which BLAS never handles, so one thread is enough.  A value
+    # the caller set still wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -10,10 +10,11 @@ enumerates K over a finite integer lattice of generator combinations and
 solves the remaining linear problem exactly.  Results are complete relative
 to the lattice.  Every lattice goes through a graded sieve that fixes K one
 homogeneous layer at a time (top degree first), in one traversal for every
-f-degree, and discards whole families whose layer equations already have no
-nonzero solution; the survivors then pass one rank screen on the full
-operator.  The sections a sieve node screens are filtered from one table per
-degree of every reachable layer value, built once per lattice.
+f-degree run level by level, and discards whole families whose layer
+equations already have no nonzero solution; the survivors then pass one
+rank screen on the full operator.  The sections a sieve node screens are
+filtered from one table per degree of every reachable layer value, built
+and reduced mod p once per lattice.
 
 The sieve and the full operator work on residues modulo a prime, gathered
 from one table of the residues of X(m) per (field, degree)
@@ -30,9 +31,10 @@ elimination for that matrix alone, and the full operator keeps every
 value.  The sieve levels only reject, through `_rank_screen`, which first
 ranks their tall matrices M compressed to G*M, for a fixed G with two more
 rows than M has columns: rank(G*M) <= rank(M), so full rank there proves
-the rejection, and only the few values it leaves open are ranked on M.  The full operator's ranks stay uncompressed
-(`_ranks` alone): they also bound kernel dimensions, and nearly all of its
-candidates are rank-deficient, so a prescreen would only add work there.
+the rejection, and only the few values it leaves open are ranked on M.
+The full operator's ranks stay uncompressed (`_ranks` alone): they also
+bound kernel dimensions, and nearly all of its candidates are
+rank-deficient, so a prescreen would only add work there.
 The kernel of each candidate K is computed once per command, and the
 certificates and the rational obstruction are both read off those kernels.
 Where K's known monomial solutions x^e (X(x^e) = K*x^e) are as many as the
@@ -53,7 +55,7 @@ import math
 import types
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from . import _modp
 from .exactcore import (Poly, RatMatrix, coefficient_matrix, divides,
@@ -299,19 +301,18 @@ def _image_residues(X: VectorField, d: int) -> np.ndarray:
 
 
 def _ranks(base: np.ndarray, directions: np.ndarray,
-           coefficients: np.ndarray) -> list[int]:
+           coefficients: np.ndarray) -> np.ndarray:
     """Mod-p rank of base - sum_k coefficients[i][k] * directions[k] for
     each row i of coefficients, in `_PRESCREEN_CHUNK` batches.
 
     base is an (R, C) and directions an (S, R, C) array of residues mod p.
     Each rank bounds the rank over Q of the rational matrix from below.
     """
-    ranks: list[int] = []
-    for start in range(0, len(coefficients), _PRESCREEN_CHUNK):
-        ranks.extend(_modp.batched_rank(_modp.batched_combination(
-            base, directions,
-            coefficients[start:start + _PRESCREEN_CHUNK])).tolist())
-    return ranks
+    import numpy as np
+    return np.concatenate([np.zeros(0, dtype=np.int64)] + [
+        _modp.batched_rank(_modp.batched_combination(
+            base, directions, coefficients[start:start + _PRESCREEN_CHUNK]))
+        for start in range(0, len(coefficients), _PRESCREEN_CHUNK)])
 
 
 def _rank_screen(values: Sequence, coeffs: np.ndarray, base: np.ndarray,
@@ -325,22 +326,23 @@ def _rank_screen(values: Sequence, coeffs: np.ndarray, base: np.ndarray,
     (`_modp.compressor`): full rank there proves full rank of M, and only
     the other values are ranked on M itself.
     """
+    import numpy as np
     if not values:
         return []
     full_rank = base.shape[1]
+    kept = np.arange(len(values))
     G = _modp.compressor(*base.shape)
     if G is not None:
-        ranks = _ranks(_modp.matmul(G, base), _modp.matmul(G, directions),
-                       coeffs)
-        undecided = [i for i, rank in enumerate(ranks) if rank < full_rank]
-        values = [values[i] for i in undecided]
-        coeffs = coeffs[undecided]
-    ranks = _ranks(base, directions, coeffs)
-    return [v for v, rank in zip(values, ranks) if rank < full_rank]
+        kept = np.flatnonzero(_ranks(_modp.matmul(G, base),
+                                     _modp.matmul(G, directions),
+                                     coeffs) < full_rank)
+        coeffs = coeffs[kept]
+    kept = kept[_ranks(base, directions, coeffs) < full_rank]
+    return [values[i] for i in kept.tolist()]
 
 
 def _full_operator(X: VectorField, d: int,
-                   candidates: Sequence[Poly]) -> list[int]:
+                   candidates: Sequence[Poly]) -> np.ndarray:
     """Mod-p ranks of the matrices X(m) - K*m over the monomials m of degree
     <= d, one per candidate K; raises ModPUnavailableError when p divides a
     denominator."""
@@ -352,8 +354,9 @@ def _full_operator(X: VectorField, d: int,
     table = _image_residues(X, d)
     if (table < 0).any():
         raise _modp.ModPUnavailableError("p divides a denominator of X")
-    return _ranks(table, directions, _modp.fraction_rows_to_modp(
-        [[K.coefficient(m) for m in support] for K in candidates]))
+    coefficients = _modp.fraction_rows_to_modp(
+        [[K.coefficient(m) for m in support] for K in candidates])
+    return _ranks(table, directions, coefficients)
 
 
 # ---- graded sieve ------------------------------------------------------------
@@ -412,14 +415,17 @@ class _LatticeBoxes:
                 seen.add(key)
                 self.bases.append({m: v for m, v in vec.items() if v})
         self._tables: dict[int, dict[tuple[int, ...], int]] = {}
-        self._inverses: dict[int, np.ndarray] = {}
+        self._residues: dict[int, tuple[dict, np.ndarray | None]] = {}
 
     def monos_of_degree(self, degree: int) -> list[tuple]:
         return [m for m in self.support if sum(m) == degree]
 
     def _table(self, degree: int) -> dict[tuple[int, ...], int]:
+        """`_reachable(degree)` in sorted key order, built once."""
         if degree not in self._tables:
-            self._tables[degree] = self._reachable(degree)
+            reachable = self._reachable(degree)
+            self._tables[degree] = {key: reachable[key]
+                                    for key in sorted(reachable)}
         return self._tables[degree]
 
     def _reachable(self, degree: int) -> dict[tuple[int, ...], int]:
@@ -455,7 +461,7 @@ class _LatticeBoxes:
         """Distinct degree-`degree` parts reachable from the compatible bases.
 
         Maps the integer-scaled coefficient tuple (over monos_of_degree) to
-        the bitmask of the bases that can realize it; callers sort the keys.
+        the bitmask of the bases that can realize it, in sorted key order.
         """
         return {key: mask & compat for key, mask in self._table(degree).items()
                 if mask & compat}
@@ -466,15 +472,24 @@ class _LatticeBoxes:
         return Poly(variables, {m: Fraction(v, self.scale[m])
                                 for m, v in zip(monos, value)})
 
-    def section_residues(self, degree: int, values: Sequence[tuple[int, ...]]
-                         ) -> np.ndarray:
-        """Section values as coefficient residues mod p, one row per value;
-        raises ModPUnavailableError when p divides a scale.  Each degree's
-        scales are inverted once per lattice."""
-        if degree not in self._inverses:
-            self._inverses[degree] = _modp.inverse_residues(
-                [self.scale[m] for m in self.monos_of_degree(degree)])
-        return _modp.scaled_rows_to_modp(values, self._inverses[degree])
+    def section_residues(self, degree: int
+                         ) -> tuple[dict[tuple[int, ...], int],
+                                    np.ndarray | None]:
+        """(row of each reachable degree-`degree` part, the residues of all
+        of them, one row each in sorted key order), converted once per
+        lattice; the residues are None when p divides a scale of the
+        degree."""
+        if degree not in self._residues:
+            keys = list(self._table(degree))
+            try:
+                inverses = _modp.inverse_residues(
+                    [self.scale[m] for m in self.monos_of_degree(degree)])
+                residues = _modp.scaled_rows_to_modp(keys, inverses)
+            except _modp.ModPUnavailableError:
+                residues = None
+            self._residues[degree] = (
+                {key: i for i, key in enumerate(keys)}, residues)
+        return self._residues[degree]
 
 
 def _residues(rows: Sequence[Sequence[Fraction]]) -> np.ndarray | None:
@@ -506,6 +521,18 @@ class _Block:
     shift: np.ndarray
 
 
+class _Node(NamedTuple):
+    """A sieve node: K fixed down to the current layer, K's residue vector
+    over the lattice support (then a zero pad), the bases still compatible,
+    and the branches (n, W) alive, W the residues of a basis of the
+    admissible f_n, one column per vector (None when unavailable)."""
+
+    K: Poly
+    residues: np.ndarray
+    compat: int
+    branches: list[tuple[int, np.ndarray | None]]
+
+
 class _GradedSieve:
     """Layer-by-layer elimination of cofactor candidates for one field.
 
@@ -515,19 +542,23 @@ class _GradedSieve:
     are linear with only the new layer's coefficients varying, so whole
     sections of the lattice are rejected by one small rank test each.
 
-    One traversal serves every f-degree n = 1..d: a node (K, compat, r)
-    carries the branches (n, W) still alive there, so its sections are
-    computed once however many degrees reach it.
+    One traversal serves every f-degree n = 1..d: a node carries the
+    branches (n, W) still alive there, so its sections are computed once
+    however many degrees reach it.  The traversal runs level by level: every
+    block of one level with the same f-degree n and the same |W| has the
+    same shape, so their eliminations are one batched call
+    (`_modp.batched_kernels`), and each degree's section residues are read
+    from one table per lattice.
 
     Every level works on residues mod p.  A node carries K exactly and as
-    its residue vector over the lattice support (the parent's plus the
-    section row already converted), and gathers the matrices of X - K from
-    one residue table of X(m) per (field, degree).  The top level keeps a
-    value when (X - tau) has a nonzero kernel on f_n mod p; W is a basis of
-    that kernel.  A lower level writes its equations as A*g + F(theta)*c = 0,
-    with g the free blocks, A = (X - K) on them and f_n = W*c, and rejects
-    theta when P*F(theta) has full column rank mod p, for a left-kernel
-    basis P of A mod p.  This is sound once rank_Q(A) = rank_p(A):
+    its residue vector over the lattice support, and gathers the matrices
+    of X - K from one residue table of X(m) per (field, degree).  The top
+    level keeps a value when (X - tau) has a nonzero kernel on f_n mod p; W
+    is a basis of that kernel.  A lower level writes its equations as
+    A*g + F(theta)*c = 0, with g the free blocks, A = (X - K) on them and
+    f_n = W*c, and rejects theta when P*F(theta) has full column rank mod p,
+    for a left-kernel basis P of A mod p.  This is sound once
+    rank_Q(A) = rank_p(A):
 
     - Scale a rational solution f with f_n != 0 so that f_n is a primitive
       integer vector.  Its reduction is nonzero and solves the top level
@@ -557,7 +588,6 @@ class _GradedSieve:
         self.M = X.degree
         self.nv = len(X.variables)
         self.boxes = _LatticeBoxes(lattice)
-        self.found: set[Poly] = set()
         support = self.boxes.support
         self._positions = {m: i for i, m in enumerate(support)}
         self._width = len(support) + 1   # K's residues, then a zero pad
@@ -566,28 +596,36 @@ class _GradedSieve:
         self._cols_at = {m: i for i, m in enumerate(
             monomials_upto(self.nv, d))}
         self._blocks: dict[tuple[int, int], _Block] = {}
+        self._layer_tables: dict[int, np.ndarray] = {}
 
     def run(self) -> list[Poly]:
-        compat0 = self.boxes.legal_bases(max(self.M - 1, 0))
-        if compat0:
-            self._top_level(compat0)
-        return sorted(self.found, key=Poly.sort_key)
+        compat = self.boxes.legal_bases(max(self.M - 1, 0))
+        nodes = self._top_level(compat) if compat else []
+        for r in range(1, self.M):
+            nodes = self._level(nodes, r)
+        return sorted((node.K for node in nodes), key=Poly.sort_key)
 
-    def _section_residues(self, degree: int, values: Sequence[tuple[int, ...]]
-                          ) -> tuple[np.ndarray, bool]:
-        """(residues of the section values, whether they are known); when p
-        divides a scale of the degree every entry is UNAVAILABLE."""
-        try:
-            return self.boxes.section_residues(degree, values), True
-        except _modp.ModPUnavailableError:
-            return _modp.unavailable(
-                len(values), len(self.boxes.monos_of_degree(degree))), False
+    def _sections(self, compat: int, degree: int):
+        """(values, their base masks, their rows in the degree's residue
+        tables, their coefficient residues or None when unavailable) of the
+        compatible degree-`degree` sections, in sorted order."""
+        sections = self.boxes.sections(compat, degree)
+        positions, residues = self.boxes.section_residues(degree)
+        rows = [positions[value] for value in sections]
+        return (list(sections), list(sections.values()), rows,
+                None if residues is None else residues[rows])
 
-    def _layer(self, degree: int, coeffs: np.ndarray) -> np.ndarray:
-        """Section residue rows as rows of K's residue vector."""
-        return _modp.embed(coeffs, [self._positions[m] for m in
-                                    self.boxes.monos_of_degree(degree)],
-                           self._width)
+    def _layers(self, degree: int) -> np.ndarray:
+        """Every row of the degree's section residues as a layer of K's
+        residue vector (UNAVAILABLE where p divides a scale), built once."""
+        if degree not in self._layer_tables:
+            positions, residues = self.boxes.section_residues(degree)
+            monos = self.boxes.monos_of_degree(degree)
+            self._layer_tables[degree] = _modp.embed(
+                _modp.unavailable(len(positions), len(monos))
+                if residues is None else residues,
+                [self._positions[m] for m in monos], self._width)
+        return self._layer_tables[degree]
 
     def _window(self, rows: Sequence[tuple], cols: Sequence[tuple]
                 ) -> np.ndarray:
@@ -596,25 +634,24 @@ class _GradedSieve:
             [self._rows_at[m] for m in rows]][
             :, [self._cols_at[m] for m in cols]]
 
-    def _top_level(self, compat: int) -> None:
+    def _top_level(self, compat: int) -> list[_Node]:
         """Fix the top layer of K, screening it once per f-degree n."""
         top_deg = self.M - 1
-        sections = self.boxes.sections(compat, top_deg)
-        if not sections:
-            return
+        values, masks, table_rows, coeffs = self._sections(compat, top_deg)
+        if not values:
+            return []
         variables = self.X.variables
-        values = sorted(sections)
         taus = [self.boxes.section_poly(variables, top_deg, val)
                 for val in values]
-        coeffs, known = self._section_residues(top_deg, values)
         units = self.boxes.monos_of_degree(top_deg)
         alive: dict[int, list] = {}   # value index -> branches (n, W) alive
         for n in range(1, self.d + 1):
             cols = monomials_of_degree(self.nv, n)
             rows = monomials_of_degree(self.nv, n + top_deg)
             base = self._window(rows, cols)
-            if not known or (base < 0).any():
-                screened, mats = range(len(values)), None
+            kernels = None
+            if coeffs is None or (base < 0).any():
+                screened = range(len(values))
             else:
                 directions = _modp.shift_matrices(cols, units, rows)
                 screened = _rank_screen(range(len(values)), coeffs, base,
@@ -623,9 +660,10 @@ class _GradedSieve:
                     continue
                 mats = _modp.batched_combination(base, directions,
                                                  coeffs[screened])
+                kernels = _modp.batched_kernels(mats, mats[:, :, :0])
             for k, i in enumerate(screened):
-                if mats is not None:
-                    W = _modp.kernels(mats[k], mats[k][:, :0])[0]
+                if kernels is not None:
+                    W = kernels[k][0]
                     if self._lifts_exactly(taus[i], cols, rows, W):
                         alive.setdefault(i, []).append((n, W.T))
                         continue
@@ -635,10 +673,9 @@ class _GradedSieve:
                     W = _residues(kernel)
                     alive.setdefault(i, []).append(
                         (n, None if W is None else W.T))
-        layer = self._layer(top_deg, coeffs)
-        for i, val in enumerate(values):
-            if i in alive:
-                self._descend(taus[i], layer[i], sections[val], 1, alive[i])
+        layers = self._layers(top_deg)
+        return [_Node(taus[i], layers[table_rows[i]], masks[i], alive[i])
+                for i in sorted(alive)]
 
     def _exact_operator(self, K: Poly, cols: list, rows: list) -> list:
         """The rational matrix of f -> X(f) - K*f from cols to rows."""
@@ -692,72 +729,99 @@ class _GradedSieve:
                 return False
         return True
 
-    def _projected(self, K: Poly, residues: np.ndarray, n: int, r: int,
-                   W: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-        """P*F and the stack P*(u*W) of level r for f-degree n, or None when
-        the level constrains nothing or F has an unavailable residue.
+    def _projected(self, nodes: Sequence[_Node], n: int, r: int,
+                   W: np.ndarray) -> list:
+        """P*F and the stack P*(u*W) of level r for f-degree n, one pair
+        per node, all of whose branch n has a basis W of the same width
+        (the stack of them); None where the level constrains nothing or F
+        has an unavailable residue.
 
         P is the cokernel of A mod p when rank_Q(A) = rank_p(A) is proved,
         and otherwise (A has an unavailable residue, or a lift fails) the
-        residues of A's exact cokernel.
+        residues of A's exact cokernel.  The blocks A share one shape, so
+        they are eliminated together.
         """
+        import numpy as np
         block = self._block(n, r)
-        cofactor = residues[block.cofactor]
-        missing = ((block.window < 0) | (cofactor < 0)).any(axis=0)
-        if missing[:block.split].any():
-            return None
+        split, k = block.split, W.shape[2]
+        cofactor = np.stack([node.residues for node in nodes])[
+            :, block.cofactor]
+        missing = ((block.window < 0) | (cofactor < 0)).any(axis=1)
         operator = (block.window - cofactor) % _modp.PRIME
-        lower = block.cols[block.split:]
-        fixed = _modp.matmul(operator[:, :block.split], W)
-        shifted = _modp.gather(W, block.shift)
-        if not missing.any():
-            kernel, P_fixed, P_shifted = _modp.cokernel_projection(
-                operator[:, block.split:], fixed, shifted)
-            if not len(kernel) or self._lifts_exactly(K, lower, block.rows,
-                                                      kernel):
-                # with P empty every equation is absorbed by the free blocks
-                return (P_fixed, P_shifted) if len(P_fixed) else None
-        P = self._exact_cokernel(K, lower, block.rows)
-        if P is None:
-            return None
-        return _modp.matmul(P, fixed), _modp.matmul(P, shifted)
+        fixed = _modp.matmul(operator[:, :, :split], W)
+        # u*W on the block's rows, (N, R, S, k) for the S units u
+        shifted = _modp.gather(W.transpose(1, 0, 2), block.shift
+                               ).transpose(2, 1, 0, 3)
+        S = shifted.shape[2]
+        carried = np.concatenate([fixed, shifted.reshape(
+            len(nodes), len(block.rows), S * k)], axis=2)
+        known = np.flatnonzero(~missing.any(axis=1))
+        eliminated = dict(zip(known.tolist(), _modp.batched_kernels(
+            operator[known, :, split:], carried[known])))
+        lower = block.cols[split:]
+        out = []
+        for i, node in enumerate(nodes):
+            if missing[i, :split].any():
+                out.append(None)
+                continue
+            if i in eliminated:
+                kernel, projected = eliminated[i]
+                if not len(kernel) or self._lifts_exactly(
+                        node.K, lower, block.rows, kernel):
+                    # with P empty every equation is absorbed by the free
+                    # blocks
+                    out.append((projected[:, :k], projected[:, k:].reshape(
+                        len(projected), S, k).transpose(1, 0, 2))
+                        if len(projected) else None)
+                    continue
+            P = self._exact_cokernel(node.K, lower, block.rows)
+            out.append(None if P is None else (
+                _modp.matmul(P, fixed[i]),
+                _modp.matmul(P, shifted[i].transpose(1, 0, 2))))
+        return out
 
-    def _descend(self, K: Poly, residues: np.ndarray, compat: int, r: int,
-                 branches: list[tuple[int, np.ndarray | None]]) -> None:
-        """Fix the degree-(M-1-r) layer of K, the layers above summing to K.
+    def _level(self, nodes: Sequence[_Node], r: int) -> list[_Node]:
+        """Fix the degree-(M-1-r) layer of K at every node of level r, the
+        layers above summing to each node's K."""
+        import numpy as np
+        if not nodes:
+            return []
+        ell = self.M - 1 - r
+        # the branches (n, W) to project, grouped by (n, |W|); sections are
+        # filtered one node at a time below, so that a level never holds
+        # all of its sections (a node with compatible bases has some)
+        groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        if self.boxes.section_residues(ell)[1] is not None:
+            for i, node in enumerate(nodes):
+                for b, (n, W) in enumerate(node.branches):
+                    if W is not None:
+                        groups.setdefault((n, W.shape[1]), []).append((i, b))
+        projections = {}
+        for (n, _), members in groups.items():
+            projections.update(zip(members, self._projected(
+                [nodes[i] for i, _ in members], n, r, np.stack(
+                    [nodes[i].branches[b][1] for i, b in members]))))
 
-        `residues` is K's residue vector; each branch (n, W) is an f-degree
-        n still alive at this node, W the residues of a basis of its
-        admissible f_n, one column per vector (None when unavailable).
-        """
-        M = self.M
-        if r > M - 1:
-            self.found.add(K)
-            return
-        ell = M - 1 - r
-        sections = self.boxes.sections(compat, ell)
-        if not sections:
-            return
-        values = sorted(sections)
-        everything = range(len(values))
-        coeffs, known = self._section_residues(ell, values)
-        alive: dict[int, list] = {}   # value index -> branches (n, W) alive
-        for n, W in branches:
-            kept = everything
-            if known and W is not None:
-                projected = self._projected(K, residues, n, r, W)
-                if projected is not None:
-                    kept = _rank_screen(everything, coeffs, *projected)
-            for i in kept:
-                alive.setdefault(i, []).append((n, W))
-
-        layer = residues + self._layer(ell, coeffs)
         variables = self.X.variables
-        for i, val in enumerate(values):
-            if i in alive:
-                theta = self.boxes.section_poly(variables, ell, val)
-                self._descend(K + theta, layer[i], sections[val], r + 1,
-                              alive[i])
+        layers = self._layers(ell)
+        children = []
+        for i, node in enumerate(nodes):
+            values, masks, table_rows, coeffs = self._sections(node.compat,
+                                                               ell)
+            everything = range(len(values))
+            alive: dict[int, list] = {}   # value index -> branches alive
+            for b, (n, W) in enumerate(node.branches):
+                projected = projections.get((i, b))
+                kept = (everything if projected is None else
+                        _rank_screen(everything, coeffs, *projected))
+                for j in kept:
+                    alive.setdefault(j, []).append((n, W))
+            for j in sorted(alive):
+                theta = self.boxes.section_poly(variables, ell, values[j])
+                children.append(_Node(node.K + theta,
+                                      node.residues + layers[table_rows[j]],
+                                      masks[j], alive[j]))
+        return children
 
 
 def _candidate_cofactors(X: VectorField, d: int, lattice: CofactorLattice
@@ -782,9 +846,8 @@ def _candidate_cofactors(X: VectorField, d: int, lattice: CofactorLattice
         ranks = _full_operator(X, d, values)
     except _modp.ModPUnavailableError:
         return dict.fromkeys(values)
-    full_rank = len(monomials_upto(len(X.variables), d))
-    return {K: full_rank - rank for K, rank in zip(values, ranks)
-            if K in priority or rank < full_rank}
+    dims = (len(monomials_upto(len(X.variables), d)) - ranks).tolist()
+    return {K: dim for K, dim in zip(values, dims) if K in priority or dim}
 
 
 def _monomial_solutions(X: VectorField, d: int) -> dict[Poly, list[tuple]]:

@@ -3,6 +3,7 @@
 import io
 import contextlib
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -207,6 +208,39 @@ def test_numpy_loaded_only_by_rank_screens(args, numpy_loaded):
     assert proc.stdout.split() == ["0", "True", str(numpy_loaded)]
 
 
+# Runs cli.main in a fresh interpreter; prints its exit code, the process's
+# thread count and the OpenBLAS thread setting it leaves.
+_THREADS_AFTER_MAIN = """
+import contextlib, io, os, sys
+import darbouxlab.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = darbouxlab.cli.main(sys.argv[1:])
+print(code, len(os.listdir("/proc/self/task")),
+      os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                    reason="needs /proc to count threads")
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+def test_rank_screens_start_no_blas_threads(preset, expected):
+    # numpy's OpenBLAS pool is never used (every product is int64), so the
+    # CLI asks for none; a value set by the caller is left as it is
+    env = {k: v for k, v in os.environ.items()
+           if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run(
+        [sys.executable, "-c", _THREADS_AFTER_MAIN, "darboux",
+         "corpus/restricted_y0_a0.vf", "--degree", "2"],
+        capture_output=True, text=True, cwd=REPO, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, threads, setting = proc.stdout.split()
+    assert (code, setting) == ("0", expected)
+    if preset is None:
+        assert threads == "1"
+
+
 def test_analyze_shares_integrals_pass():
     # analyze derives certificates and the obstruction from the same single
     # pass that integrals runs
@@ -295,6 +329,25 @@ def test_oversized_expfactors_request_exits_2(args):
     assert "exponential-factor search limit" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("command", ["integrals", "analyze"])
+def test_oversized_expfactors_request_skips_the_search(monkeypatch, command):
+    # integrals and analyze refuse an oversized exponential-factor request
+    # before the Darboux search runs
+    import darbouxlab.cli as cli
+
+    def search(*args):
+        raise AssertionError("the Darboux search ran")
+
+    monkeypatch.setattr(cli, "cofactor_kernels", search)
+    code, out, err = run_cli([command, "corpus/lv3_a3_b3_c2.vf",
+                              "--s-bound", "1000000000"])
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "exponential-factor search limit" in err
+    assert "Traceback" not in err
+    assert out == ""
 
 
 @pytest.mark.parametrize("args, cert_class", [

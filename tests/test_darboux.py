@@ -393,10 +393,10 @@ class TestRankScreen:
         screened = dbx._GradedSieve(X, 3, lattice).run()
         certs = {(str(c.f), str(c.K)) for c in search_darboux(X, 3, lattice)}
 
-        def unavailable(self, degree, values):
+        def unavailable(scales):
             raise _modp.ModPUnavailableError("denominator divisible by p")
 
-        monkeypatch.setattr(dbx._LatticeBoxes, "section_residues", unavailable)
+        monkeypatch.setattr(_modp, "inverse_residues", unavailable)
         screens = _counting(monkeypatch, dbx, "_rank_screen")
         kept = dbx._GradedSieve(X, 3, lattice).run()
         assert screens == []
@@ -451,14 +451,16 @@ class TestRankScreen:
             return None
 
         dims = []   # kernel dimension mod p of each lower-level block A
-        project = _modp.cokernel_projection
+        eliminate = _modp.batched_kernels
 
-        def recorded(A, fixed, stack):
-            dims.append(len(project(A, fixed, stack)[0]))
-            return project(A, fixed, stack)
+        def recorded(A, B):
+            out = eliminate(A, B)
+            if B.shape[2]:   # the top level carries no columns
+                dims.extend(len(kernel) for kernel, _ in out)
+            return out
 
         monkeypatch.setattr(_modp, "rational_reconstruction", no_lift)
-        monkeypatch.setattr(_modp, "cokernel_projection", recorded)
+        monkeypatch.setattr(_modp, "batched_kernels", recorded)
         rrefs = _counting(monkeypatch, RatMatrix, "rref")
         cokernels = _counting(monkeypatch, dbx._GradedSieve,
                               "_exact_cokernel")
@@ -471,6 +473,22 @@ class TestRankScreen:
         assert kept == screened
         assert {(str(c.f), str(c.K))
                 for c in search_darboux(X, d, lattice)} == certs
+
+    def test_reference_search_batches_its_eliminations(self, monkeypatch,
+                                                        reference_field):
+        # the blocks of one level with the same f-degree n and |W| are
+        # eliminated in one call: at most 32 calls at degree 4, where one
+        # call per block made 262, with the raw survivors those calls left
+        # (count and sha256 prefix captured before the batching)
+        import darbouxlab.darboux as dbx
+
+        calls = _counting(monkeypatch, _modp, "batched_kernels")
+        survivors = dbx._GradedSieve(reference_field, 4, default_lattice(
+            reference_field, 4)).run()
+        assert 0 < len(calls) <= 32
+        assert (len(survivors), hashlib.sha256("\n".join(
+            map(str, survivors)).encode()).hexdigest()[:16]) == (
+                34, "1d6889fa06da5008")
 
     @pytest.mark.parametrize("shape", [(12, 3, 2), (9, 2, 3), (20, 1, 1),
                                        (8, 5, 4)])

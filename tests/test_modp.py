@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from darbouxlab import _modp
 from darbouxlab.exactcore import (Poly, RatMatrix, coefficient_matrix,
@@ -208,13 +210,100 @@ def _elimination_cases():
             == _modp.batched_rank(_residues(m)[None])[0]]
 
 
+def gauss_jordan(A, width=None):
+    """Reference: reduced row echelon form of A over Z/p and its pivot
+    columns, one matrix at a time, swapping the pivot row into place.
+
+    Pivots are taken in the first `width` columns only (all by default),
+    left to right, the pivot row being the first row with a nonzero entry:
+    the order of `RatMatrix.rref`.
+    """
+    p = _modp.PRIME
+    M = np.array(A, dtype=np.int64) % p
+    height = M.shape[0]
+    pivots = []
+    for col in range(M.shape[1] if width is None else width):
+        top = len(pivots)
+        if top == height:
+            break
+        nonzero = M[top:, col].nonzero()[0]
+        if not nonzero.size:
+            continue
+        if nonzero[0]:
+            M[[top, top + nonzero[0]]] = M[[top + nonzero[0], top]]
+        row = M[top]
+        row *= pow(int(row[col]), -1, p)
+        row %= p
+        factors = p - M[:, col]
+        factors[top] = 0
+        M += np.multiply.outer(factors, row)
+        M %= p
+        pivots.append(col)
+    return M, tuple(pivots)
+
+
+def kernels(A, B):
+    """Reference: (kernel basis of A, P*B) from one row-swapping elimination
+    of [A | B] pivoting in A, P the rows of the transform that send A to
+    zero rows; the kernel basis is 1 on its free column, 0 on the others."""
+    cols = A.shape[1]
+    reduced, pivots = gauss_jordan(np.hstack([A, B]), cols)
+    rank = len(pivots)
+    free = [j for j in range(cols) if j not in pivots]
+    kernel = np.zeros((len(free), cols), dtype=np.int64)
+    kernel[range(len(free)), free] = 1
+    kernel[:, list(pivots)] = -reduced[:rank, free].T % _modp.PRIME
+    return kernel, reduced[rank:, cols:]
+
+
+def _rank(matrix):
+    return int(_modp.batched_rank(np.asarray(matrix, dtype=np.int64)[None])[0])
+
+
+def _column_profile(A):
+    """The columns of A independent of the columns before them, mod p."""
+    return tuple(j for j in range(A.shape[1])
+                 if _rank(A[:, :j + 1]) > _rank(A[:, :j]))
+
+
+def _agree_with_reference(stack, carried):
+    """batched_kernels of a stack against the row-swapping reference, one
+    matrix at a time: equal rank and pivots, equal kernel basis, and
+    projections with equal row spaces (each carried block starts with an
+    identity, so the projection holds the left-kernel basis P itself)."""
+    got = _modp.batched_kernels(stack, carried)
+    assert len(got) == len(stack)
+    for A, B, (kernel, projected) in zip(stack, carried, got):
+        R = A.shape[0]
+        want_kernel, want_projected = kernels(A, B)
+        pivots = gauss_jordan(A)[1]
+        # the reference pivots are the column rank profile, and the batched
+        # kernel basis is 1 and 0 on the free columns they leave
+        assert pivots == _column_profile(A)
+        assert len(kernel) == A.shape[1] - len(pivots)
+        assert kernel.tolist() == want_kernel.tolist()
+        assert projected.shape == want_projected.shape
+        assert not _modp.matmul(projected[:, :R], A).any()
+        assert (_rank(np.vstack([projected, want_projected]))
+                == _rank(projected) == R - len(pivots))
+
+
+def _with_identity(carried):
+    """[I | carried[i]] for each (R, k) block of a stack."""
+    N, R, _ = carried.shape
+    eye = np.broadcast_to(np.eye(R, dtype=np.int64), (N, R, R))
+    return np.concatenate([eye, carried], axis=2)
+
+
 def test_rank_can_drop_mod_p():
     # det = (p-1)^2 - 1 = p*(p-2): rank 2 over Q, 1 mod p, which is why a
     # cokernel mod p needs its rank equality certified
     p1 = _modp.PRIME - 1
     matrix = [[p1, 1], [1, p1]]
     assert RatMatrix(matrix).rank() == 2
-    assert len(_modp.gauss_jordan(_residues(matrix))[1]) == 1
+    (kernel, left), = _modp.batched_kernels(
+        _residues([matrix]), np.eye(2, dtype=np.int64)[None])
+    assert kernel.tolist() == [[1, 1]] and len(left) == 1
 
 
 def _modp_rows(rows):
@@ -223,13 +312,14 @@ def _modp_rows(rows):
 
 @pytest.mark.parametrize("matrix", _elimination_cases())
 def test_gauss_jordan_matches_exact_rref(matrix):
+    # the reference elimination is RatMatrix.rref mod p
     exact, pivots = RatMatrix(matrix).rref()
-    reduced, got = _modp.gauss_jordan(_residues(matrix))
+    reduced, got = gauss_jordan(_residues(matrix))
     assert got == pivots
     assert reduced.tolist() == _modp_rows(exact.entries)
     # pivots restricted to a leading block of columns: the rest is carried
     width = len(matrix[0]) // 2
-    _, head = _modp.gauss_jordan(_residues(matrix), width)
+    _, head = gauss_jordan(_residues(matrix), width)
     assert head == RatMatrix([row[:width] for row in matrix]).rref()[1]
 
 
@@ -237,7 +327,8 @@ def test_gauss_jordan_matches_exact_rref(matrix):
 def test_kernels_match_exact_nullspaces(matrix):
     A = _residues(matrix)
     R, C = A.shape
-    kernel, left = _modp.kernels(A, np.eye(R, dtype=np.int64))
+    (kernel, left), = _modp.batched_kernels(A[None],
+                                            np.eye(R, dtype=np.int64)[None])
     # the kernel basis is the one RatMatrix.nullspace gives, mod p
     assert kernel.shape == (C - len(RatMatrix(matrix).rref()[1]), C)
     assert kernel.tolist() == _modp_rows(RatMatrix(matrix).nullspace())
@@ -247,23 +338,68 @@ def test_kernels_match_exact_nullspaces(matrix):
     assert left.shape == (len(exact_left), R)
     assert not _modp.matmul(left, A).any()
     if len(exact_left):
-        assert _modp.batched_rank(left[None])[0] == len(exact_left)
+        assert _rank(left) == len(exact_left)
         try:
             images = _residues(_modp_rows(exact_left))
         except _modp.ModPUnavailableError:
             images = left   # a denominator of that basis is divisible by p
-        stacked = np.vstack([left, images])
-        assert _modp.batched_rank(stacked[None])[0] == len(exact_left)
-    # projecting B onto the cokernel is the left kernel times B
+        assert _rank(np.vstack([left, images])) == len(exact_left)
+    # projecting carried columns onto the cokernel is the left kernel times
+    # them: the carried columns do not change the row operations
     rng = random.Random(R * 10 + C)
-    B = _residues([[rng.randint(-9, 9) for _ in range(3)] for _ in range(R)])
-    stack = _residues([[[rng.randint(-9, 9) for _ in range(2)]
-                        for _ in range(R)] for _ in range(4)])
-    assert _modp.kernels(A, B)[1].tolist() == _modp.matmul(left, B).tolist()
-    same, fixed, projected = _modp.cokernel_projection(A, B[:, :2], stack)
+    carried = _residues([[rng.randint(-9, 9) for _ in range(7)]
+                         for _ in range(R)])
+    (same, projected), = _modp.batched_kernels(A[None], carried[None])
     assert same.tolist() == kernel.tolist()
-    assert fixed.tolist() == _modp.matmul(left, B[:, :2]).tolist()
-    assert projected.tolist() == _modp.matmul(left, stack).tolist()
+    assert projected.tolist() == _modp.matmul(left, carried).tolist()
+    _agree_with_reference(A[None], _with_identity(carried[None]))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 4), (4, 1), (7, 3), (3, 7),
+                                   (6, 6), (9, 4), (2, 5)])
+def test_batched_kernels_on_mixed_stacks(shape):
+    # one stack of full-rank, rank-deficient and zero matrices, entries
+    # p - 1 among them, each eliminated as the reference does it alone
+    R, C = shape
+    rng = random.Random(R * 13 + C)
+    p1 = _modp.PRIME - 1
+
+    def product(rank):
+        U = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(R)]
+        V = [[rng.randint(-3, 3) for _ in range(C)] for _ in range(rank)]
+        return [[sum(u[t] * V[t][j] for t in range(rank)) for j in range(C)]
+                for u in U]
+
+    mats = [[[0] * C for _ in range(R)], [[p1] * C for _ in range(R)],
+            [[rng.choice((0, 1, p1)) for _ in range(C)] for _ in range(R)]]
+    mats += [product(rank) for rank in range(min(R, C) + 1) for _ in range(2)]
+    mats += [[[rng.choice((0, p1, rng.randint(-5, 5))) for _ in range(C)]
+              for _ in range(R)] for _ in range(3)]
+    rng.shuffle(mats)
+    carried = _residues([[[rng.randint(-9, 9) for _ in range(3)]
+                          for _ in range(R)] for _ in mats])
+    _agree_with_reference(_residues(mats), _with_identity(carried))
+
+
+@st.composite
+def _integer_stacks(draw):
+    N, R, C, k = (draw(st.integers(1, 4)), draw(st.integers(1, 5)),
+                  draw(st.integers(1, 5)), draw(st.integers(0, 2)))
+
+    def stack(cols):
+        row = st.lists(st.integers(-2, 2), min_size=cols, max_size=cols)
+        return st.lists(st.lists(row, min_size=R, max_size=R),
+                        min_size=N, max_size=N)
+
+    return (_residues(draw(stack(C))).reshape(N, R, C),
+            _residues(draw(stack(k))).reshape(N, R, k))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_integer_stacks())
+def test_batched_kernels_small_integer_property(stacks):
+    A, carried = stacks
+    _agree_with_reference(A, _with_identity(carried))
 
 
 def _small_preimage(residue):
