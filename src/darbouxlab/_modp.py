@@ -1,4 +1,4 @@
-"""Rank computations modulo a fixed prime: screens, kernel bounds, sieve blocks.
+"""Rank computations modulo a prime: screens, kernel bounds, sieve blocks.
 
 Rank over Z/p never exceeds rank over Q, so "full column rank mod p" is a
 sound proof of a trivial rational kernel, and the kernel dimension mod p is
@@ -6,8 +6,9 @@ an upper bound on the rational one.  A candidate that is rank-deficient mod p
 is either solved by exact rational elimination or, when as many independent
 rational solutions as its kernel dimension mod p are already known, has those
 as its kernel.  Either way a chance rank drop mod p costs time but never
-correctness.  Everything here is deterministic: no randomness, fixed prime,
-fixed pivot order.
+correctness.  Everything here is deterministic: no randomness, fixed pivot
+order, and one prime p per search, chosen from its input by
+`screening_prime` and passed to every function that computes mod p.
 
 The screens' matrices are tall and thin (many more rows than columns), so
 `batched_rank` eliminates along the short side: it takes the vectors of the
@@ -54,60 +55,66 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
 
-PRIME = 2**31 - 1  # products of two residues stay inside int64
+PRIME = 2**31 - 1  # the largest screening prime: two residues multiply in int64
 _HALF = 16         # `matmul` splits its left factor into 16-bit halves
 _MARGIN = 2        # rows of a compressed screen matrix beyond its columns
-UNAVAILABLE = -1   # a residue array's entry whose denominator p divides
-# Wang's bound: n/d with |n|, d <= _LIFT_BOUND is unique mod p (2*N*D < p)
-_LIFT_BOUND = math.isqrt(PRIME // 2)
 
 
 class ModPUnavailableError(ArithmeticError):
     """A denominator is divisible by the prime; caller must use exact arithmetic."""
 
 
-def fraction_to_modp(value: Fraction) -> int:
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with bases 2, 3, 5, 7, for odd n > 7: deterministic
+    below 3.2e9."""
+    twos = ((n - 1) & (1 - n)).bit_length() - 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, (n - 1) >> twos, n)
+        if x == 1:
+            continue
+        for _ in range(twos):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
+
+
+def screening_prime(denominators: Iterable[int]) -> int:
+    """The largest prime p <= PRIME that divides none of the denominators:
+    every rational whose denominator divides their product has a residue,
+    and p < 2^31 keeps the int64 bounds of `matmul`, `batched_rank` and
+    `batched_kernels`."""
+    common = math.lcm(*denominators)
+    p = PRIME
+    while not _is_prime(p) or common % p == 0:
+        p -= 2
+    return p
+
+
+def fraction_to_modp(value: Fraction, p: int) -> int:
     if value.denominator == 1:
-        return value.numerator % PRIME
-    den = value.denominator % PRIME
+        return value.numerator % p
+    den = value.denominator % p
     if den == 0:
-        raise ModPUnavailableError(f"denominator divisible by {PRIME}")
-    return (value.numerator % PRIME) * pow(den, -1, PRIME) % PRIME
+        raise ModPUnavailableError(f"denominator divisible by {p}")
+    return (value.numerator % p) * pow(den, -1, p) % p
 
 
-def partial_rows_to_modp(rows: Sequence[Sequence[Fraction]]) -> np.ndarray:
-    """Residues of a rational matrix; an entry whose denominator p divides
-    becomes UNAVAILABLE."""
-    import numpy as np
-
-    def residue(x: Fraction) -> int:
-        try:
-            return fraction_to_modp(x)
-        except ModPUnavailableError:
-            return UNAVAILABLE
-    # most entries of the screens' matrices are zero
-    return np.array([[residue(x) if x else 0 for x in row] for row in rows],
-                    dtype=np.int64)
-
-
-def fraction_rows_to_modp(rows: Sequence[Sequence[Fraction]]) -> np.ndarray:
+def fraction_rows_to_modp(rows: Sequence[Sequence[Fraction]], p: int
+                          ) -> np.ndarray:
     """Residues of a rational matrix; raises ModPUnavailableError when p
     divides a denominator."""
-    residues = partial_rows_to_modp(rows)
-    if (residues < 0).any():
-        raise ModPUnavailableError(f"denominator divisible by {PRIME}")
-    return residues
-
-
-def unavailable(rows: int, cols: int) -> np.ndarray:
-    """A (rows, cols) residue array of UNAVAILABLE entries."""
     import numpy as np
-    return np.full((rows, cols), UNAVAILABLE, dtype=np.int64)
+    # most entries of the screens' matrices are zero
+    return np.array([[fraction_to_modp(x, p) if x else 0 for x in row]
+                     for row in rows], dtype=np.int64)
 
 
 def shift_index(monos: Sequence[tuple], units: Sequence[tuple],
@@ -160,33 +167,25 @@ def embed(rows: np.ndarray, positions: Sequence[int], width: int) -> np.ndarray:
     return out
 
 
-def inverse_residues(scales: Sequence[int]) -> np.ndarray:
-    """Residues of 1/s for each scale s; raises ModPUnavailableError when
-    p divides a scale."""
-    import numpy as np
-    return np.array([fraction_to_modp(Fraction(1, s)) for s in scales],
-                    dtype=np.int64)
-
-
-def scaled_rows_to_modp(rows: Sequence[Sequence[int]],
-                        inverses: np.ndarray) -> np.ndarray:
-    """Residues of rows[i][j] * inverses[j], one row per entry of rows,
-    where inverses holds the residues of the scales' inverses
-    (`inverse_residues`).
+def scaled_rows_to_modp(rows: Sequence[Sequence[int]], scales: Sequence[int],
+                        p: int) -> np.ndarray:
+    """Residues of rows[i][j] / scales[j], one row per entry of rows, for
+    scales that p does not divide.
 
     Rows that fit int64 are reduced in numpy; otherwise each integer is
     reduced mod p as a Python integer first, so large numerators cannot
     overflow (two residues multiply below 2^62).
     """
     import numpy as np
+    inverses = np.array([pow(s, -1, p) for s in scales], dtype=np.int64)
     try:
-        reduced = np.array(rows, dtype=np.int64) % PRIME
+        reduced = np.array(rows, dtype=np.int64) % p
     except OverflowError:
-        reduced = (np.array(rows, dtype=object) % PRIME).astype(np.int64)
-    return reduced.reshape(len(rows), len(inverses)) * inverses % PRIME
+        reduced = (np.array(rows, dtype=object) % p).astype(np.int64)
+    return reduced.reshape(len(rows), len(inverses)) * inverses % p
 
 
-def matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     """A @ B over Z/p for residue arrays; B may be a stack (..., K, C).
 
     A is split as hi * 2^16 + lo, so each product of a half and a residue
@@ -196,13 +195,13 @@ def matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     if A.shape[-1] >= 1 << _HALF:
         raise ValueError("inner dimension too large for an exact int64 product")
     hi, lo = A >> _HALF, A & ((1 << _HALF) - 1)
-    return ((hi @ B % PRIME << _HALF) + lo @ B) % PRIME
+    return ((hi @ B % p << _HALF) + lo @ B) % p
 
 
 @functools.lru_cache(maxsize=None)
-def compressor(rows: int, cols: int) -> np.ndarray | None:
+def compressor(rows: int, cols: int, p: int) -> np.ndarray | None:
     """The fixed (cols+2) x rows compression matrix of a reject-only screen,
-    built once per shape and read-only.
+    built once per shape and prime and read-only.
 
     A Vandermonde matrix on the nodes 2 .. cols+3, whose row a is
     (a+2)^0, (a+2)^1, ... mod p; None when rows <= cols + 2, where
@@ -217,12 +216,12 @@ def compressor(rows: int, cols: int) -> np.ndarray | None:
     G = np.ones((height, rows), dtype=np.int64)
     nodes = np.arange(2, height + 2, dtype=np.int64)
     for r in range(1, rows):
-        G[:, r] = G[:, r - 1] * nodes % PRIME
+        G[:, r] = G[:, r - 1] * nodes % p
     G.setflags(write=False)
     return G
 
 
-def batched_kernels(A: np.ndarray, B: np.ndarray
+def batched_kernels(A: np.ndarray, B: np.ndarray, p: int
                     ) -> list[tuple[np.ndarray, np.ndarray]]:
     """(kernel basis of A[i], P_i*B[i]) over Z/p for each matrix of a stack,
     P_i a basis of the left kernel of A[i]; A is (N, R, C), B (N, R, k).
@@ -240,7 +239,7 @@ def batched_kernels(A: np.ndarray, B: np.ndarray
     """
     import numpy as np
     N, R, C = A.shape
-    M = np.concatenate([A, B], axis=2) % PRIME
+    M = np.concatenate([A, B], axis=2) % p
     mat_idx = np.arange(N)
     unused = np.ones((N, R), dtype=bool)
     pivot_row = np.full((N, C), -1)
@@ -256,7 +255,7 @@ def batched_kernels(A: np.ndarray, B: np.ndarray
         factors[mat_idx, row] = 0
         M *= np.where(has, pivot[:, j], 1)[:, None, None]
         M -= factors[:, :, None] * pivot[:, None, :]
-        M %= PRIME
+        M %= p
         unused[mat_idx[has], row[has]] = False
         pivot_row[has, j] = row[has]
     out = []
@@ -266,31 +265,33 @@ def batched_kernels(A: np.ndarray, B: np.ndarray
         kernel = np.zeros((len(free), C), dtype=np.int64)
         if len(free):
             rows = pivot_row[i, pivots]
-            inverses = np.array([pow(int(v), -1, PRIME)
+            inverses = np.array([pow(int(v), -1, p)
                                  for v in M[i, rows, pivots]], dtype=np.int64)
             kernel[range(len(free)), free] = 1
-            kernel[:, pivots] = ((PRIME - M[i][np.ix_(rows, free)].T)
-                                 * inverses % PRIME)
+            kernel[:, pivots] = ((p - M[i][np.ix_(rows, free)].T)
+                                 * inverses % p)
         out.append((kernel, M[i, unused[i], C:]))
     return out
 
 
-def rational_reconstruction(residue: int) -> Fraction | None:
+def rational_reconstruction(residue: int, p: int) -> Fraction | None:
     """The n/d with |n|, d <= floor(sqrt(p/2)) and n = residue*d mod p, or
     None when there is none (Wang 1981: the extended Euclidean algorithm on
-    p and the residue, stopped at the first remainder within the bound)."""
-    r0, r1 = PRIME, residue % PRIME
+    p and the residue, stopped at the first remainder within the bound,
+    which makes n/d unique as 2*|n|*d < p)."""
+    bound = math.isqrt(p // 2)
+    r0, r1 = p, residue % p
     t0, t1 = 0, 1
-    while r1 > _LIFT_BOUND:
+    while r1 > bound:
         q = r0 // r1
         r0, r1 = r1, r0 - q * r1
         t0, t1 = t1, t0 - q * t1
-    if abs(t1) > _LIFT_BOUND or math.gcd(r1, t1) != 1:
+    if abs(t1) > bound or math.gcd(r1, t1) != 1:
         return None
     return Fraction(r1, t1)
 
 
-def batched_rank(mats: np.ndarray) -> np.ndarray:
+def batched_rank(mats: np.ndarray, p: int) -> np.ndarray:
     """Ranks of a stack of matrices (N, R, C) over Z/p, vectorized over N.
 
     Elimination runs along the short side: an (R, C) stack with C <= R is
@@ -314,7 +315,7 @@ def batched_rank(mats: np.ndarray) -> np.ndarray:
     if N == 0 or R == 0 or C == 0:
         return np.zeros(N, dtype=np.int64)
     V = A.transpose(0, 2, 1) if C <= R else A
-    V = np.ascontiguousarray(V % PRIME)
+    V = np.ascontiguousarray(V % p)
     k = V.shape[1]
     mat_idx = np.arange(N)
     rank = np.zeros(N, dtype=np.int64)
@@ -330,25 +331,25 @@ def batched_rank(mats: np.ndarray) -> np.ndarray:
         factors = rest[mat_idx, :, piv]
         rest *= np.where(has, vec[mat_idx, piv], 1)[:, None, None]
         rest -= factors[:, :, None] * vec[:, None, :]
-        rest %= PRIME
+        rest %= p
     return rank
 
 
 def batched_combination(base: np.ndarray, directions: np.ndarray,
-                        coefficients: np.ndarray) -> np.ndarray:
+                        coefficients: np.ndarray, p: int) -> np.ndarray:
     """Stack base - sum_k coefficients[:, k] * directions[k] over Z/p.
 
     base: (R, C); directions: (S, R, C); coefficients: (N, S) residues.
     Returns (N, R, C).
     """
     import numpy as np
-    coefficients = np.asarray(coefficients, dtype=np.int64) % PRIME
+    coefficients = np.asarray(coefficients, dtype=np.int64) % p
     if directions.shape[0] == 0:
-        out = np.broadcast_to(base % PRIME,
+        out = np.broadcast_to(base % p,
                               (coefficients.shape[0],) + base.shape)
         return np.ascontiguousarray(out)
     acc = np.zeros((coefficients.shape[0],) + base.shape, dtype=np.int64)
     for k in range(directions.shape[0]):
         acc = (acc + coefficients[:, k, None, None]
-               * (directions[k] % PRIME)) % PRIME
-    return (base % PRIME - acc) % PRIME
+               * (directions[k] % p)) % p
+    return (base % p - acc) % p

@@ -16,19 +16,22 @@ rank screen on the full operator.  The sections a sieve node screens are
 filtered from one table per degree of every reachable layer value, built
 and reduced mod p once per lattice.
 
-The sieve and the full operator work on residues modulo a prime, gathered
-from one table of the residues of X(m) per (field, degree)
+The sieve and the full operator work on residues modulo a prime p, gathered
+from one table of the residues of X(m) per (field, degree, p)
 (`_image_residues`); multiplication by a monomial is a gather, not a
-product.  Every screen rejects only on full rank mod p, which proves a
-trivial rational kernel.  The sieve's top level takes the kernel W of each
+product.  p is the largest prime below 2^31 that divides no denominator of
+X's coefficients and no lattice scale (`_modp.screening_prime`): every
+coefficient of X(m), of a candidate K and of a section value has a
+denominator dividing one of those, so every residue a screen needs exists.
+Every screen rejects only on full rank mod p, which proves a trivial
+rational kernel.  The sieve's top level takes the kernel W of each
 top layer mod p; a lower level projects its equations onto the cokernel P
 mod p of the block A of the free unknowns, which is sound once
 rank_Q(A) = rank_p(A) is proved (see `_GradedSieve`): at no cost when A has
 full column rank mod p, and otherwise by lifting A's kernel basis by
 rational reconstruction and checking each lift exactly.  Where that
-fails, or p divides a denominator, the sieve falls back to exact
-elimination for that matrix alone, and the full operator keeps every
-value.  The sieve levels only reject, through `_rank_screen`, which first
+fails, the sieve falls back to exact elimination for that matrix alone.
+The sieve levels only reject, through `_rank_screen`, which first
 ranks their tall matrices M compressed to G*M, for a fixed G with two more
 rows than M has columns: rank(G*M) <= rank(M), so full rank there proves
 the rejection, and only the few values it leaves open are ranked on M.
@@ -284,24 +287,23 @@ def search_darboux_fixed_cofactor(X: VectorField, K: Poly, d: int) -> list[Poly]
 # --------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=1)
-def _image_residues(X: VectorField, d: int) -> np.ndarray:
-    """Read-only residues of X(m) for every monomial m of degree <= d.
+def _image_residues(X: VectorField, d: int, p: int) -> np.ndarray:
+    """Read-only residues mod p of X(m) for every monomial m of degree <= d.
 
     Column j is X(m_j) for the j-th monomial of degree <= d and row i the
     i-th monomial of degree <= d + deg(X) - 1, both graded-lex: the one
     table from which the full operator and every sieve block are gathered.
-    An entry whose denominator p divides is `_modp.UNAVAILABLE`.  Kept for
-    the last (field, degree).
+    Kept for the last (field, degree, prime).
     """
     rows = monomials_upto(len(X.variables), d + max(X.degree - 1, 0))
-    table = _modp.partial_rows_to_modp(coefficient_matrix(
-        list(_monomial_images(X, d).values()), rows))
+    table = _modp.fraction_rows_to_modp(coefficient_matrix(
+        list(_monomial_images(X, d).values()), rows), p)
     table.setflags(write=False)
     return table
 
 
 def _ranks(base: np.ndarray, directions: np.ndarray,
-           coefficients: np.ndarray) -> np.ndarray:
+           coefficients: np.ndarray, p: int) -> np.ndarray:
     """Mod-p rank of base - sum_k coefficients[i][k] * directions[k] for
     each row i of coefficients, in `_PRESCREEN_CHUNK` batches.
 
@@ -311,12 +313,13 @@ def _ranks(base: np.ndarray, directions: np.ndarray,
     import numpy as np
     return np.concatenate([np.zeros(0, dtype=np.int64)] + [
         _modp.batched_rank(_modp.batched_combination(
-            base, directions, coefficients[start:start + _PRESCREEN_CHUNK]))
+            base, directions, coefficients[start:start + _PRESCREEN_CHUNK],
+            p), p)
         for start in range(0, len(coefficients), _PRESCREEN_CHUNK)])
 
 
 def _rank_screen(values: Sequence, coeffs: np.ndarray, base: np.ndarray,
-                 directions: np.ndarray) -> list:
+                 directions: np.ndarray, p: int) -> list:
     """The values whose matrix is rank-deficient mod p, in their given order.
 
     The matrix of values[i] is base - sum_k coeffs[i][k] * directions[k]
@@ -331,32 +334,28 @@ def _rank_screen(values: Sequence, coeffs: np.ndarray, base: np.ndarray,
         return []
     full_rank = base.shape[1]
     kept = np.arange(len(values))
-    G = _modp.compressor(*base.shape)
+    G = _modp.compressor(*base.shape, p)
     if G is not None:
-        kept = np.flatnonzero(_ranks(_modp.matmul(G, base),
-                                     _modp.matmul(G, directions),
-                                     coeffs) < full_rank)
+        kept = np.flatnonzero(_ranks(_modp.matmul(G, base, p),
+                                     _modp.matmul(G, directions, p),
+                                     coeffs, p) < full_rank)
         coeffs = coeffs[kept]
-    kept = kept[_ranks(base, directions, coeffs) < full_rank]
+    kept = kept[_ranks(base, directions, coeffs, p) < full_rank]
     return [values[i] for i in kept.tolist()]
 
 
-def _full_operator(X: VectorField, d: int,
-                   candidates: Sequence[Poly]) -> np.ndarray:
+def _full_operator(X: VectorField, d: int, candidates: Sequence[Poly],
+                   p: int) -> np.ndarray:
     """Mod-p ranks of the matrices X(m) - K*m over the monomials m of degree
-    <= d, one per candidate K; raises ModPUnavailableError when p divides a
-    denominator."""
+    <= d, one per candidate K."""
     n = len(X.variables)
     support = sorted({m for K in candidates for m in K.terms}, key=grlex_key)
     directions = _modp.shift_matrices(
         monomials_upto(n, d), support,
         monomials_upto(n, d + max(X.degree - 1, 0)))
-    table = _image_residues(X, d)
-    if (table < 0).any():
-        raise _modp.ModPUnavailableError("p divides a denominator of X")
     coefficients = _modp.fraction_rows_to_modp(
-        [[K.coefficient(m) for m in support] for K in candidates])
-    return _ranks(table, directions, coefficients)
+        [[K.coefficient(m) for m in support] for K in candidates], p)
+    return _ranks(_image_residues(X, d, p), directions, coefficients, p)
 
 
 # ---- graded sieve ------------------------------------------------------------
@@ -415,7 +414,7 @@ class _LatticeBoxes:
                 seen.add(key)
                 self.bases.append({m: v for m, v in vec.items() if v})
         self._tables: dict[int, dict[tuple[int, ...], int]] = {}
-        self._residues: dict[int, tuple[dict, np.ndarray | None]] = {}
+        self._residues: dict[tuple[int, int], tuple[dict, np.ndarray]] = {}
 
     def monos_of_degree(self, degree: int) -> list[tuple]:
         return [m for m in self.support if sum(m) == degree]
@@ -472,31 +471,26 @@ class _LatticeBoxes:
         return Poly(variables, {m: Fraction(v, self.scale[m])
                                 for m, v in zip(monos, value)})
 
-    def section_residues(self, degree: int
-                         ) -> tuple[dict[tuple[int, ...], int],
-                                    np.ndarray | None]:
-        """(row of each reachable degree-`degree` part, the residues of all
-        of them, one row each in sorted key order), converted once per
-        lattice; the residues are None when p divides a scale of the
-        degree."""
-        if degree not in self._residues:
+    def section_residues(self, degree: int, p: int
+                         ) -> tuple[dict[tuple[int, ...], int], np.ndarray]:
+        """(row of each reachable degree-`degree` part, the residues mod p
+        of all of them, one row each in sorted key order), converted once
+        per lattice and prime; p divides no scale."""
+        if (degree, p) not in self._residues:
             keys = list(self._table(degree))
-            try:
-                inverses = _modp.inverse_residues(
-                    [self.scale[m] for m in self.monos_of_degree(degree)])
-                residues = _modp.scaled_rows_to_modp(keys, inverses)
-            except _modp.ModPUnavailableError:
-                residues = None
-            self._residues[degree] = (
-                {key: i for i, key in enumerate(keys)}, residues)
-        return self._residues[degree]
+            self._residues[degree, p] = (
+                {key: i for i, key in enumerate(keys)},
+                _modp.scaled_rows_to_modp(keys, [
+                    self.scale[m] for m in self.monos_of_degree(degree)], p))
+        return self._residues[degree, p]
 
 
-def _residues(rows: Sequence[Sequence[Fraction]]) -> np.ndarray | None:
-    """The residues of a rational matrix, None when p divides a
-    denominator."""
+def _residues(rows: Sequence[Sequence[Fraction]], p: int
+              ) -> np.ndarray | None:
+    """The residues of an exact kernel basis, None when p divides one of
+    its denominators (a kernel's entries need not share the input's)."""
     try:
-        return _modp.fraction_rows_to_modp(rows)
+        return _modp.fraction_rows_to_modp(rows, p)
     except _modp.ModPUnavailableError:
         return None
 
@@ -525,7 +519,8 @@ class _Node(NamedTuple):
     """A sieve node: K fixed down to the current layer, K's residue vector
     over the lattice support (then a zero pad), the bases still compatible,
     and the branches (n, W) alive, W the residues of a basis of the
-    admissible f_n, one column per vector (None when unavailable)."""
+    admissible f_n, one column per vector (None when p divides a
+    denominator of the exact basis)."""
 
     K: Poly
     residues: np.ndarray
@@ -572,14 +567,15 @@ class _GradedSieve:
       lift is checked exactly ((X - K)(g) vanishes on the block's rows):
       the lifts are independent, so rank_Q(A) <= rank_p(A) <= rank_Q(A).
 
-    W is certified the same way, so it is the reduction of the rational
-    kernel.  Where a lift fails (p divides a numerator, or a minor by
-    chance) or p divides a denominator (of X, or of a lattice scale, whose
-    layer of K then has unavailable residues), the sieve falls back to
-    exact elimination for that matrix alone: the exact kernel of the top
-    level, the residues of the exact cokernel of A.  A level keeps every
-    value when even those residues, or those of F or of its section values,
-    are unavailable.  On other inputs the sieve runs no exact elimination.
+    p divides no denominator of X or of a lattice scale
+    (`_modp.screening_prime`), so every matrix ranked reduces a p-integral
+    rational one and the argument above applies to it.  W is certified the
+    same way, so it is the reduction of the rational kernel.  Where a lift
+    fails (p divides a numerator, or a minor by chance), the sieve falls
+    back to exact elimination for that matrix alone: the exact kernel of
+    the top level, the residues of the exact cokernel of A.  A level keeps
+    every value when p divides a denominator of that exact basis.
+    Otherwise the sieve runs no exact elimination.
     """
 
     def __init__(self, X: VectorField, d: int, lattice: CofactorLattice):
@@ -588,6 +584,9 @@ class _GradedSieve:
         self.M = X.degree
         self.nv = len(X.variables)
         self.boxes = _LatticeBoxes(lattice)
+        self.p = _modp.screening_prime(
+            [c.denominator for f in X.components for c in f.terms.values()]
+            + list(self.boxes.scale.values()))
         support = self.boxes.support
         self._positions = {m: i for i, m in enumerate(support)}
         self._width = len(support) + 1   # K's residues, then a zero pad
@@ -607,30 +606,28 @@ class _GradedSieve:
 
     def _sections(self, compat: int, degree: int):
         """(values, their base masks, their rows in the degree's residue
-        tables, their coefficient residues or None when unavailable) of the
-        compatible degree-`degree` sections, in sorted order."""
+        tables, their coefficient residues) of the compatible
+        degree-`degree` sections, in sorted order."""
         sections = self.boxes.sections(compat, degree)
-        positions, residues = self.boxes.section_residues(degree)
+        positions, residues = self.boxes.section_residues(degree, self.p)
         rows = [positions[value] for value in sections]
-        return (list(sections), list(sections.values()), rows,
-                None if residues is None else residues[rows])
+        return list(sections), list(sections.values()), rows, residues[rows]
 
     def _layers(self, degree: int) -> np.ndarray:
         """Every row of the degree's section residues as a layer of K's
-        residue vector (UNAVAILABLE where p divides a scale), built once."""
+        residue vector, built once."""
         if degree not in self._layer_tables:
-            positions, residues = self.boxes.section_residues(degree)
-            monos = self.boxes.monos_of_degree(degree)
+            _, residues = self.boxes.section_residues(degree, self.p)
             self._layer_tables[degree] = _modp.embed(
-                _modp.unavailable(len(positions), len(monos))
-                if residues is None else residues,
-                [self._positions[m] for m in monos], self._width)
+                residues, [self._positions[m]
+                           for m in self.boxes.monos_of_degree(degree)],
+                self._width)
         return self._layer_tables[degree]
 
     def _window(self, rows: Sequence[tuple], cols: Sequence[tuple]
                 ) -> np.ndarray:
         """The residues of X(m) for m in cols, on rows."""
-        return _image_residues(self.X, self.d)[
+        return _image_residues(self.X, self.d, self.p)[
             [self._rows_at[m] for m in rows]][
             :, [self._cols_at[m] for m in cols]]
 
@@ -649,28 +646,22 @@ class _GradedSieve:
             cols = monomials_of_degree(self.nv, n)
             rows = monomials_of_degree(self.nv, n + top_deg)
             base = self._window(rows, cols)
-            kernels = None
-            if coeffs is None or (base < 0).any():
-                screened = range(len(values))
-            else:
-                directions = _modp.shift_matrices(cols, units, rows)
-                screened = _rank_screen(range(len(values)), coeffs, base,
-                                        directions)
-                if not screened:
+            directions = _modp.shift_matrices(cols, units, rows)
+            screened = _rank_screen(range(len(values)), coeffs, base,
+                                    directions, self.p)
+            if not screened:
+                continue
+            mats = _modp.batched_combination(base, directions,
+                                             coeffs[screened], self.p)
+            kernels = _modp.batched_kernels(mats, mats[:, :, :0], self.p)
+            for (W, _), i in zip(kernels, screened):
+                if self._lifts_exactly(taus[i], cols, rows, W):
+                    alive.setdefault(i, []).append((n, W.T))
                     continue
-                mats = _modp.batched_combination(base, directions,
-                                                 coeffs[screened])
-                kernels = _modp.batched_kernels(mats, mats[:, :, :0])
-            for k, i in enumerate(screened):
-                if kernels is not None:
-                    W = kernels[k][0]
-                    if self._lifts_exactly(taus[i], cols, rows, W):
-                        alive.setdefault(i, []).append((n, W.T))
-                        continue
                 kernel = RatMatrix(
                     self._exact_operator(taus[i], cols, rows)).nullspace()
                 if kernel:
-                    W = _residues(kernel)
+                    W = _residues(kernel, self.p)
                     alive.setdefault(i, []).append(
                         (n, None if W is None else W.T))
         layers = self._layers(top_deg)
@@ -688,10 +679,11 @@ class _GradedSieve:
     def _exact_cokernel(self, K: Poly, cols: list, rows: list
                         ) -> np.ndarray | None:
         """The residues of the exact left kernel of (X - K) from cols to
-        rows, one row per vector; None when it is trivial or unavailable."""
+        rows, one row per vector; None when it is trivial or p divides one
+        of its denominators."""
         A = self._exact_operator(K, cols, rows)
         P = RatMatrix([list(col) for col in zip(*A)]).nullspace()
-        return _residues(P) if P else None
+        return _residues(P, self.p) if P else None
 
     def _block(self, n: int, r: int) -> _Block:
         key = (n, r)
@@ -717,7 +709,8 @@ class _GradedSieve:
         images = _monomial_images(self.X, self.d)
         variables = self.X.variables
         for vec in kernel:
-            coeffs = [_modp.rational_reconstruction(int(x)) for x in vec]
+            coeffs = [_modp.rational_reconstruction(int(x), self.p)
+                      for x in vec]
             if None in coeffs:
                 return False
             g = Poly(variables, dict(zip(cols, coeffs)))
@@ -733,51 +726,42 @@ class _GradedSieve:
                    W: np.ndarray) -> list:
         """P*F and the stack P*(u*W) of level r for f-degree n, one pair
         per node, all of whose branch n has a basis W of the same width
-        (the stack of them); None where the level constrains nothing or F
-        has an unavailable residue.
+        (the stack of them); None where the level constrains nothing.
 
         P is the cokernel of A mod p when rank_Q(A) = rank_p(A) is proved,
-        and otherwise (A has an unavailable residue, or a lift fails) the
-        residues of A's exact cokernel.  The blocks A share one shape, so
-        they are eliminated together.
+        and otherwise (a lift fails) the residues of A's exact cokernel.
+        The blocks A share one shape, so they are eliminated together.
         """
         import numpy as np
+        p = self.p
         block = self._block(n, r)
         split, k = block.split, W.shape[2]
         cofactor = np.stack([node.residues for node in nodes])[
             :, block.cofactor]
-        missing = ((block.window < 0) | (cofactor < 0)).any(axis=1)
-        operator = (block.window - cofactor) % _modp.PRIME
-        fixed = _modp.matmul(operator[:, :, :split], W)
+        operator = (block.window - cofactor) % p
+        fixed = _modp.matmul(operator[:, :, :split], W, p)
         # u*W on the block's rows, (N, R, S, k) for the S units u
         shifted = _modp.gather(W.transpose(1, 0, 2), block.shift
                                ).transpose(2, 1, 0, 3)
         S = shifted.shape[2]
         carried = np.concatenate([fixed, shifted.reshape(
             len(nodes), len(block.rows), S * k)], axis=2)
-        known = np.flatnonzero(~missing.any(axis=1))
-        eliminated = dict(zip(known.tolist(), _modp.batched_kernels(
-            operator[known, :, split:], carried[known])))
+        eliminated = _modp.batched_kernels(operator[:, :, split:], carried, p)
         lower = block.cols[split:]
         out = []
-        for i, node in enumerate(nodes):
-            if missing[i, :split].any():
-                out.append(None)
+        for i, (node, (kernel, projected)) in enumerate(zip(nodes,
+                                                            eliminated)):
+            if not len(kernel) or self._lifts_exactly(
+                    node.K, lower, block.rows, kernel):
+                # with P empty every equation is absorbed by the free blocks
+                out.append((projected[:, :k], projected[:, k:].reshape(
+                    len(projected), S, k).transpose(1, 0, 2))
+                    if len(projected) else None)
                 continue
-            if i in eliminated:
-                kernel, projected = eliminated[i]
-                if not len(kernel) or self._lifts_exactly(
-                        node.K, lower, block.rows, kernel):
-                    # with P empty every equation is absorbed by the free
-                    # blocks
-                    out.append((projected[:, :k], projected[:, k:].reshape(
-                        len(projected), S, k).transpose(1, 0, 2))
-                        if len(projected) else None)
-                    continue
             P = self._exact_cokernel(node.K, lower, block.rows)
             out.append(None if P is None else (
-                _modp.matmul(P, fixed[i]),
-                _modp.matmul(P, shifted[i].transpose(1, 0, 2))))
+                _modp.matmul(P, fixed[i], p),
+                _modp.matmul(P, shifted[i].transpose(1, 0, 2), p)))
         return out
 
     def _level(self, nodes: Sequence[_Node], r: int) -> list[_Node]:
@@ -791,11 +775,10 @@ class _GradedSieve:
         # filtered one node at a time below, so that a level never holds
         # all of its sections (a node with compatible bases has some)
         groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        if self.boxes.section_residues(ell)[1] is not None:
-            for i, node in enumerate(nodes):
-                for b, (n, W) in enumerate(node.branches):
-                    if W is not None:
-                        groups.setdefault((n, W.shape[1]), []).append((i, b))
+        for i, node in enumerate(nodes):
+            for b, (n, W) in enumerate(node.branches):
+                if W is not None:
+                    groups.setdefault((n, W.shape[1]), []).append((i, b))
         projections = {}
         for (n, _), members in groups.items():
             projections.update(zip(members, self._projected(
@@ -813,7 +796,7 @@ class _GradedSieve:
             for b, (n, W) in enumerate(node.branches):
                 projected = projections.get((i, b))
                 kept = (everything if projected is None else
-                        _rank_screen(everything, coeffs, *projected))
+                        _rank_screen(everything, coeffs, *projected, self.p))
                 for j in kept:
                     alive.setdefault(j, []).append((n, W))
             for j in sorted(alive):
@@ -825,11 +808,10 @@ class _GradedSieve:
 
 
 def _candidate_cofactors(X: VectorField, d: int, lattice: CofactorLattice
-                         ) -> dict[Poly, int | None]:
+                         ) -> dict[Poly, int]:
     """Screened cofactor candidates, complete relative to the lattice, each
     mapped to the kernel dimension mod p of its full operator matrix, which
-    bounds the rational one from above (None when the prime divides a
-    denominator).
+    bounds the rational one from above.
 
     The zero cofactor comes first, then the coordinate cofactors, then the
     remaining sieve survivors that also pass the full-operator screen.
@@ -839,13 +821,9 @@ def _candidate_cofactors(X: VectorField, d: int, lattice: CofactorLattice
         if X.is_kolmogorov(v):
             priority.append(X.coordinate_cofactor(v))
     priority = list(dict.fromkeys(priority))
-    sieved = [K for K in _GradedSieve(X, d, lattice).run()
-              if K not in priority]
-    values = priority + sieved
-    try:
-        ranks = _full_operator(X, d, values)
-    except _modp.ModPUnavailableError:
-        return dict.fromkeys(values)
+    sieve = _GradedSieve(X, d, lattice)
+    values = priority + [K for K in sieve.run() if K not in priority]
+    ranks = _full_operator(X, d, values, sieve.p)
     dims = (len(monomials_upto(len(X.variables), d)) - ranks).tolist()
     return {K: dim for K, dim in zip(values, dims) if K in priority or dim}
 
@@ -1129,7 +1107,8 @@ class DarbouxFunction:
 def assemble_darboux_integrals(certs: Sequence[DarbouxCert],
                                efacts: Sequence[ExpFactorCert] = ()
                                ) -> list[DarbouxFunction]:
-    """One Darboux function per kernel vector of the stacked cofactor matrix."""
+    """One Darboux function per kernel vector of the stacked cofactor matrix;
+    raises InternalCheckError when a vector's cofactor balance is nonzero."""
     cofactors = [c.K for c in certs] + [c.L for c in efacts]
     if not cofactors:
         return []
@@ -1148,7 +1127,10 @@ def assemble_darboux_integrals(certs: Sequence[DarbouxCert],
                         if mu != 0)
         if not d_terms and not e_terms:
             continue
-        out.append(DarbouxFunction(d_terms, e_terms))
+        try:
+            out.append(DarbouxFunction(d_terms, e_terms))
+        except ValueError as exc:
+            raise InternalCheckError(str(exc)) from exc
     return out
 
 

@@ -114,6 +114,7 @@ def parse_field(text: str, *, promote: str | None = None) -> "VectorField":
     """
     variables: list[str] | None = None
     params: dict[str, Fraction] = {}
+    param_lines: dict[str, int] = {}
     raw_equations: dict[str, tuple[str, int]] = {}
     promoted_seen = False
 
@@ -151,6 +152,7 @@ def parse_field(text: str, *, promote: str | None = None) -> "VectorField":
                 promoted_seen = True
                 continue
             params[pname] = Fraction(num, den)
+            param_lines[pname] = lineno
             continue
         m = _EQ_RE.match(line)
         if m:
@@ -163,6 +165,11 @@ def parse_field(text: str, *, promote: str | None = None) -> "VectorField":
 
     if variables is None:
         raise FieldParseError("SyntaxError", "missing vars: line", 1)
+    for pname, lineno in param_lines.items():
+        if pname in variables:
+            raise FieldParseError("SyntaxError",
+                                  f"param {pname!r} is already a variable",
+                                  lineno)
     if promote is not None:
         if not promoted_seen:
             raise FieldParseError("UnknownParameter",

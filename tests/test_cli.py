@@ -55,6 +55,41 @@ def test_parse_error_exits_2(tmp_path):
     assert "NonRationalLiteral" in err
 
 
+def test_param_named_like_a_variable_exits_2(tmp_path):
+    field = tmp_path / "shadow.vf"
+    field.write_text("vars: x y\nparam x = 3\ndx/dt = x*y\ndy/dt = y\n")
+    proc = run_module(["darboux", str(field), "--degree", "1"])
+    assert proc.returncode == 2
+    assert "param 'x' is already a variable (line 2" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_failed_cofactor_balance_exits_1(monkeypatch):
+    # a kernel vector off the kernel of the stacked cofactor matrix gives a
+    # Darboux function whose cofactors do not cancel: a failed internal
+    # check, not a usage error
+    from darbouxlab.exactcore import RatMatrix
+
+    nullspace = RatMatrix.nullspace
+
+    def off_kernel(self):
+        kernel = nullspace(self)
+        if sys._getframe(1).f_code.co_name != "assemble_darboux_integrals":
+            return kernel
+        col = next(j for j in range(self.cols)
+                   if any(row[j] for row in self.entries))
+        return kernel + [[int(j == col) for j in range(self.cols)]]
+
+    monkeypatch.setattr(RatMatrix, "nullspace", off_kernel)
+    code, out, err = run_cli(["integrals", "corpus/lv3_a0_b0_c0.vf",
+                              "--degree", "2", "--s-bound", "0"])
+    assert code == 1
+    assert err.startswith("internal error: cofactor balance is ")
+    assert "Traceback" not in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("fixture, args", [
     ("darboux_restricted_y0_a0.json",
      ["darboux", "corpus/restricted_y0_a0.vf", "--degree", "2"]),
@@ -261,7 +296,8 @@ def test_analyze_shares_integrals_pass():
     "1/2147483647"])
 def test_large_rational_parameter_sieve(tmp_path, param, bound):
     # scaled lattice coefficients beyond int64 must be reduced mod p
-    # exactly, and a denominator divisible by p falls back to exact screens
+    # exactly, and a denominator divisible by 2^31 - 1 selects the next
+    # prime below it for the screens
     text = (REPO / "corpus" / "samardzija_greller.vf").read_text()
     field = tmp_path / "bignum.vf"
     field.write_text("".join(

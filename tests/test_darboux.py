@@ -235,7 +235,7 @@ def brute_force_sections(boxes, compat, degree):
     return out
 
 
-def full_operator_screen(X, d, candidates):
+def full_operator_screen(X, d, candidates, p):
     """The candidates K whose matrix X(m) - K*m over the monomials m of
     degree <= d is rank-deficient mod p, each matrix ranked on its own rows:
     the brute-force reference of the full-operator screen."""
@@ -244,18 +244,18 @@ def full_operator_screen(X, d, candidates):
     rows = monomials_upto(n, d + max(X.degree - 1, 0))
     support = sorted({m for K in candidates for m in K.terms})
     base = _modp.fraction_rows_to_modp(
-        coefficient_matrix([lie_derivative(X, b) for b in basis], rows))
+        coefficient_matrix([lie_derivative(X, b) for b in basis], rows), p)
     directions = np.array(
         [_modp.fraction_rows_to_modp(coefficient_matrix(
-            [Poly.from_monomial(X.variables, u) * b for b in basis], rows))
+            [Poly.from_monomial(X.variables, u) * b for b in basis], rows), p)
          for u in support], dtype=np.int64).reshape((-1,) + base.shape)
     kept = []
     for start in range(0, len(candidates), 4096):
         chunk = candidates[start:start + 4096]
         coeffs = _modp.fraction_rows_to_modp(
-            [[K.coefficient(u) for u in support] for K in chunk])
+            [[K.coefficient(u) for u in support] for K in chunk], p)
         ranks = _modp.batched_rank(
-            _modp.batched_combination(base, directions, coeffs))
+            _modp.batched_combination(base, directions, coeffs, p), p)
         kept += [K for K, rank in zip(chunk, ranks) if rank < len(basis)]
     return kept
 
@@ -282,7 +282,8 @@ class TestSieveAgainstBruteForce:
         assert all(boxes.sections(0, degree) == {} for degree in degrees)
         # raw sieve survivors: count and sha256 prefix of the printed list,
         # captured from the set-based sections and Fraction elimination
-        survivors = dbx._GradedSieve(X, d, lattice).run()
+        sieve = dbx._GradedSieve(X, d, lattice)
+        survivors = sieve.run()
         assert (len(survivors), hashlib.sha256("\n".join(
             map(str, survivors)).encode()).hexdigest()[:16]) == sieve_digest
 
@@ -291,7 +292,7 @@ class TestSieveAgainstBruteForce:
         priority = [Poly.zero(X.variables)] + [
             X.coordinate_cofactor(v) for v in X.variables if X.is_kolmogorov(v)]
         oracle = list(dict.fromkeys(
-            priority + full_operator_screen(X, d, brute)))
+            priority + full_operator_screen(X, d, brute, sieve.p)))
         assert list(dbx._candidate_cofactors(X, d, lattice)) == oracle
 
         exact = [(K, search_darboux_fixed_cofactor(X, K, d)) for K in oracle]
@@ -361,6 +362,35 @@ class TestSieveAgainstBruteForce:
         assert direct == sieved == {("x", "2*x - y + 1"), ("y", "x - 1")}
 
 
+    def test_prime_in_a_lattice_scale(self):
+        # a generator 1/p*x, p = 2^31 - 1, puts p in the scale of x: both
+        # paths rank mod the next prime below p
+        import darbouxlab.darboux as dbx
+
+        X = parse_field(RESTRICTED_Z0)
+        lattice = CofactorLattice(default_lattice(X, 2).generators + (
+            P(f"1/{_modp.PRIME}*x", X.variables),), 2)
+        assert dbx._GradedSieve(X, 2, lattice).p == 2147483629
+        # the same 9 survivors as the keep-every-value top level gave
+        direct, sieved = self._both_paths(X, 2, lattice,
+                                          (9, "c728a084de389899"))
+        assert direct == sieved == {("x", "2*x - y + 1"), ("y", "x - 1")}
+
+    def test_prime_in_a_field_denominator(self):
+        # b = 3/p, p = 2^31 - 1: both paths rank mod the next prime below p
+        import darbouxlab.darboux as dbx
+
+        X = parse_field(RESTRICTED_Y0_A0.replace(
+            "param b = 3", f"param b = 3/{_modp.PRIME}"))
+        lattice = default_lattice(X, 2)
+        assert dbx._GradedSieve(X, 2, lattice).p == 2147483629
+        # 87 of the 130 survivors the unscreened lower level kept
+        direct, sieved = self._both_paths(X, 2, lattice,
+                                          (87, "59bf6aece59f9bd4"))
+        assert direct == sieved
+        assert {f for f, _ in direct} == {"x", "z", "x + 1/2"}
+
+
 class TestRankScreen:
     """The one mod-p screen behind the sieve levels."""
 
@@ -369,7 +399,7 @@ class TestRankScreen:
 
         one = np.ones((1, 1), dtype=np.int64)
         none = np.zeros((0, 1), dtype=np.int64)
-        assert dbx._rank_screen([], none, one, one[None]) == []
+        assert dbx._rank_screen([], none, one, one[None], _modp.PRIME) == []
 
     def test_rejects_only_full_rank(self):
         import darbouxlab.darboux as dbx
@@ -379,49 +409,50 @@ class TestRankScreen:
         direction = np.array([[1, 0], [0, 0]], dtype=np.int64)
         kept = dbx._rank_screen([3, 1, 0, 2],
                                 np.array([[3], [1], [0], [2]], dtype=np.int64),
-                                base, direction[None])
+                                base, direction[None], _modp.PRIME)
         assert kept == [1]
 
-    def test_unavailable_prime_keeps_every_value(self, monkeypatch):
-        # when p divides a section scale no sieve node can screen: every
-        # section value is kept, so the sieve's survivors only grow, and
-        # the exact solves still find the same certificates
+    @pytest.mark.parametrize("generator", ["1/2147483647", "1/2147483647*x"])
+    def test_prime_in_a_scale_selects_another_prime(self, monkeypatch,
+                                                     generator):
+        # a generator with coefficient 1/p, p = 2^31 - 1, puts p in a
+        # lattice scale of the lower or the top level: the sieve picks the
+        # next prime below p, screens every level mod that prime, and finds
+        # the certificates of the lattice without that generator
         import darbouxlab.darboux as dbx
 
         X = parse_field(RESTRICTED_Z0)
         lattice = default_lattice(X, 2)
-        screened = dbx._GradedSieve(X, 3, lattice).run()
         certs = {(str(c.f), str(c.K)) for c in search_darboux(X, 3, lattice)}
-
-        def unavailable(scales):
-            raise _modp.ModPUnavailableError("denominator divisible by p")
-
-        monkeypatch.setattr(_modp, "inverse_residues", unavailable)
+        planted = CofactorLattice(
+            lattice.generators + (P(generator, X.variables),), 2)
+        sieve = dbx._GradedSieve(X, 3, planted)
+        assert sieve.p == 2147483629
         screens = _counting(monkeypatch, dbx, "_rank_screen")
-        kept = dbx._GradedSieve(X, 3, lattice).run()
-        assert screens == []
-        assert set(screened) < set(kept)
+        projections = _returns(monkeypatch, dbx._GradedSieve, "_projected")
+        sieve.run()
+        assert screens and {args[-1] for args in screens} == {sieve.p}
+        assert any(pair is not None for out in projections for pair in out)
         assert {(str(c.f), str(c.K))
-                for c in search_darboux(X, 3, lattice)} == certs
+                for c in search_darboux(X, 3, planted)} == certs
 
-    def test_unavailable_prime_in_lower_level_keeps_every_value(self):
-        # p divides the z coefficient b, which reaches the sieve's lower
-        # levels (the residues of X(w) - K*w) and the full operator, but not
-        # the top level: nothing is proved there, so every sieve survivor is
-        # a candidate, without a kernel bound, and the exact solves still
-        # find the certificates
+    def test_prime_in_a_field_denominator_selects_another_prime(
+            self, monkeypatch):
+        # p = 2^31 - 1 divides the denominator of the z coefficient b, which
+        # reaches the sieve's lower levels and the full operator: the next
+        # prime below p is screened instead, the lower level projects its
+        # equations, every candidate gets a kernel bound, and the exact
+        # solves find the certificates
         import darbouxlab.darboux as dbx
 
         X = parse_field(RESTRICTED_Y0_A0.replace(
             "param b = 3", f"param b = 3/{_modp.PRIME}"))
         lattice = default_lattice(X, 2)
+        assert dbx._GradedSieve(X, 2, lattice).p == 2147483629
+        projections = _returns(monkeypatch, dbx._GradedSieve, "_projected")
         candidates = dbx._candidate_cofactors(X, 2, lattice)
-        priority = [Poly.zero(X.variables), X.coordinate_cofactor("x"),
-                    X.coordinate_cofactor("z")]
-        sieved = dbx._GradedSieve(X, 2, lattice).run()
-        assert list(candidates) == priority + [K for K in sieved
-                                               if K not in priority]
-        assert set(candidates.values()) == {None}
+        assert any(pair is not None for out in projections for pair in out)
+        assert all(type(dim) is int for dim in candidates.values())
         assert {str(c.f) for c in search_darboux(X, 2, lattice)} == {
             "x", "z", "x + 1/2"}
 
@@ -446,15 +477,15 @@ class TestRankScreen:
 
         lifts = []
 
-        def no_lift(residue):
+        def no_lift(residue, p):
             lifts.append(residue)
             return None
 
         dims = []   # kernel dimension mod p of each lower-level block A
         eliminate = _modp.batched_kernels
 
-        def recorded(A, B):
-            out = eliminate(A, B)
+        def recorded(A, B, p):
+            out = eliminate(A, B, p)
             if B.shape[2]:   # the top level carries no columns
                 dims.extend(len(kernel) for kernel, _ in out)
             return out
@@ -500,7 +531,7 @@ class TestRankScreen:
         R, C, S = shape
         p = _modp.PRIME
         rng = random.Random(R * 100 + C * 10 + S)
-        G = _modp.compressor(R, C)
+        G = _modp.compressor(R, C, p)
         assert G is not None and G.shape == (C + 2, R)
         # integer kernel vectors of G: columns in ker G give a matrix of
         # full rank whose compressed rank is 0
@@ -535,10 +566,10 @@ class TestRankScreen:
             return np.array(vals, dtype=np.int64) % p
 
         ranks = _modp.batched_rank(
-            _modp.batched_combination(base, directions, residues(values)))
+            _modp.batched_combination(base, directions, residues(values), p), p)
         expected = [v for v, rank in zip(values, ranks) if rank < C]
         assert dbx._rank_screen(values, residues(values), base,
-                                directions) == expected
+                                directions, p) == expected
         assert (1,) * S in expected
         # a full-rank matrix that G compresses to zero is still rejected
         assert ((2,) * S in expected) == (len(ker) < C)
@@ -573,6 +604,19 @@ def _counting(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def _returns(monkeypatch, owner, name):
+    """Wrap owner.name so that every result is kept in the returned list."""
+    original = getattr(owner, name)
+    results = []
+
+    def kept(*args):
+        results.append(original(*args))
+        return results[-1]
+
+    monkeypatch.setattr(owner, name, kept)
+    return results
 
 
 class TestKernelFromRank:
@@ -612,17 +656,22 @@ class TestKernelFromRank:
         assert (X, zero, 2) in solves
         assert [str(f) for f in kernels[zero]] == ["1", "x^2 + y^2"]
 
-    def test_prime_in_denominator_falls_back(self, monkeypatch):
+    def test_prime_in_denominator_selects_another_prime(self, monkeypatch):
+        # a = 1/p for p = 2^31 - 1: the screens run mod the next prime below
+        # p, so every candidate has a kernel bound and x, y, z are read off
+        # their monomial solutions, with no exact solve
         import darbouxlab.darboux as dbx
 
         text = (CORPUS / "samardzija_greller.vf").read_text().replace(
             "param a = 29851/10000", "param a = 1/2147483647")
         X = parse_field(text)
+        lattice = default_lattice(X, 1)
+        assert dbx._GradedSieve(X, 2, lattice).p == 2147483629
+        assert all(type(dim) is int for dim in dbx._candidate_cofactors(
+            X, 2, lattice).values())
         solves = _counting(monkeypatch, dbx, "search_darboux_fixed_cofactor")
-        kernels = dbx.cofactor_kernels(X, 2, default_lattice(X, 1))
-        assert set(dbx._candidate_cofactors(
-            X, 2, default_lattice(X, 1)).values()) == {None}
-        assert len(solves) == len(kernels)
+        kernels = dbx.cofactor_kernels(X, 2, lattice)
+        assert solves == []
         assert [str(f) for _, basis in kernels[1:4] for f in basis] == [
             "x", "y", "z"]
 

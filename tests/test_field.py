@@ -132,3 +132,15 @@ class TestRestriction:
         direct = lie_derivative(Y, f2)
         via_full = lie_derivative(X, lift).set_zero("y").drop_variable("y")
         assert direct == via_full
+
+
+def test_param_named_like_a_variable_rejected():
+    with pytest.raises(FieldParseError) as exc:
+        parse_field("vars: x y\nparam x = 3\ndx/dt = x*y\ndy/dt = y\n")
+    assert exc.value.kind == "SyntaxError"
+    assert exc.value.detail == "param 'x' is already a variable"
+    assert exc.value.line == 2
+    # the vars: line may follow the param
+    with pytest.raises(FieldParseError) as exc:
+        parse_field("param y = 1/2\nvars: x y\ndx/dt = x\ndy/dt = y\n")
+    assert exc.value.line == 1

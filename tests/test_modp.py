@@ -14,6 +14,8 @@ from darbouxlab.exactcore import (Poly, RatMatrix, coefficient_matrix,
                                   monomials_of_degree, monomials_upto,
                                   parse_poly)
 
+P = _modp.PRIME
+
 
 def test_batched_rank_matches_exact_rank():
     rng = random.Random(3)
@@ -26,16 +28,16 @@ def test_batched_rank_matches_exact_rank():
         # pad to a common shape with explicit zeros
         padded = [[entries[i][j] if i < rows and j < cols else Fraction(0)
                    for j in range(6)] for i in range(6)]
-        mats.append(_modp.fraction_rows_to_modp(padded))
+        mats.append(_modp.fraction_rows_to_modp(padded, P))
         exact_ranks.append(RatMatrix(padded).rank())
-    ranks = _modp.batched_rank(np.stack(mats))
+    ranks = _modp.batched_rank(np.stack(mats), P)
     assert list(ranks) == exact_ranks
 
 
 def test_rank_deficient_stack():
     singular = np.array([[1, 2], [2, 4]], dtype=np.int64)
     full = np.array([[1, 0], [0, 1]], dtype=np.int64)
-    ranks = _modp.batched_rank(np.stack([singular, full]))
+    ranks = _modp.batched_rank(np.stack([singular, full]), P)
     assert list(ranks) == [1, 2]
 
 
@@ -43,14 +45,14 @@ def test_linear_combination_stack():
     base = np.array([[1, 0], [0, 1]], dtype=np.int64)
     direction = np.array([[1, 0], [0, 0]], dtype=np.int64)
     coeffs = np.array([[0], [1]], dtype=np.int64)
-    stack = _modp.batched_combination(base, direction[None], coeffs)
-    assert list(_modp.batched_rank(stack)) == [2, 1]
+    stack = _modp.batched_combination(base, direction[None], coeffs, P)
+    assert list(_modp.batched_rank(stack, P)) == [2, 1]
 
 
 def _ranks_agree(matrices):
     """batched_rank of one same-shape stack against exact rational ranks."""
     stack = np.array(matrices, dtype=object) % _modp.PRIME
-    ranks = _modp.batched_rank(stack.astype(np.int64))
+    ranks = _modp.batched_rank(stack.astype(np.int64), P)
     exact = [RatMatrix([[Fraction(int(x)) for x in row] for row in m]).rank()
              for m in matrices]
     assert ranks.tolist() == exact
@@ -105,7 +107,7 @@ def test_matmul_matches_python_ints():
     B = np.full((2, inner, 4), p1, dtype=np.int64)
     B[1] = [[rng.randrange(_modp.PRIME) for _ in range(4)]
             for _ in range(inner)]
-    got = _modp.matmul(A, B)
+    got = _modp.matmul(A, B, P)
     assert got.shape == (2, 3, 4)
     for s in range(2):
         for i in range(3):
@@ -116,29 +118,27 @@ def test_matmul_matches_python_ints():
 
 
 def test_compressor_is_a_fixed_vandermonde_matrix():
-    assert _modp.compressor(5, 3) is None
-    G = _modp.compressor(9, 3)
+    assert _modp.compressor(5, 3, P) is None
+    G = _modp.compressor(9, 3, P)
     assert G.tolist() == [[pow(a, r, _modp.PRIME) for r in range(9)]
                           for a in range(2, 7)]
-    # built once per shape, and shared read-only
-    assert _modp.compressor(9, 3) is G
+    # built once per shape and prime, and shared read-only
+    assert _modp.compressor(9, 3, P) is G
     assert not G.flags.writeable
 
 
 def test_residue_conversion_fast_paths():
     p = _modp.PRIME
-    assert _modp.fraction_to_modp(Fraction(-3)) == p - 3
-    assert _modp.fraction_to_modp(Fraction(10**30)) == 10**30 % p
+    assert _modp.fraction_to_modp(Fraction(-3), p) == p - 3
+    assert _modp.fraction_to_modp(Fraction(10**30), p) == 10**30 % p
     big = [(10**30, -7), (3, 2 * p)]
-    inverses = _modp.inverse_residues([1, 3])
     inv3 = pow(3, p - 2, p)
-    assert inverses.tolist() == [1, inv3]
-    got = _modp.scaled_rows_to_modp(big, inverses)
+    got = _modp.scaled_rows_to_modp(big, [1, 3], p)
     assert got.tolist() == [[10**30 % p, -7 * inv3 % p], [3, 2 * p * inv3 % p]]
-    small = _modp.scaled_rows_to_modp([(4, -9)], inverses)
+    small = _modp.scaled_rows_to_modp([(4, -9)], [1, 3], p)
     assert small.tolist() == [[4, p - 3]]
     with pytest.raises(_modp.ModPUnavailableError):
-        _modp.inverse_residues([p])
+        _modp.fraction_to_modp(Fraction(1, p), p)
 
 
 def _polys(texts, variables):
@@ -170,11 +170,12 @@ XYZ = ("x", "y", "z")
 def test_shifted_stack_matches_products(basis, monos, units, rows):
     variables = basis[0].variables
     got = _modp.shifted_stack(
-        _modp.fraction_rows_to_modp(coefficient_matrix(basis, monos)),
+        _modp.fraction_rows_to_modp(coefficient_matrix(basis, monos), P),
         monos, units, rows)
     assert got.shape == (len(units), len(rows), len(basis))
     want = [_modp.fraction_rows_to_modp(coefficient_matrix(
-        [Poly.from_monomial(variables, u) * b for b in basis], rows)).tolist()
+        [Poly.from_monomial(variables, u) * b for b in basis], rows),
+        P).tolist()
         for u in units]
     assert got.tolist() == want
 
@@ -207,7 +208,7 @@ def _elimination_cases():
     # the comparisons need equal ranks over Q and Z/p (a rank drop mod p is
     # `test_rank_can_drop_mod_p`)
     return [m for m in cases if RatMatrix(m).rank()
-            == _modp.batched_rank(_residues(m)[None])[0]]
+            == _modp.batched_rank(_residues(m)[None], P)[0]]
 
 
 def gauss_jordan(A, width=None):
@@ -257,7 +258,8 @@ def kernels(A, B):
 
 
 def _rank(matrix):
-    return int(_modp.batched_rank(np.asarray(matrix, dtype=np.int64)[None])[0])
+    return int(_modp.batched_rank(np.asarray(matrix, dtype=np.int64)[None],
+                                  P)[0])
 
 
 def _column_profile(A):
@@ -271,7 +273,7 @@ def _agree_with_reference(stack, carried):
     matrix at a time: equal rank and pivots, equal kernel basis, and
     projections with equal row spaces (each carried block starts with an
     identity, so the projection holds the left-kernel basis P itself)."""
-    got = _modp.batched_kernels(stack, carried)
+    got = _modp.batched_kernels(stack, carried, P)
     assert len(got) == len(stack)
     for A, B, (kernel, projected) in zip(stack, carried, got):
         R = A.shape[0]
@@ -283,7 +285,7 @@ def _agree_with_reference(stack, carried):
         assert len(kernel) == A.shape[1] - len(pivots)
         assert kernel.tolist() == want_kernel.tolist()
         assert projected.shape == want_projected.shape
-        assert not _modp.matmul(projected[:, :R], A).any()
+        assert not _modp.matmul(projected[:, :R], A, P).any()
         assert (_rank(np.vstack([projected, want_projected]))
                 == _rank(projected) == R - len(pivots))
 
@@ -302,12 +304,13 @@ def test_rank_can_drop_mod_p():
     matrix = [[p1, 1], [1, p1]]
     assert RatMatrix(matrix).rank() == 2
     (kernel, left), = _modp.batched_kernels(
-        _residues([matrix]), np.eye(2, dtype=np.int64)[None])
+        _residues([matrix]), np.eye(2, dtype=np.int64)[None], P)
     assert kernel.tolist() == [[1, 1]] and len(left) == 1
 
 
 def _modp_rows(rows):
-    return [[_modp.fraction_to_modp(Fraction(x)) for x in row] for row in rows]
+    return [[_modp.fraction_to_modp(Fraction(x), P) for x in row]
+            for row in rows]
 
 
 @pytest.mark.parametrize("matrix", _elimination_cases())
@@ -327,8 +330,8 @@ def test_gauss_jordan_matches_exact_rref(matrix):
 def test_kernels_match_exact_nullspaces(matrix):
     A = _residues(matrix)
     R, C = A.shape
-    (kernel, left), = _modp.batched_kernels(A[None],
-                                            np.eye(R, dtype=np.int64)[None])
+    (kernel, left), = _modp.batched_kernels(
+        A[None], np.eye(R, dtype=np.int64)[None], P)
     # the kernel basis is the one RatMatrix.nullspace gives, mod p
     assert kernel.shape == (C - len(RatMatrix(matrix).rref()[1]), C)
     assert kernel.tolist() == _modp_rows(RatMatrix(matrix).nullspace())
@@ -336,7 +339,7 @@ def test_kernels_match_exact_nullspaces(matrix):
     # exact one, and spans its images wherever they exist mod p
     exact_left = RatMatrix([list(col) for col in zip(*matrix)]).nullspace()
     assert left.shape == (len(exact_left), R)
-    assert not _modp.matmul(left, A).any()
+    assert not _modp.matmul(left, A, P).any()
     if len(exact_left):
         assert _rank(left) == len(exact_left)
         try:
@@ -349,9 +352,9 @@ def test_kernels_match_exact_nullspaces(matrix):
     rng = random.Random(R * 10 + C)
     carried = _residues([[rng.randint(-9, 9) for _ in range(7)]
                          for _ in range(R)])
-    (same, projected), = _modp.batched_kernels(A[None], carried[None])
+    (same, projected), = _modp.batched_kernels(A[None], carried[None], P)
     assert same.tolist() == kernel.tolist()
-    assert projected.tolist() == _modp.matmul(left, carried).tolist()
+    assert projected.tolist() == _modp.matmul(left, carried, P).tolist()
     _agree_with_reference(A[None], _with_identity(carried[None]))
 
 
@@ -428,17 +431,43 @@ def test_rational_reconstruction_round_trips_within_the_bound():
                for _ in range(200)]
     for value in values:
         assert _modp.rational_reconstruction(
-            _modp.fraction_to_modp(value)) == value
-    assert _modp.rational_reconstruction(p - 1) == -1
+            _modp.fraction_to_modp(value, p), p) == value
+    assert _modp.rational_reconstruction(p - 1, p) == -1
 
 
 def test_rational_reconstruction_without_a_small_preimage():
     p = _modp.PRIME
     bound = math.isqrt(p // 2)
     # bound + 1 = 2^15: no n/d within the bound is congruent to it
-    assert _modp.rational_reconstruction(bound + 1) is None
+    assert _modp.rational_reconstruction(bound + 1, p) is None
     assert _small_preimage(bound + 1) is None
     rng = random.Random(17)
     for residue in [rng.randrange(p) for _ in range(12)]:
-        assert _modp.rational_reconstruction(residue) == _small_preimage(
+        assert _modp.rational_reconstruction(residue, p) == _small_preimage(
             residue)
+
+
+def test_screening_prime_avoids_the_denominators():
+    p = _modp.PRIME
+    assert _modp.screening_prime([]) == p
+    assert _modp.screening_prime([1, 10000, 1000003, 2 * (p - 2)]) == p
+    assert _modp.screening_prime([3, 7 * p]) == 2147483629
+    assert _modp.screening_prime([p, 2147483629 * 5]) == 2147483587
+    assert _modp.screening_prime([p * 2147483629]) == 2147483587
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(
+    st.integers(1, 10**30),
+    st.sampled_from([2147483647, 2147483629, 2147483587, 2147483579,
+                     2147483563]).flatmap(
+        lambda q: st.integers(1, 10**6).map(lambda k: k * q))),
+    max_size=6))
+def test_screening_prime_property(denominators):
+    sympy = pytest.importorskip("sympy")
+    p = _modp.screening_prime(denominators)
+    assert sympy.isprime(p) and p < 2**31
+    assert all(d % p for d in denominators)
+    # no larger prime below 2^31 divides none of them
+    assert all(any(d % q == 0 for d in denominators)
+               for q in sympy.primerange(p + 1, 2**31))
