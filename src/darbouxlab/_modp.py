@@ -7,8 +7,9 @@ is either solved by exact rational elimination or, when as many independent
 rational solutions as its kernel dimension mod p are already known, has those
 as its kernel.  Either way a chance rank drop mod p costs time but never
 correctness.  Everything here is deterministic: no randomness, fixed pivot
-order, and one prime p per search, chosen from its input by
-`screening_prime` and passed to every function that computes mod p.
+order, and one prime p per search, chosen by `screening_prime` to divide no
+numerator and no denominator of its input's coefficients, and passed to
+every function that computes mod p.
 
 The screens' matrices are tall and thin (many more rows than columns), so
 `batched_rank` eliminates along the short side: it takes the vectors of the
@@ -40,10 +41,12 @@ elimination leaves, is T*P for an invertible T, so P'*F = T*(P*F) for
 every F and each projected matrix has the same rank whichever basis is
 used.  A cokernel P mod p of a block A may stand in for the rational one
 only when rank_Q(A) = rank_p(A) is proved: free when A has full column
-rank mod p, and otherwise by lifting A's kernel basis mod p with
+rank mod p, otherwise by lifting A's kernel basis mod p with
 `rational_reconstruction` and checking each lift exactly (the lifts are
 independent, being 1 and 0 on the free columns, so rank_Q(A) <= rank_p(A),
-and rank_p never exceeds rank_Q).
+and rank_p never exceeds rank_Q), and failing that by A's exact rank.  A
+kernel mod p that only has to contain the reductions of the rational
+solutions, as the sieve's top level uses it, needs no such proof.
 
 Only this module and the screens' array bookkeeping in `darboux` use
 numpy, and both import it inside the functions that build arrays, so a
@@ -66,7 +69,7 @@ _MARGIN = 2        # rows of a compressed screen matrix beyond its columns
 
 
 class ModPUnavailableError(ArithmeticError):
-    """A denominator is divisible by the prime; caller must use exact arithmetic."""
+    """A denominator is divisible by the prime; `screening_prime` avoids it."""
 
 
 def _is_prime(n: int) -> bool:
@@ -86,12 +89,14 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def screening_prime(denominators: Iterable[int]) -> int:
-    """The largest prime p <= PRIME that divides none of the denominators:
-    every rational whose denominator divides their product has a residue,
-    and p < 2^31 keeps the int64 bounds of `matmul`, `batched_rank` and
-    `batched_kernels`."""
-    common = math.lcm(*denominators)
+def screening_prime(integers: Iterable[int]) -> int:
+    """The largest prime p <= PRIME that divides none of the (nonzero)
+    integers.  Given every numerator and denominator of a problem's
+    coefficients, every rational whose denominator divides a product of
+    them has a residue and no coefficient vanishes mod p, so the problem
+    mod p has the same terms; p < 2^31 keeps the int64 bounds of `matmul`,
+    `batched_rank` and `batched_kernels`."""
+    common = math.lcm(*integers)
     p = PRIME
     while not _is_prime(p) or common % p == 0:
         p -= 2

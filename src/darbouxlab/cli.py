@@ -4,8 +4,8 @@ Reports are fully deterministic: keys are sorted, lists are in canonical
 order, and no timestamps or environment data are embedded, so identical
 inputs and tool version give byte-identical output.  Every certificate is
 re-verified by independent exact arithmetic before it is reported; a failed
-re-check is an internal error (exit code 1).  Usage and parse errors exit
-with code 2.
+re-check is an internal error (exit code 1).  Usage and parse errors, and
+requests that run out of memory, exit with code 2.
 """
 
 from __future__ import annotations
@@ -303,6 +303,20 @@ def main(argv=None) -> int:
     except InternalCheckError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except MemoryError:
+        results = None
+    except SystemError as exc:
+        # CPython 3.11 drops a MemoryError when unwinding needs memory that
+        # is gone, and the caller's frame raises this SystemError instead
+        if "without exception set" not in str(exc):
+            raise
+        results = None
+    if results is None:
+        # reported once the handler is left: the exception's frames, and
+        # whatever they held, are freed by then
+        print("error: out of memory; lower --degree or --lattice-bound",
+              file=sys.stderr)
+        return EXIT_USAGE
 
     config = {k: v for k, v in sorted(vars(args).items())
               if k not in ("command",) and not callable(v)}

@@ -19,18 +19,19 @@ and reduced mod p once per lattice.
 The sieve and the full operator work on residues modulo a prime p, gathered
 from one table of the residues of X(m) per (field, degree, p)
 (`_image_residues`); multiplication by a monomial is a gather, not a
-product.  p is the largest prime below 2^31 that divides no denominator of
-X's coefficients and no lattice scale (`_modp.screening_prime`): every
-coefficient of X(m), of a candidate K and of a section value has a
-denominator dividing one of those, so every residue a screen needs exists.
+product.  p is the largest prime below 2^31 that divides no numerator and
+no denominator of X's coefficients or of the lattice generators
+(`_modp.screening_prime`): every coefficient of X(m), of a candidate K and
+of a section value has a denominator dividing a product of those, so every
+residue a screen needs exists, and no coefficient of X vanishes mod p.
 Every screen rejects only on full rank mod p, which proves a trivial
 rational kernel.  The sieve's top level takes the kernel W of each
-top layer mod p; a lower level projects its equations onto the cokernel P
-mod p of the block A of the free unknowns, which is sound once
+top layer mod p as it is; a lower level projects its equations onto the
+cokernel P mod p of the block A of the free unknowns, which is sound once
 rank_Q(A) = rank_p(A) is proved (see `_GradedSieve`): at no cost when A has
-full column rank mod p, and otherwise by lifting A's kernel basis by
-rational reconstruction and checking each lift exactly.  Where that
-fails, the sieve falls back to exact elimination for that matrix alone.
+full column rank mod p, otherwise by lifting A's kernel basis by rational
+reconstruction and checking each lift exactly, and failing that by A's
+exact rank.  Where the ranks differ, that node's level keeps every value.
 The sieve levels only reject, through `_rank_screen`, which first
 ranks their tall matrices M compressed to G*M, for a fixed G with two more
 rows than M has columns: rank(G*M) <= rank(M), so full rank there proves
@@ -485,16 +486,6 @@ class _LatticeBoxes:
         return self._residues[degree, p]
 
 
-def _residues(rows: Sequence[Sequence[Fraction]], p: int
-              ) -> np.ndarray | None:
-    """The residues of an exact kernel basis, None when p divides one of
-    its denominators (a kernel's entries need not share the input's)."""
-    try:
-        return _modp.fraction_rows_to_modp(rows, p)
-    except _modp.ModPUnavailableError:
-        return None
-
-
 @dataclass(frozen=True)
 class _Block:
     """Where the equations of sieve level r for f-degree n live.
@@ -518,14 +509,13 @@ class _Block:
 class _Node(NamedTuple):
     """A sieve node: K fixed down to the current layer, K's residue vector
     over the lattice support (then a zero pad), the bases still compatible,
-    and the branches (n, W) alive, W the residues of a basis of the
-    admissible f_n, one column per vector (None when p divides a
-    denominator of the exact basis)."""
+    and the branches (n, W) alive, W a basis mod p of the kernel of the top
+    layer X_M - tau on f_n, one column per vector."""
 
     K: Poly
     residues: np.ndarray
     compat: int
-    branches: list[tuple[int, np.ndarray | None]]
+    branches: list[tuple[int, np.ndarray]]
 
 
 class _GradedSieve:
@@ -557,25 +547,29 @@ class _GradedSieve:
 
     - Scale a rational solution f with f_n != 0 so that f_n is a primitive
       integer vector.  Its reduction is nonzero and solves the top level
-      mod p, so it is W*c for some c != 0.  A minor of A of size rank_Q(A)
-      that is a p-unit (one exists as rank_p(A) = rank_Q(A)) gives the free
-      blocks a p-integral solution g by Cramer's rule; reducing
+      mod p, so it is W*c for some c != 0.  That needs only that W spans
+      the kernel of X_M - tau mod p, which holds by construction: the
+      kernel mod p exceeds the reduction of the rational one only when p
+      divides a minor of X_M - tau, and then the level prunes less, never
+      wrongly.  A minor of A of size rank_Q(A) that is a p-unit (one
+      exists as rank_p(A) = rank_Q(A)) gives the free blocks a p-integral
+      solution g by Cramer's rule; reducing
       A*g + F(theta)*f_n = 0 mod p and multiplying by P gives
       P*F(theta)*W*c = 0, so P*F(theta) (on W) is rank-deficient mod p.
     - The equality is free when A has full column rank mod p.  Otherwise
       A's kernel basis mod p is lifted by rational reconstruction and each
       lift is checked exactly ((X - K)(g) vanishes on the block's rows):
       the lifts are independent, so rank_Q(A) <= rank_p(A) <= rank_Q(A).
+      Where a lift fails (an entry beyond the reconstruction bound, or p
+      dividing a minor), A's exact rank decides; where rank_p(A) is below
+      it, the node's level keeps every value, which is sound.
 
-    p divides no denominator of X or of a lattice scale
+    p divides no numerator or denominator of X or of a lattice generator
     (`_modp.screening_prime`), so every matrix ranked reduces a p-integral
-    rational one and the argument above applies to it.  W is certified the
-    same way, so it is the reduction of the rational kernel.  Where a lift
-    fails (p divides a numerator, or a minor by chance), the sieve falls
-    back to exact elimination for that matrix alone: the exact kernel of
-    the top level, the residues of the exact cokernel of A.  A level keeps
-    every value when p divides a denominator of that exact basis.
-    Otherwise the sieve runs no exact elimination.
+    rational one and the argument above applies to it, and no term of X
+    vanishes mod p (a vanishing term changes the field mod p and makes
+    lifts fail throughout).  The only exact elimination the sieve runs is
+    A's rank after a failed lift.
     """
 
     def __init__(self, X: VectorField, d: int, lattice: CofactorLattice):
@@ -584,9 +578,12 @@ class _GradedSieve:
         self.M = X.degree
         self.nv = len(X.variables)
         self.boxes = _LatticeBoxes(lattice)
+        coefficients = [c for f in itertools.chain(X.components,
+                                                    lattice.generators)
+                        for c in f.terms.values()]
         self.p = _modp.screening_prime(
-            [c.denominator for f in X.components for c in f.terms.values()]
-            + list(self.boxes.scale.values()))
+            [c.numerator for c in coefficients]
+            + [c.denominator for c in coefficients])
         support = self.boxes.support
         self._positions = {m: i for i, m in enumerate(support)}
         self._width = len(support) + 1   # K's residues, then a zero pad
@@ -655,15 +652,7 @@ class _GradedSieve:
                                              coeffs[screened], self.p)
             kernels = _modp.batched_kernels(mats, mats[:, :, :0], self.p)
             for (W, _), i in zip(kernels, screened):
-                if self._lifts_exactly(taus[i], cols, rows, W):
-                    alive.setdefault(i, []).append((n, W.T))
-                    continue
-                kernel = RatMatrix(
-                    self._exact_operator(taus[i], cols, rows)).nullspace()
-                if kernel:
-                    W = _residues(kernel, self.p)
-                    alive.setdefault(i, []).append(
-                        (n, None if W is None else W.T))
+                alive.setdefault(i, []).append((n, W.T))
         layers = self._layers(top_deg)
         return [_Node(taus[i], layers[table_rows[i]], masks[i], alive[i])
                 for i in sorted(alive)]
@@ -675,15 +664,6 @@ class _GradedSieve:
         return coefficient_matrix(
             [_operator_image(images[m], K, Poly.from_monomial(variables, m))
              for m in cols], rows)
-
-    def _exact_cokernel(self, K: Poly, cols: list, rows: list
-                        ) -> np.ndarray | None:
-        """The residues of the exact left kernel of (X - K) from cols to
-        rows, one row per vector; None when it is trivial or p divides one
-        of its denominators."""
-        A = self._exact_operator(K, cols, rows)
-        P = RatMatrix([list(col) for col in zip(*A)]).nullspace()
-        return _residues(P, self.p) if P else None
 
     def _block(self, n: int, r: int) -> _Block:
         key = (n, r)
@@ -728,9 +708,11 @@ class _GradedSieve:
         per node, all of whose branch n has a basis W of the same width
         (the stack of them); None where the level constrains nothing.
 
-        P is the cokernel of A mod p when rank_Q(A) = rank_p(A) is proved,
-        and otherwise (a lift fails) the residues of A's exact cokernel.
-        The blocks A share one shape, so they are eliminated together.
+        P is the cokernel of A mod p, used only once rank_Q(A) = rank_p(A)
+        is proved: A has full column rank mod p, or its kernel basis lifts
+        exactly (`_lifts_exactly`), or A's exact rank is rank_p(A).  Where
+        none holds, p divides a minor of A and the pair is None.  The
+        blocks A share one shape, so they are eliminated together.
         """
         import numpy as np
         p = self.p
@@ -749,19 +731,15 @@ class _GradedSieve:
         eliminated = _modp.batched_kernels(operator[:, :, split:], carried, p)
         lower = block.cols[split:]
         out = []
-        for i, (node, (kernel, projected)) in enumerate(zip(nodes,
-                                                            eliminated)):
-            if not len(kernel) or self._lifts_exactly(
-                    node.K, lower, block.rows, kernel):
-                # with P empty every equation is absorbed by the free blocks
-                out.append((projected[:, :k], projected[:, k:].reshape(
-                    len(projected), S, k).transpose(1, 0, 2))
-                    if len(projected) else None)
-                continue
-            P = self._exact_cokernel(node.K, lower, block.rows)
-            out.append(None if P is None else (
-                _modp.matmul(P, fixed[i], p),
-                _modp.matmul(P, shifted[i].transpose(1, 0, 2), p)))
+        for node, (kernel, projected) in zip(nodes, eliminated):
+            # with P empty every equation is absorbed by the free blocks
+            proved = len(projected) and (
+                not len(kernel)
+                or self._lifts_exactly(node.K, lower, block.rows, kernel)
+                or RatMatrix(self._exact_operator(node.K, lower, block.rows)
+                             ).rank() == len(lower) - len(kernel))
+            out.append((projected[:, :k], projected[:, k:].reshape(
+                len(projected), S, k).transpose(1, 0, 2)) if proved else None)
         return out
 
     def _level(self, nodes: Sequence[_Node], r: int) -> list[_Node]:
@@ -777,8 +755,7 @@ class _GradedSieve:
         groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for i, node in enumerate(nodes):
             for b, (n, W) in enumerate(node.branches):
-                if W is not None:
-                    groups.setdefault((n, W.shape[1]), []).append((i, b))
+                groups.setdefault((n, W.shape[1]), []).append((i, b))
         projections = {}
         for (n, _), members in groups.items():
             projections.update(zip(members, self._projected(

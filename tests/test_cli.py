@@ -314,6 +314,45 @@ def test_large_rational_parameter_sieve(tmp_path, param, bound):
     assert polys == ["x", "y", "z"]
 
 
+CYCLIC_LV6 = """vars: u v w x y z
+du/dt = u*(v - z)
+dv/dt = v*(w - u)
+dw/dt = w*(x - v)
+dx/dt = x*(y - w)
+dy/dt = y*(z - x)
+dz/dt = z*(u - y)
+"""
+
+
+@pytest.mark.parametrize("field, degree, code", [
+    ("cyclic_lv6", "2", 2), ("corpus/samardzija_greller.vf", "4", 0)])
+def test_out_of_memory_exits_2(tmp_path, field, degree, code):
+    # in 500,000 KiB of address space the degree-4 reference search runs,
+    # while the 6-D cyclic Lotka-Volterra field's top sieve table (1.7
+    # million reachable layers) does not fit: one error line, no traceback
+    resource = pytest.importorskip("resource")
+    if field == "cyclic_lv6":
+        field = tmp_path / "cyclic_lv6.vf"
+        field.write_text(CYCLIC_LV6)
+    cap = 500_000 * 1024
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "darbouxlab", "darboux", str(field),
+         "--degree", degree], capture_output=True, text=True, cwd=REPO,
+        preexec_fn=limit, timeout=300)
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert proc.stderr == (
+            "error: out of memory; lower --degree or --lattice-bound\n")
+    else:
+        assert "Traceback" not in proc.stderr
+        assert sorted(c["poly"] for c in json.loads(
+            proc.stdout)["results"]["certificates"]) == ["x", "y", "z"]
+
+
 @pytest.mark.parametrize("text, args", [
     ("vars: x\ndx/dt = x^2\n",
      ["simulate", "--x0", "1", "--t-end", "5"]),

@@ -390,6 +390,23 @@ class TestSieveAgainstBruteForce:
         assert direct == sieved
         assert {f for f, _ in direct} == {"x", "z", "x + 1/2"}
 
+    def test_lift_beyond_the_reconstruction_bound(self, monkeypatch):
+        # a = 98765432123/1000003 puts entries above sqrt(p/2) in two of the
+        # lower blocks' kernels, so their lifts fail and the exact rank
+        # proves rank_Q(A) = rank_p(A) instead
+        import darbouxlab.darboux as dbx
+
+        X = make_lv3("98765432123/1000003", 3, 0)
+        lattice = default_lattice(X, 1)
+        with monkeypatch.context() as patch:
+            lifts = _returns(patch, dbx._GradedSieve, "_lifts_exactly")
+            dbx._GradedSieve(X, 2, lattice).run()
+        assert (lifts.count(False), len(lifts)) == (2, 12)
+        direct, sieved = self._both_paths(X, 2, lattice,
+                                          (9, "55de8b73a6cdfc60"))
+        assert direct == sieved
+        assert {f for f, _ in direct} == {"x", "y", "z"}
+
 
 class TestRankScreen:
     """The one mod-p screen behind the sieve levels."""
@@ -438,32 +455,38 @@ class TestRankScreen:
 
     def test_prime_in_a_field_denominator_selects_another_prime(
             self, monkeypatch):
-        # p = 2^31 - 1 divides the denominator of the z coefficient b, which
-        # reaches the sieve's lower levels and the full operator: the next
-        # prime below p is screened instead, the lower level projects its
-        # equations, every candidate gets a kernel bound, and the exact
-        # solves find the certificates
+        # p = 2^31 - 1 divides the denominator, or the numerator, of the z
+        # coefficient b, which reaches the sieve's lower levels and the full
+        # operator: the next prime below p is screened instead, every lift
+        # holds, the lower level projects its equations, every candidate
+        # gets a kernel bound, and the exact solves find the certificates
         import darbouxlab.darboux as dbx
 
-        X = parse_field(RESTRICTED_Y0_A0.replace(
-            "param b = 3", f"param b = 3/{_modp.PRIME}"))
-        lattice = default_lattice(X, 2)
-        assert dbx._GradedSieve(X, 2, lattice).p == 2147483629
-        projections = _returns(monkeypatch, dbx._GradedSieve, "_projected")
-        candidates = dbx._candidate_cofactors(X, 2, lattice)
-        assert any(pair is not None for out in projections for pair in out)
-        assert all(type(dim) is int for dim in candidates.values())
-        assert {str(c.f) for c in search_darboux(X, 2, lattice)} == {
-            "x", "z", "x + 1/2"}
+        for b in (f"3/{_modp.PRIME}", str(3 * _modp.PRIME)):
+            X = parse_field(RESTRICTED_Y0_A0.replace("param b = 3",
+                                                     f"param b = {b}"))
+            lattice = default_lattice(X, 2)
+            assert dbx._GradedSieve(X, 2, lattice).p == 2147483629
+            with monkeypatch.context() as patch:
+                lifts = _returns(patch, dbx._GradedSieve, "_lifts_exactly")
+                projections = _returns(patch, dbx._GradedSieve, "_projected")
+                candidates = dbx._candidate_cofactors(X, 2, lattice)
+            assert lifts and all(lifts)
+            assert any(pair is not None
+                       for out in projections for pair in out)
+            assert all(type(dim) is int for dim in candidates.values())
+            assert {(str(c.f), str(c.K))
+                    for c in search_darboux(X, 2, lattice)} == {
+                ("x", "2*x + 1"), ("x + 1/2", "2*x"), ("z", f"-{b}")}
 
     @pytest.mark.parametrize("case", ["restricted_z0", "reference"])
-    def test_failed_lifts_fall_back_to_exact_elimination(
+    def test_failed_lifts_fall_back_to_exact_rank(
             self, monkeypatch, reference_field, case):
-        # with no rational lift, no rank equality over Q and mod p is
-        # proved: the top level takes exact kernels, and every lower-level
-        # block A that is rank-deficient mod p its exact cokernel, as the
-        # sieve did before it worked on residues, so the survivors and the
-        # certificates are unchanged
+        # with no rational lift, rank_Q(A) = rank_p(A) is proved by one
+        # exact rank per lower-level block A that is rank-deficient mod p
+        # and leaves equations to project; the top level uses its kernels
+        # mod p as they are and runs no exact elimination.  The survivors
+        # and the certificates are unchanged
         import darbouxlab.darboux as dbx
 
         if case == "restricted_z0":
@@ -481,26 +504,34 @@ class TestRankScreen:
             lifts.append(residue)
             return None
 
-        dims = []   # kernel dimension mod p of each lower-level block A
+        blocks = []   # (kernel dimension, cokernel rows) mod p of each A
         eliminate = _modp.batched_kernels
 
         def recorded(A, B, p):
             out = eliminate(A, B, p)
             if B.shape[2]:   # the top level carries no columns
-                dims.extend(len(kernel) for kernel, _ in out)
+                blocks.extend((len(kernel), len(projected))
+                              for kernel, projected in out)
             return out
 
         monkeypatch.setattr(_modp, "rational_reconstruction", no_lift)
         monkeypatch.setattr(_modp, "batched_kernels", recorded)
         rrefs = _counting(monkeypatch, RatMatrix, "rref")
-        cokernels = _counting(monkeypatch, dbx._GradedSieve,
-                              "_exact_cokernel")
+        ranks = _counting(monkeypatch, RatMatrix, "rank")
+        top_level = dbx._GradedSieve._top_level
+        after_top_level = []
+
+        def counted_top_level(sieve, compat):
+            nodes = top_level(sieve, compat)
+            after_top_level.append(len(rrefs))
+            return nodes
+
+        monkeypatch.setattr(dbx._GradedSieve, "_top_level",
+                            counted_top_level)
         kept = dbx._GradedSieve(X, d, lattice).run()
-        # one exact kernel per live top-level value, one exact cokernel
-        # per rank-deficient lower block
-        assert lifts and cokernels
-        assert len(cokernels) == sum(1 for dim in dims if dim)
-        assert len(rrefs) > len(cokernels)
+        assert lifts and after_top_level == [0]
+        assert len(ranks) == len(rrefs) == sum(
+            1 for dim, rows in blocks if dim and rows) > 0
         assert kept == screened
         assert {(str(c.f), str(c.K))
                 for c in search_darboux(X, d, lattice)} == certs

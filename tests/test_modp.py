@@ -454,6 +454,8 @@ def test_screening_prime_avoids_the_denominators():
     assert _modp.screening_prime([3, 7 * p]) == 2147483629
     assert _modp.screening_prime([p, 2147483629 * 5]) == 2147483587
     assert _modp.screening_prime([p * 2147483629]) == 2147483587
+    # numerators are passed too: b = 3*p over 1
+    assert _modp.screening_prime([3 * p, 1]) == 2147483629
 
 
 @settings(max_examples=60, deadline=None)
