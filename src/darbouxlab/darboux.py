@@ -73,6 +73,10 @@ if TYPE_CHECKING:
 _ZERO = Fraction(0)
 _MATERIALIZE_LIMIT = 5_000_000
 _SIEVE_BASES_LIMIT = 200_000
+# entries a reachable table may reach while one coordinate is shifted: the
+# 5-D cyclic Lotka-Volterra field at degree 2 needs 501,305, the 6-D one
+# 4,466,385 (1.4 GB before its sieve starts)
+_REACHABLE_LIMIT = 1_000_000
 _PRESCREEN_CHUNK = 8192
 _EXP_FACTOR_CELLS_LIMIT = 20_000_000
 
@@ -90,7 +94,7 @@ class InternalCheckError(RuntimeError):
 class LatticeTooLargeError(ValueError):
     """The requested lattice is too large: it cannot be materialized element
     by element, or the sieve would expand too many combinations of its
-    non-monomial generators."""
+    non-monomial generators or build too large a table of reachable parts."""
 
 
 @dataclass(frozen=True)
@@ -440,6 +444,11 @@ class _LatticeBoxes:
         # base masks of keys that meet: far fewer merges than per full offset
         for j, m in enumerate(monos):
             offsets = self.box.get(m, (0,))
+            if len(out) * len(offsets) > _REACHABLE_LIMIT:
+                raise LatticeTooLargeError(
+                    f"the sieve's degree-{degree} table may outgrow "
+                    f"{_REACHABLE_LIMIT} entries; lower --degree or "
+                    f"--lattice-bound")
             shifted: dict[tuple[int, ...], int] = {}
             for key, members in out.items():
                 head, k, tail = key[:j], key[j], key[j + 1:]

@@ -1,10 +1,16 @@
 """Floating-point validation: trajectories, conservation drift, Lyapunov exponent.
 
-The exact polynomial right-hand side is compiled into flat float64 code
-(plain sums of coefficient*power products, so a state with x_i = 0 yields
-exactly 0.0 for a component divisible by x_i, keeping coordinate planes
-invariant to the last bit).  Integration is a fixed-step classical RK4 or an
-embedded Dormand-Prince 5(4) pair with a deterministic PI step controller:
+The exact polynomial right-hand side is compiled into flat float64 code:
+sums of coefficient*power products in grlex order, left to right, so a state
+with x_i = 0 yields exactly 0.0 for a component divisible by x_i, keeping
+coordinate planes invariant to the last bit.  The code is strength-reduced
+only by rewrites that are exact under IEEE 754 (see `_evaluation`; the tests
+keep the plain form as the oracle): a unit coefficient is dropped, a
+negative one becomes a subtraction, each v_i**e of a stage is computed once
+(with `**`, as libm pow need not round like a multiply), and so is each
+product that several components or tangent rows share.  Integration is a
+fixed-step classical RK4 or an embedded Dormand-Prince 5(4) pair with a
+deterministic PI step controller:
 
     factor = 0.9 * err^(-0.7/5) * err_prev^(0.4/5), clipped to [0.2, 10]
 
@@ -25,13 +31,14 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 from .darboux import EvalDomainError
-from .exactcore import Poly
+from .exactcore import Poly, grlex_key
 from .field import VectorField
 
 SAFETY = 0.9
@@ -94,21 +101,88 @@ def _float_coeff(coeff: Fraction) -> float:
             f"coefficient {coeff} is too large for a float64") from None
 
 
-def _term_source(coeff: Fraction, mono: tuple) -> str:
-    parts = [repr(_float_coeff(coeff))]
-    for i, e in enumerate(mono):
-        if e == 1:
-            parts.append(f"v{i}")
-        elif e > 1:
-            parts.append(f"v{i}**{e}")
-    return "*".join(parts)
+# A right-hand side is emitted as one sum per output.  A sum is a tuple of
+# items (negative, factors), added or (when negative) subtracted left to
+# right; an item is the product of its factors, left to right.  A factor is
+# a float literal, a variable `v<i>`, a power `p<i>_<e>` (v<i>**e, computed
+# once per evaluation) or, for a Jacobian entry of several terms times a
+# tangent component, a nested sum.
+
+def _poly_sum(p: Poly) -> tuple:
+    """p's terms in grlex order: |c|, unless it is 1.0 and the term is not
+    constant, then v<i> or p<i>_<e> for each variable in order."""
+    items = []
+    for mono, coeff in sorted(p.terms.items(), key=lambda t: grlex_key(t[0])):
+        c = abs(_float_coeff(coeff))
+        factors = tuple(f"v{i}" if e == 1 else f"p{i}_{e}"
+                        for i, e in enumerate(mono) if e)
+        if c != 1.0 or not factors:
+            factors = (repr(c),) + factors
+        items.append((coeff < 0, factors))
+    return tuple(items)
 
 
-def _poly_source(p: Poly) -> str:
-    if not p.terms:
-        return "0.0"
-    ordered = sorted(p.terms.items(), key=lambda t: (sum(t[0]), t[0]))
-    return " + ".join(_term_source(c, m) for m, c in ordered)
+def _products(sums: Sequence[tuple]) -> Iterator[tuple[bool, tuple]]:
+    """(leading negative, factors) of every item that is not a nested sum,
+    the items of nested sums included."""
+    for terms in sums:
+        for index, (negative, factors) in enumerate(terms):
+            if isinstance(factors[0], tuple):
+                yield from _products([factors[0]])
+            else:
+                yield negative and not index, factors
+
+
+def _evaluation(sums: Sequence[tuple]) -> tuple[list[str], list[str]]:
+    """Lines that compute one evaluation's powers and shared products, and
+    the expression of each sum in them.
+
+    Each rewrite of the plain form `c0 + c1*v0 + c2*v0**2*v2 + ...` is exact
+    under IEEE 754: 1.0*x is x; a + (-c)*m is a - c*m, since rounding to
+    nearest is sign-symmetric; a product prefix met in more than one item is
+    computed once, with its factors in the same left-to-right order; each
+    v<i>**e is computed once.  A leading negative item keeps its minus on
+    its first factor, so no computed product is negated and even the sign
+    of a NaN is kept.
+    """
+    count = Counter(f for lead, f in _products(sums) if not lead and len(f) > 1)
+    prefixes = {f[:n]: None for f in count for n in range(2, len(f) + 1)}
+    # stored when computed more than once otherwise: once per item it is,
+    # once per stored extension, and once per use of an unstored extension
+    stored = []
+    for prefix in sorted(prefixes, key=len, reverse=True):
+        if count[prefix] > 1:
+            stored.append(prefix)
+            count[prefix] = 1
+        if len(prefix) > 2:
+            count[prefix[:-1]] += count[prefix]
+    names: dict[tuple, str] = {}
+
+    def product(factors: tuple) -> str:
+        for n in range(len(factors), 1, -1):
+            if factors[:n] in names:
+                return "*".join((names[factors[:n]],) + factors[n:])
+        return "*".join(factors)
+
+    def total(terms: tuple) -> str:
+        out = ""
+        for negative, factors in terms:
+            if isinstance(factors[0], tuple):
+                expr = f"({total(factors[0])})*{factors[1]}"
+            elif negative and not out:
+                expr = "-" + "*".join(factors)
+            else:
+                expr = product(factors)
+            out = out + (" - " if negative else " + ") + expr if out else expr
+        return out or "0.0"
+
+    powers = {f for _, fs in _products(sums) for f in fs if f[0] == "p"}
+    lines = [f"    {p} = v{p[1:].replace('_', '**')}" for p in
+             sorted(powers, key=lambda p: tuple(map(int, p[1:].split("_"))))]
+    for prefix in reversed(stored):
+        lines.append(f"    m{len(names)} = {product(prefix)}")
+        names[prefix] = f"m{len(names)}"
+    return lines, [total(terms) for terms in sums]
 
 
 def _row(prefix: str, n: int) -> str:
@@ -124,16 +198,17 @@ def _compile(source: str) -> dict:
     return namespace
 
 
-def _field_sources(X: VectorField) -> list[str]:
-    """Component i of the field as a float expression in v0, v1, ..."""
-    return [_poly_source(comp) for comp in X.components]
+def _field_sources(X: VectorField) -> list[tuple]:
+    """Component i of the field as a sum over v0, v1, ..."""
+    return [_poly_sum(comp) for comp in X.components]
 
 
 def compile_rhs(X: VectorField) -> Callable:
     """Compile the field into rhs(t, state, out) -> out, pure float64."""
-    return _compile(f"def _rhs(t, s, out):\n    {_row('v', len(X.variables))} = s\n"
-                    f"    out[:] = ({', '.join(_field_sources(X))},)\n"
-                    "    return out")["_rhs"]
+    lines, exprs = _evaluation(_field_sources(X))
+    return _compile("\n".join([
+        "def _rhs(t, s, out):", f"    {_row('v', len(X.variables))} = s",
+        *lines, f"    out[:] = ({', '.join(exprs)},)", "    return out"]))["_rhs"]
 
 
 def jacobian_polys(X: VectorField) -> list[list[Poly]]:
@@ -143,24 +218,36 @@ def jacobian_polys(X: VectorField) -> list[list[Poly]]:
 def compile_jacobian(X: VectorField) -> Callable:
     """Compile the analytic Jacobian into jac(t, state, out) -> out, where
     out is an n x n array whose `flat` view takes the entries row by row."""
-    entries = [_poly_source(e) for row in jacobian_polys(X) for e in row]
-    return _compile(f"def _jac(t, s, out):\n    {_row('v', len(X.variables))} = s\n"
-                    f"    out.flat[:] = ({', '.join(entries)},)\n"
-                    "    return out")["_jac"]
+    lines, exprs = _evaluation([_poly_sum(e) for row in jacobian_polys(X)
+                                for e in row])
+    return _compile("\n".join([
+        "def _jac(t, s, out):", f"    {_row('v', len(X.variables))} = s",
+        *lines, f"    out.flat[:] = ({', '.join(exprs)},)",
+        "    return out"]))["_jac"]
 
 
-def _tangent_sources(X: VectorField) -> list[str]:
+def _tangent_sources(X: VectorField) -> list[tuple]:
     """Row i of J(x) w, for x in v0..v(n-1) and w in vn..v(2n-1).
 
     The nonzero Jacobian entries are multiplied into w and summed left to
-    right.
+    right.  An entry of one term joins its product as the last factor, as
+    (c*m)*w is c*m*w; an entry of several terms is a nested sum.
     """
     n = len(X.variables)
     rows = []
     for row in jacobian_polys(X):
-        terms = [f"({_poly_source(entry)})*v{n + j}"
-                 for j, entry in enumerate(row) if entry.terms]
-        rows.append(" + ".join(terms) or "0.0")
+        items = []
+        for j, entry in enumerate(row):
+            w = f"v{n + j}"
+            terms = _poly_sum(entry)
+            if len(terms) == 1:
+                negative, factors = terms[0]
+                if factors == ("1.0",):
+                    factors = ()
+                items.append((negative, factors + (w,)))
+            elif terms:
+                items.append((False, (terms, w)))
+        rows.append(tuple(items))
     return rows
 
 
@@ -184,25 +271,27 @@ _DP_ERR = (71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
            -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
 
 
-def _stages(sources: Sequence[str], tableau) -> list[str]:
+def _stages(body: tuple[list[str], list[str]], tableau) -> list[str]:
     """Lines computing stages 2.. of an explicit Runge-Kutta step from y, k1.
 
-    `sources[i]` is component i of the right-hand side in v0, v1, ....  Each
+    `body` is `_evaluation` of the right-hand side in v0, v1, ....  Each
     stage argument v_i = y_i + (dt*a_j0)*k_j0_i + ... is summed left to right,
     skipping zero coefficients, as the same float64 vector operations do.
     """
-    lines = []
+    lines, exprs = body
+    out = []
     for s, a_row in enumerate(tableau, start=2):
         used = [j for j, a in enumerate(a_row, start=1) if a != 0.0]
-        lines += [f"    h{s}{j} = dt*{a_row[j - 1]!r}" for j in used]
-        for i in range(len(sources)):
+        out += [f"    h{s}{j} = dt*{a_row[j - 1]!r}" for j in used]
+        for i in range(len(exprs)):
             terms = "".join(f" + h{s}{j}*k{j}_{i}" for j in used)
-            lines.append(f"    v{i} = y{i}{terms}")
-        lines += [f"    k{s}_{i} = {src}" for i, src in enumerate(sources)]
-    return lines
+            out.append(f"    v{i} = y{i}{terms}")
+        out += lines
+        out += [f"    k{s}_{i} = {expr}" for i, expr in enumerate(exprs)]
+    return out
 
 
-def _rk4_source(sources: Sequence[str]) -> str:
+def _rk4_source(sources: Sequence[tuple]) -> str:
     """Source of `_step(dt, y) -> y_new`, one classical RK4 step on tuples.
 
     The update is y_i + h6*(k1_i + 2.0*k2_i + 2.0*k3_i + k4_i) with
@@ -210,11 +299,12 @@ def _rk4_source(sources: Sequence[str]) -> str:
     result that is not finite returns None.
     """
     n = len(sources)
+    body = _evaluation(sources)
     lines = ["def _step(dt, y):",
              f"    {_row('y', n)} = y",
-             f"    {_row('v', n)} = y"]
-    lines += [f"    k1_{i} = {src}" for i, src in enumerate(sources)]
-    lines += _stages(sources, _RK4_A)
+             f"    {_row('v', n)} = y", *body[0]]
+    lines += [f"    k1_{i} = {expr}" for i, expr in enumerate(body[1])]
+    lines += _stages(body, _RK4_A)
     lines.append("    h6 = dt/6.0")
     lines += [f"    v{i} = y{i} + h6*(k1_{i} + 2.0*k2_{i} + 2.0*k3_{i} + k4_{i})"
               for i in range(n)]
@@ -224,32 +314,38 @@ def _rk4_source(sources: Sequence[str]) -> str:
     return "\n".join(lines)
 
 
-def _dp_source(sources: Sequence[str], tol: float) -> str:
+def _dp_source(sources: Sequence[tuple], tol: float) -> str:
     """Source of `_f(y) -> k` and `_trial(dt, y, k1) -> (err, y_new, k7)`.
 
     States and stages are tuples of floats.  The error norm sums its squares
     in component order, as the Lyapunov tangent norm does.  `tol` is both the
     absolute and the relative tolerance.  A trial state that is not finite
-    returns err = inf.
+    returns err = inf.  Past that check y_i and v_i are finite, so the scale
+    max(|y_i|, |v_i|) is taken by comparisons, and the error sum starts from
+    its first term, not from 0.0: that can only change the sign of a zero
+    numerator, which q_i*q_i drops.
     """
     n = len(sources)
+    body = _evaluation(sources)
     lines = ["def _f(y):",
-             f"    {_row('v', n)} = y",
-             f"    return ({', '.join(sources)},)",
+             f"    {_row('v', n)} = y", *body[0],
+             f"    return ({', '.join(body[1])},)",
              "",
              "def _trial(dt, y, k1):",
              f"    {_row('y', n)} = y",
              f"    {_row('k1_', n)} = k1"]
     # v holds the 5th-order solution: stage 7's argument (FSAL construction)
-    lines += _stages(sources, _DP_A)
+    lines += _stages(body, _DP_A)
     finite = " and ".join(f"isfinite(v{i})" for i in range(n))
     lines += [f"    if not ({finite}):", "        return inf, None, None"]
     used = [j for j, e in enumerate(_DP_ERR, start=1) if e != 0.0]
     lines += [f"    d{j} = dt*{_DP_ERR[j - 1]!r}" for j in used]
     for i in range(n):
-        terms = "".join(f" + d{j}*k{j}_{i}" for j in used)
-        lines.append(f"    q{i} = (0.0{terms}) / "
-                     f"({tol!r} + {tol!r}*max(abs(y{i}), abs(v{i})))")
+        terms = " + ".join(f"d{j}*k{j}_{i}" for j in used)
+        lines += [f"    ay = y{i} if y{i} > 0.0 else -y{i}",
+                  f"    av = v{i} if v{i} > 0.0 else -v{i}",
+                  f"    q{i} = ({terms}) / "
+                  f"({tol!r} + {tol!r}*(av if av > ay else ay))"]
     squares = " + ".join(f"q{i}*q{i}" for i in range(n))
     lines.append(f"    return sqrt(({squares}) / {n}), ({_row('v', n)}), "
                  f"({_row('k7_', n)})")
@@ -259,11 +355,11 @@ def _dp_source(sources: Sequence[str], tol: float) -> str:
 class _DormandPrince:
     """Minimal deterministic embedded 5(4) stepper with a PI controller.
 
-    `sources` are the right-hand side components as float expressions in
-    v0, v1, ... (see `_field_sources`); the trial step is generated from them.
+    `sources` are the right-hand side components as sums over v0, v1, ...
+    (see `_field_sources`); the trial step is generated from them.
     """
 
-    def __init__(self, sources: Sequence[str], tol: float):
+    def __init__(self, sources: Sequence[tuple], tol: float):
         compiled = _compile(_dp_source(sources, float(tol)))
         self.rhs, self.trial = compiled["_f"], compiled["_trial"]
         self.dt = DT_INIT
@@ -287,7 +383,9 @@ class _DormandPrince:
                 if accepted + rejected >= budget:
                     raise ValueError(f"t_end needs more than {MAX_STEPS} "
                                      f"integrator steps")
-                dt = min(dt_next, t_stop - t)
+                dt = t_stop - t
+                if dt >= dt_next:
+                    dt = dt_next
                 try:
                     if k1 is None:
                         k1 = rhs(y)
@@ -307,15 +405,19 @@ class _DormandPrince:
                     accepted += 1
                     factor = SAFETY * (err ** -PI_ALPHA if err > 0.0 else
                                        FACTOR_MAX) * (err_prev ** PI_BETA)
-                    err_prev = max(err, 1e-4)
+                    err_prev = err if err > 1e-4 else 1e-4
                     if not clipped:  # a boundary-clipped step says nothing new
-                        dt_next = dt * min(FACTOR_MAX, max(FACTOR_MIN, factor))
+                        dt_next = dt * (FACTOR_MAX if factor > FACTOR_MAX else
+                                        FACTOR_MIN if factor < FACTOR_MIN else
+                                        factor)
                     if on_accept is not None:
                         on_accept(t, y)
                 else:
                     rejected += 1
                     factor = SAFETY * err ** -PI_ALPHA
-                    dt_next = dt * min(1.0, max(FACTOR_MIN, factor))
+                    dt_next = dt * (1.0 if factor > 1.0 else
+                                    FACTOR_MIN if factor < FACTOR_MIN else
+                                    factor)
                     if dt_next < DT_FLOOR:
                         raise NonFiniteStateError(t)
         finally:
@@ -439,8 +541,8 @@ def lyapunov_max(X: VectorField, x0: Sequence[float], t_end: float,
 
     The state and a unit tangent vector (evolved by the analytic Jacobian)
     are integrated together; the tangent is renormalized every renorm_dt and
-    the accumulated log norm divided by the total time.  Deterministic for
-    fixed inputs.
+    at t_end, where the last interval ends, and the accumulated log norm is
+    divided by t_end.  Deterministic for fixed inputs.
     """
     _require_positive(t_end, "t_end")
     _require_positive(renorm_dt, "renorm_dt")
@@ -448,7 +550,7 @@ def lyapunov_max(X: VectorField, x0: Sequence[float], t_end: float,
         raise ValueError("need t_end > renorm_dt > 0")
     if not math.isfinite(t_end / renorm_dt):
         raise ValueError("t_end / renorm_dt must be finite")
-    n_intervals = int(round(t_end / renorm_dt))
+    n_intervals = math.ceil(t_end / renorm_dt)
     if n_intervals > MAX_STEPS:
         raise ValueError(f"t_end / renorm_dt exceeds {MAX_STEPS} intervals")
     dim = len(X.variables)
@@ -460,7 +562,8 @@ def lyapunov_max(X: VectorField, x0: Sequence[float], t_end: float,
     log_sum = 0.0
     t = 0.0
     for i in range(1, n_intervals + 1):
-        t, y = stepper.advance(t, y, i * renorm_dt)
+        t_stop = t_end if i == n_intervals else i * renorm_dt
+        t, y = stepper.advance(t, y, t_stop)
         squares = 0.0
         for w in y[dim:]:
             squares += w * w
@@ -470,7 +573,7 @@ def lyapunov_max(X: VectorField, x0: Sequence[float], t_end: float,
         log_sum += math.log(norm)
         y = y[:dim] + tuple(w / norm for w in y[dim:])
         stepper.k1 = None  # tangent was rescaled: stage cache invalid
-    return log_sum / (n_intervals * renorm_dt)
+    return log_sum / t_end
 
 
 # -- CSV emission --------------------------------------------------------------

@@ -33,6 +33,13 @@ def make_lv3(a, b, c):
     return parse_field(LV3_TEMPLATE.format(a=a, b=b, c=c))
 
 
+def cyclic_lotka_volterra(names: str) -> str:
+    """The field x_i' = x_i*(x_(i+1) - x_(i-1)), indices mod n, as text."""
+    return "vars: " + " ".join(names) + "\n" + "".join(
+        f"d{v}/dt = {v}*({names[(i + 1) % len(names)]} - {names[i - 1]})\n"
+        for i, v in enumerate(names))
+
+
 def jacobian_at(X, state):
     """The analytic Jacobian of X at state, an (n, n) float64 array."""
     out = np.empty((len(X.variables), len(X.variables)), dtype=float)

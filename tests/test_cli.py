@@ -19,6 +19,8 @@ from darbouxlab.darboux import DarbouxCert, ExpFactorCert
 from darbouxlab.exactcore import parse_poly
 from darbouxlab.field import lie_derivative, load_field
 
+from conftest import cyclic_lotka_volterra
+
 REPO = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -206,6 +208,20 @@ def test_lyapunov_command():
     assert abs(value) < 0.2
 
 
+def test_lyapunov_horizon_is_t_end():
+    # the last renormalisation interval ends at --t-end, so horizons that
+    # are no multiple of --renorm-dt give their own estimate
+    values = []
+    for t_end in ("2.6", "3", "3.4"):
+        code, out, _ = run_cli(["lyapunov", "corpus/samardzija_greller.vf",
+                                "--x0", "0.5,1,2", "--t-end", t_end,
+                                "--renorm-dt", "1"])
+        assert code == 0
+        values.append(json.loads(out)["results"]["lyapunov_max"])
+    assert len(set(values)) == 3
+    assert values[1] == -0.24160659571073917
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "darbouxlab", "--version"],
@@ -314,35 +330,31 @@ def test_large_rational_parameter_sieve(tmp_path, param, bound):
     assert polys == ["x", "y", "z"]
 
 
-CYCLIC_LV6 = """vars: u v w x y z
-du/dt = u*(v - z)
-dv/dt = v*(w - u)
-dw/dt = w*(x - v)
-dx/dt = x*(y - w)
-dy/dt = y*(z - x)
-dz/dt = z*(u - y)
-"""
-
-
-@pytest.mark.parametrize("field, degree, code", [
-    ("cyclic_lv6", "2", 2), ("corpus/samardzija_greller.vf", "4", 0)])
-def test_out_of_memory_exits_2(tmp_path, field, degree, code):
-    # in 500,000 KiB of address space the degree-4 reference search runs,
-    # while the 6-D cyclic Lotka-Volterra field's top sieve table (1.7
-    # million reachable layers) does not fit: one error line, no traceback
+def run_capped(args, timeout=300):
+    """The CLI in a child whose address space is capped at 500,000 KiB."""
     resource = pytest.importorskip("resource")
-    if field == "cyclic_lv6":
-        field = tmp_path / "cyclic_lv6.vf"
-        field.write_text(CYCLIC_LV6)
     cap = 500_000 * 1024
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 
-    proc = subprocess.run(
-        [sys.executable, "-m", "darbouxlab", "darboux", str(field),
-         "--degree", degree], capture_output=True, text=True, cwd=REPO,
-        preexec_fn=limit, timeout=300)
+    return subprocess.run([sys.executable, "-m", "darbouxlab", *args],
+                          capture_output=True, text=True, cwd=REPO,
+                          preexec_fn=limit, timeout=timeout)
+
+
+@pytest.mark.parametrize("field, degree, code", [
+    ("cyclic_lv5", "4", 2), ("corpus/samardzija_greller.vf", "4", 0)])
+def test_out_of_memory_exits_2(tmp_path, field, degree, code):
+    # in 500,000 KiB of address space the degree-4 reference search runs,
+    # while the 5-D cyclic Lotka-Volterra field's degree-1 sieve table does
+    # not fit: its first shift (up to 236,529 entries) is under the table
+    # limit, but each entry holds a mask of up to 26,281 bases.  One error
+    # line, no traceback.
+    if field == "cyclic_lv5":
+        field = tmp_path / "cyclic_lv5.vf"
+        field.write_text(cyclic_lotka_volterra("uvwxy"))
+    proc = run_capped(["darboux", str(field), "--degree", degree])
     assert proc.returncode == code, proc.stderr
     if code:
         assert proc.stderr == (
@@ -351,6 +363,19 @@ def test_out_of_memory_exits_2(tmp_path, field, degree, code):
         assert "Traceback" not in proc.stderr
         assert sorted(c["poly"] for c in json.loads(
             proc.stdout)["results"]["certificates"]) == ["x", "y", "z"]
+
+
+def test_reachable_table_limit_exits_2(tmp_path):
+    # the 6-D cyclic field's degree-1 table would reach 1.7 million entries
+    # (1.4 GB); it is refused at the shift whose bound passes the limit,
+    # before memory runs out, and in seconds rather than minutes
+    field = tmp_path / "cyclic_lv6.vf"
+    field.write_text(cyclic_lotka_volterra("uvwxyz"))
+    proc = run_capped(["darboux", str(field), "--degree", "2"], timeout=30)
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "error: the sieve's degree-1 table may outgrow 1000000 entries; "
+        "lower --degree or --lattice-bound\n")
 
 
 @pytest.mark.parametrize("text, args", [

@@ -21,7 +21,8 @@ from darbouxlab.exactcore import (Poly, RatMatrix, coefficient_matrix,
                                   monomials_upto, parse_poly, poly_divmod)
 from darbouxlab.field import lie_derivative, load_field, parse_field
 
-from conftest import CORPUS, make_lv3, nonzero_polys
+from conftest import (CORPUS, cyclic_lotka_volterra, make_lv3,
+                      nonzero_polys)
 
 RESTRICTED_Y0_A0 = """
 vars: x z
@@ -219,6 +220,19 @@ class TestSearch:
         X = parse_field("vars: x y\ndx/dt = y\ndy/dt = -x\n")
         certs = search_darboux(X, 2)
         assert [(str(c.f), str(c.K)) for c in certs] == [("x^2 + y^2", "0")]
+
+    def test_reachable_table_limit(self, monkeypatch):
+        # the 5-D cyclic Lotka-Volterra field at degree 2 (8 certificates)
+        # stays under the table limit: its largest shift may reach 501,305
+        # entries and builds 175,545; a limit below that bound refuses it
+        import darbouxlab.darboux as dbx
+
+        X = parse_field(cyclic_lotka_volterra("uvwxy"))
+        assert len(dbx._LatticeBoxes(default_lattice(X, 2))._table(1)) == 175_545
+        monkeypatch.setattr(dbx, "_REACHABLE_LIMIT", 501_304)
+        with pytest.raises(dbx.LatticeTooLargeError,
+                           match="degree-1 table may outgrow 501304 entries"):
+            dbx._LatticeBoxes(default_lattice(X, 2))._table(1)
 
 
 def brute_force_sections(boxes, compat, degree):

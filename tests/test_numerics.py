@@ -3,21 +3,26 @@
 import hashlib
 import math
 import random
+import re
+import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from darbouxlab.darboux import (assemble_darboux_integrals, search_darboux,
                                 search_exp_factors)
-from darbouxlab.exactcore import parse_poly
+from darbouxlab.exactcore import Poly, parse_poly
 from darbouxlab import numerics
-from darbouxlab.field import parse_field
+from darbouxlab.field import VectorField, parse_field
 from darbouxlab.numerics import (NonFiniteStateError, _DormandPrince,
                                  _field_sources, _tangent_sources, compile_rhs,
                                  conservation_drift, emit_csv, lyapunov_max,
                                  simulate)
 
-from conftest import jacobian_at, make_lv3, state_rows
+from conftest import _exponents, jacobian_at, make_lv3, small_fractions, state_rows
 
 
 @pytest.fixture(scope="module")
@@ -260,3 +265,182 @@ def test_lyapunov_deterministic_repeat(reference_field):
     a = lyapunov_max(reference_field, (0.5, 1.0, 2.0), 50.0, 0.5)
     b = lyapunov_max(reference_field, (0.5, 1.0, 2.0), 50.0, 0.5)
     assert a == b == PINNED_LYAPUNOV
+
+
+# -- the plain emitter, kept as the oracle of the strength-reduced one ---------
+#
+# Every term is `c*v0**e0*v1*...` with its float coefficient, summed with
+# " + " in grlex order; the error scale is max(abs(y_i), abs(v_i)).
+
+def oracle_poly_source(p):
+    if not p.terms:
+        return "0.0"
+    terms = []
+    for mono, coeff in sorted(p.terms.items(), key=lambda t: (sum(t[0]), t[0])):
+        parts = [repr(numerics._float_coeff(coeff))]
+        parts += [f"v{i}" if e == 1 else f"v{i}**{e}"
+                  for i, e in enumerate(mono) if e]
+        terms.append("*".join(parts))
+    return " + ".join(terms)
+
+
+def oracle_field_sources(X):
+    return [oracle_poly_source(comp) for comp in X.components]
+
+
+def oracle_tangent_sources(X):
+    n = len(X.variables)
+    return [" + ".join(f"({oracle_poly_source(entry)})*v{n + j}"
+                       for j, entry in enumerate(row) if entry.terms) or "0.0"
+            for row in numerics.jacobian_polys(X)]
+
+
+def oracle_stages(sources, tableau):
+    lines = []
+    for s, a_row in enumerate(tableau, start=2):
+        used = [j for j, a in enumerate(a_row, start=1) if a != 0.0]
+        lines += [f"    h{s}{j} = dt*{a_row[j - 1]!r}" for j in used]
+        for i in range(len(sources)):
+            terms = "".join(f" + h{s}{j}*k{j}_{i}" for j in used)
+            lines.append(f"    v{i} = y{i}{terms}")
+        lines += [f"    k{s}_{i} = {src}" for i, src in enumerate(sources)]
+    return lines
+
+
+def oracle_rk4_source(sources):
+    n, row = len(sources), numerics._row
+    lines = ["def _step(dt, y):", f"    {row('y', n)} = y",
+             f"    {row('v', n)} = y"]
+    lines += [f"    k1_{i} = {src}" for i, src in enumerate(sources)]
+    lines += oracle_stages(sources, numerics._RK4_A)
+    lines.append("    h6 = dt/6.0")
+    lines += [f"    v{i} = y{i} + h6*(k1_{i} + 2.0*k2_{i} + 2.0*k3_{i} + k4_{i})"
+              for i in range(n)]
+    finite = " and ".join(f"isfinite(v{i})" for i in range(n))
+    lines += [f"    if not ({finite}):", "        return None",
+              f"    return ({row('v', n)})"]
+    return "\n".join(lines)
+
+
+def oracle_dp_source(sources, tol):
+    n, row = len(sources), numerics._row
+    lines = ["def _f(y):", f"    {row('v', n)} = y",
+             f"    return ({', '.join(sources)},)", "",
+             "def _trial(dt, y, k1):", f"    {row('y', n)} = y",
+             f"    {row('k1_', n)} = k1"]
+    lines += oracle_stages(sources, numerics._DP_A)
+    finite = " and ".join(f"isfinite(v{i})" for i in range(n))
+    lines += [f"    if not ({finite}):", "        return inf, None, None"]
+    used = [j for j, e in enumerate(numerics._DP_ERR, start=1) if e != 0.0]
+    lines += [f"    d{j} = dt*{numerics._DP_ERR[j - 1]!r}" for j in used]
+    for i in range(n):
+        terms = "".join(f" + d{j}*k{j}_{i}" for j in used)
+        lines.append(f"    q{i} = (0.0{terms}) / "
+                     f"({tol!r} + {tol!r}*max(abs(y{i}), abs(v{i})))")
+    squares = " + ".join(f"q{i}*q{i}" for i in range(n))
+    lines.append(f"    return sqrt(({squares}) / {n}), ({row('v', n)}), "
+                 f"({row('k7_', n)})")
+    return "\n".join(lines)
+
+
+# ±1, negative, and float-underflowing (to ±0.0) coefficients
+COEFFICIENTS = st.one_of(
+    st.sampled_from([Fraction(1), Fraction(-1), Fraction(-29851, 10000),
+                     Fraction(1, 10**400), Fraction(-1, 10**400)]),
+    small_fractions.filter(bool))
+# ±0.0, subnormals, and magnitudes whose square or cube overflows
+STATE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-308, -1e-310, 1.0,
+                     -1.0, 0.5, 1e103, -1e154, 1e155, -1e160, 1e300]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def random_fields(draw):
+    """1-D to 4-D fields of degree <= 3, some components identically zero,
+    and (|c|, monomial) products shared across components with either sign."""
+    n = draw(st.integers(1, 4))
+    variables = tuple(f"x{i}" for i in range(n))
+    term = st.tuples(_exponents(n, 3), COEFFICIENTS)
+    shared = draw(st.lists(term, max_size=3))
+    components = []
+    for _ in range(n):
+        terms = dict(draw(st.lists(term, max_size=4)))
+        for mono, coeff in shared:
+            if draw(st.booleans()):
+                terms[mono] = draw(st.sampled_from([coeff, -coeff]))
+        if draw(st.integers(0, 4)) == 0:
+            terms = {}
+        components.append(Poly(variables, terms))
+    return VectorField(variables, tuple(components))
+
+
+def _bits(value):
+    if value is None:
+        return None
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    return struct.pack("d", value)
+
+
+def _outcome(fn, *args):
+    """The result's bits, or OverflowError if a float ** overflowed."""
+    try:
+        return _bits(fn(*args))
+    except OverflowError:
+        return OverflowError
+
+
+def assert_same_as_oracle(X, y, k1, w, k1w, dt, tol):
+    """`_f` and `_trial` of the field and of the field with its tangent rows,
+    and the RK4 `_step`, give the oracle's bits and overflows."""
+    systems = [(_field_sources(X), oracle_field_sources(X), y, k1),
+               (_field_sources(X) + _tangent_sources(X),
+                oracle_field_sources(X) + oracle_tangent_sources(X),
+                y + w, k1 + k1w)]
+    for new, old, state, stage in systems:
+        fast = numerics._compile(numerics._dp_source(new, tol))
+        plain = numerics._compile(oracle_dp_source(old, tol))
+        assert _outcome(fast["_f"], state) == _outcome(plain["_f"], state)
+        assert (_outcome(fast["_trial"], dt, state, stage)
+                == _outcome(plain["_trial"], dt, state, stage))
+    step = numerics._compile(numerics._rk4_source(_field_sources(X)))["_step"]
+    plain = numerics._compile(oracle_rk4_source(oracle_field_sources(X)))["_step"]
+    assert _outcome(step, dt, y) == _outcome(plain, dt, y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(X=random_fields(), data=st.data())
+def test_emitter_matches_plain_oracle(X, data):
+    # every rewrite is exact: the same bits, the same overflows
+    states = st.tuples(*[STATE_VALUES] * len(X.variables))
+    y, k1, w, k1w = (data.draw(states) for _ in range(4))
+    assert_same_as_oracle(X, y, k1, w, k1w,
+                          data.draw(st.sampled_from([1e-3, 0.25, 3.0])),
+                          data.draw(st.sampled_from([1e-10, 1e-3])))
+
+
+@pytest.mark.parametrize("rhs, y", [
+    # inf*0: a leading negative product that other components share
+    (("-x*y*z", "x*y*z", "x*y*z - y"), (1e300, 1e300, 0.0)),
+    # inf - inf, then a subtracted product and a unit term
+    (("x*y - x*z - 2*y*z + z", "-y*z - x", "x*z"), (1e300, 1e300, 1e300)),
+])
+def test_emitter_keeps_nan_bits(rhs, y):
+    # NaNs arise inside a component; their sign bits match the oracle's too
+    X = parse_field("vars: x y z\n" + "".join(
+        f"d{v}/dt = {r}\n" for v, r in zip("xyz", rhs)))
+    f = numerics._compile(oracle_dp_source(oracle_field_sources(X), 1e-10))["_f"]
+    assert any(math.isnan(v) for v in f(y))
+    assert_same_as_oracle(X, y, (1.0, -0.0, 1e300), (0.0, 1e300, -1e300),
+                          (1e-3, 2.0, 5e-324), 0.25, 1e-10)
+
+
+def test_reference_trial_is_strength_reduced(reference_field):
+    X = reference_field
+    for sources in (_field_sources(X), _field_sources(X) + _tangent_sources(X)):
+        trial = numerics._dp_source(sources, 1e-10).split("def _trial")[1]
+        assert not re.search(r"(?<![\d.])1\.0\*", trial)
+        for plain in ("+ -", "max(", "abs("):
+            assert plain not in trial
+        assert trial.count("v0**2") == 6   # once in each of stages 2..7
