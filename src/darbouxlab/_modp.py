@@ -163,15 +163,6 @@ def shift_matrices(monos: Sequence[tuple], units: Sequence[tuple],
     return shifted_stack(np.eye(len(monos), dtype=np.int64), monos, units, rows)
 
 
-def embed(rows: np.ndarray, positions: Sequence[int], width: int) -> np.ndarray:
-    """The residue rows (N, k) written into columns `positions` of an
-    (N, width) array of zeros."""
-    import numpy as np
-    out = np.zeros((len(rows), width), dtype=np.int64)
-    out[:, positions] = rows
-    return out
-
-
 def scaled_rows_to_modp(rows: Sequence[Sequence[int]], scales: Sequence[int],
                         p: int) -> np.ndarray:
     """Residues of rows[i][j] / scales[j], one row per entry of rows, for

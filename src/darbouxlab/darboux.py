@@ -77,7 +77,7 @@ _SIEVE_BASES_LIMIT = 200_000
 # 5-D cyclic Lotka-Volterra field at degree 2 needs 501,305, the 6-D one
 # 4,466,385 (1.4 GB before its sieve starts)
 _REACHABLE_LIMIT = 1_000_000
-_PRESCREEN_CHUNK = 8192
+_SCREEN_CELLS = 1 << 21
 _EXP_FACTOR_CELLS_LIMIT = 20_000_000
 
 
@@ -267,6 +267,16 @@ def _monomial_images(X: VectorField, d: int) -> Mapping[tuple, Poly]:
         {m: lie_derivative(X, b) for m, b in zip(cols, _monomial_basis(X, cols))})
 
 
+def _operator_matrix(X: VectorField, d: int, K: Poly, cols: Sequence[tuple],
+                     rows: Sequence[tuple]) -> list:
+    """The rational matrix of f -> X(f) - K*f from cols to rows, for columns
+    of degree <= d: the one exact builder of X - K."""
+    images = _monomial_images(X, d)
+    return coefficient_matrix(
+        [_operator_image(images[m], K, b)
+         for m, b in zip(cols, _monomial_basis(X, cols))], rows)
+
+
 def search_darboux_fixed_cofactor(X: VectorField, K: Poly, d: int) -> list[Poly]:
     """Exact basis of {f : deg f <= d, X(f) = K*f}, monic, deterministic order."""
     if isinstance(K, (int, Fraction)):
@@ -276,10 +286,7 @@ def search_darboux_fixed_cofactor(X: VectorField, K: Poly, d: int) -> list[Poly]
     n = len(X.variables)
     cols = monomials_upto(n, d)
     rows = monomials_upto(n, d + max(X.degree - 1, 0))
-    images = _monomial_images(X, d)
-    matrix = RatMatrix(coefficient_matrix(
-        [_operator_image(images[m], K, b)
-         for m, b in zip(cols, _monomial_basis(X, cols))], rows))
+    matrix = RatMatrix(_operator_matrix(X, d, K, cols, rows))
     basis = []
     for vec in matrix.nullspace():
         poly = Poly(X.variables, {cols[j]: vec[j] for j in range(len(cols))})
@@ -310,17 +317,19 @@ def _image_residues(X: VectorField, d: int, p: int) -> np.ndarray:
 def _ranks(base: np.ndarray, directions: np.ndarray,
            coefficients: np.ndarray, p: int) -> np.ndarray:
     """Mod-p rank of base - sum_k coefficients[i][k] * directions[k] for
-    each row i of coefficients, in `_PRESCREEN_CHUNK` batches.
+    each row i of coefficients.
 
     base is an (R, C) and directions an (S, R, C) array of residues mod p.
     Each rank bounds the rank over Q of the rational matrix from below.
+    The matrices are combined and ranked in stacks of at most
+    `_SCREEN_CELLS` cells (one matrix where a single one is larger).
     """
     import numpy as np
+    chunk = max(1, _SCREEN_CELLS // base.size)
     return np.concatenate([np.zeros(0, dtype=np.int64)] + [
         _modp.batched_rank(_modp.batched_combination(
-            base, directions, coefficients[start:start + _PRESCREEN_CHUNK],
-            p), p)
-        for start in range(0, len(coefficients), _PRESCREEN_CHUNK)])
+            base, directions, coefficients[start:start + chunk], p), p)
+        for start in range(0, len(coefficients), chunk)])
 
 
 def _rank_screen(values: Sequence, coeffs: np.ndarray, base: np.ndarray,
@@ -503,8 +512,9 @@ class _Block:
     and the free blocks f_{n-1} .. f_{n-r} (the rest); `rows` are the
     graded parts of X(f) - K*f of degrees n+M-2 down to n+M-1-r.  `window`
     is X on these columns and rows, cut from the image table; `cofactor`
-    gathers the coefficient of K in K*m (row, column) from K's residue
-    vector; `shift` gathers u*f_n on `rows` for each unit u of the level.
+    gathers the coefficient of K in K*m (row, column) from K's residues
+    over the lattice support followed by a zero; `shift` gathers u*f_n on
+    `rows` for each unit u of the level.
     """
 
     rows: list
@@ -516,13 +526,11 @@ class _Block:
 
 
 class _Node(NamedTuple):
-    """A sieve node: K fixed down to the current layer, K's residue vector
-    over the lattice support (then a zero pad), the bases still compatible,
-    and the branches (n, W) alive, W a basis mod p of the kernel of the top
-    layer X_M - tau on f_n, one column per vector."""
+    """A sieve node: K fixed down to the current layer, the bases still
+    compatible, and the branches (n, W) alive, W a basis mod p of the
+    kernel of the top layer X_M - tau on f_n, one column per vector."""
 
     K: Poly
-    residues: np.ndarray
     compat: int
     branches: list[tuple[int, np.ndarray]]
 
@@ -544,9 +552,9 @@ class _GradedSieve:
     (`_modp.batched_kernels`), and each degree's section residues are read
     from one table per lattice.
 
-    Every level works on residues mod p.  A node carries K exactly and as
-    its residue vector over the lattice support, and gathers the matrices
-    of X - K from one residue table of X(m) per (field, degree).  The top
+    Every level works on residues mod p.  A node carries K exactly; a
+    block reads K's residues off it and gathers the matrices of X - K from
+    one residue table of X(m) per (field, degree).  The top
     level keeps a value when (X - tau) has a nonzero kernel on f_n mod p; W
     is a basis of that kernel.  A lower level writes its equations as
     A*g + F(theta)*c = 0, with g the free blocks, A = (X - K) on them and
@@ -593,15 +601,11 @@ class _GradedSieve:
         self.p = _modp.screening_prime(
             [c.numerator for c in coefficients]
             + [c.denominator for c in coefficients])
-        support = self.boxes.support
-        self._positions = {m: i for i, m in enumerate(support)}
-        self._width = len(support) + 1   # K's residues, then a zero pad
         self._rows_at = {m: i for i, m in enumerate(
             monomials_upto(self.nv, d + max(self.M - 1, 0)))}
         self._cols_at = {m: i for i, m in enumerate(
             monomials_upto(self.nv, d))}
         self._blocks: dict[tuple[int, int], _Block] = {}
-        self._layer_tables: dict[int, np.ndarray] = {}
 
     def run(self) -> list[Poly]:
         compat = self.boxes.legal_bases(max(self.M - 1, 0))
@@ -611,24 +615,12 @@ class _GradedSieve:
         return sorted((node.K for node in nodes), key=Poly.sort_key)
 
     def _sections(self, compat: int, degree: int):
-        """(values, their base masks, their rows in the degree's residue
-        tables, their coefficient residues) of the compatible
-        degree-`degree` sections, in sorted order."""
+        """(values, their base masks, their coefficient residues) of the
+        compatible degree-`degree` sections, in sorted order."""
         sections = self.boxes.sections(compat, degree)
         positions, residues = self.boxes.section_residues(degree, self.p)
-        rows = [positions[value] for value in sections]
-        return list(sections), list(sections.values()), rows, residues[rows]
-
-    def _layers(self, degree: int) -> np.ndarray:
-        """Every row of the degree's section residues as a layer of K's
-        residue vector, built once."""
-        if degree not in self._layer_tables:
-            _, residues = self.boxes.section_residues(degree, self.p)
-            self._layer_tables[degree] = _modp.embed(
-                residues, [self._positions[m]
-                           for m in self.boxes.monos_of_degree(degree)],
-                self._width)
-        return self._layer_tables[degree]
+        return list(sections), list(sections.values()), residues[
+            [positions[value] for value in sections]]
 
     def _window(self, rows: Sequence[tuple], cols: Sequence[tuple]
                 ) -> np.ndarray:
@@ -640,12 +632,9 @@ class _GradedSieve:
     def _top_level(self, compat: int) -> list[_Node]:
         """Fix the top layer of K, screening it once per f-degree n."""
         top_deg = self.M - 1
-        values, masks, table_rows, coeffs = self._sections(compat, top_deg)
+        values, masks, coeffs = self._sections(compat, top_deg)
         if not values:
             return []
-        variables = self.X.variables
-        taus = [self.boxes.section_poly(variables, top_deg, val)
-                for val in values]
         units = self.boxes.monos_of_degree(top_deg)
         alive: dict[int, list] = {}   # value index -> branches (n, W) alive
         for n in range(1, self.d + 1):
@@ -662,17 +651,10 @@ class _GradedSieve:
             kernels = _modp.batched_kernels(mats, mats[:, :, :0], self.p)
             for (W, _), i in zip(kernels, screened):
                 alive.setdefault(i, []).append((n, W.T))
-        layers = self._layers(top_deg)
-        return [_Node(taus[i], layers[table_rows[i]], masks[i], alive[i])
-                for i in sorted(alive)]
-
-    def _exact_operator(self, K: Poly, cols: list, rows: list) -> list:
-        """The rational matrix of f -> X(f) - K*f from cols to rows."""
         variables = self.X.variables
-        images = _monomial_images(self.X, self.d)
-        return coefficient_matrix(
-            [_operator_image(images[m], K, Poly.from_monomial(variables, m))
-             for m in cols], rows)
+        return [_Node(self.boxes.section_poly(variables, top_deg, values[i]),
+                      masks[i], alive[i])
+                for i in sorted(alive)]
 
     def _block(self, n: int, r: int) -> _Block:
         key = (n, r)
@@ -727,8 +709,11 @@ class _GradedSieve:
         p = self.p
         block = self._block(n, r)
         split, k = block.split, W.shape[2]
-        cofactor = np.stack([node.residues for node in nodes])[
-            :, block.cofactor]
+        # K's residues over the lattice support, then the zero that
+        # `block.cofactor` gathers for monomials outside it
+        cofactor = _modp.fraction_rows_to_modp(
+            [[node.K.coefficient(m) for m in self.boxes.support] + [0]
+             for node in nodes], p)[:, block.cofactor]
         operator = (block.window - cofactor) % p
         fixed = _modp.matmul(operator[:, :, :split], W, p)
         # u*W on the block's rows, (N, R, S, k) for the S units u
@@ -745,8 +730,9 @@ class _GradedSieve:
             proved = len(projected) and (
                 not len(kernel)
                 or self._lifts_exactly(node.K, lower, block.rows, kernel)
-                or RatMatrix(self._exact_operator(node.K, lower, block.rows)
-                             ).rank() == len(lower) - len(kernel))
+                or RatMatrix(_operator_matrix(self.X, self.d, node.K, lower,
+                                              block.rows)).rank()
+                == len(lower) - len(kernel))
             out.append((projected[:, :k], projected[:, k:].reshape(
                 len(projected), S, k).transpose(1, 0, 2)) if proved else None)
         return out
@@ -772,11 +758,9 @@ class _GradedSieve:
                     [nodes[i].branches[b][1] for i, b in members]))))
 
         variables = self.X.variables
-        layers = self._layers(ell)
         children = []
         for i, node in enumerate(nodes):
-            values, masks, table_rows, coeffs = self._sections(node.compat,
-                                                               ell)
+            values, masks, coeffs = self._sections(node.compat, ell)
             everything = range(len(values))
             alive: dict[int, list] = {}   # value index -> branches alive
             for b, (n, W) in enumerate(node.branches):
@@ -787,9 +771,7 @@ class _GradedSieve:
                     alive.setdefault(j, []).append((n, W))
             for j in sorted(alive):
                 theta = self.boxes.section_poly(variables, ell, values[j])
-                children.append(_Node(node.K + theta,
-                                      node.residues + layers[table_rows[j]],
-                                      masks[j], alive[j]))
+                children.append(_Node(node.K + theta, masks[j], alive[j]))
         return children
 
 

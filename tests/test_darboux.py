@@ -618,8 +618,11 @@ class TestRankScreen:
         assert (1,) * S in expected
         # a full-rank matrix that G compresses to zero is still rejected
         assert ((2,) * S in expected) == (len(ker) < C)
-    @pytest.mark.parametrize("chunk", [1, 2])
-    def test_chunked_screens_agree(self, monkeypatch, desk_field, chunk):
+
+    @pytest.mark.parametrize("cells", [1, 40])
+    def test_chunked_screens_agree(self, monkeypatch, desk_field, cells):
+        # one matrix per stack (cells = 1), or a few small ones (cells =
+        # 40): the same survivors and kernel bounds as unsplit stacks
         import darbouxlab.darboux as dbx
 
         restricted = parse_field(RESTRICTED_Z0)
@@ -628,11 +631,50 @@ class TestRankScreen:
         unpatched = [(dbx._GradedSieve(X, d, lattice).run(),
                       list(dbx._candidate_cofactors(X, d, lattice).items()))
                      for X, d, lattice in cases]
-        monkeypatch.setattr(dbx, "_PRESCREEN_CHUNK", chunk)
+        monkeypatch.setattr(dbx, "_SCREEN_CELLS", cells)
+        ranked = _counting(monkeypatch, _modp, "batched_rank")
         for (X, d, lattice), expected in zip(cases, unpatched):
             assert (dbx._GradedSieve(X, d, lattice).run(),
                     list(dbx._candidate_cofactors(X, d, lattice).items())
                     ) == expected
+        stacks = [args[0].shape for args in ranked]
+        assert all(N * R * C <= cells or N == 1 for N, R, C in stacks)
+        most = max(N for N, _, _ in stacks)
+        assert most == 1 if cells == 1 else 1 < most <= cells
+
+    @pytest.mark.parametrize("cells,shape", [(None, (35, 15)), (1, (5, 3)),
+                                             (40, (5, 3))])
+    def test_screen_stacks_are_bounded_by_cells(self, monkeypatch, cells,
+                                                shape):
+        # `_ranks` hands `batched_rank` stacks of at most `_SCREEN_CELLS`
+        # cells, or single matrices larger than that, and its ranks do not
+        # depend on the split; here two full stacks and one partial
+        import darbouxlab.darboux as dbx
+
+        if cells is not None:
+            monkeypatch.setattr(dbx, "_SCREEN_CELLS", cells)
+        limit = dbx._SCREEN_CELLS
+        p = _modp.PRIME
+        R, C = shape
+        per_stack = max(1, limit // (R * C))
+        rng = np.random.default_rng(R * C)
+        # base has rank C - 1, so a zero coefficient row keeps that rank
+        base = (rng.integers(0, 9, (R, C - 1)) @ rng.integers(0, 9, (C - 1, C))
+                ) % p
+        directions = rng.integers(0, p, (2, R, C))
+        coefficients = rng.integers(0, p, (2 * per_stack + 1, 2))
+        coefficients[::3] = 0
+        expected = np.concatenate([_modp.batched_rank(
+            _modp.batched_combination(base, directions,
+                                      coefficients[start:start + 1000], p), p)
+            for start in range(0, len(coefficients), 1000)])
+        ranked = _counting(monkeypatch, _modp, "batched_rank")
+        ranks = dbx._ranks(base, directions, coefficients, p)
+        stacks = [args[0].shape for args in ranked]
+        assert ranks.tolist() == expected.tolist()
+        assert set(ranks[::3].tolist()) == {C - 1}
+        assert [N for N, _, _ in stacks] == [per_stack, per_stack, 1]
+        assert all(N * R * C <= limit or N == 1 for N, _, _ in stacks)
 
 
 CORPUS_FIELDS = sorted(p.name for p in CORPUS.glob("*.vf"))
@@ -662,6 +704,65 @@ def _returns(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, kept)
     return results
+
+
+class TestSieveOperator:
+    """The sieve's residue blocks against the exact operator X - K."""
+
+    @pytest.mark.parametrize("name,d", [
+        (name, d) for name in CORPUS_FIELDS for d in (1, 2, 3)] + [
+        ("samardzija_greller.vf", 4)])
+    def test_blocks_equal_the_exact_operator(self, monkeypatch, name, d):
+        # every block A that a lower level eliminates is, reduced mod p,
+        # the exact matrix of X - K from the block's free columns to its
+        # rows, for the K of its node
+        import darbouxlab.darboux as dbx
+
+        X = load_field(CORPUS / name)
+        projected = dbx._GradedSieve._projected
+        eliminate = _modp.batched_kernels
+        pending, blocks = [], []
+
+        def projecting(sieve, nodes, n, r, W):
+            pending.append(([node.K for node in nodes], sieve._block(n, r)))
+            try:
+                return projected(sieve, nodes, n, r, W)
+            finally:
+                pending.pop()
+
+        def recorded(A, B, p):
+            if pending:
+                blocks.append((A, *pending[-1]))
+            return eliminate(A, B, p)
+
+        monkeypatch.setattr(dbx._GradedSieve, "_projected", projecting)
+        monkeypatch.setattr(_modp, "batched_kernels", recorded)
+        sieve = dbx._GradedSieve(X, d, default_lattice(X, d))
+        sieve.run()
+        for A, Ks, block in blocks:
+            lower = block.cols[block.split:]
+            assert len(A) == len(Ks)
+            for matrix, K in zip(A, Ks):
+                assert matrix.tolist() == _modp.fraction_rows_to_modp(
+                    dbx._operator_matrix(X, d, K, lower, block.rows),
+                    sieve.p).tolist()
+        assert blocks
+
+    def test_top_level_builds_tau_per_node(self, monkeypatch,
+                                           reference_field):
+        # the exact top layer tau is built only for the values whose
+        # screen keeps them, once per node
+        import darbouxlab.darboux as dbx
+
+        sieve = dbx._GradedSieve(reference_field, 4,
+                                 default_lattice(reference_field, 4))
+        compat = sieve.boxes.legal_bases(sieve.M - 1)
+        taus = _counting(monkeypatch, dbx._LatticeBoxes, "section_poly")
+        nodes = sieve._top_level(compat)
+        assert len(nodes) == len(taus) == 15
+        # over a copy of the calls, as these are counted too
+        assert [node.K for node in nodes] == [
+            boxes.section_poly(*args) for boxes, *args in list(taus)]
 
 
 class TestKernelFromRank:
