@@ -8,8 +8,9 @@ rational solutions as its kernel dimension mod p are already known, has those
 as its kernel.  Either way a chance rank drop mod p costs time but never
 correctness.  Everything here is deterministic: no randomness, fixed pivot
 order, and one prime p per search, chosen by `screening_prime` to divide no
-numerator and no denominator of its input's coefficients, and passed to
-every function that computes mod p.
+numerator and no denominator of its input's coefficients.  The graded sieve
+that picks it owns every table reduced mod p and passes p to every
+function here that computes mod p.
 
 The screens' matrices are tall and thin (many more rows than columns), so
 `batched_rank` eliminates along the short side: it takes the vectors of the
@@ -146,21 +147,14 @@ def gather(residues: np.ndarray, index: np.ndarray) -> np.ndarray:
     return padded[index]
 
 
-def shifted_stack(residues: np.ndarray, monos: Sequence[tuple],
-                  units: Sequence[tuple], rows: Sequence[tuple]) -> np.ndarray:
-    """Residues of f -> u*f on a basis, one (len(rows), C) matrix per unit u.
-
-    residues[i, j] is the residue of the coefficient of monos[i] in basis
-    element j, (len(monos), C); the stack is a gather of its rows.
-    """
-    return gather(residues, shift_index(monos, units, rows))
-
-
 def shift_matrices(monos: Sequence[tuple], units: Sequence[tuple],
                    rows: Sequence[tuple]) -> np.ndarray:
-    """The 0/1 matrices of f -> u*f on the monomial basis `monos`."""
+    """The 0/1 matrices of f -> u*f on the monomial basis `monos`, one
+    (len(rows), len(monos)) matrix per unit u: a gather of the identity's
+    rows."""
     import numpy as np
-    return shifted_stack(np.eye(len(monos), dtype=np.int64), monos, units, rows)
+    return gather(np.eye(len(monos), dtype=np.int64),
+                  shift_index(monos, units, rows))
 
 
 def scaled_rows_to_modp(rows: Sequence[Sequence[int]], scales: Sequence[int],

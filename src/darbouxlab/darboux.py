@@ -16,10 +16,11 @@ rank screen on the full operator.  The sections a sieve node screens are
 filtered from one table per degree of every reachable layer value, built
 and reduced mod p once per lattice.
 
-The sieve and the full operator work on residues modulo a prime p, gathered
-from one table of the residues of X(m) per (field, degree, p)
-(`_image_residues`); multiplication by a monomial is a gather, not a
-product.  p is the largest prime below 2^31 that divides no numerator and
+The sieve owns its search's state: it picks a prime p, builds the lattice's
+tables mod p, and holds X(m) for every monomial m of degree <= d both
+exactly and mod p; every block of the sieve and the full operator is cut
+from that residue table, and multiplication by a monomial is a gather, not
+a product.  p is the largest prime below 2^31 that divides no numerator and
 no denominator of X's coefficients or of the lattice generators
 (`_modp.screening_prime`): every coefficient of X(m), of a candidate K and
 of a section value has a denominator dividing a product of those, so every
@@ -53,13 +54,11 @@ polynomial terms into a matrix.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import types
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import _modp
 from .exactcore import (Poly, RatMatrix, coefficient_matrix, divides,
@@ -73,10 +72,11 @@ if TYPE_CHECKING:
 _ZERO = Fraction(0)
 _MATERIALIZE_LIMIT = 5_000_000
 _SIEVE_BASES_LIMIT = 200_000
-# entries a reachable table may reach while one coordinate is shifted: the
-# 5-D cyclic Lotka-Volterra field at degree 2 needs 501,305, the 6-D one
-# 4,466,385 (1.4 GB before its sieve starts)
-_REACHABLE_LIMIT = 1_000_000
+# mask bits (entries x offsets x bases) a reachable table may reach while
+# one coordinate is shifted: the reference search at degree 8 needs 1.52e9,
+# the 5-D cyclic Lotka-Volterra field at degree 2 1.05e9 and at degree 4
+# 6.22e9 (out of memory in 500,000 KiB)
+_TABLE_BITS_LIMIT = 2_000_000_000
 _SCREEN_CELLS = 1 << 21
 _EXP_FACTOR_CELLS_LIMIT = 20_000_000
 
@@ -255,26 +255,12 @@ def _monomial_basis(X: VectorField, monos: Sequence[tuple]) -> list[Poly]:
     return [Poly.from_monomial(X.variables, m) for m in monos]
 
 
-@functools.lru_cache(maxsize=1)
-def _monomial_images(X: VectorField, d: int) -> Mapping[tuple, Poly]:
-    """Read-only {m: X(m)} for every monomial of degree <= d, graded-lex.
-
-    Kept for the last (field, degree) only, so the sieve, the full-operator
-    screen and every exact solve of one command share one X(m) per column.
-    """
-    cols = monomials_upto(len(X.variables), d)
-    return types.MappingProxyType(
-        {m: lie_derivative(X, b) for m, b in zip(cols, _monomial_basis(X, cols))})
-
-
-def _operator_matrix(X: VectorField, d: int, K: Poly, cols: Sequence[tuple],
+def _operator_matrix(X: VectorField, K: Poly, cols: Sequence[tuple],
                      rows: Sequence[tuple]) -> list:
-    """The rational matrix of f -> X(f) - K*f from cols to rows, for columns
-    of degree <= d: the one exact builder of X - K."""
-    images = _monomial_images(X, d)
-    return coefficient_matrix(
-        [_operator_image(images[m], K, b)
-         for m, b in zip(cols, _monomial_basis(X, cols))], rows)
+    """The rational matrix of f -> X(f) - K*f from cols to rows: the one
+    exact builder of X - K."""
+    return coefficient_matrix([_operator_image(lie_derivative(X, b), K, b)
+                               for b in _monomial_basis(X, cols)], rows)
 
 
 def search_darboux_fixed_cofactor(X: VectorField, K: Poly, d: int) -> list[Poly]:
@@ -286,7 +272,7 @@ def search_darboux_fixed_cofactor(X: VectorField, K: Poly, d: int) -> list[Poly]
     n = len(X.variables)
     cols = monomials_upto(n, d)
     rows = monomials_upto(n, d + max(X.degree - 1, 0))
-    matrix = RatMatrix(_operator_matrix(X, d, K, cols, rows))
+    matrix = RatMatrix(_operator_matrix(X, K, cols, rows))
     basis = []
     for vec in matrix.nullspace():
         poly = Poly(X.variables, {cols[j]: vec[j] for j in range(len(cols))})
@@ -297,22 +283,6 @@ def search_darboux_fixed_cofactor(X: VectorField, K: Poly, d: int) -> list[Poly]
 # --------------------------------------------------------------------------
 # lattice screens
 # --------------------------------------------------------------------------
-
-@functools.lru_cache(maxsize=1)
-def _image_residues(X: VectorField, d: int, p: int) -> np.ndarray:
-    """Read-only residues mod p of X(m) for every monomial m of degree <= d.
-
-    Column j is X(m_j) for the j-th monomial of degree <= d and row i the
-    i-th monomial of degree <= d + deg(X) - 1, both graded-lex: the one
-    table from which the full operator and every sieve block are gathered.
-    Kept for the last (field, degree, prime).
-    """
-    rows = monomials_upto(len(X.variables), d + max(X.degree - 1, 0))
-    table = _modp.fraction_rows_to_modp(coefficient_matrix(
-        list(_monomial_images(X, d).values()), rows), p)
-    table.setflags(write=False)
-    return table
-
 
 def _ranks(base: np.ndarray, directions: np.ndarray,
            coefficients: np.ndarray, p: int) -> np.ndarray:
@@ -332,47 +302,42 @@ def _ranks(base: np.ndarray, directions: np.ndarray,
         for start in range(0, len(coefficients), chunk)])
 
 
-def _rank_screen(values: Sequence, coeffs: np.ndarray, base: np.ndarray,
-                 directions: np.ndarray, p: int) -> list:
-    """The values whose matrix is rank-deficient mod p, in their given order.
+def _rank_screen(coeffs: np.ndarray, base: np.ndarray,
+                 directions: np.ndarray, p: int) -> list[int]:
+    """The indices i, ascending, whose matrix is rank-deficient mod p.
 
-    The matrix of values[i] is base - sum_k coeffs[i][k] * directions[k]
-    (residue arrays, see `_ranks`).  A value is rejected only when its
+    The matrix of index i is base - sum_k coeffs[i][k] * directions[k]
+    (residue arrays, see `_ranks`).  An index is rejected only when its
     matrix has full column rank mod p, which proves its rational kernel
     trivial.  Tall matrices are first ranked compressed to G*M
     (`_modp.compressor`): full rank there proves full rank of M, and only
-    the other values are ranked on M itself.
+    the other indices are ranked on M itself.
     """
     import numpy as np
-    if not values:
+    if not len(coeffs):
         return []
     full_rank = base.shape[1]
-    kept = np.arange(len(values))
+    kept = np.arange(len(coeffs))
     G = _modp.compressor(*base.shape, p)
     if G is not None:
         kept = np.flatnonzero(_ranks(_modp.matmul(G, base, p),
                                      _modp.matmul(G, directions, p),
                                      coeffs, p) < full_rank)
         coeffs = coeffs[kept]
-    kept = kept[_ranks(base, directions, coeffs, p) < full_rank]
-    return [values[i] for i in kept.tolist()]
-
-
-def _full_operator(X: VectorField, d: int, candidates: Sequence[Poly],
-                   p: int) -> np.ndarray:
-    """Mod-p ranks of the matrices X(m) - K*m over the monomials m of degree
-    <= d, one per candidate K."""
-    n = len(X.variables)
-    support = sorted({m for K in candidates for m in K.terms}, key=grlex_key)
-    directions = _modp.shift_matrices(
-        monomials_upto(n, d), support,
-        monomials_upto(n, d + max(X.degree - 1, 0)))
-    coefficients = _modp.fraction_rows_to_modp(
-        [[K.coefficient(m) for m in support] for K in candidates], p)
-    return _ranks(_image_residues(X, d, p), directions, coefficients, p)
+    return kept[_ranks(base, directions, coeffs, p) < full_rank].tolist()
 
 
 # ---- graded sieve ------------------------------------------------------------
+
+class _Table(NamedTuple):
+    """Every reachable part of one degree, in sorted order: its integer-scaled
+    coefficient tuple, the bitmask of all the bases that can realize it, and
+    its residues mod p (one row each)."""
+
+    values: list[tuple[int, ...]]
+    masks: list[int]
+    residues: np.ndarray
+
 
 class _LatticeBoxes:
     """Candidates as {base + per-monomial box offsets}.
@@ -382,13 +347,14 @@ class _LatticeBoxes:
     All coefficient bookkeeping is integer-scaled per monomial.  A set of
     bases is one int bitmask, bit t standing for base t.  Whether a base can
     reach a value does not depend on the other bases, so each degree has one
-    table of every reachable part, built on first use, and sieve sections
-    filter it by their compatible bases.
+    table of every reachable part, built and reduced mod p on first use, and
+    sieve sections filter it by their compatible bases.  p divides no scale.
     """
 
-    def __init__(self, lattice: CofactorLattice):
+    def __init__(self, lattice: CofactorLattice, p: int):
         gens = [g for g in lattice.generators if not g.is_zero()]
         B = lattice.bound
+        self.p = p
         mono_gens: list[Poly] = [g for g in gens if len(g.terms) == 1]
         general: list[Poly] = [g for g in gens if len(g.terms) > 1]
         if (2 * B + 1) ** len(general) > _SIEVE_BASES_LIMIT:
@@ -427,18 +393,22 @@ class _LatticeBoxes:
             if key not in seen:
                 seen.add(key)
                 self.bases.append({m: v for m, v in vec.items() if v})
-        self._tables: dict[int, dict[tuple[int, ...], int]] = {}
-        self._residues: dict[tuple[int, int], tuple[dict, np.ndarray]] = {}
+        self._tables: dict[int, _Table] = {}
 
     def monos_of_degree(self, degree: int) -> list[tuple]:
         return [m for m in self.support if sum(m) == degree]
 
-    def _table(self, degree: int) -> dict[tuple[int, ...], int]:
-        """`_reachable(degree)` in sorted key order, built once."""
+    def _table(self, degree: int) -> _Table:
+        """`_reachable(degree)` in sorted order with its residues, built
+        once."""
         if degree not in self._tables:
             reachable = self._reachable(degree)
-            self._tables[degree] = {key: reachable[key]
-                                    for key in sorted(reachable)}
+            values = sorted(reachable)
+            self._tables[degree] = _Table(
+                values, [reachable[value] for value in values],
+                _modp.scaled_rows_to_modp(values, [
+                    self.scale[m] for m in self.monos_of_degree(degree)],
+                    self.p))
         return self._tables[degree]
 
     def _reachable(self, degree: int) -> dict[tuple[int, ...], int]:
@@ -453,10 +423,10 @@ class _LatticeBoxes:
         # base masks of keys that meet: far fewer merges than per full offset
         for j, m in enumerate(monos):
             offsets = self.box.get(m, (0,))
-            if len(out) * len(offsets) > _REACHABLE_LIMIT:
+            if len(out) * len(offsets) * len(self.bases) > _TABLE_BITS_LIMIT:
                 raise LatticeTooLargeError(
                     f"the sieve's degree-{degree} table may outgrow "
-                    f"{_REACHABLE_LIMIT} entries; lower --degree or "
+                    f"{_TABLE_BITS_LIMIT} mask bits; lower --degree or "
                     f"--lattice-bound")
             shifted: dict[tuple[int, ...], int] = {}
             for key, members in out.items():
@@ -472,36 +442,27 @@ class _LatticeBoxes:
         mask = (1 << len(self.bases)) - 1
         for degree in {sum(m) for m in self.support if sum(m) > max_degree}:
             zero = (0,) * len(self.monos_of_degree(degree))
-            mask &= self._table(degree).get(zero, 0)
+            mask &= self._reachable(degree).get(zero, 0)
         return mask
 
-    def sections(self, compat: int, degree: int) -> dict[tuple[int, ...], int]:
-        """Distinct degree-`degree` parts reachable from the compatible bases.
-
-        Maps the integer-scaled coefficient tuple (over monos_of_degree) to
-        the bitmask of the bases that can realize it, in sorted key order.
-        """
-        return {key: mask & compat for key, mask in self._table(degree).items()
-                if mask & compat}
+    def sections(self, compat: int, degree: int
+                 ) -> tuple[list[tuple[int, ...]], list[int], np.ndarray]:
+        """(values, base masks, residue rows) of the distinct
+        degree-`degree` parts reachable from the compatible bases, in sorted
+        order: a value is the integer-scaled coefficient tuple over
+        monos_of_degree, its mask the compatible bases that can realize it,
+        and its row its residues mod p."""
+        table = self._table(degree)
+        masks = [mask & compat for mask in table.masks]
+        kept = [i for i, mask in enumerate(masks) if mask]
+        return ([table.values[i] for i in kept], [masks[i] for i in kept],
+                table.residues[kept])
 
     def section_poly(self, variables: Sequence[str], degree: int,
                      value: tuple[int, ...]) -> Poly:
         monos = self.monos_of_degree(degree)
         return Poly(variables, {m: Fraction(v, self.scale[m])
                                 for m, v in zip(monos, value)})
-
-    def section_residues(self, degree: int, p: int
-                         ) -> tuple[dict[tuple[int, ...], int], np.ndarray]:
-        """(row of each reachable degree-`degree` part, the residues mod p
-        of all of them, one row each in sorted key order), converted once
-        per lattice and prime; p divides no scale."""
-        if (degree, p) not in self._residues:
-            keys = list(self._table(degree))
-            self._residues[degree, p] = (
-                {key: i for i, key in enumerate(keys)},
-                _modp.scaled_rows_to_modp(keys, [
-                    self.scale[m] for m in self.monos_of_degree(degree)], p))
-        return self._residues[degree, p]
 
 
 @dataclass(frozen=True)
@@ -511,7 +472,7 @@ class _Block:
     The unknowns are f_n (the `top` columns, the first `split` of `cols`)
     and the free blocks f_{n-1} .. f_{n-r} (the rest); `rows` are the
     graded parts of X(f) - K*f of degrees n+M-2 down to n+M-1-r.  `window`
-    is X on these columns and rows, cut from the image table; `cofactor`
+    is X on these columns and rows, cut from `image_residues`; `cofactor`
     gathers the coefficient of K in K*m (row, column) from K's residues
     over the lattice support followed by a zero; `shift` gathers u*f_n on
     `rows` for each unit u of the level.
@@ -550,11 +511,14 @@ class _GradedSieve:
     block of one level with the same f-degree n and the same |W| has the
     same shape, so their eliminations are one batched call
     (`_modp.batched_kernels`), and each degree's section residues are read
-    from one table per lattice.
+    from one table per lattice (`_LatticeBoxes.sections`).
 
-    Every level works on residues mod p.  A node carries K exactly; a
-    block reads K's residues off it and gathers the matrices of X - K from
-    one residue table of X(m) per (field, degree).  The top
+    The sieve owns its search's state: the prime p, the lattice tables mod
+    p, and X(m) for every monomial m of degree <= d, exactly (`images`,
+    which the lifts read) and mod p (`image_residues`, from which every
+    block and the full operator are cut).  Every level works on residues
+    mod p.  A node carries K exactly; a block reads K's residues off it and
+    gathers the matrices of X - K from `image_residues`.  The top
     level keeps a value when (X - tau) has a nonzero kernel on f_n mod p; W
     is a basis of that kernel.  A lower level writes its equations as
     A*g + F(theta)*c = 0, with g the free blocks, A = (X - K) on them and
@@ -594,17 +558,23 @@ class _GradedSieve:
         self.d = d
         self.M = X.degree
         self.nv = len(X.variables)
-        self.boxes = _LatticeBoxes(lattice)
         coefficients = [c for f in itertools.chain(X.components,
                                                     lattice.generators)
                         for c in f.terms.values()]
         self.p = _modp.screening_prime(
             [c.numerator for c in coefficients]
             + [c.denominator for c in coefficients])
-        self._rows_at = {m: i for i, m in enumerate(
-            monomials_upto(self.nv, d + max(self.M - 1, 0)))}
-        self._cols_at = {m: i for i, m in enumerate(
-            monomials_upto(self.nv, d))}
+        self.boxes = _LatticeBoxes(lattice, self.p)
+        # column j is X(m_j) for the j-th monomial of degree <= d, row i the
+        # i-th monomial of degree <= d + M - 1, both graded-lex
+        self.cols = monomials_upto(self.nv, d)
+        self.rows = monomials_upto(self.nv, d + max(self.M - 1, 0))
+        self.images = {m: lie_derivative(X, b) for m, b in zip(
+            self.cols, _monomial_basis(X, self.cols))}
+        self.image_residues = _modp.fraction_rows_to_modp(coefficient_matrix(
+            list(self.images.values()), self.rows), self.p)
+        self._rows_at = {m: i for i, m in enumerate(self.rows)}
+        self._cols_at = {m: i for i, m in enumerate(self.cols)}
         self._blocks: dict[tuple[int, int], _Block] = {}
 
     def run(self) -> list[Poly]:
@@ -614,25 +584,28 @@ class _GradedSieve:
             nodes = self._level(nodes, r)
         return sorted((node.K for node in nodes), key=Poly.sort_key)
 
-    def _sections(self, compat: int, degree: int):
-        """(values, their base masks, their coefficient residues) of the
-        compatible degree-`degree` sections, in sorted order."""
-        sections = self.boxes.sections(compat, degree)
-        positions, residues = self.boxes.section_residues(degree, self.p)
-        return list(sections), list(sections.values()), residues[
-            [positions[value] for value in sections]]
+    def full_operator_dims(self, candidates: Sequence[Poly]) -> list[int]:
+        """Mod-p kernel dimensions of the matrices X(m) - K*m over the
+        monomials m of degree <= d, one per candidate K: each bounds the
+        rational one from above."""
+        support = sorted({m for K in candidates for m in K.terms},
+                         key=grlex_key)
+        directions = _modp.shift_matrices(self.cols, support, self.rows)
+        coefficients = _modp.fraction_rows_to_modp(
+            [[K.coefficient(m) for m in support] for K in candidates], self.p)
+        return (len(self.cols) - _ranks(self.image_residues, directions,
+                                        coefficients, self.p)).tolist()
 
     def _window(self, rows: Sequence[tuple], cols: Sequence[tuple]
                 ) -> np.ndarray:
         """The residues of X(m) for m in cols, on rows."""
-        return _image_residues(self.X, self.d, self.p)[
-            [self._rows_at[m] for m in rows]][
+        return self.image_residues[[self._rows_at[m] for m in rows]][
             :, [self._cols_at[m] for m in cols]]
 
     def _top_level(self, compat: int) -> list[_Node]:
         """Fix the top layer of K, screening it once per f-degree n."""
         top_deg = self.M - 1
-        values, masks, coeffs = self._sections(compat, top_deg)
+        values, masks, coeffs = self.boxes.sections(compat, top_deg)
         if not values:
             return []
         units = self.boxes.monos_of_degree(top_deg)
@@ -642,8 +615,7 @@ class _GradedSieve:
             rows = monomials_of_degree(self.nv, n + top_deg)
             base = self._window(rows, cols)
             directions = _modp.shift_matrices(cols, units, rows)
-            screened = _rank_screen(range(len(values)), coeffs, base,
-                                    directions, self.p)
+            screened = _rank_screen(coeffs, base, directions, self.p)
             if not screened:
                 continue
             mats = _modp.batched_combination(base, directions,
@@ -677,7 +649,6 @@ class _GradedSieve:
         """Whether every vector of a kernel basis mod p of (X - K) from cols
         to rows lifts, by rational reconstruction, to a rational g with
         (X - K)(g) zero on rows: then the rational kernel is as large."""
-        images = _monomial_images(self.X, self.d)
         variables = self.X.variables
         for vec in kernel:
             coeffs = [_modp.rational_reconstruction(int(x), self.p)
@@ -687,7 +658,7 @@ class _GradedSieve:
             g = Poly(variables, dict(zip(cols, coeffs)))
             Xg = Poly.zero(variables)
             for m, c in g.terms.items():
-                Xg = Xg + images[m] * c
+                Xg = Xg + self.images[m] * c
             image = _operator_image(Xg, K, g)
             if any(image.coefficient(m) for m in rows):
                 return False
@@ -730,7 +701,7 @@ class _GradedSieve:
             proved = len(projected) and (
                 not len(kernel)
                 or self._lifts_exactly(node.K, lower, block.rows, kernel)
-                or RatMatrix(_operator_matrix(self.X, self.d, node.K, lower,
+                or RatMatrix(_operator_matrix(self.X, node.K, lower,
                                               block.rows)).rank()
                 == len(lower) - len(kernel))
             out.append((projected[:, :k], projected[:, k:].reshape(
@@ -760,13 +731,13 @@ class _GradedSieve:
         variables = self.X.variables
         children = []
         for i, node in enumerate(nodes):
-            values, masks, coeffs = self._sections(node.compat, ell)
+            values, masks, coeffs = self.boxes.sections(node.compat, ell)
             everything = range(len(values))
             alive: dict[int, list] = {}   # value index -> branches alive
             for b, (n, W) in enumerate(node.branches):
                 projected = projections.get((i, b))
                 kept = (everything if projected is None else
-                        _rank_screen(everything, coeffs, *projected, self.p))
+                        _rank_screen(coeffs, *projected, self.p))
                 for j in kept:
                     alive.setdefault(j, []).append((n, W))
             for j in sorted(alive):
@@ -791,8 +762,7 @@ def _candidate_cofactors(X: VectorField, d: int, lattice: CofactorLattice
     priority = list(dict.fromkeys(priority))
     sieve = _GradedSieve(X, d, lattice)
     values = priority + [K for K in sieve.run() if K not in priority]
-    ranks = _full_operator(X, d, values, sieve.p)
-    dims = (len(monomials_upto(len(X.variables), d)) - ranks).tolist()
+    dims = sieve.full_operator_dims(values)
     return {K: dim for K, dim in zip(values, dims) if K in priority or dim}
 
 

@@ -2,6 +2,7 @@
 
 import io
 import contextlib
+import hashlib
 import json
 import os
 import subprocess
@@ -114,6 +115,54 @@ def test_json_output_byte_stable():
     _, second, _ = run_cli(args)
     assert first == second
     json.loads(first)  # well-formed
+
+
+# sha256 of each report's "results" (sorted-key JSON) at --degree 3 on the
+# corpus: a change to the search that alters any certificate, kernel or
+# obstruction shows here
+RESULT_DIGESTS = {
+    ("darboux", "lv3_a0_b0_c0.vf"):
+        "e3d161899f6d6af147fd8e1b38da1f5d8dc84a206a7cae60540139aa3d5e9599",
+    ("integrals", "lv3_a0_b0_c0.vf"):
+        "d2ce2c6f996740e1ad6622fd3d6c6f444fe7045f7662354c08ca135675d3872c",
+    ("darboux", "lv3_a0_b0_c2.vf"):
+        "12412a194c235e7a26866a3c0ecd4eb40f342ac6f4b018a70ca2b872d34a865f",
+    ("integrals", "lv3_a0_b0_c2.vf"):
+        "d6e1d1abeea024088a18d1214fc4ab36425e4cc0a1a4001205cd4e62144f1488",
+    ("darboux", "lv3_a0_b3_c2.vf"):
+        "6aad72581d1f88d9fb9974da75675a52e234d1d4c64c1c97d64e6f01acb0b52f",
+    ("integrals", "lv3_a0_b3_c2.vf"):
+        "22c3c3bfeb63d9d2e05e9683905f6c502e437660c06ea587072f61fa10053bc3",
+    ("darboux", "lv3_a3_b3_c0.vf"):
+        "9b86d4488dc7264a41f18ac6e747defcbf3f989eb69d1a4b69e28fa0e633eb83",
+    ("integrals", "lv3_a3_b3_c0.vf"):
+        "177477adcd22094ed286a4a80a52c91ef5d81be8618586cfd4cd5b5eac6e45d9",
+    ("darboux", "lv3_a3_b3_c2.vf"):
+        "58b719b06684eeb3df830d909977e1ded4b7ad93ea475867ad16c9307951b1e6",
+    ("integrals", "lv3_a3_b3_c2.vf"):
+        "a0a9e14a31076381d03b0d87a9b377a46b01f383f1ab8774e34a95f239f1387e",
+    ("darboux", "restricted_y0_a0.vf"):
+        "d775a669c8533daadb862077795979c6c92d46a774dbae019bcef3bb1c2ef7b3",
+    ("integrals", "restricted_y0_a0.vf"):
+        "f8bf8fb30068d2da52527ba1275750d364e5bdd51f3171ec7078152046c3d9bd",
+    ("darboux", "restricted_z0_c2.vf"):
+        "c0636317701299b4644e581768e962d65321fcf9aeeb19d7c86862049efbd486",
+    ("integrals", "restricted_z0_c2.vf"):
+        "1b2379556ec2c4ecc5039fe58543dbabe2da5c85fc3d7bbf4862dcab26296792",
+    ("darboux", "samardzija_greller.vf"):
+        "30c65bf2ea6b57c60e8b4d1ead0b5b54d321e34127a2e1a4948d11f4ef0efd84",
+    ("integrals", "samardzija_greller.vf"):
+        "c38699ddee1073b7ebcadefe569aae09ed9282d017e2fa1949031f814611235a",
+}
+
+
+@pytest.mark.parametrize("command, name", sorted(RESULT_DIGESTS))
+def test_corpus_results_unchanged(command, name):
+    code, out, _ = run_cli([command, f"corpus/{name}", "--degree", "3"])
+    assert code == 0
+    results = json.dumps(json.loads(out)["results"], sort_keys=True)
+    assert hashlib.sha256(results.encode()).hexdigest() == RESULT_DIGESTS[
+        command, name]
 
 
 def test_darboux_reference_report():
@@ -343,39 +392,70 @@ def run_capped(args, timeout=300):
                           preexec_fn=limit, timeout=timeout)
 
 
+TABLE_LIMIT_LINE = (
+    "error: the sieve's degree-1 table may outgrow 2000000000 mask bits; "
+    "lower --degree or --lattice-bound\n")
+OUT_OF_MEMORY_LINE = "error: out of memory; lower --degree or --lattice-bound\n"
+
+
 @pytest.mark.parametrize("field, degree, code", [
     ("cyclic_lv5", "4", 2), ("corpus/samardzija_greller.vf", "4", 0)])
 def test_out_of_memory_exits_2(tmp_path, field, degree, code):
     # in 500,000 KiB of address space the degree-4 reference search runs,
-    # while the 5-D cyclic Lotka-Volterra field's degree-1 sieve table does
-    # not fit: its first shift (up to 236,529 entries) is under the table
-    # limit, but each entry holds a mask of up to 26,281 bases.  One error
-    # line, no traceback.
+    # while the 5-D cyclic Lotka-Volterra field's degree-1 sieve table
+    # would not fit: its first shift may reach 236,529 entries with a mask
+    # of up to 26,281 bases each (6.2e9 bits), so it is refused before
+    # that shift is built.  One error line, no traceback.
     if field == "cyclic_lv5":
         field = tmp_path / "cyclic_lv5.vf"
         field.write_text(cyclic_lotka_volterra("uvwxy"))
     proc = run_capped(["darboux", str(field), "--degree", degree])
     assert proc.returncode == code, proc.stderr
     if code:
-        assert proc.stderr == (
-            "error: out of memory; lower --degree or --lattice-bound\n")
+        assert proc.stderr == TABLE_LIMIT_LINE
     else:
         assert "Traceback" not in proc.stderr
         assert sorted(c["poly"] for c in json.loads(
             proc.stdout)["results"]["certificates"]) == ["x", "y", "z"]
 
 
+@pytest.mark.parametrize("error", [
+    MemoryError(), SystemError("error return without exception set")])
+def test_out_of_memory_is_one_error_line(monkeypatch, error):
+    # a command that runs out of memory, including the SystemError that
+    # CPython raises when unwinding a MemoryError needs memory, ends with
+    # one error line and exit 2
+    import darbouxlab.cli as cli
+
+    def exhausted(X, args):
+        raise error
+
+    monkeypatch.setitem(cli._COMMANDS, "darboux", exhausted)
+    assert run_cli(["darboux", "corpus/restricted_z0_c2.vf"]) == (
+        2, "", OUT_OF_MEMORY_LINE)
+
+
+def test_other_system_error_is_raised(monkeypatch):
+    import darbouxlab.cli as cli
+
+    def broken(X, args):
+        raise SystemError("bad argument to internal function")
+
+    monkeypatch.setitem(cli._COMMANDS, "darboux", broken)
+    with pytest.raises(SystemError, match="bad argument"):
+        run_cli(["darboux", "corpus/restricted_z0_c2.vf"])
+
+
 def test_reachable_table_limit_exits_2(tmp_path):
     # the 6-D cyclic field's degree-1 table would reach 1.7 million entries
-    # (1.4 GB); it is refused at the shift whose bound passes the limit,
-    # before memory runs out, and in seconds rather than minutes
+    # of 3,721-bit masks (1.4 GB); it is refused at the shift whose bound
+    # passes the limit (3.9e9 bits), before memory runs out, and in seconds
+    # rather than minutes
     field = tmp_path / "cyclic_lv6.vf"
     field.write_text(cyclic_lotka_volterra("uvwxyz"))
     proc = run_capped(["darboux", str(field), "--degree", "2"], timeout=30)
     assert proc.returncode == 2
-    assert proc.stderr == (
-        "error: the sieve's degree-1 table may outgrow 1000000 entries; "
-        "lower --degree or --lattice-bound\n")
+    assert proc.stderr == TABLE_LIMIT_LINE
 
 
 @pytest.mark.parametrize("text, args", [

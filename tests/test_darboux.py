@@ -224,15 +224,19 @@ class TestSearch:
     def test_reachable_table_limit(self, monkeypatch):
         # the 5-D cyclic Lotka-Volterra field at degree 2 (8 certificates)
         # stays under the table limit: its largest shift may reach 501,305
-        # entries and builds 175,545; a limit below that bound refuses it
+        # entries of 2,101-bit base masks (1,053,241,805 bits) and builds
+        # 175,545 entries; a limit below that bound refuses it
         import darbouxlab.darboux as dbx
 
         X = parse_field(cyclic_lotka_volterra("uvwxy"))
-        assert len(dbx._LatticeBoxes(default_lattice(X, 2))._table(1)) == 175_545
-        monkeypatch.setattr(dbx, "_REACHABLE_LIMIT", 501_304)
-        with pytest.raises(dbx.LatticeTooLargeError,
-                           match="degree-1 table may outgrow 501304 entries"):
-            dbx._LatticeBoxes(default_lattice(X, 2))._table(1)
+        boxes = dbx._LatticeBoxes(default_lattice(X, 2), _modp.PRIME)
+        assert len(boxes.bases) == 2101
+        assert len(boxes._table(1).values) == 175_545
+        monkeypatch.setattr(dbx, "_TABLE_BITS_LIMIT", 1_053_241_804)
+        with pytest.raises(
+                dbx.LatticeTooLargeError,
+                match="degree-1 table may outgrow 1053241804 mask bits"):
+            dbx._LatticeBoxes(default_lattice(X, 2), _modp.PRIME)._table(1)
 
 
 def brute_force_sections(boxes, compat, degree):
@@ -281,7 +285,8 @@ class TestSieveAgainstBruteForce:
         import darbouxlab.darboux as dbx
 
         max_deg = max(X.degree - 1, 0)
-        boxes = dbx._LatticeBoxes(lattice)
+        sieve = dbx._GradedSieve(X, d, lattice)
+        boxes = sieve.boxes
         legal = sum(1 << t for t, base in enumerate(boxes.bases)
                     if all(-base.get(m, 0) in boxes.box.get(m, (0,))
                            for m in boxes.support if sum(m) > max_deg))
@@ -291,12 +296,17 @@ class TestSieveAgainstBruteForce:
         degrees = set(range(max_deg + 1)) | {sum(m) for m in boxes.support}
         for compat in (legal, legal & every_other, 0):
             for degree in sorted(degrees):
-                assert (boxes.sections(compat, degree)
+                values, masks, residues = boxes.sections(compat, degree)
+                assert (dict(zip(values, masks))
                         == brute_force_sections(boxes, compat, degree))
-        assert all(boxes.sections(0, degree) == {} for degree in degrees)
+                monos = boxes.monos_of_degree(degree)
+                assert residues.tolist() == _modp.fraction_rows_to_modp(
+                    [[Fraction(v, boxes.scale[m]) for m, v in zip(monos, value)]
+                     for value in values], boxes.p).reshape(
+                         len(values), len(monos)).tolist()
+        assert all(boxes.sections(0, degree)[0] == [] for degree in degrees)
         # raw sieve survivors: count and sha256 prefix of the printed list,
         # captured from the set-based sections and Fraction elimination
-        sieve = dbx._GradedSieve(X, d, lattice)
         survivors = sieve.run()
         assert (len(survivors), hashlib.sha256("\n".join(
             map(str, survivors)).encode()).hexdigest()[:16]) == sieve_digest
@@ -430,7 +440,7 @@ class TestRankScreen:
 
         one = np.ones((1, 1), dtype=np.int64)
         none = np.zeros((0, 1), dtype=np.int64)
-        assert dbx._rank_screen([], none, one, one[None], _modp.PRIME) == []
+        assert dbx._rank_screen(none, one, one[None], _modp.PRIME) == []
 
     def test_rejects_only_full_rank(self):
         import darbouxlab.darboux as dbx
@@ -438,8 +448,7 @@ class TestRankScreen:
         # base - c * direction = diag(1 - c, 1): singular only at c = 1
         base = np.array([[1, 0], [0, 1]], dtype=np.int64)
         direction = np.array([[1, 0], [0, 0]], dtype=np.int64)
-        kept = dbx._rank_screen([3, 1, 0, 2],
-                                np.array([[3], [1], [0], [2]], dtype=np.int64),
+        kept = dbx._rank_screen(np.array([[3], [1], [0], [2]], dtype=np.int64),
                                 base, direction[None], _modp.PRIME)
         assert kept == [1]
 
@@ -613,8 +622,8 @@ class TestRankScreen:
         ranks = _modp.batched_rank(
             _modp.batched_combination(base, directions, residues(values), p), p)
         expected = [v for v, rank in zip(values, ranks) if rank < C]
-        assert dbx._rank_screen(values, residues(values), base,
-                                directions, p) == expected
+        assert [values[i] for i in dbx._rank_screen(
+            residues(values), base, directions, p)] == expected
         assert (1,) * S in expected
         # a full-rank matrix that G compresses to zero is still rejected
         assert ((2,) * S in expected) == (len(ker) < C)
@@ -744,7 +753,7 @@ class TestSieveOperator:
             assert len(A) == len(Ks)
             for matrix, K in zip(A, Ks):
                 assert matrix.tolist() == _modp.fraction_rows_to_modp(
-                    dbx._operator_matrix(X, d, K, lower, block.rows),
+                    dbx._operator_matrix(X, K, lower, block.rows),
                     sieve.p).tolist()
         assert blocks
 
@@ -780,6 +789,39 @@ class TestKernelFromRank:
                 X, d, lattice))
             assert kernels == [(K, search_darboux_fixed_cofactor(X, K, d))
                                for K, _ in kernels]
+
+    def test_searches_share_no_state(self):
+        # searches A, B, A in one process: the second search of A returns
+        # what a fresh interpreter computes, so no search reads state that
+        # an earlier one left behind (as a module-level cache keyed on too
+        # little would).  A and B share variables, degree and lattice shape.
+        import os
+        import subprocess
+        import sys
+
+        import darbouxlab
+
+        source = (
+            "from darbouxlab.darboux import cofactor_kernels, default_lattice\n"
+            "from darbouxlab.field import load_field\n"
+            "def kernels(path):\n"
+            "    X = load_field(path)\n"
+            "    return repr([(str(K), [str(f) for f in basis]) for K, basis\n"
+            "                 in cofactor_kernels(X, 3, default_lattice(X, 3))])\n")
+        namespace = {}
+        exec(source, namespace)
+        kernels = namespace["kernels"]
+        a, b = CORPUS / "lv3_a3_b3_c0.vf", CORPUS / "lv3_a3_b3_c2.vf"
+        first = kernels(a)
+        assert kernels(b) != first
+        again = kernels(a)
+        src = os.path.dirname(os.path.dirname(darbouxlab.__file__))
+        fresh = subprocess.run(
+            [sys.executable, "-c",
+             source + "import sys\nprint(kernels(sys.argv[1]))", str(a)],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src})
+        assert again == first == fresh.stdout.strip()
 
     def test_declines_non_monomial_kernel(self, monkeypatch):
         import darbouxlab.darboux as dbx

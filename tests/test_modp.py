@@ -169,9 +169,9 @@ XYZ = ("x", "y", "z")
 ])
 def test_shifted_stack_matches_products(basis, monos, units, rows):
     variables = basis[0].variables
-    got = _modp.shifted_stack(
+    got = _modp.gather(
         _modp.fraction_rows_to_modp(coefficient_matrix(basis, monos), P),
-        monos, units, rows)
+        _modp.shift_index(monos, units, rows))
     assert got.shape == (len(units), len(rows), len(basis))
     want = [_modp.fraction_rows_to_modp(coefficient_matrix(
         [Poly.from_monomial(variables, u) * b for b in basis], rows),
