@@ -42,12 +42,14 @@ elimination leaves, is T*P for an invertible T, so P'*F = T*(P*F) for
 every F and each projected matrix has the same rank whichever basis is
 used.  A cokernel P mod p of a block A may stand in for the rational one
 only when rank_Q(A) = rank_p(A) is proved: free when A has full column
-rank mod p, otherwise by lifting A's kernel basis mod p with
+rank mod p (as a block with no columns has, at the sieve's level 0, where
+P is the identity), otherwise by lifting A's kernel basis mod p with
 `rational_reconstruction` and checking each lift exactly (the lifts are
 independent, being 1 and 0 on the free columns, so rank_Q(A) <= rank_p(A),
 and rank_p never exceeds rank_Q), and failing that by A's exact rank.  A
 kernel mod p that only has to contain the reductions of the rational
-solutions, as the sieve's top level uses it, needs no such proof.
+solutions, such as the kernel of X_M - tau to which the sieve's level 0
+narrows each W, needs no such proof.
 
 Only this module and the screens' array bookkeeping in `darboux` use
 numpy, and both import it inside the functions that build arrays, so a
@@ -334,10 +336,6 @@ def batched_combination(base: np.ndarray, directions: np.ndarray,
     """
     import numpy as np
     coefficients = np.asarray(coefficients, dtype=np.int64) % p
-    if directions.shape[0] == 0:
-        out = np.broadcast_to(base % p,
-                              (coefficients.shape[0],) + base.shape)
-        return np.ascontiguousarray(out)
     acc = np.zeros((coefficients.shape[0],) + base.shape, dtype=np.int64)
     for k in range(directions.shape[0]):
         acc = (acc + coefficients[:, k, None, None]

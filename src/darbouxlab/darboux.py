@@ -26,11 +26,11 @@ no denominator of X's coefficients or of the lattice generators
 of a section value has a denominator dividing a product of those, so every
 residue a screen needs exists, and no coefficient of X vanishes mod p.
 Every screen rejects only on full rank mod p, which proves a trivial
-rational kernel.  The sieve's top level takes the kernel W of each
-top layer mod p as it is; a lower level projects its equations onto the
-cokernel P mod p of the block A of the free unknowns, which is sound once
-rank_Q(A) = rank_p(A) is proved (see `_GradedSieve`): at no cost when A has
-full column rank mod p, otherwise by lifting A's kernel basis by rational
+rational kernel.  Every sieve level runs one routine: it projects its
+equations onto the cokernel P mod p of the block A of the free unknowns,
+which is sound once rank_Q(A) = rank_p(A) is proved (see `_GradedSieve`):
+at no cost when A has full column rank mod p, as at level 0, where A has
+no columns; otherwise by lifting A's kernel basis by rational
 reconstruction and checking each lift exactly, and failing that by A's
 exact rank.  Where the ranks differ, that node's level keeps every value.
 The sieve levels only reject, through `_rank_screen`, which first
@@ -79,6 +79,9 @@ _SIEVE_BASES_LIMIT = 200_000
 _TABLE_BITS_LIMIT = 2_000_000_000
 _SCREEN_CELLS = 1 << 21
 _EXP_FACTOR_CELLS_LIMIT = 20_000_000
+# residues of the sieve's image table and full-operator stack: 3,403,400 for
+# the degree-12 reference search, 19,311,600 (232 MB RSS) at degree 17
+_SIEVE_CELLS_LIMIT = 20_000_000
 
 
 class EvalDomainError(ArithmeticError):
@@ -471,8 +474,8 @@ class _Block:
 
     The unknowns are f_n (the `top` columns, the first `split` of `cols`)
     and the free blocks f_{n-1} .. f_{n-r} (the rest); `rows` are the
-    graded parts of X(f) - K*f of degrees n+M-2 down to n+M-1-r.  `window`
-    is X on these columns and rows, cut from `image_residues`; `cofactor`
+    graded parts of X(f) - K*f of degrees n+M-2 down to n+M-1-r (n+M-1
+    at level 0).  `window` is X on these columns and rows; `cofactor`
     gathers the coefficient of K in K*m (row, column) from K's residues
     over the lattice support followed by a zero; `shift` gathers u*f_n on
     `rows` for each unit u of the level.
@@ -489,7 +492,8 @@ class _Block:
 class _Node(NamedTuple):
     """A sieve node: K fixed down to the current layer, the bases still
     compatible, and the branches (n, W) alive, W a basis mod p of the
-    kernel of the top layer X_M - tau on f_n, one column per vector."""
+    kernel of the top layer X_M - tau on f_n, one column per vector (I
+    at the root, where K = 0)."""
 
     K: Poly
     compat: int
@@ -518,16 +522,17 @@ class _GradedSieve:
     which the lifts read) and mod p (`image_residues`, from which every
     block and the full operator are cut).  Every level works on residues
     mod p.  A node carries K exactly; a block reads K's residues off it and
-    gathers the matrices of X - K from `image_residues`.  The top
-    level keeps a value when (X - tau) has a nonzero kernel on f_n mod p; W
-    is a basis of that kernel.  A lower level writes its equations as
-    A*g + F(theta)*c = 0, with g the free blocks, A = (X - K) on them and
-    f_n = W*c, and rejects theta when P*F(theta) has full column rank mod p,
-    for a left-kernel basis P of A mod p.  This is sound once
-    rank_Q(A) = rank_p(A):
+    gathers the matrices of X - K from `image_residues`.  Every level
+    writes its equations as A*g + F(theta)*W*c = 0, with g the free
+    blocks, A = (X - K) on them, F = X - K - theta on f_n = W*c, and
+    rejects theta when P*F(theta)*W has full column rank mod p, for a
+    left-kernel basis P of A mod p.  Level 0 starts from the root, K = 0
+    and W = I: its A has no columns, so P = I, and each value it keeps
+    narrows W to the kernel of X_M - tau mod p for the levels below.  This
+    is sound once rank_Q(A) = rank_p(A):
 
     - Scale a rational solution f with f_n != 0 so that f_n is a primitive
-      integer vector.  Its reduction is nonzero and solves the top level
+      integer vector.  Its reduction is nonzero and solves the top layer
       mod p, so it is W*c for some c != 0.  That needs only that W spans
       the kernel of X_M - tau mod p, which holds by construction: the
       kernel mod p exceeds the reduction of the rational one only when p
@@ -550,14 +555,23 @@ class _GradedSieve:
     rational one and the argument above applies to it, and no term of X
     vanishes mod p (a vanishing term changes the field mod p and makes
     lifts fail throughout).  The only exact elimination the sieve runs is
-    A's rank after a failed lift.
+    A's rank after a failed lift.  A degree whose tables would pass
+    `_SIEVE_CELLS_LIMIT` residues is refused before they are built.
     """
 
     def __init__(self, X: VectorField, d: int, lattice: CofactorLattice):
         self.X = X
         self.d = d
         self.M = X.degree
-        self.nv = len(X.variables)
+        nv = self.nv = len(X.variables)
+        # X(m) on rows by columns, and one such matrix per cofactor monomial
+        top = max(self.M - 1, 0)
+        cells = (math.comb(nv + d, nv) * math.comb(nv + d + top, nv)
+                 * (1 + math.comb(nv + top, nv)))
+        if cells > _SIEVE_CELLS_LIMIT:
+            raise ValueError(
+                f"{cells} residues of the sieve's tables exceed its limit "
+                f"({_SIEVE_CELLS_LIMIT}); lower --degree")
         coefficients = [c for f in itertools.chain(X.components,
                                                     lattice.generators)
                         for c in f.terms.values()]
@@ -578,9 +592,13 @@ class _GradedSieve:
         self._blocks: dict[tuple[int, int], _Block] = {}
 
     def run(self) -> list[Poly]:
+        import numpy as np
         compat = self.boxes.legal_bases(max(self.M - 1, 0))
-        nodes = self._top_level(compat) if compat else []
-        for r in range(1, self.M):
+        # the root; a field of degree 0 still screens its zero layer
+        nodes = [_Node(Poly.zero(self.X.variables), compat, [
+            (n, np.eye(len(monomials_of_degree(self.nv, n)), dtype=np.int64))
+            for n in range(1, self.d + 1)])] if compat else []
+        for r in range(max(self.M, 1)):
             nodes = self._level(nodes, r)
         return sorted((node.K for node in nodes), key=Poly.sort_key)
 
@@ -596,49 +614,19 @@ class _GradedSieve:
         return (len(self.cols) - _ranks(self.image_residues, directions,
                                         coefficients, self.p)).tolist()
 
-    def _window(self, rows: Sequence[tuple], cols: Sequence[tuple]
-                ) -> np.ndarray:
-        """The residues of X(m) for m in cols, on rows."""
-        return self.image_residues[[self._rows_at[m] for m in rows]][
-            :, [self._cols_at[m] for m in cols]]
-
-    def _top_level(self, compat: int) -> list[_Node]:
-        """Fix the top layer of K, screening it once per f-degree n."""
-        top_deg = self.M - 1
-        values, masks, coeffs = self.boxes.sections(compat, top_deg)
-        if not values:
-            return []
-        units = self.boxes.monos_of_degree(top_deg)
-        alive: dict[int, list] = {}   # value index -> branches (n, W) alive
-        for n in range(1, self.d + 1):
-            cols = monomials_of_degree(self.nv, n)
-            rows = monomials_of_degree(self.nv, n + top_deg)
-            base = self._window(rows, cols)
-            directions = _modp.shift_matrices(cols, units, rows)
-            screened = _rank_screen(coeffs, base, directions, self.p)
-            if not screened:
-                continue
-            mats = _modp.batched_combination(base, directions,
-                                             coeffs[screened], self.p)
-            kernels = _modp.batched_kernels(mats, mats[:, :, :0], self.p)
-            for (W, _), i in zip(kernels, screened):
-                alive.setdefault(i, []).append((n, W.T))
-        variables = self.X.variables
-        return [_Node(self.boxes.section_poly(variables, top_deg, values[i]),
-                      masks[i], alive[i])
-                for i in sorted(alive)]
-
     def _block(self, n: int, r: int) -> _Block:
         key = (n, r)
         if key not in self._blocks:
             M = self.M
-            rows = [m for i in range(1, r + 1)
+            rows = [m for i in range(min(r, 1), r + 1)
                     for m in monomials_of_degree(self.nv, n + M - 1 - i)]
             top = monomials_of_degree(self.nv, n)
             cols = top + [m for s in range(1, min(r, n) + 1)
                           for m in monomials_of_degree(self.nv, n - s)]
             self._blocks[key] = _Block(
-                rows, cols, len(top), self._window(rows, cols),
+                rows, cols, len(top), self.image_residues[
+                    [self._rows_at[m] for m in rows]][
+                        :, [self._cols_at[m] for m in cols]],
                 _modp.shift_index(self.boxes.support, cols, rows).T,
                 _modp.shift_index(top, self.boxes.monos_of_degree(M - 1 - r),
                                   rows))
@@ -710,7 +698,8 @@ class _GradedSieve:
 
     def _level(self, nodes: Sequence[_Node], r: int) -> list[_Node]:
         """Fix the degree-(M-1-r) layer of K at every node of level r, the
-        layers above summing to each node's K."""
+        layers above summing to each node's K; level 0 also narrows each
+        kept branch's W from I to the kernel of X_M - tau."""
         import numpy as np
         if not nodes:
             return []
@@ -738,8 +727,14 @@ class _GradedSieve:
                 projected = projections.get((i, b))
                 kept = (everything if projected is None else
                         _rank_screen(coeffs, *projected, self.p))
-                for j in kept:
-                    alive.setdefault(j, []).append((n, W))
+                kernels = itertools.repeat(W)
+                if not r and kept:   # narrow W = I to ker(X_M - tau)
+                    mats = _modp.batched_combination(*projected, coeffs[kept],
+                                                     self.p)
+                    kernels = [basis.T for basis, _ in _modp.batched_kernels(
+                        mats, mats[:, :, :0], self.p)]
+                for j, kernel in zip(kept, kernels):
+                    alive.setdefault(j, []).append((n, kernel))
             for j in sorted(alive):
                 theta = self.boxes.section_poly(variables, ell, values[j])
                 children.append(_Node(node.K + theta, masks[j], alive[j]))
@@ -801,9 +796,10 @@ def cofactor_kernels(X: VectorField, d: int,
     """
     if d < 0:
         raise ValueError(f"degree must be non-negative, got {d}")
+    candidates = _candidate_cofactors(X, d, lattice)
     known = _monomial_solutions(X, d)
     out = []
-    for K, kernel_dim in _candidate_cofactors(X, d, lattice).items():
+    for K, kernel_dim in candidates.items():
         monos = known.get(K, [])
         if kernel_dim == len(monos):
             out.append((K, _monomial_basis(X, monos)))

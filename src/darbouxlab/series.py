@@ -15,11 +15,16 @@ solution) and re-added to the reported basis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .exactcore import (Poly, RatMatrix, coefficient_matrix, grlex_key,
                         monomials_upto)
 from .field import VectorField, lie_derivative, parse_field
+
+# cells of the exact matrix: the 3-D reference field needs 4,071,000 at
+# --order 20, the largest order admitted, and peaks at 144 MB RSS there
+_FORMAL_CELLS_LIMIT = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -61,11 +66,18 @@ def formal_integral_space(X: VectorField, N: int, m: int = 2) -> SeriesSpace:
     """Exact kernel of the graded components of X(f) through degree N+m.
 
     Unknowns are the coefficients of f in degrees 1..N; every homogeneous
-    component of X(f) of total degree <= N+m must vanish.
+    component of X(f) of total degree <= N+m must vanish.  Raises
+    ValueError when the matrix would pass `_FORMAL_CELLS_LIMIT` cells,
+    before it is built.
     """
     if N < 1 or m < 0:
         raise ValueError("need N >= 1 and margin >= 0")
     nv = len(X.variables)
+    cells = (math.comb(nv + N, nv) - 1) * math.comb(nv + N + m, nv)
+    if cells > _FORMAL_CELLS_LIMIT:
+        raise ValueError(
+            f"{cells} matrix cells exceed the formal-series limit "
+            f"({_FORMAL_CELLS_LIMIT}); lower --order or --margin")
     columns = monomials_upto(nv, N)[1:]   # degrees 1..N
     matrix = coefficient_matrix(
         [lie_derivative(X, Poly.from_monomial(X.variables, mono))

@@ -511,6 +511,47 @@ def test_oversized_expfactors_request_exits_2(args):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("args, line", [
+    (["darboux", "--degree", "60", "--lattice-bound", "0"],
+     "error: 19080341280 residues of the sieve's tables exceed its limit "
+     "(20000000); lower --degree\n"),
+    (["formal", "--order", "60"],
+     "error: 1734532800 matrix cells exceed the formal-series limit "
+     "(5000000); lower --order or --margin\n"),
+])
+def test_oversized_exact_tables_are_refused(args, line):
+    # with no memory cap: the sieve's image table and the formal-series
+    # matrix would have 1.7e9 cells each; both are refused before anything
+    # is built, with one error line, well within the timeout
+    proc = run_module([args[0], "corpus/samardzija_greller.vf", *args[1:]],
+                      timeout=30)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", line)
+
+
+@pytest.mark.parametrize("degree, order, admitted", [(17, 20, True),
+                                                      (18, 21, False)])
+def test_size_limits_admit_the_largest_requests(monkeypatch, degree, order,
+                                                admitted):
+    # the limits admit the reference search up to degree 17 (the degree-12
+    # search at --lattice-bound 1 runs in about 11 s) and its formal series
+    # up to order 20; only the checks run here, as building stops right
+    # after them
+    import darbouxlab.darboux as dbx
+    import darbouxlab.series as series
+
+    def past_the_check(*args):
+        raise RuntimeError("admitted")
+
+    monkeypatch.setattr(dbx._modp, "screening_prime", past_the_check)
+    monkeypatch.setattr(series, "coefficient_matrix", past_the_check)
+    X = load_field("corpus/samardzija_greller.vf")
+    raised = RuntimeError if admitted else ValueError
+    with pytest.raises(raised):
+        dbx._GradedSieve(X, degree, dbx.default_lattice(X, 0))
+    with pytest.raises(raised):
+        series.formal_integral_space(X, order)
+
+
 @pytest.mark.parametrize("command", ["integrals", "analyze"])
 def test_oversized_expfactors_request_skips_the_search(monkeypatch, command):
     # integrals and analyze refuse an oversized exponential-factor request

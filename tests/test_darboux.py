@@ -432,6 +432,33 @@ class TestSieveAgainstBruteForce:
         assert {f for f, _ in direct} == {"x", "y", "z"}
 
 
+CONSTANT_FIELD = "vars: x y\ndx/dt = 1\ndy/dt = 2\n"
+
+
+@pytest.mark.parametrize("field, d, pin", [
+    ("samardzija_greller.vf", 5, (55, "0bbe4b3b1c1c5100")),
+    ("lv3_a0_b3_c2.vf", 4, (69, "a8e91d6db2c77eb5")),
+    # a linear field: level 0 is the only level
+    ("vars: x y z\ndx/dt = x\ndy/dt = 2*y\ndz/dt = -z\n", 3,
+     (10, "e3064cb13b456fa4")),
+    # a field of degree 0: level 0 screens its one zero layer
+    (CONSTANT_FIELD, 0, (0, "e3b0c44298fc1c14")),
+    (CONSTANT_FIELD, 1, (1, "5feceb66ffc86f38")),
+])
+def test_sieve_survivors_pinned(field, d, pin):
+    # raw survivors (count and sha256 prefix of the printed list), captured
+    # while the top level had a routine of its own
+    import darbouxlab.darboux as dbx
+
+    X = (load_field(CORPUS / field) if field.endswith(".vf")
+         else parse_field(field))
+    survivors = dbx._GradedSieve(X, d, default_lattice(X, d)).run()
+    assert (len(survivors), hashlib.sha256("\n".join(
+        map(str, survivors)).encode()).hexdigest()[:16]) == pin
+    if field == CONSTANT_FIELD:
+        assert list(map(str, survivors)) == ["0"] * d
+
+
 class TestRankScreen:
     """The one mod-p screen behind the sieve levels."""
 
@@ -506,10 +533,10 @@ class TestRankScreen:
     def test_failed_lifts_fall_back_to_exact_rank(
             self, monkeypatch, reference_field, case):
         # with no rational lift, rank_Q(A) = rank_p(A) is proved by one
-        # exact rank per lower-level block A that is rank-deficient mod p
-        # and leaves equations to project; the top level uses its kernels
-        # mod p as they are and runs no exact elimination.  The survivors
-        # and the certificates are unchanged
+        # exact rank per block A that is rank-deficient mod p and leaves
+        # equations to project; level 0, whose A has no columns, uses its
+        # kernels mod p as they are and runs no exact elimination.  The
+        # survivors and the certificates are unchanged
         import darbouxlab.darboux as dbx
 
         if case == "restricted_z0":
@@ -532,7 +559,7 @@ class TestRankScreen:
 
         def recorded(A, B, p):
             out = eliminate(A, B, p)
-            if B.shape[2]:   # the top level carries no columns
+            if B.shape[2]:   # the kernels of X_M - tau carry no columns
                 blocks.extend((len(kernel), len(projected))
                               for kernel, projected in out)
             return out
@@ -541,18 +568,17 @@ class TestRankScreen:
         monkeypatch.setattr(_modp, "batched_kernels", recorded)
         rrefs = _counting(monkeypatch, RatMatrix, "rref")
         ranks = _counting(monkeypatch, RatMatrix, "rank")
-        top_level = dbx._GradedSieve._top_level
-        after_top_level = []
+        level = dbx._GradedSieve._level
+        after_level = []
 
-        def counted_top_level(sieve, compat):
-            nodes = top_level(sieve, compat)
-            after_top_level.append(len(rrefs))
-            return nodes
+        def counted_level(sieve, nodes, r):
+            children = level(sieve, nodes, r)
+            after_level.append((r, len(rrefs)))
+            return children
 
-        monkeypatch.setattr(dbx._GradedSieve, "_top_level",
-                            counted_top_level)
+        monkeypatch.setattr(dbx._GradedSieve, "_level", counted_level)
         kept = dbx._GradedSieve(X, d, lattice).run()
-        assert lifts and after_top_level == [0]
+        assert lifts and after_level[0] == (0, 0)
         assert len(ranks) == len(rrefs) == sum(
             1 for dim, rows in blocks if dim and rows) > 0
         assert kept == screened
@@ -564,13 +590,16 @@ class TestRankScreen:
         # the blocks of one level with the same f-degree n and |W| are
         # eliminated in one call: at most 32 calls at degree 4, where one
         # call per block made 262, with the raw survivors those calls left
-        # (count and sha256 prefix captured before the batching)
+        # (count and sha256 prefix captured before the batching).  Level
+        # 0 projects through blocks A with no columns: those calls
+        # eliminate nothing and are not counted
         import darbouxlab.darboux as dbx
 
         calls = _counting(monkeypatch, _modp, "batched_kernels")
         survivors = dbx._GradedSieve(reference_field, 4, default_lattice(
             reference_field, 4)).run()
-        assert 0 < len(calls) <= 32
+        eliminations = [A for A, _, _ in calls if A.shape[2]]
+        assert 0 < len(eliminations) <= 32
         assert (len(survivors), hashlib.sha256("\n".join(
             map(str, survivors)).encode()).hexdigest()[:16]) == (
                 34, "1d6889fa06da5008")
@@ -759,15 +788,20 @@ class TestSieveOperator:
 
     def test_top_level_builds_tau_per_node(self, monkeypatch,
                                            reference_field):
-        # the exact top layer tau is built only for the values whose
+        # level 0 builds the exact top layer tau only for the values whose
         # screen keeps them, once per node
         import darbouxlab.darboux as dbx
 
         sieve = dbx._GradedSieve(reference_field, 4,
                                  default_lattice(reference_field, 4))
-        compat = sieve.boxes.legal_bases(sieve.M - 1)
+        levels = _counting(monkeypatch, dbx._GradedSieve, "_level")
+        sieve.run()
+        _, (root,), r = levels[0]
+        assert r == 0 and root.K.is_zero()
+        assert [n for n, _ in root.branches] == [1, 2, 3, 4]
+        monkeypatch.undo()
         taus = _counting(monkeypatch, dbx._LatticeBoxes, "section_poly")
-        nodes = sieve._top_level(compat)
+        nodes = sieve._level([root], 0)
         assert len(nodes) == len(taus) == 15
         # over a copy of the calls, as these are counted too
         assert [node.K for node in nodes] == [

@@ -49,6 +49,18 @@ def test_linear_combination_stack():
     assert list(_modp.batched_rank(stack, P)) == [2, 1]
 
 
+def test_combination_without_directions():
+    # S = 0, as a field of degree 0 reaches it: every matrix is base mod p
+    base = np.array([[P + 1, -1, 0], [2, 0, P]], dtype=np.int64)
+    stack = _modp.batched_combination(base, np.zeros((0, 2, 3), np.int64),
+                                      np.zeros((4, 0), np.int64), P)
+    assert stack.shape == (4, 2, 3) and stack.dtype == np.int64
+    assert stack.tolist() == [[[1, P - 1, 0], [2, 0, 0]]] * 4
+    assert _modp.batched_combination(base, np.zeros((0, 2, 3), np.int64),
+                                     np.zeros((0, 0), np.int64), P
+                                     ).shape == (0, 2, 3)
+
+
 def _ranks_agree(matrices):
     """batched_rank of one same-shape stack against exact rational ranks."""
     stack = np.array(matrices, dtype=object) % _modp.PRIME
