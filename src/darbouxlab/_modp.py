@@ -15,12 +15,20 @@ function here that computes mod p.
 The screens' matrices are tall and thin (many more rows than columns), so
 `batched_rank` eliminates along the short side: it takes the vectors of the
 shorter dimension and clears each one's pivot entry from the vectors after
-it.  A reject-only screen may first rank the compressed matrices G*M, for a
-fixed matrix G with fewer rows than M: rank(G*M) <= rank(M) over Z/p, so full
-column rank of G*M proves the rejection, and only the values it does not
-reject need their full matrix ranked (`compressor`).  Only the full-operator
-screen ranks without compressing, since its ranks also bound kernel
-dimensions and nearly all of its matrices are rank-deficient.
+it.  A reject-only screen first compresses each (R, C) matrix M with R > C
+to the square G*M, for a fixed C x R matrix G (`compressor`):
+rank(G*M) <= rank(M) over Z/p, so a nonsingular G*M proves the rejection.
+`proves_full_rank` tries that proof without a pivot search, and only the
+values it leaves open need their full matrix ranked.  Only the
+full-operator screen ranks without compressing, since its ranks also bound
+kernel dimensions and nearly all of its matrices are rank-deficient.
+
+The screens' matrices are combinations base - sum_k c_k * D_k of residue
+arrays (`batched_combination`).  Centred residues, in (-p/2, p/2], multiply
+below 2^60 for p < 2^31, so seven products and a base sum below 2^63 and
+the stack is reduced mod p once per seven terms, however large the
+rationals behind the residues.  The screens reduce their int64 stacks as
+a - (a // p) * p (`_reduce`), which numpy computes faster than a % p.
 
 Multiplication by a monomial u is a gather: the coefficient of rows[r] in
 u*b is that of rows[r] - u in b (`shift_index`, `gather`), so neither the
@@ -68,7 +76,7 @@ if TYPE_CHECKING:
 
 PRIME = 2**31 - 1  # the largest screening prime: two residues multiply in int64
 _HALF = 16         # `matmul` splits its left factor into 16-bit halves
-_MARGIN = 2        # rows of a compressed screen matrix beyond its columns
+_TERMS = 7         # centred products `batched_combination` sums per reduction
 
 
 class ModPUnavailableError(ArithmeticError):
@@ -98,7 +106,8 @@ def screening_prime(integers: Iterable[int]) -> int:
     coefficients, every rational whose denominator divides a product of
     them has a residue and no coefficient vanishes mod p, so the problem
     mod p has the same terms; p < 2^31 keeps the int64 bounds of `matmul`,
-    `batched_rank` and `batched_kernels`."""
+    `batched_combination`, `proves_full_rank`, `batched_rank` and
+    `batched_kernels`."""
     common = math.lcm(*integers)
     p = PRIME
     while not _is_prime(p) or common % p == 0:
@@ -177,6 +186,19 @@ def scaled_rows_to_modp(rows: Sequence[Sequence[int]], scales: Sequence[int],
     return reduced.reshape(len(rows), len(inverses)) * inverses % p
 
 
+def _reduce(a: np.ndarray, p: int, scratch: np.ndarray | None = None
+            ) -> np.ndarray:
+    """a %= p in place, for an int64 array a, using scratch (a's shape)
+    for the quotients when given.  numpy divides by a scalar without a
+    hardware division, so a - (a // p) * p takes about half the time of
+    a % p."""
+    import numpy as np
+    q = np.floor_divide(a, p, out=scratch)
+    q *= p
+    a -= q
+    return a
+
+
 def matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     """A @ B over Z/p for residue arrays; B may be a stack (..., K, C).
 
@@ -192,25 +214,53 @@ def matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def compressor(rows: int, cols: int, p: int) -> np.ndarray | None:
-    """The fixed (cols+2) x rows compression matrix of a reject-only screen,
+    """The fixed cols x rows compression matrix of a reject-only screen,
     built once per shape and prime and read-only.
 
-    A Vandermonde matrix on the nodes 2 .. cols+3, whose row a is
-    (a+2)^0, (a+2)^1, ... mod p; None when rows <= cols + 2, where
-    compressing would save nothing.  Soundness needs nothing of G, since
+    A Vandermonde matrix on the nodes 2 .. cols+1, whose row a is
+    (a+2)^0, (a+2)^1, ... mod p; None when rows <= cols, where compressing
+    would save nothing.  Soundness needs nothing of G, since
     rank(G*M) <= rank(M) for every G; a Vandermonde G keeps the rank of a
     generic full-rank M, so few values need their full matrix ranked.
     """
     import numpy as np
-    height = cols + _MARGIN
-    if rows <= height:
+    if rows <= cols:
         return None
-    G = np.ones((height, rows), dtype=np.int64)
-    nodes = np.arange(2, height + 2, dtype=np.int64)
+    G = np.ones((cols, rows), dtype=np.int64)
+    nodes = np.arange(2, cols + 2, dtype=np.int64)
     for r in range(1, rows):
         G[:, r] = G[:, r - 1] * nodes % p
     G.setflags(write=False)
     return G
+
+
+def proves_full_rank(mats: np.ndarray, p: int) -> np.ndarray:
+    """For each square matrix of a stack (N, C, C) of residues, whether its
+    elimination proves it nonsingular over Z/p.
+
+    Fraction-free elimination with no row exchanges: step i takes (i, i) as
+    the pivot and updates only the trailing block, each entry becoming
+    entry*pivot - (its row's entry in column i)*(pivot row's entry in its
+    column), a product below 2^62.  With every pivot nonzero each step is
+    invertible and leaves a triangular matrix with a nonzero diagonal, so
+    True is a proof.  A zero pivot (a singular leading block) proves
+    nothing: False, whatever the matrix's rank, so the caller ranks it
+    another way.
+    """
+    import numpy as np
+    A = _reduce(np.array(mats, dtype=np.int64), p)
+    N, C, _ = A.shape
+    proved = np.ones(N, dtype=bool)
+    for i in range(C):
+        pivot = A[:, i, i]
+        proved &= pivot != 0
+        if i == C - 1:
+            break
+        trailing = A[:, i + 1:, i + 1:]
+        trailing *= pivot[:, None, None]
+        trailing -= A[:, i + 1:, i, None] * A[:, i, None, i + 1:]
+        _reduce(trailing, p)
+    return proved
 
 
 def batched_kernels(A: np.ndarray, B: np.ndarray, p: int
@@ -296,8 +346,9 @@ def batched_rank(mats: np.ndarray, p: int) -> np.ndarray:
     scatter or row swap.  The vectors that are nonzero when their step comes
     are independent (each is zero on the earlier pivots) and span the
     others, so their count is the rank: exact mod p, and independent of
-    batch order.  The reject-only screens call it on compressed stacks G*M
-    first; rank(G*M) <= rank(M), so a full rank there is a full rank of M.
+    batch order.  The reject-only screens call it only on the values that
+    `proves_full_rank` leaves open and on matrices with no more rows than
+    columns, which they do not compress.
     """
     import numpy as np
     A = np.asarray(mats, dtype=np.int64)
@@ -307,7 +358,7 @@ def batched_rank(mats: np.ndarray, p: int) -> np.ndarray:
     if N == 0 or R == 0 or C == 0:
         return np.zeros(N, dtype=np.int64)
     V = A.transpose(0, 2, 1) if C <= R else A
-    V = np.ascontiguousarray(V % p)
+    V = _reduce(np.array(V, order="C"), p)
     k = V.shape[1]
     mat_idx = np.arange(N)
     rank = np.zeros(N, dtype=np.int64)
@@ -323,8 +374,20 @@ def batched_rank(mats: np.ndarray, p: int) -> np.ndarray:
         factors = rest[mat_idx, :, piv]
         rest *= np.where(has, vec[mat_idx, piv], 1)[:, None, None]
         rest -= factors[:, :, None] * vec[:, None, :]
-        rest %= p
+        _reduce(rest, p)
     return rank
+
+
+def _centred(residues: np.ndarray, p: int) -> np.ndarray:
+    """The residues of an int64 array below 2^62 in magnitude, as integers
+    in (-p/2, p/2]: one new array, reduced in place by a % p, where
+    `_reduce` would hold a second one."""
+    import numpy as np
+    half = p // 2
+    centred = residues + half
+    np.remainder(centred, p, out=centred)
+    centred -= half
+    return centred
 
 
 def batched_combination(base: np.ndarray, directions: np.ndarray,
@@ -332,12 +395,22 @@ def batched_combination(base: np.ndarray, directions: np.ndarray,
     """Stack base - sum_k coefficients[:, k] * directions[k] over Z/p.
 
     base: (R, C); directions: (S, R, C); coefficients: (N, S) residues.
-    Returns (N, R, C).
+    Returns (N, R, C), each entry in [0, p).  Every factor is centred, so
+    each product is below 2^60 in magnitude, and `_TERMS` of them added
+    to an entry in (-p, p) stay below 2^63: the stack is reduced once per
+    `_TERMS` directions (and once when there are none).
     """
     import numpy as np
-    coefficients = np.asarray(coefficients, dtype=np.int64) % p
-    acc = np.zeros((coefficients.shape[0],) + base.shape, dtype=np.int64)
-    for k in range(directions.shape[0]):
-        acc = (acc + coefficients[:, k, None, None]
-               * (directions[k] % p)) % p
-    return (base % p - acc) % p
+    coefficients = _centred(np.asarray(coefficients, dtype=np.int64), p)
+    directions = np.asarray(directions, dtype=np.int64)
+    acc = np.empty((coefficients.shape[0],) + base.shape, dtype=np.int64)
+    acc[:] = _centred(np.asarray(base, dtype=np.int64), p)
+    term = np.empty_like(acc)
+    S = directions.shape[0]
+    for start in range(0, max(S, 1), _TERMS):
+        for k in range(start, min(start + _TERMS, S)):
+            np.multiply(coefficients[:, k, None, None],
+                        _centred(directions[k], p), out=term)
+            acc -= term
+        _reduce(acc, p, term)
+    return acc

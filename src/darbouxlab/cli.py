@@ -275,6 +275,18 @@ _COMMANDS = {
 }
 
 
+# the flags that bound a command's size, named when it runs out of memory
+_SIZE_FLAGS = {
+    "darboux": ("--degree", "--lattice-bound"),
+    "expfactors": ("--g-degree", "--s-bound"),
+    "integrals": ("--degree", "--lattice-bound"),
+    "formal": ("--order",),
+    "simulate": ("--t-end",),
+    "lyapunov": ("--t-end",),
+    "analyze": ("--degree", "--lattice-bound", "--order"),
+}
+
+
 def main(argv=None) -> int:
     # numpy starts an OpenBLAS worker pool when it loads; every array here
     # is int64, which BLAS never handles, so one thread is enough.  A value
@@ -314,8 +326,9 @@ def main(argv=None) -> int:
     if results is None:
         # reported once the handler is left: the exception's frames, and
         # whatever they held, are freed by then
-        print("error: out of memory; lower --degree or --lattice-bound",
-              file=sys.stderr)
+        *rest, last = _SIZE_FLAGS[args.command]
+        flags = f"{', '.join(rest)} or {last}" if rest else last
+        print(f"error: out of memory; lower {flags}", file=sys.stderr)
         return EXIT_USAGE
 
     config = {k: v for k, v in sorted(vars(args).items())

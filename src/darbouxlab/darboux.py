@@ -34,9 +34,10 @@ no columns; otherwise by lifting A's kernel basis by rational
 reconstruction and checking each lift exactly, and failing that by A's
 exact rank.  Where the ranks differ, that node's level keeps every value.
 The sieve levels only reject, through `_rank_screen`, which first
-ranks their tall matrices M compressed to G*M, for a fixed G with two more
-rows than M has columns: rank(G*M) <= rank(M), so full rank there proves
-the rejection, and only the few values it leaves open are ranked on M.
+compresses their tall matrices M to the square G*M, for a fixed G with as
+many rows as M has columns: rank(G*M) <= rank(M), so a nonsingular G*M
+proves the rejection.  A pivot-free elimination proves it for nearly every
+value, and only the few values it leaves open are ranked on M.
 The full operator's ranks stay uncompressed (`_ranks` alone): they also
 bound kernel dimensions, and nearly all of its candidates are
 rank-deficient, so a prescreen would only add work there.
@@ -58,7 +59,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from . import _modp
 from .exactcore import (Poly, RatMatrix, coefficient_matrix, divides,
@@ -287,22 +288,32 @@ def search_darboux_fixed_cofactor(X: VectorField, K: Poly, d: int) -> list[Poly]
 # lattice screens
 # --------------------------------------------------------------------------
 
+def _by_stack(kernel: Callable[[np.ndarray, int], np.ndarray],
+              base: np.ndarray, directions: np.ndarray,
+              coefficients: np.ndarray, p: int) -> list[np.ndarray]:
+    """kernel(stack, p) for the matrices base - sum_k coefficients[i][k] *
+    directions[k], one per row i of coefficients, combined in stacks of
+    at most `_SCREEN_CELLS` cells (one matrix where a single one is
+    larger), so that one stack at a time is held.
+
+    base is an (R, C) and directions an (S, R, C) array of residues mod p.
+    """
+    chunk = max(1, _SCREEN_CELLS // base.size)
+    return [kernel(_modp.batched_combination(
+        base, directions, coefficients[start:start + chunk], p), p)
+        for start in range(0, len(coefficients), chunk)]
+
+
 def _ranks(base: np.ndarray, directions: np.ndarray,
            coefficients: np.ndarray, p: int) -> np.ndarray:
     """Mod-p rank of base - sum_k coefficients[i][k] * directions[k] for
-    each row i of coefficients.
+    each row i of coefficients (see `_by_stack`).
 
-    base is an (R, C) and directions an (S, R, C) array of residues mod p.
     Each rank bounds the rank over Q of the rational matrix from below.
-    The matrices are combined and ranked in stacks of at most
-    `_SCREEN_CELLS` cells (one matrix where a single one is larger).
     """
     import numpy as np
-    chunk = max(1, _SCREEN_CELLS // base.size)
-    return np.concatenate([np.zeros(0, dtype=np.int64)] + [
-        _modp.batched_rank(_modp.batched_combination(
-            base, directions, coefficients[start:start + chunk], p), p)
-        for start in range(0, len(coefficients), chunk)])
+    return np.concatenate([np.zeros(0, dtype=np.int64)] + _by_stack(
+        _modp.batched_rank, base, directions, coefficients, p))
 
 
 def _rank_screen(coeffs: np.ndarray, base: np.ndarray,
@@ -310,11 +321,12 @@ def _rank_screen(coeffs: np.ndarray, base: np.ndarray,
     """The indices i, ascending, whose matrix is rank-deficient mod p.
 
     The matrix of index i is base - sum_k coeffs[i][k] * directions[k]
-    (residue arrays, see `_ranks`).  An index is rejected only when its
+    (residue arrays, see `_by_stack`).  An index is rejected only when its
     matrix has full column rank mod p, which proves its rational kernel
-    trivial.  Tall matrices are first ranked compressed to G*M
-    (`_modp.compressor`): full rank there proves full rank of M, and only
-    the other indices are ranked on M itself.
+    trivial.  A tall matrix M is first compressed to the square G*M
+    (`_modp.compressor`), and `_modp.proves_full_rank` rejects the values
+    whose G*M it proves nonsingular; only the other indices are ranked on
+    M itself.
     """
     import numpy as np
     if not len(coeffs):
@@ -323,9 +335,9 @@ def _rank_screen(coeffs: np.ndarray, base: np.ndarray,
     kept = np.arange(len(coeffs))
     G = _modp.compressor(*base.shape, p)
     if G is not None:
-        kept = np.flatnonzero(_ranks(_modp.matmul(G, base, p),
-                                     _modp.matmul(G, directions, p),
-                                     coeffs, p) < full_rank)
+        kept = np.flatnonzero(~np.concatenate(_by_stack(
+            _modp.proves_full_rank, _modp.matmul(G, base, p),
+            _modp.matmul(G, directions, p), coeffs, p)))
         coeffs = coeffs[kept]
     return kept[_ranks(base, directions, coeffs, p) < full_rank].tolist()
 

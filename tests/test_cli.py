@@ -424,15 +424,20 @@ def test_out_of_memory_exits_2(tmp_path, field, degree, code):
 def test_out_of_memory_is_one_error_line(monkeypatch, error):
     # a command that runs out of memory, including the SystemError that
     # CPython raises when unwinding a MemoryError needs memory, ends with
-    # one error line and exit 2
+    # one error line, naming that command's own size flags, and exit 2
     import darbouxlab.cli as cli
 
     def exhausted(X, args):
         raise error
 
-    monkeypatch.setitem(cli._COMMANDS, "darboux", exhausted)
-    assert run_cli(["darboux", "corpus/restricted_z0_c2.vf"]) == (
-        2, "", OUT_OF_MEMORY_LINE)
+    for command, line in [
+            ("darboux", OUT_OF_MEMORY_LINE),
+            ("formal", "error: out of memory; lower --order\n"),
+            ("expfactors",
+             "error: out of memory; lower --g-degree or --s-bound\n")]:
+        monkeypatch.setitem(cli._COMMANDS, command, exhausted)
+        assert run_cli([command, "corpus/restricted_z0_c2.vf"]) == (
+            2, "", line)
 
 
 def test_other_system_error_is_raised(monkeypatch):

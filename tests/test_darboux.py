@@ -432,6 +432,24 @@ class TestSieveAgainstBruteForce:
         assert {f for f, _ in direct} == {"x", "y", "z"}
 
 
+@pytest.mark.parametrize("field, pin, ranked", [
+    ("samardzija_greller.vf", (34, "1d6889fa06da5008"), 2043),
+    ("lv3_a3_b3_c0.vf", (43, "6c90524f88ac2edf"), 1846),
+])
+def test_values_ranked_in_full_pinned(monkeypatch, field, pin, ranked):
+    # the degree-4 search: its raw survivors, and how many values the
+    # square prescreens leave to `_ranks` (a compressor or pivot rule that
+    # proves less raises the count)
+    import darbouxlab.darboux as dbx
+
+    X = load_field(CORPUS / field)
+    calls = _counting(monkeypatch, dbx, "_ranks")
+    survivors = dbx._GradedSieve(X, 4, default_lattice(X, 4)).run()
+    assert (len(survivors), hashlib.sha256("\n".join(
+        map(str, survivors)).encode()).hexdigest()[:16]) == pin
+    assert sum(len(args[2]) for args in calls) == ranked
+
+
 CONSTANT_FIELD = "vars: x y\ndx/dt = 1\ndy/dt = 2\n"
 
 
@@ -615,10 +633,10 @@ class TestRankScreen:
         p = _modp.PRIME
         rng = random.Random(R * 100 + C * 10 + S)
         G = _modp.compressor(R, C, p)
-        assert G is not None and G.shape == (C + 2, R)
+        assert G is not None and G.shape == (C, R)
         # integer kernel vectors of G: columns in ker G give a matrix of
         # full rank whose compressed rank is 0
-        G_int = [[(a + 2) ** r for r in range(R)] for a in range(C + 2)]
+        G_int = [[(a + 2) ** r for r in range(R)] for a in range(C)]
         ker = [[int(x * math.lcm(*(y.denominator for y in v))) for x in v]
                for v in RatMatrix(G_int).nullspace()]
 
@@ -656,6 +674,27 @@ class TestRankScreen:
         assert (1,) * S in expected
         # a full-rank matrix that G compresses to zero is still rejected
         assert ((2,) * S in expected) == (len(ker) < C)
+
+    def test_zero_pivot_is_deferred_and_rejected(self, monkeypatch):
+        # M has full rank, but the first row of G (1, 2, 4, ...) maps M's
+        # first column to zero: G*M has a zero (0, 0) pivot, so the square
+        # proof defers it to the rank of M itself, which rejects it
+        import darbouxlab.darboux as dbx
+
+        p = _modp.PRIME
+        M = np.array([[2, 0, 0], [p - 1, 1, 0], [0, 0, 1], [0, 2, 0],
+                      [0, 0, 3]], dtype=np.int64)
+        G = _modp.compressor(*M.shape, p)
+        assert _modp.matmul(G, M, p)[0, 0] == 0
+        assert _modp.batched_rank(M[None], p).tolist() == [3]
+        # index 0 is M; index 1 is M minus its first column, rank 2
+        direction = np.zeros_like(M)
+        direction[:, 0] = M[:, 0]
+        ranked = _counting(monkeypatch, _modp, "batched_rank")
+        kept = dbx._rank_screen(np.array([[0], [1]], dtype=np.int64),
+                                M, direction[None], p)
+        assert kept == [1]
+        assert [args[0].shape[0] for args in ranked] == [2]
 
     @pytest.mark.parametrize("cells", [1, 40])
     def test_chunked_screens_agree(self, monkeypatch, desk_field, cells):

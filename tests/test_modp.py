@@ -130,13 +130,136 @@ def test_matmul_matches_python_ints():
 
 
 def test_compressor_is_a_fixed_vandermonde_matrix():
-    assert _modp.compressor(5, 3, P) is None
+    # square: as many rows as the screened matrix has columns
+    assert _modp.compressor(3, 3, P) is None
+    assert _modp.compressor(2, 3, P) is None
     G = _modp.compressor(9, 3, P)
     assert G.tolist() == [[pow(a, r, _modp.PRIME) for r in range(9)]
-                          for a in range(2, 7)]
+                          for a in range(2, 5)]
     # built once per shape and prime, and shared read-only
     assert _modp.compressor(9, 3, P) is G
     assert not G.flags.writeable
+
+
+def _leading_minors_nonzero(mats):
+    """Whether every leading principal minor of each square matrix is
+    nonzero mod P, from the ranks of its leading blocks."""
+    C = mats.shape[1]
+    return np.all([_modp.batched_rank(mats[:, :k, :k], P) == k
+                   for k in range(1, C + 1)], axis=0)
+
+
+@st.composite
+def _square_stacks(draw):
+    N, C = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    entry = st.integers(-2, 2) | st.sampled_from([P - 1, (P + 1) // 2])
+    return np.array(draw(st.lists(entry, min_size=N * C * C,
+                                  max_size=N * C * C)),
+                    dtype=np.int64).reshape(N, C, C)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_square_stacks())
+def test_full_rank_proof_property(mats):
+    # True is a proof (never where the rank is below C), and the proof
+    # holds exactly where every leading minor is nonzero: there it equals
+    # batched_rank == C
+    C = mats.shape[1]
+    proved = _modp.proves_full_rank(mats, P)
+    full = _modp.batched_rank(mats, P) == C
+    assert not (proved & ~full).any()
+    assert proved.tolist() == _leading_minors_nonzero(mats).tolist()
+
+
+def test_full_rank_proof_defers_a_zero_pivot():
+    # full rank, but (0, 0) is zero: the pivot-free elimination proves
+    # nothing for it, while the same matrix with its rows swapped is proved
+    swap = np.array([[[0, 1, 2], [1, 0, 0], [3, 0, 1]]], dtype=np.int64)
+    assert _modp.batched_rank(swap, P).tolist() == [3]
+    assert _modp.proves_full_rank(swap, P).tolist() == [False]
+    assert _modp.proves_full_rank(swap[:, [1, 0, 2]], P).tolist() == [True]
+
+
+def test_full_rank_proof_checks_every_pivot():
+    # rank C - 1 with every proper leading minor nonzero, so only the last
+    # pivot is zero; and a zero pivot in the middle of a singular matrix
+    rng = random.Random(11)
+    mats = []
+    for C in (2, 3, 4, 5):
+        while True:
+            U = [[rng.randint(-3, 3) for _ in range(C - 1)] for _ in range(C)]
+            V = [[rng.randint(-3, 3) for _ in range(C)] for _ in range(C - 1)]
+            m = np.array(U, dtype=np.int64) @ np.array(V, dtype=np.int64)
+            if _leading_minors_nonzero(m[None, :C - 1, :C - 1] % P)[0]:
+                break
+        mats.append(np.pad(m, ((0, 5 - C), (0, 5 - C))))
+    mats.append([[1, 2, 0, 0, 0], [1, 2, 1, 0, 0], [0, 0, 0, 1, 0],
+                 [0, 0, 0, 0, 1], [2, 4, 1, 0, 0]])
+    stack = np.array(mats, dtype=np.int64) % P
+    for m, C in zip(stack[:4], (2, 3, 4, 5)):
+        assert _modp.batched_rank(m[None, :C, :C], P).tolist() == [C - 1]
+        assert _modp.proves_full_rank(m[None, :C, :C], P).tolist() == [False]
+    assert _modp.batched_rank(stack[4:], P).tolist() == [4]
+    assert _modp.proves_full_rank(stack, P).tolist() == [False] * 5
+
+
+@pytest.mark.parametrize("p", [_modp.PRIME, 2147483629, 7])
+def test_reduction_matches_remainder(p):
+    # in place, on a view, over the whole int64 range
+    big = 2**63 - 1
+    values = np.array([[-big - 1, -big, -p - 1, -p, -1, 0],
+                       [1, p - 1, p, p + 1, big - 1, big]], dtype=np.int64)
+    want = (values % p).tolist()
+    view = values[:, ::-1]
+    assert _modp._reduce(view, p) is view
+    assert values.tolist() == want
+    assert _modp._centred(np.array([0, 1, p // 2, p // 2 + 1, p - 1]),
+                          p).tolist() == [0, 1, p // 2, -(p // 2), -1]
+
+
+def _combination_by_terms(base, directions, coefficients, p):
+    """The per-term reference: reduce mod p after every direction."""
+    coefficients = np.asarray(coefficients, dtype=np.int64) % p
+    acc = np.zeros((coefficients.shape[0],) + base.shape, dtype=np.int64)
+    for k in range(directions.shape[0]):
+        acc = (acc + coefficients[:, k, None, None]
+               * (directions[k] % p)) % p
+    return (base % p - acc) % p
+
+
+@pytest.mark.parametrize("p", [_modp.PRIME, 2147483629])
+@pytest.mark.parametrize("S", [0, 1, 7, 8, 15, 22])
+def test_combination_matches_per_term_reduction(p, S):
+    # the extreme residues, and the stacks whose products all share the
+    # largest magnitude and one sign, reach the int64 bound of a group
+    edges = [0, 1, (p - 1) // 2, (p + 1) // 2, p - 1]
+    rng = random.Random(S * 7 + p % 97)
+    R, C, N = 3, 4, 2 * len(edges) + 12
+    base = np.array([[rng.choice(edges) for _ in range(C)]
+                     for _ in range(R)], dtype=np.int64)
+    directions = np.array([[[rng.choice(edges) for _ in range(C)]
+                            for _ in range(R)] for _ in range(S)],
+                          dtype=np.int64).reshape(S, R, C)
+    coefficients = np.array([[rng.choice(edges) for _ in range(S)]
+                             for _ in range(N)], dtype=np.int64).reshape(N, S)
+    coefficients[:len(edges)] = np.array(edges)[:, None]
+    for value in edges:
+        for top in ((p - 1) // 2, (p + 1) // 2):
+            flat = np.full_like(directions, value)
+            stacked = np.full((1, S), top, dtype=np.int64)
+            for b in (np.full_like(base, (p - 1) // 2),
+                      np.full_like(base, (p + 1) // 2)):
+                assert (_modp.batched_combination(b, flat, stacked, p)
+                        .tolist() == _combination_by_terms(
+                            b, flat, stacked, p).tolist())
+    got = _modp.batched_combination(base, directions, coefficients, p)
+    assert got.dtype == np.int64 and got.shape == (N, R, C)
+    assert got.tolist() == _combination_by_terms(
+        base, directions, coefficients, p).tolist()
+    # unreduced inputs: negative and above p
+    shifted = _modp.batched_combination(base - p, directions + p,
+                                        coefficients - 3 * p, p)
+    assert shifted.tolist() == got.tolist()
 
 
 def test_residue_conversion_fast_paths():
