@@ -297,7 +297,7 @@ def batched_kernels(A: np.ndarray, B: np.ndarray, p: int
         factors[mat_idx, row] = 0
         M *= np.where(has, pivot[:, j], 1)[:, None, None]
         M -= factors[:, :, None] * pivot[:, None, :]
-        M %= p
+        _reduce(M, p)
         unused[mat_idx[has], row[has]] = False
         pivot_row[has, j] = row[has]
     out = []

@@ -50,7 +50,9 @@ exactly over the rationals.
 
 Every exact matrix here is `coefficient_matrix` of a basis, or of its images
 under X(f) - K*f, on a window of monomials; no other code scatters
-polynomial terms into a matrix.
+polynomial terms into a matrix.  `operator_kernel` is the one exact kernel
+of X - K: the fixed-cofactor solve and the formal series (K = 0) both read
+it.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ from . import _modp
 from .exactcore import (Poly, RatMatrix, coefficient_matrix, divides,
                         grlex_key, monomials_of_degree, monomials_upto,
                         normalize_kernel_vector)
-from .field import VectorField, lie_derivative
+from .field import NotInvariantError, VectorField, lie_derivative
 
 if TYPE_CHECKING:
     import numpy as np
@@ -127,20 +129,15 @@ class ExpFactorCert:
     s: tuple[int, ...]
     L: Poly
 
-    def denominator(self, X: VectorField) -> Poly:
-        denom = Poly.constant(X.variables, 1)
-        for v, e in zip(X.variables, self.s):
-            if e:
-                denom = denom * Poly.variable(X.variables, v) ** e
-        return denom
-
     def check(self, X: VectorField) -> bool:
-        balance = Poly.zero(X.variables)
-        for v, e in zip(X.variables, self.s):
-            if e:
-                balance = balance + X.coordinate_cofactor(v) * e
+        balance = X.monomial_cofactor(self.s)
+        if balance is None:
+            raise NotInvariantError(
+                f"denominator exponents {list(self.s)} meet a plane that is "
+                f"not invariant")
         lhs = lie_derivative(X, self.g) - self.g * balance
-        return (lhs - self.L * self.denominator(X)).is_zero()
+        return (lhs - self.L * Poly.from_monomial(X.variables, self.s)
+                ).is_zero()
 
     def record(self) -> dict:
         return {"g": str(self.g), "s": list(self.s), "L": str(self.L)}
@@ -177,12 +174,9 @@ def default_lattice(X: VectorField, bound: int) -> CofactorLattice:
             seen.add(p)
             gens.append(p)
 
-    cofs = []
-    for v in X.variables:
-        if X.is_kolmogorov(v):
-            cof = X.coordinate_cofactor(v)
-            cofs.append(cof)
-            add(cof)
+    cofs = [cof for cof in X.coordinate_cofactors if cof is not None]
+    for cof in cofs:
+        add(cof)
     add(Poly.constant(X.variables, 1))
     for v in X.variables:
         add(Poly.variable(X.variables, v))
@@ -267,21 +261,24 @@ def _operator_matrix(X: VectorField, K: Poly, cols: Sequence[tuple],
                                for b in _monomial_basis(X, cols)], rows)
 
 
+def operator_kernel(X: VectorField, K: Poly, cols: Sequence[tuple],
+                    rows: Sequence[tuple]) -> list[Poly]:
+    """Exact basis of {f on cols : X(f) - K*f vanishes on rows}: the one
+    exact kernel of X - K, monic, one polynomial per free column in
+    ascending order."""
+    return [Poly(X.variables, dict(zip(cols, vec))).monic() for vec in
+            RatMatrix(_operator_matrix(X, K, cols, rows)).nullspace()]
+
+
 def search_darboux_fixed_cofactor(X: VectorField, K: Poly, d: int) -> list[Poly]:
     """Exact basis of {f : deg f <= d, X(f) = K*f}, monic, deterministic order."""
     if isinstance(K, (int, Fraction)):
         K = Poly.constant(X.variables, K)
-    if K.total_degree() > max(X.degree - 1, 0) and not K.is_zero():
+    if K.total_degree() > max(X.degree - 1, 0):
         raise ValueError("cofactor degree exceeds deg(X) - 1")
     n = len(X.variables)
-    cols = monomials_upto(n, d)
-    rows = monomials_upto(n, d + max(X.degree - 1, 0))
-    matrix = RatMatrix(_operator_matrix(X, K, cols, rows))
-    basis = []
-    for vec in matrix.nullspace():
-        poly = Poly(X.variables, {cols[j]: vec[j] for j in range(len(cols))})
-        basis.append(poly.monic())
-    return basis
+    return operator_kernel(X, K, monomials_upto(n, d),
+                           monomials_upto(n, d + max(X.degree - 1, 0)))
 
 
 # --------------------------------------------------------------------------
@@ -762,11 +759,8 @@ def _candidate_cofactors(X: VectorField, d: int, lattice: CofactorLattice
     The zero cofactor comes first, then the coordinate cofactors, then the
     remaining sieve survivors that also pass the full-operator screen.
     """
-    priority = [Poly.zero(X.variables)]
-    for v in X.variables:
-        if X.is_kolmogorov(v):
-            priority.append(X.coordinate_cofactor(v))
-    priority = list(dict.fromkeys(priority))
+    priority = list(dict.fromkeys([Poly.zero(X.variables), *(
+        cof for cof in X.coordinate_cofactors if cof is not None)]))
     sieve = _GradedSieve(X, d, lattice)
     values = priority + [K for K in sieve.run() if K not in priority]
     dims = sieve.full_operator_dims(values)
@@ -777,19 +771,13 @@ def _monomial_solutions(X: VectorField, d: int) -> dict[Poly, list[tuple]]:
     """{K: the monomials x^e with X(x^e) = K*x^e}, in column order.
 
     Only Kolmogorov variables (X_v = x_v*K_v) enter e, |e| <= d, and the
-    cofactor of x^e is sum_v e_v*K_v.
+    cofactor of x^e is sum_v e_v*K_v (`VectorField.monomial_cofactor`).
     """
-    cofactors = [X.coordinate_cofactor(v) if X.is_kolmogorov(v) else None
-                 for v in X.variables]
     out: dict[Poly, list[tuple]] = {}
     for mono in monomials_upto(len(X.variables), d):
-        if any(e and K_v is None for e, K_v in zip(mono, cofactors)):
-            continue
-        K = Poly.zero(X.variables)
-        for e, K_v in zip(mono, cofactors):
-            if e:
-                K = K + K_v * e
-        out.setdefault(K, []).append(mono)
+        K = X.monomial_cofactor(mono)
+        if K is not None:
+            out.setdefault(K, []).append(mono)
     return out
 
 
@@ -864,24 +852,18 @@ def search_darboux(X: VectorField, d: int,
 
 
 def _strip_monomial_content(X: VectorField, f: Poly
-                            ) -> tuple[Poly, Poly, tuple[str, ...]]:
+                            ) -> tuple[Poly, Poly | None, tuple[str, ...]]:
     """Divide out the monomial content.
 
-    Returns (stripped monic part, cofactor of the content, content variables).
+    Returns (stripped monic part, cofactor of the content, content variables);
+    the cofactor is None where a content variable's plane is not invariant.
     """
     mins = [min(m[i] for m in f.terms) for i in range(len(X.variables))]
-    if not any(mins):
-        return f.monic(), Poly.zero(X.variables), ()
-    content_cof = Poly.zero(X.variables)
-    terms = {}
-    for mono, coeff in f.terms.items():
-        terms[tuple(a - b for a, b in zip(mono, mins))] = coeff
-    content_vars = []
-    for v, e in zip(X.variables, mins):
-        if e:
-            content_cof = content_cof + X.coordinate_cofactor(v) * e
-            content_vars.append(v)
-    return Poly(X.variables, terms).monic(), content_cof, tuple(content_vars)
+    terms = {tuple(a - b for a, b in zip(mono, mins)): coeff
+             for mono, coeff in f.terms.items()}
+    content_vars = tuple(v for v, e in zip(X.variables, mins) if e)
+    return (Poly(X.variables, terms).monic(), X.monomial_cofactor(mins),
+            content_vars)
 
 
 # --------------------------------------------------------------------------
@@ -924,19 +906,10 @@ def search_exp_factors(X: VectorField, deg_g: int,
     L_basis = _monomial_basis(X, L_monos)
     results: list[ExpFactorCert] = []
     for s in itertools.product(range(s_bound + 1), repeat=nv):
-        balance = Poly.zero(variables)
-        denom = Poly.constant(variables, 1)
-        invalid = False
-        for v, e in zip(variables, s):
-            if e == 0:
-                continue
-            if not X.is_kolmogorov(v):
-                invalid = True  # {v=0} not invariant: not a Darboux denominator
-                break
-            balance = balance + X.coordinate_cofactor(v) * e
-            denom = denom * Poly.variable(variables, v) ** e
-        if invalid:
-            continue
+        balance = X.monomial_cofactor(s)
+        if balance is None:
+            continue  # some {v=0} with s_v > 0 is not invariant
+        denom = Poly.from_monomial(variables, s)
         rows = monomials_upto(nv, max(deg_g + max_L, max_L + sum(s)))
         images = [_operator_image(Xg, balance, g)
                   for g, Xg in zip(g_basis, g_images)]
@@ -956,9 +929,9 @@ def search_exp_factors(X: VectorField, deg_g: int,
                 continue  # exp of a first integral, not an exponential factor
             scale = Fraction(1) / g.leading_coefficient()
             g, L = g * scale, L * scale
-            if any(e and divides(Poly.variable(variables, v), g)
-                   for v, e in zip(variables, s)):
-                continue  # not coprime with the denominator
+            if any(e and all(m[i] for m in g.terms)
+                   for i, e in enumerate(s)):
+                continue  # x_i divides g: not coprime with the denominator
             cert = ExpFactorCert(g, s, L)
             if not cert.check(X):
                 raise InternalCheckError(

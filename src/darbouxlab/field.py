@@ -16,8 +16,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .exactcore import (Poly, PolyParseError, VariableMismatchError,
                         parse_poly, poly_divmod)
@@ -71,22 +72,38 @@ class VectorField:
     def component(self, name: str) -> Poly:
         return self.components[self.variables.index(name)]
 
-    def is_kolmogorov(self, name: str | None = None) -> bool:
-        """Whether component i is divisible by variable i (so {x_i=0} is invariant)."""
-        names = [name] if name else list(self.variables)
-        for v in names:
-            var = Poly.variable(self.variables, v)
-            if not poly_divmod(self.component(v), var)[1].is_zero():
-                return False
-        return True
+    @cached_property
+    def coordinate_cofactors(self) -> tuple[Poly | None, ...]:
+        """X_v / v for each variable v, or None where v does not divide X_v
+        (then {v = 0} is not invariant); computed once per field."""
+        cofactors = []
+        for v, comp in zip(self.variables, self.components):
+            quotient, rem = poly_divmod(comp, Poly.variable(self.variables, v))
+            cofactors.append(quotient if rem.is_zero() else None)
+        return tuple(cofactors)
+
+    def is_kolmogorov(self, name: str) -> bool:
+        """Whether component `name` is divisible by `name`, so that
+        {name = 0} is invariant."""
+        return self.coordinate_cofactors[self.variables.index(name)] is not None
 
     def coordinate_cofactor(self, name: str) -> Poly:
         """The cofactor of the coordinate Darboux polynomial ``name``."""
-        var = Poly.variable(self.variables, name)
-        quotient, rem = poly_divmod(self.component(name), var)
-        if not rem.is_zero():
+        cofactor = self.coordinate_cofactors[self.variables.index(name)]
+        if cofactor is None:
             raise NotInvariantError(f"component of {name} is not divisible by {name}")
-        return quotient
+        return cofactor
+
+    def monomial_cofactor(self, e: Sequence[int]) -> Poly | None:
+        """The cofactor sum_v e_v*K_v of the monomial x^e, or None when some
+        e_v > 0 has {v = 0} not invariant."""
+        total = Poly.zero(self.variables)
+        for k, K_v in zip(e, self.coordinate_cofactors):
+            if k:
+                if K_v is None:
+                    return None
+                total = total + K_v * k
+        return total
 
     def to_text(self) -> str:
         lines = [f"vars: {' '.join(self.variables)}"]
@@ -221,8 +238,7 @@ def restrict_to_plane(X: VectorField, name: str) -> VectorField:
     """Restrict to the invariant plane {name = 0}; result has one variable fewer."""
     if name not in X.variables:
         raise ValueError(f"unknown variable {name!r}")
-    var = Poly.variable(X.variables, name)
-    if not poly_divmod(X.component(name), var)[1].is_zero():
+    if not X.is_kolmogorov(name):
         raise NotInvariantError(
             f"{{{name} = 0}} is not invariant: component of {name} is not "
             f"divisible by {name}")

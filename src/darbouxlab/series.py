@@ -18,9 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .darboux import operator_kernel
 from .exactcore import (Poly, RatMatrix, coefficient_matrix, grlex_key,
                         monomials_upto)
-from .field import VectorField, lie_derivative, parse_field
+from .field import VectorField, parse_field
 
 # cells of the exact matrix: the 3-D reference field needs 4,071,000 at
 # --order 20, the largest order admitted, and peaks at 144 MB RSS there
@@ -78,18 +79,10 @@ def formal_integral_space(X: VectorField, N: int, m: int = 2) -> SeriesSpace:
         raise ValueError(
             f"{cells} matrix cells exceed the formal-series limit "
             f"({_FORMAL_CELLS_LIMIT}); lower --order or --margin")
-    columns = monomials_upto(nv, N)[1:]   # degrees 1..N
-    matrix = coefficient_matrix(
-        [lie_derivative(X, Poly.from_monomial(X.variables, mono))
-         for mono in columns], monomials_upto(nv, N + m))
-
-    basis: list[Poly] = [Poly.constant(X.variables, 1)]
-    for vec in RatMatrix(matrix).nullspace():
-        poly = Poly(X.variables, {columns[j]: vec[j]
-                                  for j in range(len(columns))})
-        if not poly.is_zero():
-            basis.append(poly.monic())
-    return SeriesSpace(N, m, tuple(basis))
+    basis = (Poly.constant(X.variables, 1), *operator_kernel(
+        X, Poly.zero(X.variables), monomials_upto(nv, N)[1:],
+        monomials_upto(nv, N + m)))
+    return SeriesSpace(N, m, basis)
 
 
 def promote_parameter(X: VectorField, name: str) -> VectorField:

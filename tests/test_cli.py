@@ -548,7 +548,7 @@ def test_size_limits_admit_the_largest_requests(monkeypatch, degree, order,
         raise RuntimeError("admitted")
 
     monkeypatch.setattr(dbx._modp, "screening_prime", past_the_check)
-    monkeypatch.setattr(series, "coefficient_matrix", past_the_check)
+    monkeypatch.setattr(series, "operator_kernel", past_the_check)
     X = load_field("corpus/samardzija_greller.vf")
     raised = RuntimeError if admitted else ValueError
     with pytest.raises(raised):

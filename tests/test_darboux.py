@@ -19,7 +19,8 @@ from darbouxlab.darboux import (CofactorLattice, DarbouxCert, ExpFactorCert,
 from darbouxlab import _modp
 from darbouxlab.exactcore import (Poly, RatMatrix, coefficient_matrix,
                                   monomials_upto, parse_poly, poly_divmod)
-from darbouxlab.field import lie_derivative, load_field, parse_field
+from darbouxlab.field import (NotInvariantError, lie_derivative, load_field,
+                              parse_field)
 
 from conftest import (CORPUS, cyclic_lotka_volterra, make_lv3,
                       nonzero_polys)
@@ -985,6 +986,28 @@ class TestExpFactors:
         assert (parse_poly("1", X.variables), (1, 0),
                 parse_poly("-1", X.variables)) in [(c.g, c.s, c.L)
                                                     for c in certs]
+        with pytest.raises(NotInvariantError):
+            ExpFactorCert(parse_poly("1", X.variables), (0, 1),
+                          parse_poly("-1", X.variables)).check(X)
+
+    def test_coordinate_cofactors_are_divided_once(self, monkeypatch):
+        # every denominator vector and every certificate check reads the
+        # field's coordinate cofactors, which divide each component once
+        import darbouxlab.field as field_module
+
+        divisors = []
+        divmod_ = field_module.poly_divmod
+
+        def counted(num, den):
+            divisors.append(den)
+            return divmod_(num, den)
+
+        monkeypatch.setattr(field_module, "poly_divmod", counted)
+        X = parse_field("vars: x y z\ndx/dt = x^2\ndy/dt = x\n"
+                        "dz/dt = z*y\n")
+        assert search_exp_factors(X, 2, 6)
+        assert divisors == [Poly.variable(X.variables, v)
+                            for v in X.variables]
 
     def test_nontrivial_denominator(self):
         # dx/dt = x^2 admits exp(1/x) with constant cofactor -1

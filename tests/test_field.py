@@ -6,11 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from darbouxlab.exactcore import Poly, parse_poly
+from darbouxlab.exactcore import Poly, divides, monomials_upto, parse_poly
 from darbouxlab.field import (FieldParseError, NotInvariantError,
                               lie_derivative, parse_field, restrict_to_plane)
 
-from conftest import make_lv3, polys
+from conftest import CORPUS, make_lv3, polys
+
+LORENZ_63 = """
+vars: x y z
+param s = 10
+param r = 28
+param b = 8/3
+dx/dt = s*(y - x)
+dy/dt = x*(r - z) - y
+dz/dt = x*y - b*z
+"""
 
 
 def test_reference_file_parses(reference_field):
@@ -92,6 +102,31 @@ class TestLieDerivative:
         X = make_lv3(3, 3, 2)
         assert lie_derivative(X, f * g) == \
             f * lie_derivative(X, g) + g * lie_derivative(X, f)
+
+
+@pytest.mark.parametrize("text", [
+    *(path.read_text() for path in sorted(CORPUS.glob("*.vf"))), LORENZ_63,
+    "vars: x y\ndx/dt = x^2\ndy/dt = x\n"])
+def test_monomial_cofactor_is_the_cofactor_of_the_monomial(text):
+    # x^e has cofactor sum_v e_v*K_v when every v with e_v > 0 divides X_v,
+    # and None exactly when some such v does not
+    X = parse_field(text)
+    for e in monomials_upto(len(X.variables), 3):
+        K = X.monomial_cofactor(e)
+        invariant = all(divides(Poly.variable(X.variables, v), X.component(v))
+                        for v, k in zip(X.variables, e) if k)
+        assert (K is not None) == invariant
+        if K is not None:
+            mono = Poly.from_monomial(X.variables, e)
+            assert K * mono == lie_derivative(X, mono)
+
+
+def test_coordinate_cofactor_outside_an_invariant_plane():
+    X = parse_field(LORENZ_63)
+    assert X.coordinate_cofactors == (None, None, None)
+    assert not X.is_kolmogorov("z")
+    with pytest.raises(NotInvariantError):
+        X.coordinate_cofactor("z")
 
 
 class TestRestriction:
