@@ -17,14 +17,15 @@ filtered from one table per degree of every reachable layer value, built
 and reduced mod p once per lattice.
 
 The sieve owns its search's state: it picks a prime p, builds the lattice's
-tables mod p, and holds X(m) for every monomial m of degree <= d both
-exactly and mod p; every block of the sieve and the full operator is cut
-from that residue table, and multiplication by a monomial is a gather, not
-a product.  p is the largest prime below 2^31 that divides no numerator and
-no denominator of X's coefficients or of the lattice generators
-(`_modp.screening_prime`): every coefficient of X(m), of a candidate K and
-of a section value has a denominator dividing a product of those, so every
-residue a screen needs exists, and no coefficient of X vanishes mod p.
+tables mod p, and holds X(m) mod p for every monomial m of degree <= d
+(the field holds it exactly: `VectorField.monomial_image`); every block of
+the sieve and the full operator is cut from that residue table, and
+multiplication by a monomial is a gather, not a product.  p is the largest
+prime below 2^31 that divides no numerator and no denominator of X's
+coefficients or of the lattice generators (`_modp.screening_prime`): every
+coefficient of X(m), of a candidate K and of a section value has a
+denominator dividing a product of those, so every residue a screen needs
+exists, and no coefficient of X vanishes mod p.
 Every screen rejects only on full rank mod p, which proves a trivial
 rational kernel.  Every sieve level runs one routine: it projects its
 equations onto the cokernel P mod p of the block A of the free unknowns,
@@ -51,8 +52,8 @@ exactly over the rationals.
 Every exact matrix here is `coefficient_matrix` of a basis, or of its images
 under X(f) - K*f, on a window of monomials; no other code scatters
 polynomial terms into a matrix.  `operator_kernel` is the one exact kernel
-of X - K: the fixed-cofactor solve and the formal series (K = 0) both read
-it.
+of X - K: the fixed-cofactor solve, the exponential factors (for g alone,
+L being read off (X - K)(g)) and the formal series (K = 0) all read it.
 """
 
 from __future__ import annotations
@@ -257,8 +258,9 @@ def _operator_matrix(X: VectorField, K: Poly, cols: Sequence[tuple],
                      rows: Sequence[tuple]) -> list:
     """The rational matrix of f -> X(f) - K*f from cols to rows: the one
     exact builder of X - K."""
-    return coefficient_matrix([_operator_image(lie_derivative(X, b), K, b)
-                               for b in _monomial_basis(X, cols)], rows)
+    return coefficient_matrix(
+        [_operator_image(X.monomial_image(m), K, b)
+         for m, b in zip(cols, _monomial_basis(X, cols))], rows)
 
 
 def operator_kernel(X: VectorField, K: Poly, cols: Sequence[tuple],
@@ -527,12 +529,12 @@ class _GradedSieve:
     from one table per lattice (`_LatticeBoxes.sections`).
 
     The sieve owns its search's state: the prime p, the lattice tables mod
-    p, and X(m) for every monomial m of degree <= d, exactly (`images`,
-    which the lifts read) and mod p (`image_residues`, from which every
-    block and the full operator are cut).  Every level works on residues
-    mod p.  A node carries K exactly; a block reads K's residues off it and
-    gathers the matrices of X - K from `image_residues`.  Every level
-    writes its equations as A*g + F(theta)*W*c = 0, with g the free
+    p, and X(m) mod p for every monomial m of degree <= d
+    (`image_residues`, from which every block and the full operator are
+    cut; the lifts read X(m) exactly off the field).  Every level works on
+    residues mod p.  A node carries K exactly; a block reads K's residues
+    off it and gathers the matrices of X - K from `image_residues`.  Every
+    level writes its equations as A*g + F(theta)*W*c = 0, with g the free
     blocks, A = (X - K) on them, F = X - K - theta on f_n = W*c, and
     rejects theta when P*F(theta)*W has full column rank mod p, for a
     left-kernel basis P of A mod p.  Level 0 starts from the root, K = 0
@@ -592,10 +594,8 @@ class _GradedSieve:
         # i-th monomial of degree <= d + M - 1, both graded-lex
         self.cols = monomials_upto(self.nv, d)
         self.rows = monomials_upto(self.nv, d + max(self.M - 1, 0))
-        self.images = {m: lie_derivative(X, b) for m, b in zip(
-            self.cols, _monomial_basis(X, self.cols))}
         self.image_residues = _modp.fraction_rows_to_modp(coefficient_matrix(
-            list(self.images.values()), self.rows), self.p)
+            [X.monomial_image(m) for m in self.cols], self.rows), self.p)
         self._rows_at = {m: i for i, m in enumerate(self.rows)}
         self._cols_at = {m: i for i, m in enumerate(self.cols)}
         self._blocks: dict[tuple[int, int], _Block] = {}
@@ -655,7 +655,7 @@ class _GradedSieve:
             g = Poly(variables, dict(zip(cols, coeffs)))
             Xg = Poly.zero(variables)
             for m, c in g.terms.items():
-                Xg = Xg + self.images[m] * c
+                Xg = Xg + self.X.monomial_image(m) * c
             image = _operator_image(Xg, K, g)
             if any(image.coefficient(m) for m in rows):
                 return False
@@ -872,66 +872,52 @@ def _strip_monomial_content(X: VectorField, f: Poly
 
 def search_exp_factors(X: VectorField, deg_g: int,
                        s_bound: int = 0) -> list[ExpFactorCert]:
-    """Complete joint linear search over g (deg <= deg_g) and L (deg <= deg X - 1).
+    """Complete search over g (deg <= deg_g); g fixes L (deg <= deg X - 1).
 
-    For each denominator exponent vector s the defining identity is linear in
-    (g, L); the kernel is computed exactly and row-reduced so the reported
-    certificates are the canonical sparse representatives.  Two kinds of
-    kernel directions are not reported: the trivial exp(constant), and pairs
-    with L = 0, which are exponentials of first integrals and belong to the
-    first-integral reports instead.
+    For each denominator exponent vector s whose planes are all invariant,
+    K = `VectorField.monomial_cofactor(s)` and X(g) - K*g = L*x^s: (X - K)(g)
+    vanishes off the monomials x^s*t with deg t <= deg X - 1, and L is its
+    quotient by x^s.  So g ranges over `operator_kernel` of X - K on the g
+    monomials alone.  Taken on columns in descending graded-lex order and
+    reversed, its basis is the reduced echelon one, so the reported g are
+    the canonical sparse representatives.  Pairs with L = 0 are not
+    reported: the trivial exp(constant), and the exponentials of first
+    integrals, which belong to the first-integral reports.
 
-    Raises ValueError when the denominator vectors times the cells of the
-    largest matrix exceed `_EXP_FACTOR_CELLS_LIMIT`, before anything is
-    built.
+    Raises ValueError when the admissible denominator vectors times the
+    cells of the largest matrix exceed `_EXP_FACTOR_CELLS_LIMIT`, before
+    anything is built.
     """
     if deg_g < 0 or s_bound < 0:
         raise ValueError("the numerator degree and the denominator exponent "
                          "bound must be non-negative")
     nv = len(X.variables)
-    variables = X.variables
     max_L = max(X.degree - 1, 0)
-    cells = ((s_bound + 1) ** nv
-             * math.comb(nv + max(deg_g + max_L, max_L + nv * s_bound), nv)
-             * (math.comb(nv + deg_g, nv) + math.comb(nv + max_L, nv)))
+    ranges = [range(s_bound + 1) if K_v is not None else (0,)
+              for K_v in X.coordinate_cofactors]
+    cells = (math.prod(map(len, ranges)) * math.comb(nv + deg_g + max_L, nv)
+             * math.comb(nv + deg_g, nv))
     if cells > _EXP_FACTOR_CELLS_LIMIT:
         raise ValueError(
             f"{cells} denominator vectors times matrix cells exceed the "
             f"exponential-factor search limit ({_EXP_FACTOR_CELLS_LIMIT}); "
             f"lower --g-degree or --s-bound")
     g_monos = monomials_upto(nv, deg_g)
-    L_monos = monomials_upto(nv, max_L)
-    g_basis = _monomial_basis(X, g_monos)
-    g_images = [lie_derivative(X, g) for g in g_basis]
-    L_basis = _monomial_basis(X, L_monos)
+    window = monomials_upto(nv, deg_g + max_L)
     results: list[ExpFactorCert] = []
-    for s in itertools.product(range(s_bound + 1), repeat=nv):
-        balance = X.monomial_cofactor(s)
-        if balance is None:
-            continue  # some {v=0} with s_v > 0 is not invariant
-        denom = Poly.from_monomial(variables, s)
-        rows = monomials_upto(nv, max(deg_g + max_L, max_L + sum(s)))
-        images = [_operator_image(Xg, balance, g)
-                  for g, Xg in zip(g_basis, g_images)]
-        images += [-(L * denom) for L in L_basis]
-        kernel = RatMatrix(coefficient_matrix(images, rows)).nullspace()
-        if not kernel:
-            continue
-        reduced, _ = RatMatrix(kernel).rref()
-        for vec in reduced.entries:
-            g = Poly(variables, {g_monos[j]: vec[j]
-                                 for j in range(len(g_monos))})
-            L = Poly(variables, {L_monos[j]: vec[len(g_monos) + j]
-                                 for j in range(len(L_monos))})
-            if g.is_zero() or (g.is_constant() and not any(s)):
-                continue  # exp(constant) is trivial; exp(c/denominator) is not
-            if L.is_zero():
-                continue  # exp of a first integral, not an exponential factor
-            scale = Fraction(1) / g.leading_coefficient()
-            g, L = g * scale, L * scale
+    for s in itertools.product(*ranges):
+        K = X.monomial_cofactor(s)
+        rows = [m for m in window if sum(m) - sum(s) > max_L
+                or any(a < b for a, b in zip(m, s))]
+        for g in reversed(operator_kernel(X, K, g_monos[::-1], rows)):
+            image = _operator_image(lie_derivative(X, g), K, g)
+            if image.is_zero():
+                continue  # exp(constant) or exp of a first integral
             if any(e and all(m[i] for m in g.terms)
                    for i, e in enumerate(s)):
                 continue  # x_i divides g: not coprime with the denominator
+            L = Poly(X.variables, {tuple(a - b for a, b in zip(m, s)): c
+                                   for m, c in image.terms.items()})
             cert = ExpFactorCert(g, s, L)
             if not cert.check(X):
                 raise InternalCheckError(

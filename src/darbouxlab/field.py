@@ -105,6 +105,18 @@ class VectorField:
                 total = total + K_v * k
         return total
 
+    @cached_property
+    def _monomial_images(self) -> dict[tuple[int, ...], Poly]:
+        return {}
+
+    def monomial_image(self, mono: tuple[int, ...]) -> Poly:
+        """X(x^mono), computed once per field and monomial."""
+        images = self._monomial_images
+        if mono not in images:
+            images[mono] = lie_derivative(
+                self, Poly.from_monomial(self.variables, mono))
+        return images[mono]
+
     def to_text(self) -> str:
         lines = [f"vars: {' '.join(self.variables)}"]
         for pname, pval in self.source_params.items():

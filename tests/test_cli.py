@@ -516,6 +516,22 @@ def test_oversized_expfactors_request_exits_2(args):
     assert proc.stdout == ""
 
 
+def test_expfactors_bound_counts_only_admissible_denominators(tmp_path):
+    # Lorenz-63 has no invariant coordinate plane, so a large --s-bound
+    # still solves s = 0 alone and reports what --s-bound 0 reports
+    field = tmp_path / "lorenz63.vf"
+    field.write_text("vars: x y z\nparam s = 10\nparam r = 28\n"
+                     "param b = 8/3\ndx/dt = s*(y - x)\n"
+                     "dy/dt = x*(r - z) - y\ndz/dt = x*y - b*z\n")
+    reports = []
+    for bound in ("8", "0"):
+        code, out, err = run_cli(["expfactors", str(field),
+                                  "--s-bound", bound])
+        assert code == 0 and err == ""
+        reports.append(json.loads(out)["results"]["factors"])
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("args, line", [
     (["darboux", "--degree", "60", "--lattice-bound", "0"],
      "error: 19080341280 residues of the sieve's tables exceed its limit "

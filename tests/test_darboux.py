@@ -954,6 +954,62 @@ class TestKernelFromRank:
         assert len(tables) <= 3
 
 
+LORENZ63 = """
+vars: x y z
+param s = 10
+param r = 28
+param b = 8/3
+dx/dt = s*(y - x)
+dy/dt = x*(r - z) - y
+dz/dt = x*y - b*z
+"""
+
+EXP_FACTOR_FIELDS = [
+    pytest.param((CORPUS / name).read_text(), id=name)
+    for name in CORPUS_FIELDS] + [
+    pytest.param(LORENZ63, id="lorenz63"),
+    pytest.param("vars: x y z\ndx/dt = x^2\ndy/dt = x\ndz/dt = z*y\n",
+                 id="mixed"),
+    pytest.param("vars: x\ndx/dt = x^2\n", id="x_squared")]
+
+
+def _joint_exp_factor_search(X, deg_g, s_bound):
+    """Exponential factors by one exact kernel over (g, L) jointly per
+    denominator vector, row-reduced to its canonical basis: an oracle for
+    `search_exp_factors`."""
+    nv = len(X.variables)
+    max_L = max(X.degree - 1, 0)
+    g_monos = monomials_upto(nv, deg_g)
+    L_monos = monomials_upto(nv, max_L)
+    g_basis = [Poly.from_monomial(X.variables, m) for m in g_monos]
+    L_basis = [Poly.from_monomial(X.variables, m) for m in L_monos]
+    results = []
+    for s in itertools.product(range(s_bound + 1), repeat=nv):
+        balance = X.monomial_cofactor(s)
+        if balance is None:
+            continue
+        denom = Poly.from_monomial(X.variables, s)
+        rows = monomials_upto(nv, max(deg_g + max_L, max_L + sum(s)))
+        images = [lie_derivative(X, g) - balance * g for g in g_basis]
+        images += [-(L * denom) for L in L_basis]
+        kernel = RatMatrix(coefficient_matrix(images, rows)).nullspace()
+        if not kernel:
+            continue
+        reduced, _ = RatMatrix(kernel).rref()
+        for vec in reduced.entries:
+            g = Poly(X.variables, dict(zip(g_monos, vec)))
+            L = Poly(X.variables, dict(zip(L_monos, vec[len(g_monos):])))
+            if (g.is_constant() and not any(s)) or L.is_zero():
+                continue
+            scale = Fraction(1) / g.leading_coefficient()
+            g, L = g * scale, L * scale
+            if any(e and all(m[i] for m in g.terms)
+                   for i, e in enumerate(s)):
+                continue
+            results.append(ExpFactorCert(g, s, L))
+    return results
+
+
 class TestExpFactors:
     # with s = 0 the identity reads X(g) = L, so a passing check names L
     def test_verify_sum_factor(self, desk_field):
@@ -1070,6 +1126,62 @@ class TestExpFactors:
         kernel_dim = len(RatMatrix(mat).nullspace())
         reported = search_exp_factors(X, 2, 0)
         assert kernel_dim == len(reported) + 1  # + trivial constant direction
+
+    @pytest.mark.parametrize("text", EXP_FACTOR_FIELDS)
+    def test_search_equals_the_joint_search(self, text):
+        # the kernel on g alone, with L read off (X - K)(g), reports the
+        # certificates of the joint elimination over (g, L)
+        X = parse_field(text)
+        for deg_g, s_bound in itertools.product(range(4), range(3)):
+            assert (search_exp_factors(X, deg_g, s_bound)
+                    == _joint_exp_factor_search(X, deg_g, s_bound))
+
+    def test_one_elimination_per_admissible_vector(self, monkeypatch):
+        # each of the 3^3 denominator vectors of a Kolmogorov field is one
+        # exact kernel; the canonical basis needs no second elimination
+        rrefs = _counting(monkeypatch, RatMatrix, "rref")
+        assert search_exp_factors(load_field(CORPUS / "lv3_a3_b3_c0.vf"),
+                                  2, 2)
+        assert len(rrefs) == 27
+
+    def test_inadmissible_vectors_are_not_visited(self, monkeypatch):
+        # Lorenz-63 has no invariant coordinate plane: only s = 0 is solved,
+        # however large the bound
+        import darbouxlab.darboux as dbx
+
+        X = parse_field(LORENZ63)
+        kernels = _counting(monkeypatch, dbx, "operator_kernel")
+        assert search_exp_factors(X, 2, 8) == search_exp_factors(X, 2, 0)
+        assert len(kernels) == 2
+
+    def test_monomial_images_are_computed_once(self, monkeypatch):
+        # X(m) belongs to the field: a second operator X - K' on the same
+        # columns derives nothing
+        import darbouxlab.darboux as dbx
+        import darbouxlab.field as field_module
+
+        X = make_lv3(3, 3, 2)
+        calls = [_counting(monkeypatch, module, "lie_derivative")
+                 for module in (field_module, dbx)]
+        cols, rows = monomials_upto(3, 2), monomials_upto(3, 4)
+        first = dbx._operator_matrix(X, P("x - y"), cols, rows)
+        assert sum(map(len, calls)) == len(cols)
+        second = dbx._operator_matrix(X, P("2*z"), cols, rows)
+        assert sum(map(len, calls)) == len(cols)
+        assert first != second
+
+    @pytest.mark.parametrize("deg_g, s_bound", [(2, 10 ** 9), (10 ** 6, 1)])
+    def test_oversized_search_is_refused_before_any_list(
+            self, monkeypatch, desk_field, deg_g, s_bound):
+        # the size limit is counted, not built: no monomial list exists yet
+        import darbouxlab.darboux as dbx
+
+        def built(*args):
+            raise AssertionError("a monomial list was built")
+
+        monkeypatch.setattr(dbx, "monomials_upto", built)
+        with pytest.raises(ValueError, match="exponential-factor search limit"):
+            search_exp_factors(desk_field, deg_g, s_bound)
 
 
 class TestAssembly:
