@@ -3,10 +3,9 @@
 Rank over Z/p never exceeds rank over Q, so "full column rank mod p" is a
 sound proof of a trivial rational kernel, and the kernel dimension mod p is
 an upper bound on the rational one.  A candidate that is rank-deficient mod p
-is either solved by exact rational elimination or, when as many independent
-rational solutions as its kernel dimension mod p are already known, has those
-as its kernel.  Either way a chance rank drop mod p costs time but never
-correctness.  Everything here is deterministic: no randomness, fixed pivot
+has its kernel basis mod p lifted by `rational_reconstruction` and checked
+exactly, or is solved by exact rational elimination where a lift fails, so
+a chance rank drop mod p costs time but never correctness.  Everything here is deterministic: no randomness, fixed pivot
 order, and one prime p per search, chosen by `screening_prime` to divide no
 numerator and no denominator of its input's coefficients.  The graded sieve
 that picks it owns every table reduced mod p and passes p to every
@@ -19,9 +18,8 @@ it.  A reject-only screen first compresses each (R, C) matrix M with R > C
 to the square G*M, for a fixed C x R matrix G (`compressor`):
 rank(G*M) <= rank(M) over Z/p, so a nonsingular G*M proves the rejection.
 `proves_full_rank` tries that proof without a pivot search, and only the
-values it leaves open need their full matrix ranked.  Only the
-full-operator screen ranks without compressing, since its ranks also bound
-kernel dimensions and nearly all of its matrices are rank-deficient.
+values it leaves open need their full matrix ranked.  The full operator's
+kernels are taken on G*M too: one larger than M's only makes a lift fail.
 
 The screens' matrices are combinations base - sum_k c_k * D_k of residue
 arrays (`batched_combination`).  Centred residues, in (-p/2, p/2], multiply

@@ -12,7 +12,7 @@ to the lattice.  Every lattice goes through a graded sieve that fixes K one
 homogeneous layer at a time (top degree first), in one traversal for every
 f-degree run level by level, and discards whole families whose layer
 equations already have no nonzero solution; the survivors then pass one
-rank screen on the full operator.  The sections a sieve node screens are
+kernel screen on the full operator.  The sections a sieve node screens are
 filtered from one table per degree of every reachable layer value, built
 and reduced mod p once per lattice.
 
@@ -39,15 +39,13 @@ compresses their tall matrices M to the square G*M, for a fixed G with as
 many rows as M has columns: rank(G*M) <= rank(M), so a nonsingular G*M
 proves the rejection.  A pivot-free elimination proves it for nearly every
 value, and only the few values it leaves open are ranked on M.
-The full operator's ranks stay uncompressed (`_ranks` alone): they also
-bound kernel dimensions, and nearly all of its candidates are
-rank-deficient, so a prescreen would only add work there.
 The kernel of each candidate K is computed once per command, and the
 certificates and the rational obstruction are both read off those kernels.
-Where K's known monomial solutions x^e (X(x^e) = K*x^e) are as many as the
-kernel dimension mod p, they are the kernel: they lie in the rational kernel,
-whose dimension is at most the one mod p.  Every other candidate is solved
-exactly over the rationals.
+Each survivor's full operator is compressed by the same G and eliminated
+mod p; an empty kernel proves the rational one trivial, and otherwise the
+kernel basis is lifted and checked exactly, as the sieve does with its
+blocks' kernels.  Where a lift fails, K is solved exactly over the
+rationals.
 
 Every exact matrix here is `coefficient_matrix` of a basis, or of its images
 under X(f) - K*f, on a window of monomials; no other code scatters
@@ -267,7 +265,9 @@ def operator_kernel(X: VectorField, K: Poly, cols: Sequence[tuple],
                     rows: Sequence[tuple]) -> list[Poly]:
     """Exact basis of {f on cols : X(f) - K*f vanishes on rows}: the one
     exact kernel of X - K, monic, one polynomial per free column in
-    ascending order."""
+    ascending order (every column, with no rows)."""
+    if not rows:
+        return _monomial_basis(X, cols)
     return [Poly(X.variables, dict(zip(cols, vec))).monic() for vec in
             RatMatrix(_operator_matrix(X, K, cols, rows)).nullspace()]
 
@@ -611,17 +611,27 @@ class _GradedSieve:
             nodes = self._level(nodes, r)
         return sorted((node.K for node in nodes), key=Poly.sort_key)
 
-    def full_operator_dims(self, candidates: Sequence[Poly]) -> list[int]:
-        """Mod-p kernel dimensions of the matrices X(m) - K*m over the
-        monomials m of degree <= d, one per candidate K: each bounds the
-        rational one from above."""
+    def full_operator_kernels(self, candidates: Sequence[Poly]
+                              ) -> list[np.ndarray]:
+        """A kernel basis mod p of G*(X - K) on the monomials of degree <= d,
+        one row per free column (`_modp.batched_kernels`), for each
+        candidate K, with G the screens' compressor (none where X - K is
+        not tall): rank(G*M) <= rank(M), so an empty kernel proves the
+        rational one trivial, and one larger than M's only fails to lift."""
+        p = self.p
         support = sorted({m for K in candidates for m in K.terms},
                          key=grlex_key)
+        base = self.image_residues
         directions = _modp.shift_matrices(self.cols, support, self.rows)
+        G = _modp.compressor(*base.shape, p)
+        if G is not None:
+            base = _modp.matmul(G, base, p)
+            directions = _modp.matmul(G, directions, p)
         coefficients = _modp.fraction_rows_to_modp(
-            [[K.coefficient(m) for m in support] for K in candidates], self.p)
-        return (len(self.cols) - _ranks(self.image_residues, directions,
-                                        coefficients, self.p)).tolist()
+            [[K.coefficient(m) for m in support] for K in candidates], p)
+        return [kernel for stack in _by_stack(
+            lambda mats, p: _modp.batched_kernels(mats, mats[:, :, :0], p),
+            base, directions, coefficients, p) for kernel, _ in stack]
 
     def _block(self, n: int, r: int) -> _Block:
         key = (n, r)
@@ -641,25 +651,28 @@ class _GradedSieve:
                                   rows))
         return self._blocks[key]
 
-    def _lifts_exactly(self, K: Poly, cols: list, rows: list,
-                       kernel: np.ndarray) -> bool:
-        """Whether every vector of a kernel basis mod p of (X - K) from cols
-        to rows lifts, by rational reconstruction, to a rational g with
-        (X - K)(g) zero on rows: then the rational kernel is as large."""
+    def _lift(self, K: Poly, cols: list, rows: list, kernel: np.ndarray
+              ) -> list[Poly] | None:
+        """Every vector of a kernel basis mod p of (X - K) from cols to rows,
+        lifted by rational reconstruction to a rational g with (X - K)(g)
+        zero on rows, monic; None where a vector does not lift.  The lifts
+        are independent, so the rational kernel is at least as large."""
         variables = self.X.variables
+        rows = set(rows)
+        lifts = []
         for vec in kernel:
-            coeffs = [_modp.rational_reconstruction(int(x), self.p)
-                      for x in vec]
-            if None in coeffs:
-                return False
-            g = Poly(variables, dict(zip(cols, coeffs)))
+            coeffs = {m: _modp.rational_reconstruction(int(x), self.p)
+                      for m, x in zip(cols, vec) if x}
+            if None in coeffs.values():
+                return None
+            g = Poly(variables, coeffs)
             Xg = Poly.zero(variables)
             for m, c in g.terms.items():
                 Xg = Xg + self.X.monomial_image(m) * c
-            image = _operator_image(Xg, K, g)
-            if any(image.coefficient(m) for m in rows):
-                return False
-        return True
+            if any(m in rows for m in _operator_image(Xg, K, g).terms):
+                return None
+            lifts.append(g.monic())
+        return lifts
 
     def _projected(self, nodes: Sequence[_Node], n: int, r: int,
                    W: np.ndarray) -> list:
@@ -669,7 +682,7 @@ class _GradedSieve:
 
         P is the cokernel of A mod p, used only once rank_Q(A) = rank_p(A)
         is proved: A has full column rank mod p, or its kernel basis lifts
-        exactly (`_lifts_exactly`), or A's exact rank is rank_p(A).  Where
+        exactly (`_lift`), or A's exact rank is rank_p(A).  Where
         none holds, p divides a minor of A and the pair is None.  The
         blocks A share one shape, so they are eliminated together.
         """
@@ -697,7 +710,7 @@ class _GradedSieve:
             # with P empty every equation is absorbed by the free blocks
             proved = len(projected) and (
                 not len(kernel)
-                or self._lifts_exactly(node.K, lower, block.rows, kernel)
+                or self._lift(node.K, lower, block.rows, kernel) is not None
                 or RatMatrix(_operator_matrix(self.X, node.K, lower,
                                               block.rows)).rank()
                 == len(lower) - len(kernel))
@@ -751,33 +764,31 @@ class _GradedSieve:
 
 
 def _candidate_cofactors(X: VectorField, d: int, lattice: CofactorLattice
-                         ) -> dict[Poly, int]:
+                         ) -> dict[Poly, list[Poly]]:
     """Screened cofactor candidates, complete relative to the lattice, each
-    mapped to the kernel dimension mod p of its full operator matrix, which
-    bounds the rational one from above.
+    mapped to its exact basis of {f : deg f <= d, X(f) = K*f}, monic, one
+    polynomial per free column as `search_darboux_fixed_cofactor` returns it.
 
     The zero cofactor comes first, then the coordinate cofactors, then the
-    remaining sieve survivors that also pass the full-operator screen.
+    remaining sieve survivors whose full operator has a kernel mod p
+    (`_GradedSieve.full_operator_kernels`).  That kernel basis is 1 on its
+    free column j, 0 on the other free columns and nonzero only on pivot
+    columns before j.  Where every vector lifts to a checked rational one
+    (`_GradedSieve._lift`), each free column mod p is free over Q, and
+    dim_Q >= dim_p >= dim_Q, so the free columns agree and the lifts are
+    the unique reduced echelon basis that the exact solve returns.  Where
+    a lift fails, K is solved exactly.
     """
     priority = list(dict.fromkeys([Poly.zero(X.variables), *(
         cof for cof in X.coordinate_cofactors if cof is not None)]))
     sieve = _GradedSieve(X, d, lattice)
     values = priority + [K for K in sieve.run() if K not in priority]
-    dims = sieve.full_operator_dims(values)
-    return {K: dim for K, dim in zip(values, dims) if K in priority or dim}
-
-
-def _monomial_solutions(X: VectorField, d: int) -> dict[Poly, list[tuple]]:
-    """{K: the monomials x^e with X(x^e) = K*x^e}, in column order.
-
-    Only Kolmogorov variables (X_v = x_v*K_v) enter e, |e| <= d, and the
-    cofactor of x^e is sum_v e_v*K_v (`VectorField.monomial_cofactor`).
-    """
-    out: dict[Poly, list[tuple]] = {}
-    for mono in monomials_upto(len(X.variables), d):
-        K = X.monomial_cofactor(mono)
-        if K is not None:
-            out.setdefault(K, []).append(mono)
+    out = {}
+    for K, kernel in zip(values, sieve.full_operator_kernels(values)):
+        if K in priority or len(kernel):
+            basis = sieve._lift(K, sieve.cols, sieve.rows, kernel)
+            out[K] = (search_darboux_fixed_cofactor(X, K, d)
+                      if basis is None else basis)
     return out
 
 
@@ -789,23 +800,11 @@ def cofactor_kernels(X: VectorField, d: int,
     """[(K, exact basis of {f : deg f <= d, X(f) = K*f})] per screened cofactor.
 
     This is the one exact pass of a command: the Darboux certificates and the
-    rational obstruction are both derived from its result.  Where the known
-    monomial solutions of K are as many as the kernel dimension mod p allows,
-    they are the basis: they lie in the rational kernel, whose dimension is at
-    most the one mod p.  Every other cofactor is solved exactly.
+    rational obstruction are both derived from its result.
     """
     if d < 0:
         raise ValueError(f"degree must be non-negative, got {d}")
-    candidates = _candidate_cofactors(X, d, lattice)
-    known = _monomial_solutions(X, d)
-    out = []
-    for K, kernel_dim in candidates.items():
-        monos = known.get(K, [])
-        if kernel_dim == len(monos):
-            out.append((K, _monomial_basis(X, monos)))
-        else:
-            out.append((K, search_darboux_fixed_cofactor(X, K, d)))
-    return out
+    return list(_candidate_cofactors(X, d, lattice).items())
 
 
 def certificates_from_kernels(X: VectorField,

@@ -13,7 +13,8 @@ from darbouxlab.darboux import (CofactorLattice, DarbouxCert, ExpFactorCert,
                                 assemble_darboux_integrals,
                                 certificates_from_kernels, cofactor_kernels,
                                 default_lattice, enumerate_cofactors,
-                                rational_obstruction, search_darboux,
+                                operator_kernel, rational_obstruction,
+                                search_darboux,
                                 search_darboux_fixed_cofactor,
                                 search_exp_factors)
 from darbouxlab import _modp
@@ -424,9 +425,9 @@ class TestSieveAgainstBruteForce:
         X = make_lv3("98765432123/1000003", 3, 0)
         lattice = default_lattice(X, 1)
         with monkeypatch.context() as patch:
-            lifts = _returns(patch, dbx._GradedSieve, "_lifts_exactly")
+            lifts = _returns(patch, dbx._GradedSieve, "_lift")
             dbx._GradedSieve(X, 2, lattice).run()
-        assert (lifts.count(False), len(lifts)) == (2, 12)
+        assert (lifts.count(None), len(lifts)) == (2, 12)
         direct, sieved = self._both_paths(X, 2, lattice,
                                           (9, "55de8b73a6cdfc60"))
         assert direct == sieved
@@ -527,8 +528,8 @@ class TestRankScreen:
         # p = 2^31 - 1 divides the denominator, or the numerator, of the z
         # coefficient b, which reaches the sieve's lower levels and the full
         # operator: the next prime below p is screened instead, every lift
-        # holds, the lower level projects its equations, every candidate
-        # gets a kernel bound, and the exact solves find the certificates
+        # holds, the lower level projects its equations, and every candidate
+        # gets the basis of its exact solve
         import darbouxlab.darboux as dbx
 
         for b in (f"3/{_modp.PRIME}", str(3 * _modp.PRIME)):
@@ -537,13 +538,14 @@ class TestRankScreen:
             lattice = default_lattice(X, 2)
             assert dbx._GradedSieve(X, 2, lattice).p == 2147483629
             with monkeypatch.context() as patch:
-                lifts = _returns(patch, dbx._GradedSieve, "_lifts_exactly")
+                lifts = _returns(patch, dbx._GradedSieve, "_lift")
                 projections = _returns(patch, dbx._GradedSieve, "_projected")
                 candidates = dbx._candidate_cofactors(X, 2, lattice)
-            assert lifts and all(lifts)
+            assert lifts and all(lift is not None for lift in lifts)
             assert any(pair is not None
                        for out in projections for pair in out)
-            assert all(type(dim) is int for dim in candidates.values())
+            assert candidates == {K: search_darboux_fixed_cofactor(X, K, 2)
+                                  for K in candidates}
             assert {(str(c.f), str(c.K))
                     for c in search_darboux(X, 2, lattice)} == {
                 ("x", "2*x + 1"), ("x + 1/2", "2*x"), ("z", f"-{b}")}
@@ -849,7 +851,8 @@ class TestSieveOperator:
 
 
 class TestKernelFromRank:
-    """Monomial kernels read off the mod-p rank equal the exact solves."""
+    """Kernels lifted from the full operator's kernel mod p equal the exact
+    solves."""
 
     @pytest.mark.parametrize("name", CORPUS_FIELDS)
     def test_corpus_kernels_equal_exact_solves(self, name):
@@ -904,8 +907,9 @@ class TestKernelFromRank:
         K = parse_poly("2*x", X.variables)
         solves = _counting(monkeypatch, dbx, "search_darboux_fixed_cofactor")
         kernels = dict(dbx.cofactor_kernels(X, 2, default_lattice(X, 2)))
-        # 1 + 2x has cofactor 2x, and no monomial has: the solve must run
-        assert (X, K, 2) in solves
+        # 1 + 2x has cofactor 2x, and no monomial has: its kernel is lifted
+        # all the same, with no exact solve
+        assert solves == []
         assert [str(f) for f in kernels[K]] == ["x + 1/2"]
 
     def test_declines_without_kolmogorov_variables(self, monkeypatch):
@@ -915,13 +919,13 @@ class TestKernelFromRank:
         zero = Poly.zero(X.variables)
         solves = _counting(monkeypatch, dbx, "search_darboux_fixed_cofactor")
         kernels = dict(dbx.cofactor_kernels(X, 2, default_lattice(X, 2)))
-        assert (X, zero, 2) in solves
+        assert solves == []
         assert [str(f) for f in kernels[zero]] == ["1", "x^2 + y^2"]
 
     def test_prime_in_denominator_selects_another_prime(self, monkeypatch):
         # a = 1/p for p = 2^31 - 1: the screens run mod the next prime below
-        # p, so every candidate has a kernel bound and x, y, z are read off
-        # their monomial solutions, with no exact solve
+        # p, so every candidate has a kernel mod p and x, y, z are read off
+        # its lifts, with no exact solve
         import darbouxlab.darboux as dbx
 
         text = (CORPUS / "samardzija_greller.vf").read_text().replace(
@@ -929,7 +933,7 @@ class TestKernelFromRank:
         X = parse_field(text)
         lattice = default_lattice(X, 1)
         assert dbx._GradedSieve(X, 2, lattice).p == 2147483629
-        assert all(type(dim) is int for dim in dbx._candidate_cofactors(
+        assert all(type(basis) is list for basis in dbx._candidate_cofactors(
             X, 2, lattice).values())
         solves = _counting(monkeypatch, dbx, "search_darboux_fixed_cofactor")
         kernels = dbx.cofactor_kernels(X, 2, lattice)
@@ -952,6 +956,94 @@ class TestKernelFromRank:
         assert len(sections) <= 210
         # one reachable table per degree, however many sections filter it
         assert len(tables) <= 3
+
+    @pytest.mark.parametrize("name", CORPUS_FIELDS)
+    def test_corpus_kernels_need_no_exact_solve(self, monkeypatch, name):
+        # every kernel of the corpus lifts: restricted_y0_a0 at degree 4
+        # made 20 exact solves while only monomial kernels were read off
+        import darbouxlab.darboux as dbx
+
+        X = load_field(CORPUS / name)
+        solves = _counting(monkeypatch, dbx, "search_darboux_fixed_cofactor")
+        for d in (1, 2, 3, 4):
+            dbx.cofactor_kernels(X, d, default_lattice(X, d))
+        assert solves == []
+
+    def test_failed_lift_falls_back_to_exact_solve(self, monkeypatch):
+        # 70001 is beyond the reconstruction bound floor(sqrt(p/2)) = 32767,
+        # so the kernels holding x + 70001 do not lift and are solved
+        # exactly: K = 1 at degree 1, and K = 1 and K = 2 at degree 2
+        import darbouxlab.darboux as dbx
+
+        X = parse_field("vars: x y\ndx/dt = x + 70001\ndy/dt = y\n")
+        for d, solved in ((1, ["1"]), (2, ["1", "2"])):
+            with monkeypatch.context() as patch:
+                solves = _counting(patch, dbx, "search_darboux_fixed_cofactor")
+                certs = search_darboux(X, d)
+            assert [str(K) for _, K, _ in solves] == solved
+            assert [(str(c.f), str(c.K)) for c in certs] == [
+                ("y", "1"), ("x + 70001", "1")]
+
+    @pytest.mark.parametrize("name, d, falls_back", [
+        ("restricted_y0_a0.vf", 2, True), ("samardzija_greller.vf", 2, False),
+        ("lv3_a0_b0_c0.vf", 3, False), ("restricted_z0_c2.vf", 3, True)])
+    def test_singular_compression_falls_back_to_exact_solves(
+            self, monkeypatch, name, d, falls_back):
+        # a compressor whose row 1 repeats row 0 makes every G*M singular,
+        # so a full operator of full rank gets a kernel mod p that no
+        # rational kernel backs: only the exact check of the lifts keeps the
+        # bases exact.  The two fields without a fallback have no such
+        # operator among their sieve survivors
+        import darbouxlab.darboux as dbx
+
+        compressor = _modp.compressor
+
+        def singular(rows, cols, p):
+            G = compressor(rows, cols, p)
+            if G is None or len(G) < 2:
+                return G
+            G = G.copy()
+            G[1] = G[0]
+            return G
+
+        monkeypatch.setattr(_modp, "compressor", singular)
+        X = load_field(CORPUS / name)
+        solves = _counting(monkeypatch, dbx, "search_darboux_fixed_cofactor")
+        kernels = dbx.cofactor_kernels(X, d, default_lattice(X, d))
+        assert bool(solves) == falls_back
+        assert kernels == [(K, search_darboux_fixed_cofactor(X, K, d))
+                           for K, _ in kernels]
+
+    def test_empty_row_window_keeps_every_column(self):
+        # with no equations every column is free
+        X = parse_field("vars: x y\ndx/dt = x\ndy/dt = y\n")
+        zero = Poly.zero(X.variables)
+        assert [str(f) for f in operator_kernel(X, zero, [(0, 0)], [])
+                ] == ["1"]
+        assert [str(f) for f in operator_kernel(
+            X, zero, [(0, 0), (1, 0)], [])] == ["1", "x"]
+
+
+@pytest.mark.parametrize("prime", [1009, 101, 13])
+def test_small_primes_find_the_default_certificates(monkeypatch, prime):
+    # a screening prime walked down from a small bound (staying above 7,
+    # where `_modp._is_prime` holds) prunes less and fails more lifts, but
+    # finds the default prime's certificates on the corpus
+    import darbouxlab.darboux as dbx
+
+    fields = [load_field(CORPUS / name) for name in CORPUS_FIELDS]
+
+    def certificates():
+        return [[(str(c.f), str(c.K)) for c in search_darboux(X, d)]
+                for X in fields for d in (2, 3)]
+
+    expected = certificates()
+    monkeypatch.setattr(_modp, "PRIME", prime)
+    primes = _returns(monkeypatch, _modp, "screening_prime")
+    solves = _counting(monkeypatch, dbx, "search_darboux_fixed_cofactor")
+    assert certificates() == expected
+    assert set(primes) == {prime}
+    assert solves
 
 
 LORENZ63 = """
