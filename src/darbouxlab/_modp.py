@@ -11,11 +11,12 @@ numerator and no denominator of its input's coefficients.  The graded sieve
 that picks it owns every table reduced mod p and passes p to every
 function here that computes mod p.
 
-The screens' matrices are tall and thin (many more rows than columns), so
-`batched_rank` eliminates along the short side: it takes the vectors of the
-shorter dimension and clears each one's pivot entry from the vectors after
-it.  A reject-only screen first compresses each (R, C) matrix M with R > C
-to the square G*M, for a fixed C x R matrix G (`compressor`):
+Every rank and kernel mod p comes from one fraction-free Gauss-Jordan
+elimination (`_eliminate`): `batched_rank` counts its pivot columns and
+`batched_kernels` reads its kernels and cokernels off it.  The screens'
+matrices are tall and thin (many more rows than columns), so a
+reject-only screen first compresses each (R, C) matrix M with R > C to
+the square G*M, for a fixed C x R matrix G (`compressor`):
 rank(G*M) <= rank(M) over Z/p, so a nonsingular G*M proves the rejection.
 `proves_full_rank` tries that proof without a pivot search, and only the
 values it leaves open need their full matrix ranked.  The full operator's
@@ -31,11 +32,13 @@ a - (a // p) * p (`_reduce`), which numpy computes faster than a % p.
 Multiplication by a monomial u is a gather: the coefficient of rows[r] in
 u*b is that of rows[r] - u in b (`shift_index`, `gather`), so neither the
 screens' direction stacks nor the sieve's cofactor blocks form a product.
+The full operator's directions G*(u*m) are gathered the same way, as the
+column of G at the row of u*m, or zero when u*m is not a row.
 
-The sieve's kernels and cokernels come from one Gauss-Jordan elimination
-per stack of same-shaped blocks (`batched_kernels`), which pivots without
-row swaps.  Its pivot columns are the column rank profile of A (column j
-is a pivot exactly when it is independent of the columns before it), so
+The sieve's kernels and cokernels come from one elimination per stack of
+same-shaped blocks (`batched_kernels`), which pivots without row swaps.
+Its pivot columns are the column rank profile of A (column j is a pivot
+exactly when it is independent of the columns before it), so
 they are the pivots of any Gauss-Jordan order, `RatMatrix.rref`'s
 included wherever every leading block of columns has the same rank over Q
 and Z/p; given the pivots, the kernel basis that is 1 on its free column
@@ -52,10 +55,11 @@ rank mod p (as a block with no columns has, at the sieve's level 0, where
 P is the identity), otherwise by lifting A's kernel basis mod p with
 `rational_reconstruction` and checking each lift exactly (the lifts are
 independent, being 1 and 0 on the free columns, so rank_Q(A) <= rank_p(A),
-and rank_p never exceeds rank_Q), and failing that by A's exact rank.  A
-kernel mod p that only has to contain the reductions of the rational
-solutions, such as the kernel of X_M - tau to which the sieve's level 0
-narrows each W, needs no such proof.
+and rank_p never exceeds rank_Q), and failing that by the size of A's
+exact kernel (`darboux.operator_kernel`).  A kernel mod p that only has
+to contain the reductions of the rational solutions, such as the kernel
+of X_M - tau to which the sieve's level 0 narrows each W, needs no such
+proof.
 
 Only this module and the screens' array bookkeeping in `darboux` use
 numpy, and both import it inside the functions that build arrays, so a
@@ -104,8 +108,7 @@ def screening_prime(integers: Iterable[int]) -> int:
     coefficients, every rational whose denominator divides a product of
     them has a residue and no coefficient vanishes mod p, so the problem
     mod p has the same terms; p < 2^31 keeps the int64 bounds of `matmul`,
-    `batched_combination`, `proves_full_rank`, `batched_rank` and
-    `batched_kernels`."""
+    `batched_combination`, `proves_full_rank` and `_eliminate`."""
     common = math.lcm(*integers)
     p = PRIME
     while not _is_prime(p) or common % p == 0:
@@ -154,16 +157,6 @@ def gather(residues: np.ndarray, index: np.ndarray) -> np.ndarray:
     padded = np.vstack([residues,
                         np.zeros((1,) + residues.shape[1:], dtype=np.int64)])
     return padded[index]
-
-
-def shift_matrices(monos: Sequence[tuple], units: Sequence[tuple],
-                   rows: Sequence[tuple]) -> np.ndarray:
-    """The 0/1 matrices of f -> u*f on the monomial basis `monos`, one
-    (len(rows), len(monos)) matrix per unit u: a gather of the identity's
-    rows."""
-    import numpy as np
-    return gather(np.eye(len(monos), dtype=np.int64),
-                  shift_index(monos, units, rows))
 
 
 def scaled_rows_to_modp(rows: Sequence[Sequence[int]], scales: Sequence[int],
@@ -261,25 +254,23 @@ def proves_full_rank(mats: np.ndarray, p: int) -> np.ndarray:
     return proved
 
 
-def batched_kernels(A: np.ndarray, B: np.ndarray, p: int
-                    ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(kernel basis of A[i], P_i*B[i]) over Z/p for each matrix of a stack,
-    P_i a basis of the left kernel of A[i]; A is (N, R, C), B (N, R, k).
-
-    One fraction-free Gauss-Jordan elimination of the stack [A | B],
-    vectorized over N and pivoting in A only, with no row swaps: at column
-    j the pivot row of each matrix is its first row not yet a pivot row
-    with a nonzero entry there, and every other row becomes
+def _eliminate(M: np.ndarray, C: int, p: int
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Fraction-free Gauss-Jordan elimination of a stack M (N, R, C + k) of
+    residues in place, pivoting in its first C columns only, with no row
+    swaps: at column j the pivot row of each matrix is its first row not
+    yet a pivot row with a nonzero entry there, and every other row becomes
     row*pivot - factor*pivot_row, each product below 2^62 (a matrix
     without one gets pivot 1 and factor 0, so its step changes nothing).
-    The pivot row keeps its place, scaled by the pivot.  The kernel basis
-    is one row per free column, ascending, 1 there and 0 on the other free
-    columns; the rows that never became pivot rows are zero on A, and their
-    B part is P_i*B[i] (B = I gives P_i itself).
+    The pivot row keeps its place, scaled by the pivot.
+
+    Returns pivot_row (N, C), the pivot row of each column or -1 where the
+    column is free, and unused (N, R), the rows that never became pivot
+    rows.  A wide matrix needs no transpose: once its rows are used up,
+    each remaining column finds no candidate, so its step changes nothing.
     """
     import numpy as np
-    N, R, C = A.shape
-    M = np.concatenate([A, B], axis=2) % p
+    N, R, _ = M.shape
     mat_idx = np.arange(N)
     unused = np.ones((N, R), dtype=bool)
     pivot_row = np.full((N, C), -1)
@@ -298,6 +289,23 @@ def batched_kernels(A: np.ndarray, B: np.ndarray, p: int
         _reduce(M, p)
         unused[mat_idx[has], row[has]] = False
         pivot_row[has, j] = row[has]
+    return pivot_row, unused
+
+
+def batched_kernels(A: np.ndarray, B: np.ndarray, p: int
+                    ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(kernel basis of A[i], P_i*B[i]) over Z/p for each matrix of a stack,
+    P_i a basis of the left kernel of A[i]; A is (N, R, C), B (N, R, k).
+
+    One elimination of the stack [A | B] pivoting in A (`_eliminate`).
+    The kernel basis is one row per free column, ascending, 1 there and 0
+    on the other free columns; the rows that never became pivot rows are
+    zero on A, and their B part is P_i*B[i] (B = I gives P_i itself).
+    """
+    import numpy as np
+    N, R, C = A.shape
+    M = np.concatenate([A, B], axis=2) % p
+    pivot_row, unused = _eliminate(M, C, p)
     out = []
     for i in range(N):
         pivots = (pivot_row[i] >= 0).nonzero()[0]
@@ -332,18 +340,10 @@ def rational_reconstruction(residue: int, p: int) -> Fraction | None:
 
 
 def batched_rank(mats: np.ndarray, p: int) -> np.ndarray:
-    """Ranks of a stack of matrices (N, R, C) over Z/p, vectorized over N.
-
-    Elimination runs along the short side: an (R, C) stack with C <= R is
-    transposed to its C column vectors of length R, otherwise its R rows are
-    the vectors.  Step i takes the first nonzero entry of vector i as pivot
-    and clears that entry from every later vector with the fraction-free
-    update v*pivot - factor*vector_i, which keeps every value in [0, p).  A
-    matrix whose vector i is zero gets pivot 1 and subtracts multiples of a
-    zero vector, so its step changes nothing: no matrix needs a gather,
-    scatter or row swap.  The vectors that are nonzero when their step comes
-    are independent (each is zero on the earlier pivots) and span the
-    others, so their count is the rank: exact mod p, and independent of
+    """Ranks of a stack of matrices (N, R, C) over Z/p, vectorized over N:
+    the number of pivot columns `_eliminate` finds.  Without column swaps
+    a column is a pivot exactly when it is independent of the columns
+    before it, so the count is the rank, exact mod p and independent of
     batch order.  The reject-only screens call it only on the values that
     `proves_full_rank` leaves open and on matrices with no more rows than
     columns, which they do not compress.
@@ -352,28 +352,8 @@ def batched_rank(mats: np.ndarray, p: int) -> np.ndarray:
     A = np.asarray(mats, dtype=np.int64)
     if A.ndim != 3:
         raise ValueError("expected a (N, R, C) stack")
-    N, R, C = A.shape
-    if N == 0 or R == 0 or C == 0:
-        return np.zeros(N, dtype=np.int64)
-    V = A.transpose(0, 2, 1) if C <= R else A
-    V = _reduce(np.array(V, order="C"), p)
-    k = V.shape[1]
-    mat_idx = np.arange(N)
-    rank = np.zeros(N, dtype=np.int64)
-    for i in range(k):
-        vec = V[:, i, :]
-        nonzero = vec != 0
-        piv = nonzero.argmax(axis=1)
-        has = nonzero[mat_idx, piv]
-        rank += has
-        if i == k - 1:
-            break
-        rest = V[:, i + 1:, :]
-        factors = rest[mat_idx, :, piv]
-        rest *= np.where(has, vec[mat_idx, piv], 1)[:, None, None]
-        rest -= factors[:, :, None] * vec[:, None, :]
-        _reduce(rest, p)
-    return rank
+    pivot_row, _ = _eliminate(A % p, A.shape[2], p)
+    return (pivot_row >= 0).sum(axis=1, dtype=np.int64)
 
 
 def _centred(residues: np.ndarray, p: int) -> np.ndarray:

@@ -33,7 +33,8 @@ which is sound once rank_Q(A) = rank_p(A) is proved (see `_GradedSieve`):
 at no cost when A has full column rank mod p, as at level 0, where A has
 no columns; otherwise by lifting A's kernel basis by rational
 reconstruction and checking each lift exactly, and failing that by A's
-exact rank.  Where the ranks differ, that node's level keeps every value.
+exact kernel (`operator_kernel`).  Where the ranks differ, that node's
+level keeps every value.
 The sieve levels only reject, through `_rank_screen`, which first
 compresses their tall matrices M to the square G*M, for a fixed G with as
 many rows as M has columns: rank(G*M) <= rank(M), so a nonsingular G*M
@@ -50,8 +51,9 @@ rationals.
 Every exact matrix here is `coefficient_matrix` of a basis, or of its images
 under X(f) - K*f, on a window of monomials; no other code scatters
 polynomial terms into a matrix.  `operator_kernel` is the one exact kernel
-of X - K: the fixed-cofactor solve, the exponential factors (for g alone,
-L being read off (X - K)(g)) and the formal series (K = 0) all read it.
+of X - K: the fixed-cofactor solve, the sieve's fallback after a failed
+lift, the exponential factors (for g alone, L being read off (X - K)(g))
+and the formal series (K = 0) all read it.
 """
 
 from __future__ import annotations
@@ -558,15 +560,16 @@ class _GradedSieve:
       lift is checked exactly ((X - K)(g) vanishes on the block's rows):
       the lifts are independent, so rank_Q(A) <= rank_p(A) <= rank_Q(A).
       Where a lift fails (an entry beyond the reconstruction bound, or p
-      dividing a minor), A's exact rank decides; where rank_p(A) is below
-      it, the node's level keeps every value, which is sound.
+      dividing a minor), the size of A's exact kernel (`operator_kernel`)
+      decides; where rank_p(A) is below rank_Q(A), the node's level keeps
+      every value, which is sound.
 
     p divides no numerator or denominator of X or of a lattice generator
     (`_modp.screening_prime`), so every matrix ranked reduces a p-integral
     rational one and the argument above applies to it, and no term of X
     vanishes mod p (a vanishing term changes the field mod p and makes
     lifts fail throughout).  The only exact elimination the sieve runs is
-    A's rank after a failed lift.  A degree whose tables would pass
+    A's kernel after a failed lift.  A degree whose tables would pass
     `_SIEVE_CELLS_LIMIT` residues is refused before they are built.
     """
 
@@ -618,15 +621,20 @@ class _GradedSieve:
         candidate K, with G the screens' compressor (none where X - K is
         not tall): rank(G*M) <= rank(M), so an empty kernel proves the
         rational one trivial, and one larger than M's only fails to lift."""
+        import numpy as np
         p = self.p
         support = sorted({m for K in candidates for m in K.terms},
                          key=grlex_key)
         base = self.image_residues
-        directions = _modp.shift_matrices(self.cols, support, self.rows)
         G = _modp.compressor(*base.shape, p)
-        if G is not None:
+        if G is None:
+            G = np.eye(len(self.rows), dtype=np.int64)
+        else:
             base = _modp.matmul(G, base, p)
-            directions = _modp.matmul(G, directions, p)
+        # G*(u*m_c) is the column of G at the row u*m_c, or zero
+        directions = _modp.gather(G.T, _modp.shift_index(
+            self.rows, [tuple(-e for e in u) for u in support], self.cols)
+        ).transpose(0, 2, 1)
         coefficients = _modp.fraction_rows_to_modp(
             [[K.coefficient(m) for m in support] for K in candidates], p)
         return [kernel for stack in _by_stack(
@@ -682,9 +690,10 @@ class _GradedSieve:
 
         P is the cokernel of A mod p, used only once rank_Q(A) = rank_p(A)
         is proved: A has full column rank mod p, or its kernel basis lifts
-        exactly (`_lift`), or A's exact rank is rank_p(A).  Where
-        none holds, p divides a minor of A and the pair is None.  The
-        blocks A share one shape, so they are eliminated together.
+        exactly (`_lift`), or A's exact kernel (`operator_kernel`) is as
+        large as its kernel mod p.  Where none holds, p divides a minor of
+        A and the pair is None.  The blocks A share one shape, so they are
+        eliminated together.
         """
         import numpy as np
         p = self.p
@@ -711,9 +720,8 @@ class _GradedSieve:
             proved = len(projected) and (
                 not len(kernel)
                 or self._lift(node.K, lower, block.rows, kernel) is not None
-                or RatMatrix(_operator_matrix(self.X, node.K, lower,
-                                              block.rows)).rank()
-                == len(lower) - len(kernel))
+                or len(operator_kernel(self.X, node.K, lower, block.rows))
+                == len(kernel))
             out.append((projected[:, :k], projected[:, k:].reshape(
                 len(projected), S, k).transpose(1, 0, 2)) if proved else None)
         return out

@@ -109,6 +109,38 @@ def test_golden_reports(fixture, args):
     assert out == (FIXTURES / fixture).read_text()
 
 
+def _corpus_commands():
+    """Every corpus field under darboux --degree 2, 3 and 4, darboux
+    --degree 3 --lattice-bound 1, integrals --degree 3, analyze,
+    expfactors and formal, as command lines."""
+    for field in sorted((REPO / "corpus").glob("*.vf")):
+        path = f"corpus/{field.name}"
+        for command in (["darboux", path, "--degree", "2"],
+                        ["darboux", path, "--degree", "3"],
+                        ["darboux", path, "--degree", "4"],
+                        ["darboux", path, "--degree", "3",
+                         "--lattice-bound", "1"],
+                        ["integrals", path, "--degree", "3"],
+                        ["analyze", path], ["expfactors", path],
+                        ["formal", path]):
+            yield " ".join(command)
+
+
+def test_corpus_reports_are_unchanged():
+    # the exit code and the sha256 of stdout of every corpus command: a
+    # refactor that changes any report byte shows here, named
+    pinned = json.loads((FIXTURES / "corpus_report_digests.json").read_text())
+    assert list(pinned) == list(_corpus_commands())
+    mismatches = []
+    for command, want in pinned.items():
+        code, out, _ = run_cli(command.split())
+        got = {"exit": code,
+               "sha256": hashlib.sha256(out.encode()).hexdigest()}
+        if got != want:
+            mismatches.append(command)
+    assert not mismatches
+
+
 def test_json_output_byte_stable():
     args = ["darboux", "corpus/restricted_z0_c2.vf", "--degree", "2"]
     _, first, _ = run_cli(args)

@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from darbouxlab.darboux import (CofactorLattice, DarbouxCert, ExpFactorCert,
                                 assemble_darboux_integrals,
@@ -20,8 +21,8 @@ from darbouxlab.darboux import (CofactorLattice, DarbouxCert, ExpFactorCert,
 from darbouxlab import _modp
 from darbouxlab.exactcore import (Poly, RatMatrix, coefficient_matrix,
                                   monomials_upto, parse_poly, poly_divmod)
-from darbouxlab.field import (NotInvariantError, lie_derivative, load_field,
-                              parse_field)
+from darbouxlab.field import (NotInvariantError, VectorField, lie_derivative,
+                              load_field, parse_field)
 
 from conftest import (CORPUS, cyclic_lotka_volterra, make_lv3,
                       nonzero_polys)
@@ -418,16 +419,18 @@ class TestSieveAgainstBruteForce:
 
     def test_lift_beyond_the_reconstruction_bound(self, monkeypatch):
         # a = 98765432123/1000003 puts entries above sqrt(p/2) in two of the
-        # lower blocks' kernels, so their lifts fail and the exact rank
-        # proves rank_Q(A) = rank_p(A) instead
+        # lower blocks' kernels, so their lifts fail and one exact kernel
+        # each (`operator_kernel`) proves rank_Q(A) = rank_p(A) instead
         import darbouxlab.darboux as dbx
 
         X = make_lv3("98765432123/1000003", 3, 0)
         lattice = default_lattice(X, 1)
         with monkeypatch.context() as patch:
             lifts = _returns(patch, dbx._GradedSieve, "_lift")
+            solves = _counting(patch, dbx, "operator_kernel")
             dbx._GradedSieve(X, 2, lattice).run()
         assert (lifts.count(None), len(lifts)) == (2, 12)
+        assert len(solves) == 2
         direct, sieved = self._both_paths(X, 2, lattice,
                                           (9, "55de8b73a6cdfc60"))
         assert direct == sieved
@@ -554,10 +557,11 @@ class TestRankScreen:
     def test_failed_lifts_fall_back_to_exact_rank(
             self, monkeypatch, reference_field, case):
         # with no rational lift, rank_Q(A) = rank_p(A) is proved by one
-        # exact rank per block A that is rank-deficient mod p and leaves
-        # equations to project; level 0, whose A has no columns, uses its
-        # kernels mod p as they are and runs no exact elimination.  The
-        # survivors and the certificates are unchanged
+        # exact kernel (`operator_kernel`) per block A that is
+        # rank-deficient mod p and leaves equations to project; level 0,
+        # whose A has no columns, uses its kernels mod p as they are and
+        # runs no exact elimination.  The survivors and the certificates
+        # are unchanged
         import darbouxlab.darboux as dbx
 
         if case == "restricted_z0":
@@ -588,7 +592,7 @@ class TestRankScreen:
         monkeypatch.setattr(_modp, "rational_reconstruction", no_lift)
         monkeypatch.setattr(_modp, "batched_kernels", recorded)
         rrefs = _counting(monkeypatch, RatMatrix, "rref")
-        ranks = _counting(monkeypatch, RatMatrix, "rank")
+        solves = _counting(monkeypatch, dbx, "operator_kernel")
         level = dbx._GradedSieve._level
         after_level = []
 
@@ -600,7 +604,7 @@ class TestRankScreen:
         monkeypatch.setattr(dbx._GradedSieve, "_level", counted_level)
         kept = dbx._GradedSieve(X, d, lattice).run()
         assert lifts and after_level[0] == (0, 0)
-        assert len(ranks) == len(rrefs) == sum(
+        assert len(solves) == len(rrefs) == sum(
             1 for dim, rows in blocks if dim and rows) > 0
         assert kept == screened
         assert {(str(c.f), str(c.K))
@@ -1028,7 +1032,8 @@ class TestKernelFromRank:
 def test_small_primes_find_the_default_certificates(monkeypatch, prime):
     # a screening prime walked down from a small bound (staying above 7,
     # where `_modp._is_prime` holds) prunes less and fails more lifts, but
-    # finds the default prime's certificates on the corpus
+    # finds the default prime's certificates on the corpus; at 13 the
+    # levels' exact fallback after a failed lift runs too
     import darbouxlab.darboux as dbx
 
     fields = [load_field(CORPUS / name) for name in CORPUS_FIELDS]
@@ -1040,10 +1045,105 @@ def test_small_primes_find_the_default_certificates(monkeypatch, prime):
     expected = certificates()
     monkeypatch.setattr(_modp, "PRIME", prime)
     primes = _returns(monkeypatch, _modp, "screening_prime")
+    kernels = _counting(monkeypatch, dbx, "operator_kernel")
     solves = _counting(monkeypatch, dbx, "search_darboux_fixed_cofactor")
     assert certificates() == expected
     assert set(primes) == {prime}
     assert solves
+    # every exact kernel not under a fixed-cofactor solve is a level's
+    assert len(kernels) - len(solves) == {1009: 0, 101: 0, 13: 111}[prime]
+
+
+@st.composite
+def _small_fields(draw):
+    """Fields in 1-3 variables whose components have degree <= 2 and at most
+    4 terms, each optionally x_i*(...) (Kolmogorov), with nonzero
+    coefficients n/q, |n| <= 4 and q in {1, 2, 3}: no prime above 3
+    divides one."""
+    nv = draw(st.integers(1, 3))
+    variables = ("x", "y", "z")[:nv]
+    coefficient = st.builds(Fraction, st.integers(-4, 4).filter(bool),
+                            st.sampled_from([1, 2, 3]))
+    components = []
+    for i in range(nv):
+        kolmogorov = draw(st.booleans())
+        monos = draw(st.lists(st.sampled_from(monomials_upto(
+            nv, 1 if kolmogorov else 2)), min_size=1, max_size=4,
+            unique=True))
+        if kolmogorov:
+            monos = [tuple(e + (j == i) for j, e in enumerate(m))
+                     for m in monos]
+        components.append(Poly(variables, dict(zip(monos, draw(st.lists(
+            coefficient, min_size=len(monos), max_size=len(monos)))))))
+    return VectorField(variables, tuple(components))
+
+
+def _found(X, d, lattice):
+    """The nonempty kernels of `cofactor_kernels` and the certificates."""
+    kernels = cofactor_kernels(X, d, lattice)
+    return ({K: basis for K, basis in kernels if basis},
+            [(str(c.f), str(c.K))
+             for c in certificates_from_kernels(X, kernels)])
+
+
+def _proved_projections(monkeypatch, X):
+    """Wrap `_GradedSieve._projected` so that every projection it returns
+    is checked to rest on rank_Q(A) = rank_p(A), for the block A of the
+    free unknowns, by an exact rank wherever A is rank-deficient mod p."""
+    import darbouxlab.darboux as dbx
+
+    projected = dbx._GradedSieve._projected
+
+    def checked(sieve, nodes, n, r, W):
+        out = projected(sieve, nodes, n, r, W)
+        block = sieve._block(n, r)
+        lower = block.cols[block.split:]
+        for node, pair in zip(nodes, out):
+            if pair is None or not lower:
+                continue
+            A = dbx._operator_matrix(X, node.K, lower, block.rows)
+            rank = _modp.batched_rank(
+                _modp.fraction_rows_to_modp(A, sieve.p)[None], sieve.p)[0]
+            assert rank == len(lower) or RatMatrix(A).rank() == rank
+        return out
+
+    monkeypatch.setattr(dbx._GradedSieve, "_projected", checked)
+
+
+# A field whose blocks A at sieve level 1 for f-degree 2 lose rank mod 13,
+# at K = 0 and K = x/3: the Darboux polynomial of K = x/3 has 13 in the
+# denominators of its linear part
+RANK_DROP_AT_13 = ("vars: x y\ndx/dt = -2/3*x^2 + x*y - 2*x\n"
+                   "dy/dt = 3/2*x^2 + x*y\n")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_small_fields(), st.sampled_from([1, 2]))
+@example(parse_field(RANK_DROP_AT_13), 2)
+def test_small_primes_agree_on_random_fields(X, d):
+    # each small screening prime (the bound itself, as no coefficient has
+    # a prime factor above 3) uses a level's projection only where the
+    # ranks of its block agree, and finds the default prime's kernels,
+    # which are every nonempty fixed-cofactor kernel over the lattice
+    # where it has at most 10^4 cofactors of degree <= deg(X) - 1 (and
+    # at most 3^10 raw combinations, so that enumerating them is cheap)
+    lattice = default_lattice(X, 1)
+    expected = _found(X, d, lattice)
+    for prime in (11, 13, 31, 101):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_modp, "PRIME", prime)
+            primes = _returns(patch, _modp, "screening_prime")
+            _proved_projections(patch, X)
+            assert _found(X, d, lattice) == expected
+        assert set(primes) == {prime}
+    if 3 ** len(lattice.generators) <= 3 ** 10:
+        values = enumerate_cofactors(X, lattice)
+        if len(values) <= 10**4:
+            top = max(X.degree - 1, 0)
+            solved = {K: search_darboux_fixed_cofactor(X, K, d)
+                      for K in values if K.total_degree() <= top}
+            assert expected[0] == {K: basis for K, basis in solved.items()
+                                   if basis}
 
 
 LORENZ63 = """

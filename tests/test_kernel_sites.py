@@ -6,11 +6,11 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "darbouxlab"
 
-# the one exact kernel of X - K, the sieve's exact-rank fallback, the
-# kernel of the cofactor balances and the membership test of a series space
+# the one exact kernel of X - K (the sieve's fallback after a failed lift
+# reads it too), the kernel of the cofactor balances and the membership
+# test of a series space
 EXACT_MATRIX_SITES = {
     "darboux.operator_kernel",
-    "darboux._GradedSieve._projected",
     "darboux.assemble_darboux_integrals",
     "series.SeriesSpace.contains",
 }

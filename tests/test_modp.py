@@ -110,6 +110,80 @@ def test_batched_rank_zero_vector_between_pivots():
     _ranks_agree(mats)
 
 
+def _short_side_rank(mats, p):
+    """Reference ranks over Z/p of a stack (N, R, C): elimination along the
+    short side.  The C columns (C <= R) or else the R rows are the vectors;
+    step i takes the first nonzero entry of vector i as pivot and clears it
+    from every later vector by v*pivot - factor*vector_i.  The vectors that
+    are nonzero when their step comes are independent and span the rest,
+    so their count is the rank."""
+    A = np.asarray(mats, dtype=np.int64)
+    N, R, C = A.shape
+    if N == 0 or R == 0 or C == 0:
+        return np.zeros(N, dtype=np.int64)
+    V = np.array(A.transpose(0, 2, 1) if C <= R else A) % p
+    k = V.shape[1]
+    mat_idx = np.arange(N)
+    rank = np.zeros(N, dtype=np.int64)
+    for i in range(k):
+        vec = V[:, i, :]
+        nonzero = vec != 0
+        piv = nonzero.argmax(axis=1)
+        has = nonzero[mat_idx, piv]
+        rank += has
+        rest = V[:, i + 1:, :]
+        factors = rest[mat_idx, :, piv]
+        rest *= np.where(has, vec[mat_idx, piv], 1)[:, None, None]
+        rest -= factors[:, :, None] * vec[:, None, :]
+        rest %= p
+    return rank
+
+
+@st.composite
+def _rank_stacks(draw):
+    """(p, stack): N <= 8 matrices R x C with R, C <= 7, entries 0, 1,
+    p - 1, small or any residue, and some rows and columns replaced by
+    integer multiples of others (planted dependencies)."""
+    p = draw(st.sampled_from([_modp.PRIME, 2147483629, 13]))
+    N, R, C = (draw(st.integers(0, 8)), draw(st.integers(0, 7)),
+               draw(st.integers(0, 7)))
+    entry = (st.sampled_from([0, 1, p - 1]) | st.integers(2, 9)
+             | st.integers(0, p - 1))
+    stack = np.zeros((N, R, C), dtype=object)
+    for m in stack:
+        m[:] = np.array(draw(st.lists(entry, min_size=R * C,
+                                      max_size=R * C)),
+                        dtype=object).reshape(R, C)
+        for axis, size in ((0, R), (1, C)):
+            if size < 2:
+                continue
+            for target, source, factor in draw(st.lists(st.tuples(
+                    st.integers(0, size - 1), st.integers(0, size - 1),
+                    st.sampled_from([0, 1, 2, p - 1])), max_size=3)):
+                if axis:
+                    m[:, target] = m[:, source] * factor
+                else:
+                    m[target] = m[source] * factor
+    return p, stack
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_rank_stacks())
+def test_batched_rank_matches_the_short_side_reference(case):
+    # zero, wide, tall and square stacks: the pivot count of the
+    # Gauss-Jordan elimination is the short-side rank, and the rational
+    # rank where every entry is a small integer and p = 2^31 - 1
+    p, stack = case
+    residues = (stack % p).astype(np.int64)
+    ranks = _modp.batched_rank(residues, p)
+    assert ranks.dtype == np.int64
+    assert ranks.tolist() == _short_side_rank(residues, p).tolist()
+    if p == _modp.PRIME:
+        for m, rank in zip(stack, ranks):
+            if (m < 10).all():
+                assert RatMatrix(m.tolist()).rank() == rank
+
+
 def test_matmul_matches_python_ints():
     p1 = _modp.PRIME - 1
     rng = random.Random(7)
