@@ -264,9 +264,16 @@ def _eliminate(M: np.ndarray, C: int, p: int
     without one gets pivot 1 and factor 0, so its step changes nothing).
     The pivot row keeps its place, scaled by the pivot.
 
+    The pivot row of step j is zero left of column j (cleared there, or
+    unused where a column had no pivot), so the step would only scale those
+    columns by the pivot.  It updates columns j onwards alone, and each
+    column left of C is scaled once at the end by the pivots of the steps
+    after it, which leaves M as steps over every column would, so the
+    kernel read-out may divide a row by its pivot entry.
+
     Returns pivot_row (N, C), the pivot row of each column or -1 where the
     column is free, and unused (N, R), the rows that never became pivot
-    rows.  A wide matrix needs no transpose: once its rows are used up,
+    rows.  A wide matrix needs no special case: once its rows are used up,
     each remaining column finds no candidate, so its step changes nothing.
     """
     import numpy as np
@@ -274,21 +281,36 @@ def _eliminate(M: np.ndarray, C: int, p: int
     mat_idx = np.arange(N)
     unused = np.ones((N, R), dtype=bool)
     pivot_row = np.full((N, C), -1)
+    scale = np.ones((C, N), dtype=np.int64)   # each step's pivot, or 1
+    # columns outermost, so that the columns from j on are one block; M's
+    # own memory is the scratch space until T is copied back
+    T = M.transpose(2, 0, 1).copy()
+    scratch = M.reshape(T.shape)
     for j in range(C):
-        column = M[:, :, j]
+        column = T[j]
         candidates = (column != 0) & unused
         has = candidates.any(axis=1)
         if not has.any():
             continue
         row = candidates.argmax(axis=1)
-        pivot = M[mat_idx, row]
+        right = T[j:]
+        pivot = right[:, mat_idx, row]
         factors = np.where(has[:, None], column, 0)
         factors[mat_idx, row] = 0
-        M *= np.where(has, pivot[:, j], 1)[:, None, None]
-        M -= factors[:, :, None] * pivot[:, None, :]
-        _reduce(M, p)
+        scale[j] = np.where(has, pivot[0], 1)
+        right *= scale[j, :, None]
+        product = np.multiply(pivot[:, :, None], factors, out=scratch[j:])
+        right -= product
+        _reduce(right, p, product)
         unused[mat_idx[has], row[has]] = False
         pivot_row[has, j] = row[has]
+    # column c still lacks the pivots of steps c+1 .. C-1
+    for c in range(C - 2, -1, -1):
+        scale[c] = scale[c + 1] * scale[c] % p
+    left = T[:max(C - 1, 0)]
+    left *= scale[1:, :, None]
+    _reduce(left, p)
+    M[...] = T.transpose(1, 2, 0)
     return pivot_row, unused
 
 

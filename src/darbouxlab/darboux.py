@@ -60,7 +60,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
@@ -104,8 +103,7 @@ class LatticeTooLargeError(ValueError):
     non-monomial generators or build too large a table of reachable parts."""
 
 
-@dataclass(frozen=True)
-class DarbouxCert:
+class DarbouxCert(NamedTuple):
     """Pair (f, K) with X(f) = K*f exactly."""
 
     f: Poly
@@ -118,8 +116,7 @@ class DarbouxCert:
         return {"poly": str(self.f), "cofactor": str(self.K)}
 
 
-@dataclass(frozen=True)
-class ExpFactorCert:
+class ExpFactorCert(NamedTuple):
     """Certificate for exp(g / prod x_i^{s_i}) with cofactor L.
 
     The defining identity is X(g) - g * sum_i s_i K_i = L * prod x_i^{s_i},
@@ -148,16 +145,22 @@ class ExpFactorCert:
 # cofactor lattices
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class CofactorLattice:
-    """Finite candidate set {sum_i n_i * generator_i : |n_i| <= bound}."""
+    """Finite candidate set {sum_i n_i * generator_i : |n_i| <= bound};
+    immutable."""
 
-    generators: tuple[Poly, ...]
-    bound: int
+    __slots__ = ("generators", "bound")
 
-    def __post_init__(self):
-        if self.bound < 0:
+    def __init__(self, generators: tuple[Poly, ...], bound: int):
+        if bound < 0:
             raise ValueError("bound must be non-negative")
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "bound", bound)
+
+    def __setattr__(self, *_):
+        raise AttributeError("CofactorLattice is immutable")
+
+    __delattr__ = __setattr__
 
 
 def default_lattice(X: VectorField, bound: int) -> CofactorLattice:
@@ -481,8 +484,7 @@ class _LatticeBoxes:
                                 for m, v in zip(monos, value)})
 
 
-@dataclass(frozen=True)
-class _Block:
+class _Block(NamedTuple):
     """Where the equations of sieve level r for f-degree n live.
 
     The unknowns are f_n (the `top` columns, the first `split` of `cols`)
@@ -937,17 +939,24 @@ def search_exp_factors(X: VectorField, deg_g: int,
 # Darboux functions and first integrals
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class DarbouxFunction:
-    """prod f_i^{lambda_i} * prod E_j^{mu_j} with vanishing cofactor balance."""
+    """prod f_i^{lambda_i} * prod E_j^{mu_j} with vanishing cofactor
+    balance; immutable."""
 
-    darboux_terms: tuple[tuple[DarbouxCert, Fraction], ...]
-    exp_terms: tuple[tuple[ExpFactorCert, Fraction], ...]
+    __slots__ = ("darboux_terms", "exp_terms")
 
-    def __post_init__(self):
+    def __init__(self, darboux_terms: tuple[tuple[DarbouxCert, Fraction], ...],
+                 exp_terms: tuple[tuple[ExpFactorCert, Fraction], ...]):
+        object.__setattr__(self, "darboux_terms", darboux_terms)
+        object.__setattr__(self, "exp_terms", exp_terms)
         balance = self.cofactor_balance()
         if not balance.is_zero():
             raise ValueError(f"cofactor balance is {balance}, not zero")
+
+    def __setattr__(self, *_):
+        raise AttributeError("DarbouxFunction is immutable")
+
+    __delattr__ = __setattr__
 
     def cofactor_balance(self) -> Poly:
         terms = [(c.K, lam) for c, lam in self.darboux_terms]
@@ -1050,8 +1059,7 @@ def assemble_darboux_integrals(certs: Sequence[DarbouxCert],
 # rational first-integral obstruction
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     degree: int
     polynomial_space_trivial: bool
     polynomial_witnesses: tuple[Poly, ...]

@@ -14,7 +14,6 @@ plain exact rational arithmetic; no symbolic parameters survive parsing.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
@@ -39,31 +38,48 @@ class NotInvariantError(ValueError):
     """Raised when a coordinate plane is not invariant for the field."""
 
 
-@dataclass(frozen=True)
 class VectorField:
-    """Named variables, one polynomial component per variable.
+    """Named variables, one polynomial component per variable; immutable.
 
     ``source_params`` keeps the exact parameter bindings for reporting;
     ``source_text`` keeps the original file so a parameter can later be
-    promoted to a variable by re-parsing.
+    promoted to a variable by re-parsing.  Equality ignores the source text.
     """
 
-    variables: tuple[str, ...]
-    components: tuple[Poly, ...]
-    source_params: Mapping[str, Fraction] = dc_field(default_factory=dict)
-    source_text: str | None = dc_field(default=None, compare=False)
-
-    def __post_init__(self):
-        if len(self.variables) != len(self.components):
+    def __init__(self, variables: tuple[str, ...],
+                 components: tuple[Poly, ...],
+                 source_params: Mapping[str, Fraction] | None = None,
+                 source_text: str | None = None):
+        if len(variables) != len(components):
             raise ValueError("one component per variable required")
-        for comp in self.components:
-            if comp.variables != self.variables:
+        for comp in components:
+            if comp.variables != variables:
                 raise VariableMismatchError(
                     "components must live over the declared variables")
+        # the instance dict also holds the cached properties
+        self.__dict__.update(
+            variables=variables, components=components,
+            source_params={} if source_params is None else source_params,
+            source_text=source_text)
+
+    def __setattr__(self, *_):
+        raise AttributeError("VectorField is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.variables, self.components, self.source_params)
+                == (other.variables, other.components, other.source_params))
 
     def __hash__(self) -> int:
         # source_params is a dict; equal fields have equal equations
         return hash((self.variables, self.components))
+
+    def __repr__(self) -> str:
+        return (f"VectorField({self.variables!r}, {self.components!r}, "
+                f"{self.source_params!r})")
 
     @property
     def degree(self) -> int:

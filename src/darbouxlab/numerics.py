@@ -32,10 +32,9 @@ from __future__ import annotations
 import math
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .darboux import EvalDomainError
 from .exactcore import Poly, grlex_key
@@ -59,12 +58,16 @@ class NonFiniteStateError(RuntimeError):
         self.t = t
 
 
-@dataclass
 class Trajectory:
-    times: array                 # strictly increasing, n_points floats
-    states: array                # row-major, n_points * dim floats
-    variables: tuple[str, ...]
-    metadata: dict = dc_field(default_factory=dict)
+    """Sampled times (strictly increasing, n_points floats) and states
+    (row-major, n_points * dim floats) of one run."""
+
+    def __init__(self, times: array, states: array,
+                 variables: tuple[str, ...], metadata: dict | None = None):
+        self.times = times
+        self.states = states
+        self.variables = variables
+        self.metadata = {} if metadata is None else metadata
 
     def __len__(self) -> int:
         return len(self.times)
@@ -74,8 +77,7 @@ class Trajectory:
         return zip(*[iter(self.states)] * len(self.variables))
 
 
-@dataclass(frozen=True)
-class DriftReport:
+class DriftReport(NamedTuple):
     expression_id: str
     initial_value: float
     max_abs_drift: float

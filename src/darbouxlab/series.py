@@ -16,7 +16,7 @@ solution) and re-added to the reported basis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .darboux import operator_kernel
 from .exactcore import (Poly, RatMatrix, coefficient_matrix, grlex_key,
@@ -28,8 +28,7 @@ from .field import VectorField, parse_field
 _FORMAL_CELLS_LIMIT = 5_000_000
 
 
-@dataclass(frozen=True)
-class SeriesSpace:
+class SeriesSpace(NamedTuple):
     """Basis of truncated formal first integrals (constants included)."""
 
     order: int

@@ -312,14 +312,16 @@ def test_module_entry_point():
 
 
 # Runs cli.main in a fresh interpreter; prints its exit code, whether
-# importing the CLI loaded the mod-p layer, and whether numpy got loaded.
+# importing the CLI loaded the mod-p layer, numpy, dataclasses and inspect,
+# and whether the last three were loaded once the command had run.
 _MODULES_AFTER_MAIN = """
 import contextlib, io, sys
 import darbouxlab.cli
-modp = "darbouxlab._modp" in sys.modules
+heavy = ("numpy", "dataclasses", "inspect")
+imported = [name in sys.modules for name in ("darbouxlab._modp", *heavy)]
 with contextlib.redirect_stdout(io.StringIO()):
     code = darbouxlab.cli.main(sys.argv[1:])
-print(code, modp, "numpy" in sys.modules)
+print(code, *imported, *(name in sys.modules for name in heavy))
 """
 
 
@@ -337,7 +339,11 @@ def test_numpy_loaded_only_by_rank_screens(args, numpy_loaded):
                           capture_output=True, text=True, cwd=REPO,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "True", str(numpy_loaded)]
+    # no record class generates code, so dataclasses never loads, and
+    # inspect comes only with numpy
+    assert proc.stdout.split() == [
+        "0", "True", "False", "False", "False",
+        str(numpy_loaded), "False", str(numpy_loaded)]
 
 
 # Runs cli.main in a fresh interpreter; prints its exit code, the process's
@@ -529,6 +535,14 @@ def test_negative_degree_exits_2(args):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_negative_lattice_bound_exits_2():
+    proc = run_module(["darboux", "corpus/restricted_z0_c2.vf",
+                       "--lattice-bound", "-1"])
+    assert proc.returncode == 2
+    assert proc.stderr == "error: bound must be non-negative\n"
     assert proc.stdout == ""
 
 

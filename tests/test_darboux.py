@@ -7,10 +7,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from darbouxlab.darboux import (CofactorLattice, DarbouxCert, ExpFactorCert,
+from darbouxlab.darboux import (CofactorLattice, DarbouxCert, DarbouxFunction,
+                                ExpFactorCert, ObstructionReport,
                                 assemble_darboux_integrals,
                                 certificates_from_kernels, cofactor_kernels,
                                 default_lattice, enumerate_cofactors,
@@ -1056,12 +1057,12 @@ def test_small_primes_find_the_default_certificates(monkeypatch, prime):
 
 @st.composite
 def _small_fields(draw):
-    """Fields in 1-3 variables whose components have degree <= 2 and at most
+    """Fields in 1-4 variables whose components have degree <= 2 and at most
     4 terms, each optionally x_i*(...) (Kolmogorov), with nonzero
     coefficients n/q, |n| <= 4 and q in {1, 2, 3}: no prime above 3
     divides one."""
-    nv = draw(st.integers(1, 3))
-    variables = ("x", "y", "z")[:nv]
+    nv = draw(st.integers(1, 4))
+    variables = ("x", "y", "z", "w")[:nv]
     coefficient = st.builds(Fraction, st.integers(-4, 4).filter(bool),
                             st.sampled_from([1, 2, 3]))
     components = []
@@ -1075,7 +1076,11 @@ def _small_fields(draw):
                      for m in monos]
         components.append(Poly(variables, dict(zip(monos, draw(st.lists(
             coefficient, min_size=len(monos), max_size=len(monos)))))))
-    return VectorField(variables, tuple(components))
+    X = VectorField(variables, tuple(components))
+    # a search costs about 3^generators: a 4-variable field can have 14
+    # generators at bound 1, and from 11 on one takes 0.1-1 s a prime
+    assume(len(default_lattice(X, 1).generators) <= 10)
+    return X
 
 
 def _found(X, d, lattice):
@@ -1126,7 +1131,9 @@ def test_small_primes_agree_on_random_fields(X, d):
     # ranks of its block agree, and finds the default prime's kernels,
     # which are every nonempty fixed-cofactor kernel over the lattice
     # where it has at most 10^4 cofactors of degree <= deg(X) - 1 (and
-    # at most 3^10 raw combinations, so that enumerating them is cheap)
+    # at most 3^10 raw combinations, counted by their keys before they
+    # are enumerated) and X at most 3 variables (a 4-variable solve costs
+    # about 1.5 ms)
     lattice = default_lattice(X, 1)
     expected = _found(X, d, lattice)
     for prime in (11, 13, 31, 101):
@@ -1136,14 +1143,15 @@ def test_small_primes_agree_on_random_fields(X, d):
             _proved_projections(patch, X)
             assert _found(X, d, lattice) == expected
         assert set(primes) == {prime}
-    if 3 ** len(lattice.generators) <= 3 ** 10:
-        values = enumerate_cofactors(X, lattice)
-        if len(values) <= 10**4:
-            top = max(X.degree - 1, 0)
-            solved = {K: search_darboux_fixed_cofactor(X, K, d)
-                      for K in values if K.total_degree() <= top}
-            assert expected[0] == {K: basis for K, basis in solved.items()
-                                   if basis}
+    if (len(X.variables) <= 3 and 3 ** len(lattice.generators) <= 3 ** 10
+            and np.unique(lattice_point_keys(
+                lattice, lattice_key(lattice))).size <= 10**4):
+        top = max(X.degree - 1, 0)
+        solved = {K: search_darboux_fixed_cofactor(X, K, d)
+                  for K in enumerate_cofactors(X, lattice)
+                  if K.total_degree() <= top}
+        assert expected[0] == {K: basis for K, basis in solved.items()
+                               if basis}
 
 
 LORENZ63 = """
@@ -1429,3 +1437,39 @@ class TestObstruction:
         assert not report.holds
         pair_cofactors = {str(K) for K, _, _ in report.same_cofactor_pairs}
         assert "6*x" in pair_cofactors
+
+
+class TestRecords:
+    def test_negative_lattice_bound_is_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            CofactorLattice((P("x"), P("1")), -1)
+        assert CofactorLattice((P("x"), P("1")), 0).bound == 0
+
+    def test_nonzero_cofactor_balance_is_rejected(self):
+        x, y = DarbouxCert(P("x"), P("1 - y")), DarbouxCert(P("y"), P("x"))
+        with pytest.raises(ValueError, match="cofactor balance is"):
+            DarbouxFunction(((x, Fraction(1)), (y, Fraction(1))), ())
+        with pytest.raises(ValueError, match="empty Darboux function"):
+            DarbouxFunction((), ())
+        assert DarbouxFunction(((x, Fraction(2)),), (
+            (ExpFactorCert(P("y"), (0, 0, 0), P("2 - 2*y")), Fraction(-1)),)
+        ).cofactor_balance().is_zero()
+
+    def test_frozen_records_refuse_assignment(self):
+        cert = DarbouxCert(P("x"), P("1"))
+        records = [
+            (cert, "f"),
+            (ExpFactorCert(P("y"), (0, 0, 0), P("y")), "L"),
+            (CofactorLattice((P("x"),), 1), "bound"),
+            (DarbouxFunction(((cert, Fraction(1)),
+                              (DarbouxCert(P("y"), P("1")), Fraction(-1))),
+                             ()), "exp_terms"),
+            (ObstructionReport(2, True, (), ()), "degree"),
+        ]
+        for record, name in records:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert cert.f == P("x")
+        assert records[2][0].bound == 1

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from darbouxlab.exactcore import Poly, divides, monomials_upto, parse_poly
-from darbouxlab.field import (FieldParseError, NotInvariantError,
+from darbouxlab.exactcore import (Poly, VariableMismatchError, divides,
+                                  monomials_upto, parse_poly)
+from darbouxlab.field import (FieldParseError, NotInvariantError, VectorField,
                               lie_derivative, parse_field, restrict_to_plane)
 
 from conftest import CORPUS, make_lv3, polys
@@ -179,3 +180,38 @@ def test_param_named_like_a_variable_rejected():
     with pytest.raises(FieldParseError) as exc:
         parse_field("param y = 1/2\nvars: x y\ndx/dt = x\ndy/dt = y\n")
     assert exc.value.line == 1
+
+
+class TestRecord:
+    def test_equality_and_hash_ignore_source_text(self, reference_field):
+        X = reference_field
+        bare = VectorField(X.variables, X.components, X.source_params)
+        assert bare.source_text is None and X.source_text is not None
+        assert bare == X and hash(bare) == hash(X)
+        assert len({X, bare}) == 1
+
+    def test_equality_reads_the_parameters(self, reference_field):
+        X = reference_field
+        assert VectorField(X.variables, X.components) != X
+        assert VectorField(X.variables, X.components[::-1],
+                           X.source_params) != X
+
+    def test_shape_checks(self, reference_field):
+        X = reference_field
+        with pytest.raises(ValueError, match="one component per variable"):
+            VectorField(X.variables, X.components[:2])
+        with pytest.raises(VariableMismatchError):
+            VectorField(("x", "y", "w"), X.components)
+
+    def test_frozen(self, reference_field):
+        X = parse_field(reference_field.source_text)
+        cofactors = X.coordinate_cofactors
+        for name in ("variables", "components", "source_params",
+                     "source_text", "coordinate_cofactors", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(X, name, None)
+        with pytest.raises(AttributeError):
+            del X.variables
+        # cached once per field, and still readable after the refusals
+        assert X.coordinate_cofactors is cofactors
+        assert X == reference_field

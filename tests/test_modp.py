@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -182,6 +183,58 @@ def test_batched_rank_matches_the_short_side_reference(case):
         for m, rank in zip(stack, ranks):
             if (m < 10).all():
                 assert RatMatrix(m.tolist()).rank() == rank
+
+
+def _eliminate_every_column(M, C, p):
+    """Reference: `_modp._eliminate` as it was when every step multiplied
+    and reduced every column of the stack, cleared pivot columns included."""
+    N, R, _ = M.shape
+    mat_idx = np.arange(N)
+    unused = np.ones((N, R), dtype=bool)
+    pivot_row = np.full((N, C), -1)
+    for j in range(C):
+        column = M[:, :, j]
+        candidates = (column != 0) & unused
+        has = candidates.any(axis=1)
+        if not has.any():
+            continue
+        row = candidates.argmax(axis=1)
+        pivot = M[mat_idx, row]
+        factors = np.where(has[:, None], column, 0)
+        factors[mat_idx, row] = 0
+        M *= np.where(has, pivot[:, j], 1)[:, None, None]
+        M -= factors[:, :, None] * pivot[:, None, :]
+        _modp._reduce(M, p)
+        unused[mat_idx[has], row[has]] = False
+        pivot_row[has, j] = row[has]
+    return pivot_row, unused
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_rank_stacks(), st.integers(0, 3), st.randoms(use_true_random=False))
+def test_elimination_matches_the_every_column_reference(case, k, rng):
+    # zero, wide, tall, square and rank-deficient stacks with k carried
+    # columns: the same pivot rows, unused rows and final matrix, so the
+    # same kernels and cokernels
+    p, stack = case
+    N, R, C = stack.shape
+    A = (stack % p).astype(np.int64)
+    B = np.array([rng.randrange(p) for _ in range(N * R * k)],
+                 dtype=np.int64).reshape(N, R, k)
+    M = np.concatenate([A, B], axis=2)
+    want_M = M.copy()
+    got = _modp._eliminate(M, C, p)
+    want = _eliminate_every_column(want_M, C, p)
+    for got_part, want_part in zip(got, want):
+        assert got_part.tolist() == want_part.tolist()
+    assert M.tolist() == want_M.tolist()
+    batched = _modp.batched_kernels(A, B, p)
+    with mock.patch.object(_modp, "_eliminate", _eliminate_every_column):
+        reference = _modp.batched_kernels(A, B, p)
+    for (kernel, cokernel), (want_kernel, want_cokernel) in zip(
+            batched, reference, strict=True):
+        assert kernel.tolist() == want_kernel.tolist()
+        assert cokernel.tolist() == want_cokernel.tolist()
 
 
 def test_matmul_matches_python_ints():

@@ -89,6 +89,15 @@ def test_drift_of_decoupled_coordinate(integrable_trajectory, conserved_quantiti
     assert report.max_abs_drift == 0.0
 
 
+def test_drift_report_is_frozen(integrable_trajectory, conserved_quantities):
+    _, h2 = conserved_quantities
+    report = conservation_drift(integrable_trajectory, h2, name="h2")
+    for name in ("expression_id", "max_abs_drift", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(report, name, None)
+    assert report.record()["expression"] == "h2"
+
+
 def test_not_conserved_at_chaotic_parameters(reference_field,
                                              conserved_quantities):
     h1, _ = conserved_quantities

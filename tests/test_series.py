@@ -48,6 +48,14 @@ def test_planar_c2_constants_only():
     assert str(space.basis[0]) == "1"
 
 
+def test_series_space_is_frozen():
+    space = formal_integral_space(planar(2), 2, 2)
+    for name in ("order", "basis", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(space, name, None)
+    assert (space.order, space.margin, space.dimension) == (2, 2, 1)
+
+
 def test_planar_c0_contains_conserved_series():
     space = formal_integral_space(planar(0), 4, 0)
     assert space.dimension >= 2
