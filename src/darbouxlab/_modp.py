@@ -5,11 +5,12 @@ sound proof of a trivial rational kernel, and the kernel dimension mod p is
 an upper bound on the rational one.  A candidate that is rank-deficient mod p
 has its kernel basis mod p lifted by `rational_reconstruction` and checked
 exactly, or is solved by exact rational elimination where a lift fails, so
-a chance rank drop mod p costs time but never correctness.  Everything here is deterministic: no randomness, fixed pivot
-order, and one prime p per search, chosen by `screening_prime` to divide no
-numerator and no denominator of its input's coefficients.  The graded sieve
-that picks it owns every table reduced mod p and passes p to every
-function here that computes mod p.
+a chance rank drop mod p costs time but never correctness.  Everything
+here is deterministic: no randomness, fixed pivot order, and one prime p
+per search, chosen by `screening_prime` to divide no numerator and no
+denominator of its input's coefficients.  The graded sieve that picks it
+owns every table reduced mod p and passes p to every function here that
+computes mod p.
 
 Every rank and kernel mod p comes from one fraction-free Gauss-Jordan
 elimination (`_eliminate`): `batched_rank` counts its pivot columns and
@@ -164,16 +165,12 @@ def scaled_rows_to_modp(rows: Sequence[Sequence[int]], scales: Sequence[int],
     """Residues of rows[i][j] / scales[j], one row per entry of rows, for
     scales that p does not divide.
 
-    Rows that fit int64 are reduced in numpy; otherwise each integer is
-    reduced mod p as a Python integer first, so large numerators cannot
-    overflow (two residues multiply below 2^62).
+    Each integer is reduced mod p as a Python integer first, so large
+    numerators cannot overflow (two residues multiply below 2^62).
     """
     import numpy as np
     inverses = np.array([pow(s, -1, p) for s in scales], dtype=np.int64)
-    try:
-        reduced = np.array(rows, dtype=np.int64) % p
-    except OverflowError:
-        reduced = (np.array(rows, dtype=object) % p).astype(np.int64)
+    reduced = (np.array(rows, dtype=object) % p).astype(np.int64)
     return reduced.reshape(len(rows), len(inverses)) * inverses % p
 
 

@@ -16,15 +16,15 @@ import os
 import sys
 
 from . import __version__
-from .darboux import (CofactorLattice, EvalDomainError, InternalCheckError,
+from .darboux import (CofactorLattice, InternalCheckError,
                       LatticeTooLargeError, assemble_darboux_integrals,
                       certificates_from_kernels, cofactor_kernels,
                       default_lattice, obstruction_from_kernels,
                       search_darboux, search_exp_factors)
 from .exactcore import PolyParseError, parse_poly
 from .field import FieldParseError, VectorField, load_field
-from .numerics import (NonFiniteStateError, conservation_drift, emit_csv,
-                       lyapunov_max, simulate)
+from .numerics import (EvalDomainError, NonFiniteStateError,
+                       conservation_drift, emit_csv, lyapunov_max, simulate)
 from .series import formal_integral_space, promote_parameter
 
 EXIT_OK = 0

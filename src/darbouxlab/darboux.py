@@ -4,6 +4,7 @@ A Darboux polynomial of the field X is a polynomial f with X(f) = K*f for a
 polynomial cofactor K of degree at most deg(X) - 1; an exponential factor is
 E = exp(g / prod x_i^{s_i}) with X(E) = L*E.  Every certificate stores the
 exact cofactor and can re-verify itself by independent exact arithmetic.
+Nothing here computes in floats: `numerics` evaluates a DarbouxFunction.
 
 Search strategy: the equation X(f) = K*f is bilinear in (f, K), so the search
 enumerates K over a finite integer lattice of generator combinations and
@@ -85,12 +86,6 @@ _EXP_FACTOR_CELLS_LIMIT = 20_000_000
 # residues of the sieve's image table and full-operator stack: 3,403,400 for
 # the degree-12 reference search, 19,311,600 (232 MB RSS) at degree 17
 _SIEVE_CELLS_LIMIT = 20_000_000
-
-
-class EvalDomainError(ArithmeticError):
-    """A value cannot be evaluated in floats: a Darboux function factor
-    vanishes (or is negative) where forbidden, or a number is too large
-    for a float64."""
 
 
 class InternalCheckError(RuntimeError):
@@ -967,34 +962,6 @@ class DarbouxFunction:
         for cof, exponent in terms:
             total = total + cof * exponent
         return total
-
-    def evaluate_float(self, point: Sequence[float]) -> float:
-        value = 1.0
-        for cert, lam in self.darboux_terms:
-            base = cert.f.evaluate_float(point)
-            exponent = float(lam)
-            if base == 0.0:
-                if exponent < 0:
-                    raise EvalDomainError(f"factor {cert.f} vanishes")
-                value *= 0.0 ** exponent
-                continue
-            if base < 0.0 and lam.denominator != 1:
-                raise EvalDomainError(
-                    f"factor {cert.f} negative with non-integer exponent {lam}")
-            if lam.denominator == 1:
-                value *= base ** int(lam)
-            else:
-                value *= base ** exponent
-        for cert, mu in self.exp_terms:
-            g_val = cert.g.evaluate_float(point)
-            denom_val = 1.0
-            for e, coord in zip(cert.s, point):
-                if e:
-                    denom_val *= float(coord) ** e
-            if denom_val == 0.0:
-                raise EvalDomainError("exponential-factor denominator vanishes")
-            value *= math.exp(float(mu) * g_val / denom_val)
-        return value
 
     def text(self) -> str:
         chunks = []

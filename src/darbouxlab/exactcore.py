@@ -7,7 +7,8 @@ compare total degree first, then the exponent tuple lexicographically.
 
 The canonical printed form of a polynomial (descending graded-lex, normalized
 rationals, explicit ``*``) is unique, so string equality of printed forms is
-mathematical equality.
+mathematical equality.  Nothing here computes in floats: `numerics`
+evaluates polynomials in float64.
 
 Every exact linear system of the package is built by one function,
 `coefficient_matrix`: column j holds the coefficients of the j-th polynomial
@@ -257,16 +258,6 @@ class Poly:
     def homogeneous_part(self, degree: int) -> "Poly":
         return Poly(self.variables,
                     {m: c for m, c in self.terms.items() if sum(m) == degree})
-
-    def evaluate_float(self, point: Sequence[float]) -> float:
-        total = 0.0
-        for mono, coeff in self.terms.items():
-            term = float(coeff)
-            for v, e in zip(point, mono):
-                if e:
-                    term *= float(v) ** e
-            total += term
-        return total
 
     # -- comparison, hashing, printing ---------------------------------------
 

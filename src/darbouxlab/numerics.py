@@ -1,6 +1,9 @@
 """Floating-point validation: trajectories, conservation drift, Lyapunov exponent.
 
-The exact polynomial right-hand side is compiled into flat float64 code:
+Every float64 evaluation of an exact object is here: of the field, its
+Jacobian, a polynomial and a Darboux function, the last two compiled by
+`_compile_poly` (`EvalDomainError` where a value has no float64).  The
+exact polynomial right-hand side is compiled into flat float64 code:
 sums of coefficient*power products in grlex order, left to right, so a state
 with x_i = 0 yields exactly 0.0 for a component divisible by x_i, keeping
 coordinate planes invariant to the last bit.  The code is strength-reduced
@@ -36,7 +39,6 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .darboux import EvalDomainError
 from .exactcore import Poly, grlex_key
 from .field import VectorField
 
@@ -48,6 +50,12 @@ FACTOR_MAX = 10.0
 DT_FLOOR = 1e-13
 DT_INIT = 1e-3         # first trial step of the adaptive pair
 MAX_STEPS = 2_000_000  # trial steps (or Lyapunov intervals) per call
+
+
+class EvalDomainError(ArithmeticError):
+    """A value cannot be evaluated in floats: a Darboux function factor
+    vanishes (or is negative) where forbidden, or a number is too large
+    for a float64."""
 
 
 class NonFiniteStateError(RuntimeError):
@@ -486,11 +494,11 @@ def simulate(X: VectorField, x0: Sequence[float], t_end: float,
 # -- conserved-quantity drift -------------------------------------------------
 
 def _compile_poly(p: Poly) -> Callable[[Sequence[float]], float]:
-    """p as one scalar function of a state, equal to p.evaluate_float.
+    """p as one scalar function of a state.
 
     Terms are summed in dict order starting from 0.0, and each term is its
-    coefficient times v**e per variable, left to right, as evaluate_float
-    does, so the two agree bit for bit.
+    coefficient times v**e per variable, left to right, as the tests' plain
+    loop over p's terms does, so the two agree bit for bit.
     """
     terms = ["0.0"]
     for mono, coeff in p.terms.items():
@@ -500,12 +508,48 @@ def _compile_poly(p: Poly) -> Callable[[Sequence[float]], float]:
                     f"    return {' + '.join(terms)}")["_p"]
 
 
+def _compile_darboux(F) -> Callable[[Sequence[float]], float]:
+    """The `darboux.DarbouxFunction` F as one scalar function of a state,
+    each of its polynomials f and g compiled once by `_compile_poly`."""
+    factors = [(c.f, _compile_poly(c.f), lam) for c, lam in F.darboux_terms]
+    exp_factors = [(_compile_poly(c.g), c.s, mu) for c, mu in F.exp_terms]
+
+    def evaluate(point: Sequence[float]) -> float:
+        value = 1.0
+        for f, f_of, lam in factors:
+            base = f_of(point)
+            exponent = float(lam)
+            if base == 0.0:
+                if exponent < 0:
+                    raise EvalDomainError(f"factor {f} vanishes")
+                value *= 0.0 ** exponent
+                continue
+            if base < 0.0 and lam.denominator != 1:
+                raise EvalDomainError(
+                    f"factor {f} negative with non-integer exponent {lam}")
+            if lam.denominator == 1:
+                value *= base ** int(lam)
+            else:
+                value *= base ** exponent
+        for g_of, s, mu in exp_factors:
+            g_val = g_of(point)
+            denom_val = 1.0
+            for e, coord in zip(s, point):
+                if e:
+                    denom_val *= float(coord) ** e
+            if denom_val == 0.0:
+                raise EvalDomainError("exponential-factor denominator vanishes")
+            value *= math.exp(float(mu) * g_val / denom_val)
+        return value
+
+    return evaluate
+
+
 def _as_evaluator(H) -> tuple[str, Callable[[Sequence[float]], float]]:
     if isinstance(H, Poly):
         return str(H), _compile_poly(H)
-    if hasattr(H, "evaluate_float"):
-        name = H.text() if hasattr(H, "text") else type(H).__name__
-        return name, H.evaluate_float
+    if hasattr(H, "darboux_terms"):   # a darboux.DarbouxFunction
+        return H.text(), _compile_darboux(H)
     if callable(H):
         return getattr(H, "__name__", "callable"), H
     raise TypeError("H must be a Poly, a Darboux function, or a callable")

@@ -1120,11 +1120,16 @@ def _proved_projections(monkeypatch, X):
 # denominators of its linear part
 RANK_DROP_AT_13 = ("vars: x y\ndx/dt = -2/3*x^2 + x*y - 2*x\n"
                    "dy/dt = 3/2*x^2 + x*y\n")
+# A field whose Darboux polynomial x*y (K = z + 1) has a top form that
+# needs every vector of level 0's basis of ker(X_M - tau): a W narrowed to
+# a proper subspace loses it.
+NEEDS_ALL_OF_W = "vars: x y z\ndx/dt = x\ndy/dt = y*z\ndz/dt = 1\n"
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_small_fields(), st.sampled_from([1, 2]))
 @example(parse_field(RANK_DROP_AT_13), 2)
+@example(parse_field(NEEDS_ALL_OF_W), 2)
 def test_small_primes_agree_on_random_fields(X, d):
     # each small screening prime (the bound itself, as no coefficient has
     # a prime factor above 3) uses a level's projection only where the

@@ -1,9 +1,12 @@
 """Every module-level import of the package is used, no module imports
 `dataclasses`, and numpy is imported only inside functions: stdlib `ast`
 checks standing in for a linter.  The last two keep a command's start-up
-free of `dataclasses` (and the `inspect` it pulls in) and of numpy."""
+free of `dataclasses` (and the `inspect` it pulls in) and of numpy.  The
+float layer `numerics` imports only the exact core and the field."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -110,3 +113,47 @@ def test_the_check_finds_startup_imports():
     assert startup_violations(source) == [
         "dataclasses (line 4)", "dataclasses (line 7)",
         "numpy at import (line 9)", "numpy at import (line 11)"]
+
+
+def package_imports(source: str) -> list[str]:
+    """The package's modules that a module imports, anywhere in it: those
+    named by a relative import, or by an absolute one of `darbouxlab`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = f"darbouxlab.{module}".rstrip(".")
+            found += ([f"{module}.{alias.name}" for alias in node.names]
+                      if module == "darbouxlab" else [module])
+    return sorted({name.split(".")[1] for name in found
+                   if name.startswith("darbouxlab.")})
+
+
+def test_numerics_imports_only_the_exact_core_and_the_field():
+    # the float layer evaluates exact objects; it does not need the
+    # Darboux search (nor its mod-p screens) to do so
+    source = (PACKAGE / "numerics.py").read_text(encoding="utf-8")
+    assert set(package_imports(source)) <= {"exactcore", "field"}
+
+
+def test_the_check_finds_package_imports():
+    source = ("from .exactcore import Poly\nfrom . import _modp, field\n"
+              "def f():\n    from .darboux import search_darboux\n"
+              "import darbouxlab.series\nfrom darbouxlab.cli import main\n"
+              "from fractions import Fraction\nimport darbouxlab\n"
+              "from darbouxlab import numerics\n")
+    assert package_imports(source) == [
+        "_modp", "cli", "darboux", "exactcore", "field", "numerics", "series"]
+
+
+def test_importing_numerics_leaves_the_search_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, darbouxlab.numerics\n"
+         "print(*(m in sys.modules for m in sys.argv[1:]))",
+         "darbouxlab.darboux", "darbouxlab._modp", "darbouxlab.series"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False", "False"]

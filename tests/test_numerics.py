@@ -12,17 +12,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from darbouxlab.darboux import (assemble_darboux_integrals, search_darboux,
+from darbouxlab.darboux import (DarbouxCert, DarbouxFunction, ExpFactorCert,
+                                assemble_darboux_integrals, search_darboux,
                                 search_exp_factors)
 from darbouxlab.exactcore import Poly, parse_poly
 from darbouxlab import numerics
-from darbouxlab.field import VectorField, parse_field
-from darbouxlab.numerics import (NonFiniteStateError, _DormandPrince,
-                                 _field_sources, _tangent_sources, compile_rhs,
+from darbouxlab.field import VectorField, load_field, parse_field
+from darbouxlab.numerics import (EvalDomainError, NonFiniteStateError,
+                                 _DormandPrince, _field_sources,
+                                 _tangent_sources, compile_rhs,
                                  conservation_drift, emit_csv, lyapunov_max,
                                  simulate)
 
-from conftest import _exponents, jacobian_at, make_lv3, small_fractions, state_rows
+from conftest import (_exponents, corpus_path, jacobian_at, make_lv3,
+                      small_fractions, state_rows)
 
 
 @pytest.fixture(scope="module")
@@ -453,3 +456,169 @@ def test_reference_trial_is_strength_reduced(reference_field):
         for plain in ("+ -", "max(", "abs("):
             assert plain not in trial
         assert trial.count("v0**2") == 6   # once in each of stages 2..7
+
+
+# -- float values of polynomials and Darboux functions -------------------------
+#
+# The plain loops below evaluated a polynomial and a Darboux function before
+# both were compiled by `numerics`; they are the oracles of `_compile_poly`
+# and of the evaluator `_as_evaluator` builds for a Darboux function.
+
+def oracle_poly_value(p, point):
+    total = 0.0
+    for mono, coeff in p.terms.items():
+        term = float(coeff)
+        for v, e in zip(point, mono):
+            if e:
+                term *= float(v) ** e
+        total += term
+    return total
+
+
+def oracle_darboux_value(F, point):
+    value = 1.0
+    for cert, lam in F.darboux_terms:
+        base = oracle_poly_value(cert.f, point)
+        exponent = float(lam)
+        if base == 0.0:
+            if exponent < 0:
+                raise EvalDomainError(f"factor {cert.f} vanishes")
+            value *= 0.0 ** exponent
+            continue
+        if base < 0.0 and lam.denominator != 1:
+            raise EvalDomainError(
+                f"factor {cert.f} negative with non-integer exponent {lam}")
+        if lam.denominator == 1:
+            value *= base ** int(lam)
+        else:
+            value *= base ** exponent
+    for cert, mu in F.exp_terms:
+        g_val = oracle_poly_value(cert.g, point)
+        denom_val = 1.0
+        for e, coord in zip(cert.s, point):
+            if e:
+                denom_val *= float(coord) ** e
+        if denom_val == 0.0:
+            raise EvalDomainError("exponential-factor denominator vanishes")
+        value *= math.exp(float(mu) * g_val / denom_val)
+    return value
+
+
+def _valued(fn, point):
+    """float.hex of fn(point), or the type and message of what it raised
+    (an overflow, or a point outside the domain)."""
+    try:
+        return fn(point).hex()
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+
+
+# zero, unit and negative coordinates, among others
+POINT_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0]),
+    st.floats(-1e3, 1e3), STATE_VALUES)
+
+
+@st.composite
+def random_polys(draw):
+    """Polynomials in 1 to 4 variables of degree <= 4, with negative and
+    fractional coefficients, and a point for each."""
+    n = draw(st.integers(1, 4))
+    terms = draw(st.lists(st.tuples(_exponents(n, 4), COEFFICIENTS),
+                          max_size=6))
+    return (Poly(tuple(f"x{i}" for i in range(n)), dict(terms)),
+            draw(st.lists(st.tuples(*[POINT_VALUES] * n), min_size=1,
+                          max_size=5)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(random_polys())
+def test_compiled_poly_matches_plain_loop(case):
+    p, points = case
+    compiled = numerics._compile_poly(p)
+    for point in points:
+        assert (_valued(compiled, point)
+                == _valued(lambda s: oracle_poly_value(p, s), point))
+
+
+@pytest.fixture(scope="module")
+def corpus_integrals():
+    # the two integrals `integrals corpus/lv3_a0_b0_c0.vf --degree 2
+    # --s-bound 0` assembles: x*y*exp(-x-y) and z
+    X = load_field(corpus_path("lv3_a0_b0_c0.vf"))
+    funcs = assemble_darboux_integrals(search_darboux(X, 2),
+                                       search_exp_factors(X, 2, 0))
+    assert len(funcs) == 2
+    return funcs
+
+
+def _powered(F, q, z_exponent):
+    """F^q times z^z_exponent (z, with cofactor 0, in the integrable
+    regime), for the corpus integral F that has no z."""
+    X = load_field(corpus_path("lv3_a0_b0_c0.vf"))
+    z = DarbouxCert(parse_poly("z", X.variables), Poly.zero(X.variables))
+    assert z.check(X)
+    return DarbouxFunction(
+        tuple((c, lam * q) for c, lam in F.darboux_terms)
+        + ((z, z_exponent),),
+        tuple((c, mu * q) for c, mu in F.exp_terms))
+
+
+def _evaluator(F):
+    return numerics._as_evaluator(F)[1]
+
+
+@pytest.fixture(scope="module")
+def darboux_functions(corpus_integrals):
+    h1 = next(f for f in corpus_integrals if f.exp_terms)
+    # a fractional and a negative power of each factor
+    return [*corpus_integrals, _powered(h1, Fraction(1, 2), Fraction(-3, 2)),
+            _powered(h1, Fraction(-1), Fraction(-2))]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(*[POINT_VALUES] * 3), min_size=1, max_size=5))
+def test_darboux_evaluator_matches_plain_loop(darboux_functions, points):
+    for F in darboux_functions:
+        evaluator = _evaluator(F)
+        for point in points:
+            assert (_valued(evaluator, point)
+                    == _valued(lambda s: oracle_darboux_value(F, s), point))
+
+
+def test_darboux_evaluator_refuses_points_outside_its_domain(
+        darboux_functions):
+    _, _, fractional, negative = darboux_functions
+    with pytest.raises(EvalDomainError, match=r"^factor x vanishes$"):
+        _evaluator(negative)((0.0, 0.5, 1.0))
+    with pytest.raises(EvalDomainError, match=r"^factor y negative with "
+                       r"non-integer exponent 1/2$"):
+        _evaluator(fractional)((0.5, -0.5, 1.0))
+    # y*exp(1/x) for x' = x^2, y' = y: exp(1/x) has cofactor -1
+    X = parse_field("vars: x y\ndx/dt = x^2\ndy/dt = y\n")
+    y = DarbouxCert(parse_poly("y", X.variables), parse_poly("1", X.variables))
+    e = ExpFactorCert(parse_poly("1", X.variables), (1, 0),
+                      parse_poly("-1", X.variables))
+    assert y.check(X) and e.check(X)
+    F = DarbouxFunction(((y, Fraction(1)),), ((e, Fraction(1)),))
+    assert _evaluator(F)((0.5, 2.0)) == oracle_darboux_value(F, (0.5, 2.0))
+    with pytest.raises(EvalDomainError,
+                       match="^exponential-factor denominator vanishes$"):
+        _evaluator(F)((0.0, 2.0))
+
+
+def test_oversized_factor_coefficient_refused_when_built(integrable_trajectory):
+    # z + 10^400 has cofactor 0 in the integrable regime; its constant has
+    # no float64, so the evaluator is refused before any point, as an
+    # --observe polynomial is (the plain loop overflowed at the first point)
+    X = load_field(corpus_path("lv3_a0_b0_c0.vf"))
+    f = DarbouxCert(parse_poly("z + 10^400", X.variables),
+                    Poly.zero(X.variables))
+    assert f.check(X)
+    F = DarbouxFunction(((f, Fraction(1)),), ())
+    with pytest.raises(OverflowError):
+        oracle_darboux_value(F, (0.5, 0.5, 1.0))
+    with pytest.raises(EvalDomainError, match="too large for a float64"):
+        numerics._as_evaluator(F)
+    with pytest.raises(EvalDomainError, match="too large for a float64"):
+        conservation_drift(integrable_trajectory, F)
