@@ -275,16 +275,10 @@ _COMMANDS = {
 }
 
 
-# the flags that bound a command's size, named when it runs out of memory
-_SIZE_FLAGS = {
-    "darboux": ("--degree", "--lattice-bound"),
-    "expfactors": ("--g-degree", "--s-bound"),
-    "integrals": ("--degree", "--lattice-bound"),
-    "formal": ("--order",),
-    "simulate": ("--t-end",),
-    "lyapunov": ("--t-end",),
-    "analyze": ("--degree", "--lattice-bound", "--order"),
-}
+# the flags that bound a size, named in this order by a command that takes
+# them when it runs out of memory
+_SIZE_FLAGS = ("--degree", "--lattice-bound", "--g-degree", "--s-bound",
+               "--order", "--margin", "--t-end")
 
 
 def main(argv=None) -> int:
@@ -326,7 +320,8 @@ def main(argv=None) -> int:
     if results is None:
         # reported once the handler is left: the exception's frames, and
         # whatever they held, are freed by then
-        *rest, last = _SIZE_FLAGS[args.command]
+        *rest, last = [flag for flag in _SIZE_FLAGS
+                       if flag[2:].replace("-", "_") in vars(args)]
         flags = f"{', '.join(rest)} or {last}" if rest else last
         print(f"error: out of memory; lower {flags}", file=sys.stderr)
         return EXIT_USAGE

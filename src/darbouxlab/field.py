@@ -8,7 +8,9 @@ comments)::
     dx/dt = x*(1 - y + c*x - a*x*z)
 
 Parameters are substituted at parse time, so every downstream computation is
-plain exact rational arithmetic; no symbolic parameters survive parsing.
+plain exact rational arithmetic; no symbolic parameters survive parsing.  The
+right-hand sides are kept as written, so that a parameter's promotion to a
+variable (in `series`) re-reads them; promotions compose.
 """
 
 from __future__ import annotations
@@ -42,14 +44,15 @@ class VectorField:
     """Named variables, one polynomial component per variable; immutable.
 
     ``source_params`` keeps the exact parameter bindings for reporting;
-    ``source_text`` keeps the original file so a parameter can later be
-    promoted to a variable by re-parsing.  Equality ignores the source text.
+    ``equations`` keeps each component's right-hand side as written, in
+    variable order (None for a field not parsed from text), for a later
+    promotion of a parameter to a variable.  Equality ignores the equations.
     """
 
     def __init__(self, variables: tuple[str, ...],
                  components: tuple[Poly, ...],
                  source_params: Mapping[str, Fraction] | None = None,
-                 source_text: str | None = None):
+                 equations: tuple[str, ...] | None = None):
         if len(variables) != len(components):
             raise ValueError("one component per variable required")
         for comp in components:
@@ -60,7 +63,7 @@ class VectorField:
         self.__dict__.update(
             variables=variables, components=components,
             source_params={} if source_params is None else source_params,
-            source_text=source_text)
+            equations=equations)
 
     def __setattr__(self, *_):
         raise AttributeError("VectorField is immutable")
@@ -151,17 +154,12 @@ _EQ_RE = re.compile(r"^d([A-Za-z_]\w*)/dt\s*=\s*(.*)$")
 _RAT_RE = re.compile(r"^([+-]?\d+)\s*(?:/\s*(\d+))?$")
 
 
-def parse_field(text: str, *, promote: str | None = None) -> "VectorField":
-    """Parse a field description; optionally promote one parameter to a variable.
-
-    A promoted parameter keeps no binding: it becomes the last variable and
-    receives the zero equation.
-    """
+def parse_field(text: str) -> "VectorField":
+    """Parse a field description."""
     variables: list[str] | None = None
     params: dict[str, Fraction] = {}
     param_lines: dict[str, int] = {}
     raw_equations: dict[str, tuple[str, int]] = {}
-    promoted_seen = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -180,7 +178,7 @@ def parse_field(text: str, *, promote: str | None = None) -> "VectorField":
         m = _PARAM_RE.match(line)
         if m:
             pname, value_text = m.group(1), m.group(2).strip()
-            if pname in params or (promote == pname and promoted_seen):
+            if pname in params:
                 raise FieldParseError("DuplicateParam", pname, lineno)
             rv = _RAT_RE.match(value_text)
             if not rv:
@@ -193,9 +191,6 @@ def parse_field(text: str, *, promote: str | None = None) -> "VectorField":
             if den == 0:
                 raise FieldParseError("NonRationalLiteral",
                                       f"param {pname} has zero denominator", lineno)
-            if promote == pname:
-                promoted_seen = True
-                continue
             params[pname] = Fraction(num, den)
             param_lines[pname] = lineno
             continue
@@ -215,23 +210,14 @@ def parse_field(text: str, *, promote: str | None = None) -> "VectorField":
             raise FieldParseError("SyntaxError",
                                   f"param {pname!r} is already a variable",
                                   lineno)
-    if promote is not None:
-        if not promoted_seen:
-            raise FieldParseError("UnknownParameter",
-                                  f"no param named {promote!r} to promote", 1)
-        if promote in variables:
-            raise FieldParseError("SyntaxError",
-                                  f"{promote!r} is already a variable", 1)
-        variables = variables + [promote]
 
+    equations = []
     components = []
     for v in variables:
-        if promote == v:
-            components.append(Poly.zero(variables))
-            continue
         if v not in raw_equations:
             raise FieldParseError("MissingEquation", v, 1)
         expr, lineno = raw_equations.pop(v)
+        equations.append(expr)
         try:
             components.append(parse_poly(expr, variables, params))
         except PolyParseError as exc:
@@ -244,11 +230,11 @@ def parse_field(text: str, *, promote: str | None = None) -> "VectorField":
                               raw_equations[extra][1])
 
     return VectorField(tuple(variables), tuple(components),
-                       source_params=dict(params), source_text=text)
+                       source_params=params, equations=tuple(equations))
 
 
-def load_field(path: str | Path, *, promote: str | None = None) -> VectorField:
-    return parse_field(Path(path).read_text(encoding="utf-8"), promote=promote)
+def load_field(path: str | Path) -> VectorField:
+    return parse_field(Path(path).read_text(encoding="utf-8"))
 
 
 def lie_derivative(X: VectorField, f: Poly) -> Poly:

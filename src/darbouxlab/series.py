@@ -11,6 +11,9 @@ speak of the dimension of a truncated space, never of nonexistence.
 
 The constant block is excluded from the linear system (it is always a
 solution) and re-added to the reported basis.
+
+`promote_parameter` turns a bound parameter into a variable with a zero
+equation by re-reading the field's equations; promotions compose.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from typing import NamedTuple
 
 from .darboux import operator_kernel
 from .exactcore import (Poly, RatMatrix, coefficient_matrix, grlex_key,
-                        monomials_upto)
-from .field import VectorField, parse_field
+                        monomials_upto, parse_poly)
+from .field import VectorField
 
 # cells of the exact matrix: the 3-D reference field needs 4,071,000 at
 # --order 20, the largest order admitted, and peaks at 144 MB RSS there
@@ -85,14 +88,20 @@ def formal_integral_space(X: VectorField, N: int, m: int = 2) -> SeriesSpace:
 
 
 def promote_parameter(X: VectorField, name: str) -> VectorField:
-    """Re-parse the field with `name` as a variable whose equation is zero.
+    """Re-read the field's equations with `name` as a variable whose equation
+    is zero; promotions compose, each adding one last variable.
 
     Solve the result with `formal_integral_space`; `SeriesSpace.depends_only_on`
     then says whether every basis element is a polynomial in `name` alone.
     """
-    if X.source_text is None:
-        raise ValueError("field carries no source text to re-parse")
+    if X.equations is None:
+        raise ValueError("field carries no equations to re-read")
     if name not in X.source_params:
         raise ValueError(f"unknown parameter {name!r}; "
                          f"bound parameters: {sorted(X.source_params)}")
-    return parse_field(X.source_text, promote=name)
+    variables = X.variables + (name,)
+    params = {p: v for p, v in X.source_params.items() if p != name}
+    equations = X.equations + ("0",)
+    return VectorField(variables, tuple(parse_poly(e, variables, params)
+                                        for e in equations),
+                       source_params=params, equations=equations)

@@ -470,9 +470,13 @@ def test_out_of_memory_is_one_error_line(monkeypatch, error):
 
     for command, line in [
             ("darboux", OUT_OF_MEMORY_LINE),
-            ("formal", "error: out of memory; lower --order\n"),
+            ("formal", "error: out of memory; lower --order or --margin\n"),
             ("expfactors",
-             "error: out of memory; lower --g-degree or --s-bound\n")]:
+             "error: out of memory; lower --g-degree or --s-bound\n"),
+            ("integrals", "error: out of memory; lower --degree, "
+             "--lattice-bound, --g-degree or --s-bound\n"),
+            ("analyze", "error: out of memory; lower --degree, "
+             "--lattice-bound, --g-degree, --s-bound, --order or --margin\n")]:
         monkeypatch.setitem(cli._COMMANDS, command, exhausted)
         assert run_cli([command, "corpus/restricted_z0_c2.vf"]) == (
             2, "", line)

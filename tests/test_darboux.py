@@ -1124,12 +1124,26 @@ RANK_DROP_AT_13 = ("vars: x y\ndx/dt = -2/3*x^2 + x*y - 2*x\n"
 # needs every vector of level 0's basis of ker(X_M - tau): a W narrowed to
 # a proper subspace loses it.
 NEEDS_ALL_OF_W = "vars: x y z\ndx/dt = x\ndy/dt = y*z\ndz/dt = 1\n"
+# A planted invariant sphere, not Kolmogorov: X = grad F x (z, x, y) +
+# F*(1/2, 0, 0) with F = x^2 + y^2 + z^2 - 1, so X(F) = x*F.
+PLANTED_SPHERE = ("vars: x y z\n"
+                  "dx/dt = 2*y^2 - 2*x*z + 1/2*(x^2 + y^2 + z^2 - 1)\n"
+                  "dy/dt = 2*z^2 - 2*x*y\ndz/dt = 2*x^2 - 2*y*z\n")
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_planted_sphere_is_the_only_certificate(d):
+    X = parse_field(PLANTED_SPHERE)
+    sphere = parse_poly("x^2 + y^2 + z^2 - 1", X.variables)
+    assert search_darboux(X, d, default_lattice(X, 1)) == [
+        DarbouxCert(sphere, Poly.variable(X.variables, "x"))]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_small_fields(), st.sampled_from([1, 2]))
 @example(parse_field(RANK_DROP_AT_13), 2)
 @example(parse_field(NEEDS_ALL_OF_W), 2)
+@example(parse_field(PLANTED_SPHERE), 2)
 def test_small_primes_agree_on_random_fields(X, d):
     # each small screening prime (the bound itself, as no coefficient has
     # a prime factor above 3) uses a level's projection only where the

@@ -389,7 +389,7 @@ def test_combination_matches_per_term_reduction(p, S):
     assert shifted.tolist() == got.tolist()
 
 
-def test_residue_conversion_fast_paths():
+def test_residue_conversion_of_large_and_negative_integers():
     p = _modp.PRIME
     assert _modp.fraction_to_modp(Fraction(-3), p) == p - 3
     assert _modp.fraction_to_modp(Fraction(10**30), p) == 10**30 % p

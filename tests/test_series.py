@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from darbouxlab.exactcore import Poly, parse_poly
-from darbouxlab.field import lie_derivative, parse_field
+from darbouxlab.field import lie_derivative, parse_field, restrict_to_plane
 from darbouxlab.series import formal_integral_space, promote_parameter
 
 from conftest import LV3_TEMPLATE, make_lv3
@@ -123,6 +123,24 @@ class TestPromotion:
         ext = promote_parameter(desk_field, "b")
         b = Poly.variable(ext.variables, "b")
         assert lie_derivative(ext, b).is_zero()
+
+    def test_promotions_compose(self, desk_field):
+        ext = promote_parameter(promote_parameter(desk_field, "b"), "c")
+        moved = parse_field(
+            "vars: x y z b c\n"
+            "param a = 3\n"
+            "dx/dt = x*(1 - y + c*x - a*x*z)\n"
+            "dy/dt = y*(-1 + x)\n"
+            "dz/dt = z*(-b + a*x^2)\n"
+            "db/dt = 0\n"
+            "dc/dt = 0\n")
+        assert ext == moved and ext.equations == moved.equations
+        with pytest.raises(ValueError, match="unknown parameter 'b'"):
+            promote_parameter(ext, "b")
+
+    def test_restricted_field_cannot_be_promoted(self, desk_field):
+        with pytest.raises(ValueError, match="no equations"):
+            promote_parameter(restrict_to_plane(desk_field, "z"), "b")
 
 
 class TestExtendedSpace:
