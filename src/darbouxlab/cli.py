@@ -23,7 +23,7 @@ from .darboux import (CofactorLattice, InternalCheckError,
                       search_darboux, search_exp_factors)
 from .exactcore import PolyParseError, parse_poly
 from .field import FieldParseError, VectorField, load_field
-from .numerics import (EvalDomainError, NonFiniteStateError,
+from .numerics import (EvalDomainError, NonFiniteStateError, compile_poly,
                        conservation_drift, emit_csv, lyapunov_max, simulate)
 from .series import formal_integral_space, promote_parameter
 
@@ -130,14 +130,13 @@ def _parse_x0(text: str, dim: int) -> list[float]:
 def cmd_simulate(X: VectorField, args) -> dict:
     x0 = _parse_x0(args.x0, len(X.variables))
     traj = simulate(X, x0, args.t_end, args.tol, args.dt)
-    integrals = []
-    for expr in args.observe or []:
-        poly = parse_poly(expr, X.variables)
-        integrals.append((expr, poly))
+    # one evaluator per observed polynomial, for its drift and the CSV
+    observed = [(expr, compile_poly(parse_poly(expr, X.variables)))
+                for expr in args.observe or []]
     drift = [conservation_drift(traj, H, name=name).record()
-             for name, H in integrals]
+             for name, H in observed]
     if args.emit:
-        emit_csv(traj, args.emit, integrals)
+        emit_csv(traj, args.emit, observed)
     final = traj.states[-len(X.variables):]
     return {
         "integrator": traj.metadata,

@@ -13,9 +13,9 @@ to the lattice.  Every lattice goes through a graded sieve that fixes K one
 homogeneous layer at a time (top degree first), in one traversal for every
 f-degree run level by level, and discards whole families whose layer
 equations already have no nonzero solution; the survivors then pass one
-kernel screen on the full operator.  The sections a sieve node screens are
-filtered from one table per degree of every reachable layer value, built
-and reduced mod p once per lattice.
+kernel screen on the full operator.  Each sieve level screens one table of
+every reachable layer value of its degree, built and reduced mod p once per
+lattice, and keeps a value at a node only where the node's bases reach it.
 
 The sieve owns its search's state: it picks a prime p, builds the lattice's
 tables mod p, and holds X(m) mod p for every monomial m of degree <= d
@@ -361,8 +361,9 @@ class _LatticeBoxes:
     All coefficient bookkeeping is integer-scaled per monomial.  A set of
     bases is one int bitmask, bit t standing for base t.  Whether a base can
     reach a value does not depend on the other bases, so each degree has one
-    table of every reachable part, built and reduced mod p on first use, and
-    sieve sections filter it by their compatible bases.  p divides no scale.
+    table of every reachable part, built and reduced mod p on first use,
+    which every sieve node of that degree screens whole.  p divides no
+    scale.
     """
 
     def __init__(self, lattice: CofactorLattice, p: int):
@@ -412,19 +413,6 @@ class _LatticeBoxes:
     def monos_of_degree(self, degree: int) -> list[tuple]:
         return [m for m in self.support if sum(m) == degree]
 
-    def _table(self, degree: int) -> _Table:
-        """`_reachable(degree)` in sorted order with its residues, built
-        once."""
-        if degree not in self._tables:
-            reachable = self._reachable(degree)
-            values = sorted(reachable)
-            self._tables[degree] = _Table(
-                values, [reachable[value] for value in values],
-                _modp.scaled_rows_to_modp(values, [
-                    self.scale[m] for m in self.monos_of_degree(degree)],
-                    self.p))
-        return self._tables[degree]
-
     def _reachable(self, degree: int) -> dict[tuple[int, ...], int]:
         """Every degree-`degree` part of a candidate -> bitmask of all the
         bases that can realize it."""
@@ -459,18 +447,18 @@ class _LatticeBoxes:
             mask &= self._reachable(degree).get(zero, 0)
         return mask
 
-    def sections(self, compat: int, degree: int
-                 ) -> tuple[list[tuple[int, ...]], list[int], np.ndarray]:
-        """(values, base masks, residue rows) of the distinct
-        degree-`degree` parts reachable from the compatible bases, in sorted
-        order: a value is the integer-scaled coefficient tuple over
-        monos_of_degree, its mask the compatible bases that can realize it,
-        and its row its residues mod p."""
-        table = self._table(degree)
-        masks = [mask & compat for mask in table.masks]
-        kept = [i for i, mask in enumerate(masks) if mask]
-        return ([table.values[i] for i in kept], [masks[i] for i in kept],
-                table.residues[kept])
+    def sections(self, degree: int) -> _Table:
+        """The table of every reachable degree-`degree` part (`_Table`), the
+        values over monos_of_degree; built once."""
+        if degree not in self._tables:
+            reachable = self._reachable(degree)
+            values = sorted(reachable)
+            self._tables[degree] = _Table(
+                values, [reachable[value] for value in values],
+                _modp.scaled_rows_to_modp(values, [
+                    self.scale[m] for m in self.monos_of_degree(degree)],
+                    self.p))
+        return self._tables[degree]
 
     def section_poly(self, variables: Sequence[str], degree: int,
                      value: tuple[int, ...]) -> Poly:
@@ -524,8 +512,9 @@ class _GradedSieve:
     however many degrees reach it.  The traversal runs level by level: every
     block of one level with the same f-degree n and the same |W| has the
     same shape, so their eliminations are one batched call
-    (`_modp.batched_kernels`), and each degree's section residues are read
-    from one table per lattice (`_LatticeBoxes.sections`).
+    (`_modp.batched_kernels`), and every branch screens its degree's whole
+    table (`_LatticeBoxes.sections`); a child keeps the bases that both its
+    value and its parent allow, and a value with none is dropped.
 
     The sieve owns its search's state: the prime p, the lattice tables mod
     p, and X(m) mod p for every monomial m of degree <= d
@@ -731,9 +720,7 @@ class _GradedSieve:
         if not nodes:
             return []
         ell = self.M - 1 - r
-        # the branches (n, W) to project, grouped by (n, |W|); sections are
-        # filtered one node at a time below, so that a level never holds
-        # all of its sections (a node with compatible bases has some)
+        # the branches (n, W) to project, grouped by (n, |W|)
         groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for i, node in enumerate(nodes):
             for b, (n, W) in enumerate(node.branches):
@@ -745,15 +732,18 @@ class _GradedSieve:
                     [nodes[i].branches[b][1] for i, b in members]))))
 
         variables = self.X.variables
+        # every branch screens the whole table; a value survives where one
+        # of the node's bases reaches it, and its child keeps those bases
+        values, masks, coeffs = self.boxes.sections(ell)
+        everything = range(len(values))
         children = []
         for i, node in enumerate(nodes):
-            values, masks, coeffs = self.boxes.sections(node.compat, ell)
-            everything = range(len(values))
             alive: dict[int, list] = {}   # value index -> branches alive
             for b, (n, W) in enumerate(node.branches):
                 projected = projections.get((i, b))
-                kept = (everything if projected is None else
-                        _rank_screen(coeffs, *projected, self.p))
+                kept = [j for j in (everything if projected is None else
+                                    _rank_screen(coeffs, *projected, self.p))
+                        if masks[j] & node.compat]
                 kernels = itertools.repeat(W)
                 if not r and kept:   # narrow W = I to ker(X_M - tau)
                     mats = _modp.batched_combination(*projected, coeffs[kept],
@@ -764,7 +754,8 @@ class _GradedSieve:
                     alive.setdefault(j, []).append((n, kernel))
             for j in sorted(alive):
                 theta = self.boxes.section_poly(variables, ell, values[j])
-                children.append(_Node(node.K + theta, masks[j], alive[j]))
+                children.append(_Node(node.K + theta, masks[j] & node.compat,
+                                      alive[j]))
         return children
 
 

@@ -2,7 +2,7 @@
 
 Every float64 evaluation of an exact object is here: of the field, its
 Jacobian, a polynomial and a Darboux function, the last two compiled by
-`_compile_poly` (`EvalDomainError` where a value has no float64).  The
+`compile_poly` (`EvalDomainError` where a value has no float64).  The
 exact polynomial right-hand side is compiled into flat float64 code:
 sums of coefficient*power products in grlex order, left to right, so a state
 with x_i = 0 yields exactly 0.0 for a component divisible by x_i, keeping
@@ -493,7 +493,7 @@ def simulate(X: VectorField, x0: Sequence[float], t_end: float,
 
 # -- conserved-quantity drift -------------------------------------------------
 
-def _compile_poly(p: Poly) -> Callable[[Sequence[float]], float]:
+def compile_poly(p: Poly) -> Callable[[Sequence[float]], float]:
     """p as one scalar function of a state.
 
     Terms are summed in dict order starting from 0.0, and each term is its
@@ -510,9 +510,9 @@ def _compile_poly(p: Poly) -> Callable[[Sequence[float]], float]:
 
 def _compile_darboux(F) -> Callable[[Sequence[float]], float]:
     """The `darboux.DarbouxFunction` F as one scalar function of a state,
-    each of its polynomials f and g compiled once by `_compile_poly`."""
-    factors = [(c.f, _compile_poly(c.f), lam) for c, lam in F.darboux_terms]
-    exp_factors = [(_compile_poly(c.g), c.s, mu) for c, mu in F.exp_terms]
+    each of its polynomials f and g compiled once by `compile_poly`."""
+    factors = [(c.f, compile_poly(c.f), lam) for c, lam in F.darboux_terms]
+    exp_factors = [(compile_poly(c.g), c.s, mu) for c, mu in F.exp_terms]
 
     def evaluate(point: Sequence[float]) -> float:
         value = 1.0
@@ -547,7 +547,7 @@ def _compile_darboux(F) -> Callable[[Sequence[float]], float]:
 
 def _as_evaluator(H) -> tuple[str, Callable[[Sequence[float]], float]]:
     if isinstance(H, Poly):
-        return str(H), _compile_poly(H)
+        return str(H), compile_poly(H)
     if hasattr(H, "darboux_terms"):   # a darboux.DarbouxFunction
         return H.text(), _compile_darboux(H)
     if callable(H):

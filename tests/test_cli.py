@@ -236,6 +236,34 @@ def test_simulate_emits_csv(tmp_path):
     assert len(lines) == report["results"]["n_points"] + 1
 
 
+def test_simulate_compiles_each_observable_once(monkeypatch, tmp_path):
+    # the stepper and one evaluator per --observe polynomial, shared by the
+    # drift and the CSV; report (emit path normalised) and CSV bytes as they
+    # were when each polynomial was compiled twice
+    import darbouxlab.numerics as numerics
+
+    compiled = []
+    original = numerics._compile
+
+    def counted(source):
+        compiled.append(source)
+        return original(source)
+
+    monkeypatch.setattr(numerics, "_compile", counted)
+    out_csv = tmp_path / "t.csv"
+    code, out, _ = run_cli([
+        "simulate", "corpus/lv3_a0_b0_c0.vf", "--x0", "0.5,0.5,1.0",
+        "--t-end", "5", "--emit", str(out_csv), "--observe", "z",
+        "--observe", "x*y"])
+    assert code == 0
+    assert len(compiled) == 3
+    assert hashlib.sha256(out.replace(str(out_csv), "t.csv").encode()
+                          ).hexdigest() == (
+        "bbfd8e9868cc30db2a1a557201824715b9539d22aefe86b2167c2c5e49e5ec0c")
+    assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == (
+        "8777187af32ac52cc58ea8a825aa85c18a7b582bb0f95b9436a04bd6accb1293")
+
+
 def test_corrupt_certificate_exits_1(monkeypatch):
     import darbouxlab.cli as cli
     from darbouxlab.darboux import DarbouxCert

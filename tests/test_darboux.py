@@ -235,12 +235,12 @@ class TestSearch:
         X = parse_field(cyclic_lotka_volterra("uvwxy"))
         boxes = dbx._LatticeBoxes(default_lattice(X, 2), _modp.PRIME)
         assert len(boxes.bases) == 2101
-        assert len(boxes._table(1).values) == 175_545
+        assert len(boxes.sections(1).values) == 175_545
         monkeypatch.setattr(dbx, "_TABLE_BITS_LIMIT", 1_053_241_804)
         with pytest.raises(
                 dbx.LatticeTooLargeError,
                 match="degree-1 table may outgrow 1053241804 mask bits"):
-            dbx._LatticeBoxes(default_lattice(X, 2), _modp.PRIME)._table(1)
+            dbx._LatticeBoxes(default_lattice(X, 2), _modp.PRIME).sections(1)
 
 
 def brute_force_sections(boxes, compat, degree):
@@ -298,17 +298,22 @@ class TestSieveAgainstBruteForce:
         every_other = sum(1 << t for t in range(0, len(boxes.bases), 2))
         # the degrees above max_deg are the tables legal_bases reads
         degrees = set(range(max_deg + 1)) | {sum(m) for m in boxes.support}
-        for compat in (legal, legal & every_other, 0):
-            for degree in sorted(degrees):
-                values, masks, residues = boxes.sections(compat, degree)
-                assert (dict(zip(values, masks))
-                        == brute_force_sections(boxes, compat, degree))
-                monos = boxes.monos_of_degree(degree)
-                assert residues.tolist() == _modp.fraction_rows_to_modp(
-                    [[Fraction(v, boxes.scale[m]) for m, v in zip(monos, value)]
-                     for value in values], boxes.p).reshape(
-                         len(values), len(monos)).tolist()
-        assert all(boxes.sections(0, degree)[0] == [] for degree in degrees)
+        every = (1 << len(boxes.bases)) - 1
+        for degree in sorted(degrees):
+            values, masks, residues = boxes.sections(degree)
+            assert values == sorted(values)
+            assert (dict(zip(values, masks))
+                    == brute_force_sections(boxes, every, degree))
+            monos = boxes.monos_of_degree(degree)
+            assert residues.tolist() == _modp.fraction_rows_to_modp(
+                [[Fraction(v, boxes.scale[m]) for m, v in zip(monos, value)]
+                 for value in values], boxes.p).reshape(
+                     len(values), len(monos)).tolist()
+            # a node keeps value j only where its compatible bases reach it
+            for compat in (legal, legal & every_other, 0):
+                kept = {value: mask & compat
+                        for value, mask in zip(values, masks) if mask & compat}
+                assert kept == brute_force_sections(boxes, compat, degree)
         # raw sieve survivors: count and sha256 prefix of the printed list,
         # captured from the set-based sections and Fraction elimination
         survivors = sieve.run()
@@ -439,13 +444,14 @@ class TestSieveAgainstBruteForce:
 
 
 @pytest.mark.parametrize("field, pin, ranked", [
-    ("samardzija_greller.vf", (34, "1d6889fa06da5008"), 2043),
-    ("lv3_a3_b3_c0.vf", (43, "6c90524f88ac2edf"), 1846),
+    ("samardzija_greller.vf", (34, "1d6889fa06da5008"), 2205),
+    ("lv3_a3_b3_c0.vf", (43, "6c90524f88ac2edf"), 1882),
 ])
 def test_values_ranked_in_full_pinned(monkeypatch, field, pin, ranked):
     # the degree-4 search: its raw survivors, and how many values the
     # square prescreens leave to `_ranks` (a compressor or pivot rule that
-    # proves less raises the count)
+    # proves less raises the count).  Every branch screens its degree's
+    # whole table, values no compatible base reaches included
     import darbouxlab.darboux as dbx
 
     X = load_field(CORPUS / field)
@@ -468,6 +474,8 @@ CONSTANT_FIELD = "vars: x y\ndx/dt = 1\ndy/dt = 2\n"
     # a field of degree 0: level 0 screens its one zero layer
     (CONSTANT_FIELD, 0, (0, "e3b0c44298fc1c14")),
     (CONSTANT_FIELD, 1, (1, "5feceb66ffc86f38")),
+    # a 4-D field: whole-table screening changes most where n > 3
+    (cyclic_lotka_volterra("xyzu"), 3, (25, "f5b5372f7f314c51")),
 ])
 def test_sieve_survivors_pinned(field, d, pin):
     # raw survivors (count and sha256 prefix of the printed list), captured
@@ -481,6 +489,18 @@ def test_sieve_survivors_pinned(field, d, pin):
         map(str, survivors)).encode()).hexdigest()[:16]) == pin
     if field == CONSTANT_FIELD:
         assert list(map(str, survivors)) == ["0"] * d
+
+
+@pytest.mark.parametrize("field, degrees", [
+    ("lv3_a0_b0_c0.vf", [1, 0]), ("samardzija_greller.vf", [2, 1, 0])])
+def test_sieve_reads_each_table_once_per_level(monkeypatch, field, degrees):
+    # every node of a level screens the same table, read once for the level
+    import darbouxlab.darboux as dbx
+
+    X = load_field(CORPUS / field)
+    sections = _counting(monkeypatch, dbx._LatticeBoxes, "sections")
+    dbx._GradedSieve(X, 4, default_lattice(X, 4)).run()
+    assert [degree for _, degree in sections] == degrees
 
 
 class TestRankScreen:

@@ -461,7 +461,7 @@ def test_reference_trial_is_strength_reduced(reference_field):
 # -- float values of polynomials and Darboux functions -------------------------
 #
 # The plain loops below evaluated a polynomial and a Darboux function before
-# both were compiled by `numerics`; they are the oracles of `_compile_poly`
+# both were compiled by `numerics`; they are the oracles of `compile_poly`
 # and of the evaluator `_as_evaluator` builds for a Darboux function.
 
 def oracle_poly_value(p, point):
@@ -535,7 +535,7 @@ def random_polys(draw):
 @given(random_polys())
 def test_compiled_poly_matches_plain_loop(case):
     p, points = case
-    compiled = numerics._compile_poly(p)
+    compiled = numerics.compile_poly(p)
     for point in points:
         assert (_valued(compiled, point)
                 == _valued(lambda s: oracle_poly_value(p, s), point))
