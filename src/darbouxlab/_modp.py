@@ -53,11 +53,12 @@ every F and each projected matrix has the same rank whichever basis is
 used.  A cokernel P mod p of a block A may stand in for the rational one
 only when rank_Q(A) = rank_p(A) is proved: free when A has full column
 rank mod p (as a block with no columns has, at the sieve's level 0, where
-P is the identity), otherwise by lifting A's kernel basis mod p with
-`rational_reconstruction` and checking each lift exactly (the lifts are
-independent, being 1 and 0 on the free columns, so rank_Q(A) <= rank_p(A),
-and rank_p never exceeds rank_Q), and failing that by the size of A's
-exact kernel (`darboux.operator_kernel`).  A kernel mod p that only has
+P is the identity), otherwise by `darboux._GradedSieve._kernel`, which
+lifts A's kernel basis mod p with `rational_reconstruction` and checks
+each lift exactly (the lifts are independent, being 1 and 0 on the free
+columns, so rank_Q(A) <= rank_p(A), and rank_p never exceeds rank_Q),
+and failing that returns A's exact kernel (`darboux.operator_kernel`),
+whose size decides.  A kernel mod p that only has
 to contain the reductions of the rational solutions, such as the kernel
 of X_M - tau to which the sieve's level 0 narrows each W, needs no such
 proof.

@@ -32,10 +32,9 @@ rational kernel.  Every sieve level runs one routine: it projects its
 equations onto the cokernel P mod p of the block A of the free unknowns,
 which is sound once rank_Q(A) = rank_p(A) is proved (see `_GradedSieve`):
 at no cost when A has full column rank mod p, as at level 0, where A has
-no columns; otherwise by lifting A's kernel basis by rational
-reconstruction and checking each lift exactly, and failing that by A's
-exact kernel (`operator_kernel`).  Where the ranks differ, that node's
-level keeps every value.
+no columns; otherwise by A's exact kernel (`_GradedSieve._kernel`) being
+as large as its kernel mod p.  Where the ranks differ, that node's level
+keeps every value.
 The sieve levels only reject, through `_rank_screen`, which first
 compresses their tall matrices M to the square G*M, for a fixed G with as
 many rows as M has columns: rank(G*M) <= rank(M), so a nonsingular G*M
@@ -44,17 +43,19 @@ value, and only the few values it leaves open are ranked on M.
 The kernel of each candidate K is computed once per command, and the
 certificates and the rational obstruction are both read off those kernels.
 Each survivor's full operator is compressed by the same G and eliminated
-mod p; an empty kernel proves the rational one trivial, and otherwise the
-kernel basis is lifted and checked exactly, as the sieve does with its
-blocks' kernels.  Where a lift fails, K is solved exactly over the
-rationals.
+mod p; an empty kernel proves the rational one trivial.  The sieve reads
+every exact kernel through `_kernel`: it lifts a kernel basis mod p by
+rational reconstruction and checks each lift exactly, and where one fails
+it solves K exactly over the rationals.
 
 Every exact matrix here is `coefficient_matrix` of a basis, or of its images
 under X(f) - K*f, on a window of monomials; no other code scatters
-polynomial terms into a matrix.  `operator_kernel` is the one exact kernel
-of X - K: the fixed-cofactor solve, the sieve's fallback after a failed
-lift, the exponential factors (for g alone, L being read off (X - K)(g))
-and the formal series (K = 0) all read it.
+polynomial terms into a matrix; `_operator_image` is the one exact
+evaluation of (X - K)(f) (only the certificates' re-checks differentiate
+on their own).  `operator_kernel` is the one exact kernel of X - K: the
+fixed-cofactor solve, `_kernel` after a failed lift, the exponential
+factors (for g alone, L being read off (X - K)(g)) and the formal series
+(K = 0) all read it.
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ from .field import NotInvariantError, VectorField, lie_derivative
 if TYPE_CHECKING:
     import numpy as np
 
-_ZERO = Fraction(0)
 _MATERIALIZE_LIMIT = 5_000_000
 _SIEVE_BASES_LIMIT = 200_000
 # mask bits (entries x offsets x bases) a reachable table may reach while
@@ -236,16 +236,19 @@ def enumerate_cofactors(X: VectorField, lattice: CofactorLattice) -> list[Poly]:
 # linear solves for a fixed cofactor
 # --------------------------------------------------------------------------
 
-def _operator_image(Xf: Poly, K: Poly, f: Poly) -> Poly:
-    """X(f) - K*f from the image X(f), accumulated in one term dict."""
-    if not K.terms:
-        return Xf
-    terms = dict(Xf.terms)
-    for km, kc in K.terms.items():
-        for fm, fc in f.terms.items():
-            t = tuple(a + b for a, b in zip(km, fm))
-            terms[t] = terms.get(t, _ZERO) - kc * fc
-    return Poly(Xf.variables, terms)
+def _operator_image(X: VectorField, K: Poly, f: Poly) -> Poly:
+    """X(f) - K*f, summed in one term dict from the field's cached images
+    X(m) of f's monomials."""
+    terms: dict[tuple, Fraction] = {}
+    for fm, fc in f.terms.items():
+        for m, c in X.monomial_image(fm).terms.items():
+            c = c if fc == 1 else c * fc
+            terms[m] = terms[m] + c if m in terms else c
+        for km, kc in K.terms.items():
+            m = tuple(a + b for a, b in zip(km, fm))
+            c = kc if fc == 1 else kc * fc
+            terms[m] = terms[m] - c if m in terms else -c
+    return Poly(X.variables, terms)
 
 
 def _monomial_basis(X: VectorField, monos: Sequence[tuple]) -> list[Poly]:
@@ -257,8 +260,7 @@ def _operator_matrix(X: VectorField, K: Poly, cols: Sequence[tuple],
     """The rational matrix of f -> X(f) - K*f from cols to rows: the one
     exact builder of X - K."""
     return coefficient_matrix(
-        [_operator_image(X.monomial_image(m), K, b)
-         for m, b in zip(cols, _monomial_basis(X, cols))], rows)
+        [_operator_image(X, K, b) for b in _monomial_basis(X, cols)], rows)
 
 
 def operator_kernel(X: VectorField, K: Poly, cols: Sequence[tuple],
@@ -274,8 +276,6 @@ def operator_kernel(X: VectorField, K: Poly, cols: Sequence[tuple],
 
 def search_darboux_fixed_cofactor(X: VectorField, K: Poly, d: int) -> list[Poly]:
     """Exact basis of {f : deg f <= d, X(f) = K*f}, monic, deterministic order."""
-    if isinstance(K, (int, Fraction)):
-        K = Poly.constant(X.variables, K)
     if K.total_degree() > max(X.degree - 1, 0):
         raise ValueError("cofactor degree exceeds deg(X) - 1")
     n = len(X.variables)
@@ -394,16 +394,19 @@ class _LatticeBoxes:
             offsets = {o + n * step for o in offsets for n in range(-B, B + 1)}
             self.box[mono] = tuple(sorted(offsets))
 
+        # scaled to integers once: no combination computes with a Fraction
+        scaled = [[(m, int(c * self.scale[m])) for m, c in g.terms.items()]
+                  for g in general]
         self.bases: list[dict[tuple, int]] = []
         seen = set()
         combos = itertools.product(range(-B, B + 1), repeat=len(general))
         for combo in combos:
             vec: dict[tuple, int] = {}
-            for n, g in zip(combo, general):
+            for n, terms in zip(combo, scaled):
                 if n == 0:
                     continue
-                for m, c in g.terms.items():
-                    vec[m] = vec.get(m, 0) + n * int(c * self.scale[m])
+                for m, v in terms:
+                    vec[m] = vec.get(m, 0) + n * v
             key = tuple(sorted((m, v) for m, v in vec.items() if v))
             if key not in seen:
                 seen.add(key)
@@ -519,7 +522,7 @@ class _GradedSieve:
     The sieve owns its search's state: the prime p, the lattice tables mod
     p, and X(m) mod p for every monomial m of degree <= d
     (`image_residues`, from which every block and the full operator are
-    cut; the lifts read X(m) exactly off the field).  Every level works on
+    cut; `_kernel` reads X(m) exactly off the field).  Every level works on
     residues mod p.  A node carries K exactly; a block reads K's residues
     off it and gathers the matrices of X - K from `image_residues`.  Every
     level writes its equations as A*g + F(theta)*W*c = 0, with g the free
@@ -542,20 +545,19 @@ class _GradedSieve:
       A*g + F(theta)*f_n = 0 mod p and multiplying by P gives
       P*F(theta)*W*c = 0, so P*F(theta) (on W) is rank-deficient mod p.
     - The equality is free when A has full column rank mod p.  Otherwise
-      A's kernel basis mod p is lifted by rational reconstruction and each
-      lift is checked exactly ((X - K)(g) vanishes on the block's rows):
+      `_kernel` lifts A's kernel basis mod p and checks each lift exactly:
       the lifts are independent, so rank_Q(A) <= rank_p(A) <= rank_Q(A).
       Where a lift fails (an entry beyond the reconstruction bound, or p
-      dividing a minor), the size of A's exact kernel (`operator_kernel`)
-      decides; where rank_p(A) is below rank_Q(A), the node's level keeps
-      every value, which is sound.
+      dividing a minor), it returns A's exact kernel, whose size decides;
+      where rank_p(A) is below rank_Q(A), the node's level keeps every
+      value, which is sound.
 
     p divides no numerator or denominator of X or of a lattice generator
     (`_modp.screening_prime`), so every matrix ranked reduces a p-integral
     rational one and the argument above applies to it, and no term of X
     vanishes mod p (a vanishing term changes the field mod p and makes
-    lifts fail throughout).  The only exact elimination the sieve runs is
-    A's kernel after a failed lift.  A degree whose tables would pass
+    lifts fail throughout).  The only exact eliminations the sieve runs
+    are `_kernel`'s after a failed lift.  A degree whose tables would pass
     `_SIEVE_CELLS_LIMIT` residues is refused before they are built.
     """
 
@@ -645,26 +647,22 @@ class _GradedSieve:
                                   rows))
         return self._blocks[key]
 
-    def _lift(self, K: Poly, cols: list, rows: list, kernel: np.ndarray
-              ) -> list[Poly] | None:
-        """Every vector of a kernel basis mod p of (X - K) from cols to rows,
-        lifted by rational reconstruction to a rational g with (X - K)(g)
-        zero on rows, monic; None where a vector does not lift.  The lifts
-        are independent, so the rational kernel is at least as large."""
-        variables = self.X.variables
-        rows = set(rows)
+    def _kernel(self, K: Poly, cols: list, rows: list, kernel: np.ndarray
+                ) -> list[Poly]:
+        """The exact basis of {g on cols : (X - K)(g) vanishes on rows},
+        monic, from a basis of the kernel mod p there (never smaller): each
+        vector lifted by rational reconstruction and checked exactly (the
+        lifts are independent), or `operator_kernel` as soon as one fails."""
+        window = set(rows)
         lifts = []
         for vec in kernel:
             coeffs = {m: _modp.rational_reconstruction(int(x), self.p)
                       for m, x in zip(cols, vec) if x}
             if None in coeffs.values():
-                return None
-            g = Poly(variables, coeffs)
-            Xg = Poly.zero(variables)
-            for m, c in g.terms.items():
-                Xg = Xg + self.X.monomial_image(m) * c
-            if any(m in rows for m in _operator_image(Xg, K, g).terms):
-                return None
+                return operator_kernel(self.X, K, cols, rows)
+            g = Poly(self.X.variables, coeffs)
+            if not window.isdisjoint(_operator_image(self.X, K, g).terms):
+                return operator_kernel(self.X, K, cols, rows)
             lifts.append(g.monic())
         return lifts
 
@@ -675,11 +673,11 @@ class _GradedSieve:
         (the stack of them); None where the level constrains nothing.
 
         P is the cokernel of A mod p, used only once rank_Q(A) = rank_p(A)
-        is proved: A has full column rank mod p, or its kernel basis lifts
-        exactly (`_lift`), or A's exact kernel (`operator_kernel`) is as
-        large as its kernel mod p.  Where none holds, p divides a minor of
-        A and the pair is None.  The blocks A share one shape, so they are
-        eliminated together.
+        is proved: A's exact kernel (`_kernel`, which lifts the kernel mod
+        p where it can) is as large as its kernel mod p, as it is at no
+        cost when A has full column rank mod p.  Where it is smaller, p
+        divides a minor of A and the pair is None.  The blocks A share one
+        shape, so they are eliminated together.
         """
         import numpy as np
         p = self.p
@@ -703,11 +701,8 @@ class _GradedSieve:
         out = []
         for node, (kernel, projected) in zip(nodes, eliminated):
             # with P empty every equation is absorbed by the free blocks
-            proved = len(projected) and (
-                not len(kernel)
-                or self._lift(node.K, lower, block.rows, kernel) is not None
-                or len(operator_kernel(self.X, node.K, lower, block.rows))
-                == len(kernel))
+            proved = len(projected) and len(self._kernel(
+                node.K, lower, block.rows, kernel)) == len(kernel)
             out.append((projected[:, :k], projected[:, k:].reshape(
                 len(projected), S, k).transpose(1, 0, 2)) if proved else None)
         return out
@@ -770,10 +765,10 @@ def _candidate_cofactors(X: VectorField, d: int, lattice: CofactorLattice
     (`_GradedSieve.full_operator_kernels`).  That kernel basis is 1 on its
     free column j, 0 on the other free columns and nonzero only on pivot
     columns before j.  Where every vector lifts to a checked rational one
-    (`_GradedSieve._lift`), each free column mod p is free over Q, and
+    (`_GradedSieve._kernel`), each free column mod p is free over Q, and
     dim_Q >= dim_p >= dim_Q, so the free columns agree and the lifts are
     the unique reduced echelon basis that the exact solve returns.  Where
-    a lift fails, K is solved exactly.
+    a lift fails, `_kernel` solves K exactly.
     """
     priority = list(dict.fromkeys([Poly.zero(X.variables), *(
         cof for cof in X.coordinate_cofactors if cof is not None)]))
@@ -782,9 +777,7 @@ def _candidate_cofactors(X: VectorField, d: int, lattice: CofactorLattice
     out = {}
     for K, kernel in zip(values, sieve.full_operator_kernels(values)):
         if K in priority or len(kernel):
-            basis = sieve._lift(K, sieve.cols, sieve.rows, kernel)
-            out[K] = (search_darboux_fixed_cofactor(X, K, d)
-                      if basis is None else basis)
+            out[K] = sieve._kernel(K, sieve.cols, sieve.rows, kernel)
     return out
 
 
@@ -905,7 +898,7 @@ def search_exp_factors(X: VectorField, deg_g: int,
         rows = [m for m in window if sum(m) - sum(s) > max_L
                 or any(a < b for a, b in zip(m, s))]
         for g in reversed(operator_kernel(X, K, g_monos[::-1], rows)):
-            image = _operator_image(lie_derivative(X, g), K, g)
+            image = _operator_image(X, K, g)
             if image.is_zero():
                 continue  # exp(constant) or exp of a first integral
             if any(e and all(m[i] for m in g.terms)

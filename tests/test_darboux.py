@@ -26,7 +26,7 @@ from darbouxlab.field import (NotInvariantError, VectorField, lie_derivative,
                               load_field, parse_field)
 
 from conftest import (CORPUS, cyclic_lotka_volterra, make_lv3,
-                      nonzero_polys)
+                      nonzero_polys, polys)
 
 RESTRICTED_Y0_A0 = """
 vars: x z
@@ -432,10 +432,11 @@ class TestSieveAgainstBruteForce:
         X = make_lv3("98765432123/1000003", 3, 0)
         lattice = default_lattice(X, 1)
         with monkeypatch.context() as patch:
-            lifts = _returns(patch, dbx._GradedSieve, "_lift")
+            kernels = _counting(patch, dbx._GradedSieve, "_kernel")
             solves = _counting(patch, dbx, "operator_kernel")
             dbx._GradedSieve(X, 2, lattice).run()
-        assert (lifts.count(None), len(lifts)) == (2, 12)
+        # 12 blocks are rank-deficient mod p, and 2 of them fall back
+        assert sum(1 for *_, kernel in kernels if len(kernel)) == 12
         assert len(solves) == 2
         direct, sieved = self._both_paths(X, 2, lattice,
                                           (9, "55de8b73a6cdfc60"))
@@ -562,10 +563,11 @@ class TestRankScreen:
             lattice = default_lattice(X, 2)
             assert dbx._GradedSieve(X, 2, lattice).p == 2147483629
             with monkeypatch.context() as patch:
-                lifts = _returns(patch, dbx._GradedSieve, "_lift")
+                kernels = _counting(patch, dbx._GradedSieve, "_kernel")
+                solves = _counting(patch, dbx, "operator_kernel")
                 projections = _returns(patch, dbx._GradedSieve, "_projected")
                 candidates = dbx._candidate_cofactors(X, 2, lattice)
-            assert lifts and all(lift is not None for lift in lifts)
+            assert kernels and solves == []
             assert any(pair is not None
                        for out in projections for pair in out)
             assert candidates == {K: search_darboux_fixed_cofactor(X, K, 2)
@@ -811,6 +813,16 @@ def _returns(monkeypatch, owner, name):
     return results
 
 
+def _exact_solves(kernel_calls, *degrees):
+    """The cofactors K of the `operator_kernel` calls that solve a
+    candidate exactly in a search of one of the degrees d: those on the
+    full window monomials_upto(n, d), which no sieve block has (its columns
+    stop below its f-degree, which is at most d)."""
+    return [K for X, K, cols, _ in kernel_calls
+            if any(cols == monomials_upto(len(X.variables), d)
+                   for d in degrees)]
+
+
 class TestSieveOperator:
     """The sieve's residue blocks against the exact operator X - K."""
 
@@ -930,7 +942,7 @@ class TestKernelFromRank:
 
         X = parse_field(RESTRICTED_Y0_A0)
         K = parse_poly("2*x", X.variables)
-        solves = _counting(monkeypatch, dbx, "search_darboux_fixed_cofactor")
+        solves = _counting(monkeypatch, dbx, "operator_kernel")
         kernels = dict(dbx.cofactor_kernels(X, 2, default_lattice(X, 2)))
         # 1 + 2x has cofactor 2x, and no monomial has: its kernel is lifted
         # all the same, with no exact solve
@@ -942,7 +954,7 @@ class TestKernelFromRank:
 
         X = parse_field("vars: x y\ndx/dt = y\ndy/dt = -x\n")
         zero = Poly.zero(X.variables)
-        solves = _counting(monkeypatch, dbx, "search_darboux_fixed_cofactor")
+        solves = _counting(monkeypatch, dbx, "operator_kernel")
         kernels = dict(dbx.cofactor_kernels(X, 2, default_lattice(X, 2)))
         assert solves == []
         assert [str(f) for f in kernels[zero]] == ["1", "x^2 + y^2"]
@@ -960,7 +972,7 @@ class TestKernelFromRank:
         assert dbx._GradedSieve(X, 2, lattice).p == 2147483629
         assert all(type(basis) is list for basis in dbx._candidate_cofactors(
             X, 2, lattice).values())
-        solves = _counting(monkeypatch, dbx, "search_darboux_fixed_cofactor")
+        solves = _counting(monkeypatch, dbx, "operator_kernel")
         kernels = dbx.cofactor_kernels(X, 2, lattice)
         assert solves == []
         assert [str(f) for _, basis in kernels[1:4] for f in basis] == [
@@ -969,7 +981,7 @@ class TestKernelFromRank:
     def test_reference_search_counts(self, monkeypatch, reference_field):
         import darbouxlab.darboux as dbx
 
-        solves = _counting(monkeypatch, dbx, "search_darboux_fixed_cofactor")
+        solves = _counting(monkeypatch, dbx, "operator_kernel")
         sections = _counting(monkeypatch, dbx._LatticeBoxes, "sections")
         tables = _counting(monkeypatch, dbx._LatticeBoxes, "_reachable")
         rrefs = _counting(monkeypatch, RatMatrix, "rref")
@@ -978,9 +990,11 @@ class TestKernelFromRank:
         assert len(solves) == 0
         # the sieve works on residues only: no exact elimination at all
         assert len(rrefs) == 0
-        assert len(sections) <= 210
-        # one reachable table per degree, however many sections filter it
-        assert len(tables) <= 3
+        # one table read and built per level, for degrees 2, 1 and 0 (no
+        # generator has a part above degree 2 for `legal_bases` to read):
+        # reading the table once per node would make hundreds of reads
+        assert len(sections) == 3
+        assert len(tables) == 3
 
     @pytest.mark.parametrize("name", CORPUS_FIELDS)
     def test_corpus_kernels_need_no_exact_solve(self, monkeypatch, name):
@@ -989,7 +1003,7 @@ class TestKernelFromRank:
         import darbouxlab.darboux as dbx
 
         X = load_field(CORPUS / name)
-        solves = _counting(monkeypatch, dbx, "search_darboux_fixed_cofactor")
+        solves = _counting(monkeypatch, dbx, "operator_kernel")
         for d in (1, 2, 3, 4):
             dbx.cofactor_kernels(X, d, default_lattice(X, d))
         assert solves == []
@@ -1003,9 +1017,9 @@ class TestKernelFromRank:
         X = parse_field("vars: x y\ndx/dt = x + 70001\ndy/dt = y\n")
         for d, solved in ((1, ["1"]), (2, ["1", "2"])):
             with monkeypatch.context() as patch:
-                solves = _counting(patch, dbx, "search_darboux_fixed_cofactor")
+                kernels = _counting(patch, dbx, "operator_kernel")
                 certs = search_darboux(X, d)
-            assert [str(K) for _, K, _ in solves] == solved
+            assert [str(K) for K in _exact_solves(kernels, d)] == solved
             assert [(str(c.f), str(c.K)) for c in certs] == [
                 ("y", "1"), ("x + 70001", "1")]
 
@@ -1033,9 +1047,9 @@ class TestKernelFromRank:
 
         monkeypatch.setattr(_modp, "compressor", singular)
         X = load_field(CORPUS / name)
-        solves = _counting(monkeypatch, dbx, "search_darboux_fixed_cofactor")
+        calls = _counting(monkeypatch, dbx, "operator_kernel")
         kernels = dbx.cofactor_kernels(X, d, default_lattice(X, d))
-        assert bool(solves) == falls_back
+        assert bool(_exact_solves(calls, d)) == falls_back
         assert kernels == [(K, search_darboux_fixed_cofactor(X, K, d))
                            for K, _ in kernels]
 
@@ -1067,11 +1081,11 @@ def test_small_primes_find_the_default_certificates(monkeypatch, prime):
     monkeypatch.setattr(_modp, "PRIME", prime)
     primes = _returns(monkeypatch, _modp, "screening_prime")
     kernels = _counting(monkeypatch, dbx, "operator_kernel")
-    solves = _counting(monkeypatch, dbx, "search_darboux_fixed_cofactor")
     assert certificates() == expected
     assert set(primes) == {prime}
+    solves = _exact_solves(kernels, 2, 3)
     assert solves
-    # every exact kernel not under a fixed-cofactor solve is a level's
+    # every exact kernel off a candidate's full window is a level's
     assert len(kernels) - len(solves) == {1009: 0, 101: 0, 13: 111}[prime]
 
 
@@ -1191,6 +1205,24 @@ def test_small_primes_agree_on_random_fields(X, d):
                   if K.total_degree() <= top}
         assert expected[0] == {K: basis for K, basis in solved.items()
                                if basis}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_small_fields(), st.data())
+def test_operator_image_is_x_minus_k(X, data):
+    # the one exact evaluation of X - K against the Lie derivative, at a
+    # drawn K and at K = 0, on a drawn f and on a monomial with
+    # coefficient 1 (the columns `_operator_matrix` evaluates)
+    import darbouxlab.darboux as dbx
+
+    variables = X.variables
+    top = max(X.degree - 1, 0)
+    K = data.draw(polys(variables, max_degree=top))
+    f = data.draw(polys(variables, max_degree=3))
+    monomial = Poly.from_monomial(variables, data.draw(
+        st.sampled_from(monomials_upto(len(variables), 3))))
+    for K, f in itertools.product((K, Poly.zero(variables)), (f, monomial)):
+        assert dbx._operator_image(X, K, f) == lie_derivative(X, f) - K * f
 
 
 LORENZ63 = """
