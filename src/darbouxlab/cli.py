@@ -4,8 +4,8 @@ Reports are fully deterministic: keys are sorted, lists are in canonical
 order, and no timestamps or environment data are embedded, so identical
 inputs and tool version give byte-identical output.  Every certificate is
 re-verified by independent exact arithmetic before it is reported; a failed
-re-check is an internal error (exit code 1).  Usage and parse errors, and
-requests that run out of memory, exit with code 2.
+re-check is an internal error (exit code 1).  Usage, parse and file errors,
+a closed stdout and requests that run out of memory exit with code 2.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import sys
 
 from . import __version__
 from .darboux import (CofactorLattice, InternalCheckError,
-                      LatticeTooLargeError, assemble_darboux_integrals,
+                      assemble_darboux_integrals,
                       certificates_from_kernels, cofactor_kernels,
                       default_lattice, obstruction_from_kernels,
                       search_darboux, search_exp_factors)
@@ -109,14 +109,13 @@ def cmd_integrals(X: VectorField, args) -> dict:
 
 def cmd_formal(X: VectorField, args) -> dict:
     if args.promote:
-        extended = promote_parameter(X, args.promote)
-        space = formal_integral_space(extended, args.order, args.margin)
-        record = space.record()
+        X = promote_parameter(X, args.promote)
+    space = formal_integral_space(X, args.order, args.margin)
+    record = space.record()
+    if args.promote:
         record["promoted"] = args.promote
         record["promoted_only"] = space.depends_only_on(args.promote)
-        return {"series_space": record}
-    space = formal_integral_space(X, args.order, args.margin)
-    return {"series_space": space.record()}
+    return {"series_space": record}
 
 
 def _parse_x0(text: str, dim: int) -> list[float]:
@@ -136,7 +135,10 @@ def cmd_simulate(X: VectorField, args) -> dict:
     drift = [conservation_drift(traj, H, name=name).record()
              for name, H in observed]
     if args.emit:
-        emit_csv(traj, args.emit, observed)
+        try:
+            emit_csv(traj, args.emit, observed)
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.emit}: {exc}") from None
     final = traj.states[-len(X.variables):]
     return {
         "integrator": traj.metadata,
@@ -292,7 +294,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         X = load_field(args.file)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (FieldParseError, PolyParseError) as exc:
@@ -300,8 +302,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         results = _COMMANDS[args.command](X, args)
-    except (FieldParseError, PolyParseError, LatticeTooLargeError,
-            argparse.ArgumentTypeError, ValueError, NonFiniteStateError,
+    except (argparse.ArgumentTypeError, ValueError, NonFiniteStateError,
             EvalDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -328,11 +329,20 @@ def main(argv=None) -> int:
     config = {k: v for k, v in sorted(vars(args).items())
               if k not in ("command",) and not callable(v)}
     report = _report(args.command, X, config, results)
-    if args.format == "json":
-        json.dump(report, sys.stdout, sort_keys=True, indent=2)
-        sys.stdout.write("\n")
-    else:
-        _render_text(report, sys.stdout)
+    try:
+        if args.format == "json":
+            json.dump(report, sys.stdout, sort_keys=True, indent=2)
+            sys.stdout.write("\n")
+        else:
+            _render_text(report, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # what stdout still buffers would fail again at exit: send it to
+        # the null device instead
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the report was written",
+              file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_OK
 
 

@@ -13,12 +13,13 @@ to the lattice.  Every lattice goes through a graded sieve that fixes K one
 homogeneous layer at a time (top degree first), in one traversal for every
 f-degree run level by level, and discards whole families whose layer
 equations already have no nonzero solution; the survivors then pass one
-kernel screen on the full operator.  Each sieve level screens one table of
-every reachable layer value of its degree, built and reduced mod p once per
-lattice, and keeps a value at a node only where the node's bases reach it.
+kernel screen on the full operator.  Each sieve level builds one exact
+table of every reachable layer value of its degree, reduces it mod p, screens
+it whole at every node and keeps a value at a node only where the node's
+bases reach it.
 
-The sieve owns its search's state: it picks a prime p, builds the lattice's
-tables mod p, and holds X(m) mod p for every monomial m of degree <= d
+The sieve owns its search's state: it picks a prime p, reduces each level's
+table mod p, and holds X(m) mod p for every monomial m of degree <= d
 (the field holds it exactly: `VectorField.monomial_image`); every block of
 the sieve and the full operator is cut from that residue table, and
 multiplication by a monomial is a gather, not a product.  p is the largest
@@ -343,16 +344,6 @@ def _rank_screen(coeffs: np.ndarray, base: np.ndarray,
 
 # ---- graded sieve ------------------------------------------------------------
 
-class _Table(NamedTuple):
-    """Every reachable part of one degree, in sorted order: its integer-scaled
-    coefficient tuple, the bitmask of all the bases that can realize it, and
-    its residues mod p (one row each)."""
-
-    values: list[tuple[int, ...]]
-    masks: list[int]
-    residues: np.ndarray
-
-
 class _LatticeBoxes:
     """Candidates as {base + per-monomial box offsets}.
 
@@ -361,15 +352,14 @@ class _LatticeBoxes:
     All coefficient bookkeeping is integer-scaled per monomial.  A set of
     bases is one int bitmask, bit t standing for base t.  Whether a base can
     reach a value does not depend on the other bases, so each degree has one
-    table of every reachable part, built and reduced mod p on first use,
-    which every sieve node of that degree screens whole.  p divides no
-    scale.
+    exact table of every reachable part, which the sieve reduces mod p and
+    every sieve node of that degree screens whole.  It holds no prime; the
+    sieve's prime divides no scale, as it divides no generator denominator.
     """
 
-    def __init__(self, lattice: CofactorLattice, p: int):
+    def __init__(self, lattice: CofactorLattice):
         gens = [g for g in lattice.generators if not g.is_zero()]
         B = lattice.bound
-        self.p = p
         mono_gens: list[Poly] = [g for g in gens if len(g.terms) == 1]
         general: list[Poly] = [g for g in gens if len(g.terms) > 1]
         if (2 * B + 1) ** len(general) > _SIEVE_BASES_LIMIT:
@@ -411,7 +401,6 @@ class _LatticeBoxes:
             if key not in seen:
                 seen.add(key)
                 self.bases.append({m: v for m, v in vec.items() if v})
-        self._tables: dict[int, _Table] = {}
 
     def monos_of_degree(self, degree: int) -> list[tuple]:
         return [m for m in self.support if sum(m) == degree]
@@ -450,18 +439,14 @@ class _LatticeBoxes:
             mask &= self._reachable(degree).get(zero, 0)
         return mask
 
-    def sections(self, degree: int) -> _Table:
-        """The table of every reachable degree-`degree` part (`_Table`), the
-        values over monos_of_degree; built once."""
-        if degree not in self._tables:
-            reachable = self._reachable(degree)
-            values = sorted(reachable)
-            self._tables[degree] = _Table(
-                values, [reachable[value] for value in values],
-                _modp.scaled_rows_to_modp(values, [
-                    self.scale[m] for m in self.monos_of_degree(degree)],
-                    self.p))
-        return self._tables[degree]
+    def sections(self, degree: int
+                 ) -> tuple[list[tuple[int, ...]], list[int]]:
+        """Every reachable degree-`degree` part in sorted order, as its
+        integer-scaled coefficients over monos_of_degree, and the bitmask of
+        all the bases that can realize each."""
+        reachable = self._reachable(degree)
+        values = sorted(reachable)
+        return values, [reachable[value] for value in values]
 
     def section_poly(self, variables: Sequence[str], degree: int,
                      value: tuple[int, ...]) -> Poly:
@@ -516,10 +501,11 @@ class _GradedSieve:
     block of one level with the same f-degree n and the same |W| has the
     same shape, so their eliminations are one batched call
     (`_modp.batched_kernels`), and every branch screens its degree's whole
-    table (`_LatticeBoxes.sections`); a child keeps the bases that both its
-    value and its parent allow, and a value with none is dropped.
+    table: the level reads the exact table once (`_LatticeBoxes.sections`)
+    and reduces it mod p; a child keeps the bases that both its value and
+    its parent allow, and a value with none is dropped.
 
-    The sieve owns its search's state: the prime p, the lattice tables mod
+    The sieve owns its search's state: the prime p, each level's table mod
     p, and X(m) mod p for every monomial m of degree <= d
     (`image_residues`, from which every block and the full operator are
     cut; `_kernel` reads X(m) exactly off the field).  Every level works on
@@ -580,7 +566,7 @@ class _GradedSieve:
         self.p = _modp.screening_prime(
             [c.numerator for c in coefficients]
             + [c.denominator for c in coefficients])
-        self.boxes = _LatticeBoxes(lattice, self.p)
+        self.boxes = _LatticeBoxes(lattice)
         # column j is X(m_j) for the j-th monomial of degree <= d, row i the
         # i-th monomial of degree <= d + M - 1, both graded-lex
         self.cols = monomials_upto(self.nv, d)
@@ -729,7 +715,10 @@ class _GradedSieve:
         variables = self.X.variables
         # every branch screens the whole table; a value survives where one
         # of the node's bases reaches it, and its child keeps those bases
-        values, masks, coeffs = self.boxes.sections(ell)
+        values, masks = self.boxes.sections(ell)
+        coeffs = _modp.scaled_rows_to_modp(values, [
+            self.boxes.scale[m] for m in self.boxes.monos_of_degree(ell)],
+            self.p)
         everything = range(len(values))
         children = []
         for i, node in enumerate(nodes):

@@ -236,6 +236,46 @@ def test_simulate_emits_csv(tmp_path):
     assert len(lines) == report["results"]["n_points"] + 1
 
 
+@pytest.mark.parametrize("target, reason", [
+    ("missing/run.csv", "No such file or directory"), (".", "Is a directory")])
+def test_unwritable_csv_exits_2(tmp_path, target, reason):
+    path = tmp_path / target
+    proc = run_module([
+        "simulate", "corpus/lv3_a0_b0_c0.vf", "--x0", "0.5,0.5,1",
+        "--t-end", "1", "--emit", str(path)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: cannot write {path}: ")
+    assert reason in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+
+
+def test_non_utf8_field_exits_2(tmp_path):
+    field = tmp_path / "latin1.vf"
+    field.write_bytes(b"vars: x\ndx/dt = x\xff\n")
+    proc = run_module(["darboux", str(field)])
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        f"error: cannot read {field}: 'utf-8' codec can't decode byte 0xff "
+        "in position 17: invalid start byte\n")
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_closed_stdout_exits_2(fmt):
+    # the reader is gone before the report is written: one error line, and
+    # no traceback or "Exception ignored" from the flush at exit
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "darbouxlab", "darboux",
+         "corpus/samardzija_greller.vf", "--degree", "2", "--format", fmt],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, cwd=REPO)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert err == "error: stdout was closed before the report was written\n"
+
+
 def test_simulate_compiles_each_observable_once(monkeypatch, tmp_path):
     # the stepper and one evaluator per --observe polynomial, shared by the
     # drift and the CSV; report (emit path normalised) and CSV bytes as they

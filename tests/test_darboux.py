@@ -233,14 +233,15 @@ class TestSearch:
         import darbouxlab.darboux as dbx
 
         X = parse_field(cyclic_lotka_volterra("uvwxy"))
-        boxes = dbx._LatticeBoxes(default_lattice(X, 2), _modp.PRIME)
+        boxes = dbx._LatticeBoxes(default_lattice(X, 2))
         assert len(boxes.bases) == 2101
-        assert len(boxes.sections(1).values) == 175_545
+        values, _ = boxes.sections(1)
+        assert len(values) == 175_545
         monkeypatch.setattr(dbx, "_TABLE_BITS_LIMIT", 1_053_241_804)
         with pytest.raises(
                 dbx.LatticeTooLargeError,
                 match="degree-1 table may outgrow 1053241804 mask bits"):
-            dbx._LatticeBoxes(default_lattice(X, 2), _modp.PRIME).sections(1)
+            dbx._LatticeBoxes(default_lattice(X, 2)).sections(1)
 
 
 def brute_force_sections(boxes, compat, degree):
@@ -300,14 +301,17 @@ class TestSieveAgainstBruteForce:
         degrees = set(range(max_deg + 1)) | {sum(m) for m in boxes.support}
         every = (1 << len(boxes.bases)) - 1
         for degree in sorted(degrees):
-            values, masks, residues = boxes.sections(degree)
+            values, masks = boxes.sections(degree)
             assert values == sorted(values)
             assert (dict(zip(values, masks))
                     == brute_force_sections(boxes, every, degree))
+            # the residues the sieve's level reduces the table to
             monos = boxes.monos_of_degree(degree)
+            residues = _modp.scaled_rows_to_modp(
+                values, [boxes.scale[m] for m in monos], sieve.p)
             assert residues.tolist() == _modp.fraction_rows_to_modp(
                 [[Fraction(v, boxes.scale[m]) for m, v in zip(monos, value)]
-                 for value in values], boxes.p).reshape(
+                 for value in values], sieve.p).reshape(
                      len(values), len(monos)).tolist()
             # a node keeps value j only where its compatible bases reach it
             for compat in (legal, legal & every_other, 0):

@@ -1,5 +1,6 @@
-"""Where the package calls its exact-kernel building blocks: a stdlib `ast`
-check that keeps one certified route to the kernels of X - K."""
+"""Where the package calls its exact-kernel building blocks, and where
+`darboux` reads residues: stdlib `ast` checks that keep one certified route
+to the kernels of X - K and one mod-p boundary."""
 
 import ast
 from pathlib import Path
@@ -28,9 +29,22 @@ LIE_DERIVATIVE_SITES = {"darboux.DarbouxCert.check",
                         "darboux.ExpFactorCert.check"}
 
 
-def call_sites(source: str, module: str, name: str) -> set[str]:
-    """Qualified names of the functions whose bodies call `name(...)` or
-    `<anything>.name(...)`."""
+# the mod-p boundary of `darboux`: the rank screens, and the sieve, which
+# owns the prime; `_LatticeBoxes` and the exact searches never see a residue
+MODP_SITES = {
+    "darboux._by_stack",
+    "darboux._ranks",
+    "darboux._rank_screen",
+    *(f"darboux._GradedSieve.{name}" for name in (
+        "__init__", "run", "full_operator_kernels", "_block", "_kernel",
+        "_projected", "_level")),
+}
+
+
+def scopes_where(source: str, module: str, hit) -> set[str]:
+    """Qualified names of the scopes (functions, classes, the module) whose
+    own bodies hold a node for which `hit` is true; code under
+    `if TYPE_CHECKING:` never runs and is skipped."""
     sites = set()
 
     def visit(node, scope):
@@ -39,14 +53,34 @@ def call_sites(source: str, module: str, name: str) -> set[str]:
                                   ast.ClassDef)):
                 visit(child, scope + [child.name])
                 continue
-            if isinstance(child, ast.Call) and name in (
-                    getattr(child.func, "id", None),
-                    getattr(child.func, "attr", None)):
+            if (isinstance(child, ast.If)
+                    and getattr(child.test, "id", None) == "TYPE_CHECKING"):
+                continue
+            if hit(child):
                 sites.add(".".join([module] + scope))
             visit(child, scope)
 
     visit(ast.parse(source), [])
     return sites
+
+
+def call_sites(source: str, module: str, name: str) -> set[str]:
+    """Qualified names of the functions whose bodies call `name(...)` or
+    `<anything>.name(...)`."""
+    return scopes_where(source, module, lambda node: isinstance(
+        node, ast.Call) and name in (getattr(node.func, "id", None),
+                                     getattr(node.func, "attr", None)))
+
+
+def reads_modp(node) -> bool:
+    """`_modp.<name>`, `import numpy` or `from numpy import ...`."""
+    if isinstance(node, ast.Attribute):
+        return getattr(node.value, "id", None) == "_modp"
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "numpy"
+                   for alias in node.names)
+    return (isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[0] == "numpy")
 
 
 def package_sites(name: str, modules: str = "*") -> set[str]:
@@ -77,3 +111,22 @@ def test_the_check_finds_a_matrix_site():
     assert call_sites(source, "mod", "RatMatrix") == {
         "mod.A.f", "mod.g.h", "mod.k", "mod"}
     assert call_sites(source, "mod", "rank") == {"mod.A.f"}
+
+
+def test_modp_is_read_only_behind_the_boundary():
+    source = (PACKAGE / "darboux.py").read_text(encoding="utf-8")
+    assert scopes_where(source, "darboux", reads_modp) == MODP_SITES
+
+
+def test_the_check_finds_a_modp_site():
+    source = ("from typing import TYPE_CHECKING\n"
+              "from . import _modp\n"
+              "if TYPE_CHECKING:\n    import numpy as np\n"
+              "class A:\n    def f(self):\n        import numpy as np\n"
+              "    def g(self, p):\n        return _modp.PRIME % p\n"
+              "def h():\n    def k():\n        from numpy import zeros\n"
+              "    return k\n"
+              "def exact(x):\n    return x.modp, modp.PRIME\n"
+              "import numpy.linalg\n")
+    assert scopes_where(source, "mod", reads_modp) == {
+        "mod.A.f", "mod.A.g", "mod.h.k", "mod"}
