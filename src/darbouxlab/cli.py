@@ -2,10 +2,13 @@
 
 Reports are fully deterministic: keys are sorted, lists are in canonical
 order, and no timestamps or environment data are embedded, so identical
-inputs and tool version give byte-identical output.  Every certificate is
-re-verified by independent exact arithmetic before it is reported; a failed
-re-check is an internal error (exit code 1).  Usage, parse and file errors,
-a closed stdout and requests that run out of memory exit with code 2.
+inputs and tool version give byte-identical output.  `main` is the one
+boundary between the analyses and the exit codes.  It re-verifies every
+reported certificate once, by the certificate's own exact `check`, and a
+failed re-check is an internal error (exit code 1).  Every other error the
+package raises is a ValueError: usage, parse, file and domain errors, as
+Python's own math domain errors are.  These, a closed stdout and requests
+that run out of memory, the field load included, exit with code 2.
 """
 
 from __future__ import annotations
@@ -21,10 +24,10 @@ from .darboux import (CofactorLattice, InternalCheckError,
                       certificates_from_kernels, cofactor_kernels,
                       default_lattice, obstruction_from_kernels,
                       search_darboux, search_exp_factors)
-from .exactcore import PolyParseError, parse_poly
-from .field import FieldParseError, VectorField, load_field
-from .numerics import (EvalDomainError, NonFiniteStateError, compile_poly,
-                       conservation_drift, emit_csv, lyapunov_max, simulate)
+from .exactcore import parse_poly
+from .field import VectorField, load_field
+from .numerics import (compile_poly, conservation_drift, emit_csv,
+                       lyapunov_max, simulate)
 from .series import formal_integral_space, promote_parameter
 
 EXIT_OK = 0
@@ -41,29 +44,21 @@ def _field_record(X: VectorField) -> dict:
     }
 
 
-def _report(command: str, X: VectorField | None, config: dict, results: dict) -> dict:
-    report = {
+def _report(command: str, X: VectorField, config: dict, results: dict) -> dict:
+    return {
         "tool": "darbouxlab",
         "version": __version__,
         "command": command,
         "config": config,
+        "field": _field_record(X),
         "results": results,
     }
-    if X is not None:
-        report["field"] = _field_record(X)
-    return report
 
 
 def _recheck(X, certs) -> None:
     for cert in certs:
         if not cert.check(X):
             raise InternalCheckError(f"certificate {cert.record()} failed re-check")
-
-
-def _recheck_functions(funcs) -> None:
-    for fn in funcs:
-        if not fn.cofactor_balance().is_zero():
-            raise InternalCheckError("cofactor balance failed re-check")
 
 
 def _lattice_from_args(X, args) -> CofactorLattice:
@@ -97,7 +92,6 @@ def cmd_integrals(X: VectorField, args) -> dict:
     certs = certificates_from_kernels(X, kernels)
     _recheck(X, certs + efacts)
     funcs = assemble_darboux_integrals(certs, efacts)
-    _recheck_functions(funcs)
     obstruction = obstruction_from_kernels(args.degree, kernels)
     return {
         "certificates": [c.record() for c in certs],
@@ -121,8 +115,7 @@ def cmd_formal(X: VectorField, args) -> dict:
 def _parse_x0(text: str, dim: int) -> list[float]:
     parts = [p for p in text.replace(",", " ").split() if p]
     if len(parts) != dim:
-        raise argparse.ArgumentTypeError(
-            f"--x0 needs {dim} comma-separated components")
+        raise ValueError(f"--x0 needs {dim} comma-separated components")
     return [float(p) for p in parts]
 
 
@@ -171,12 +164,11 @@ def cmd_analyze(X: VectorField, args) -> dict:
 
 def _render_text(report: dict, out) -> None:
     print(f"darbouxlab {report['version']} :: {report['command']}", file=out)
-    if "field" in report:
-        field = report["field"]
-        print(f"field: vars {' '.join(field['variables'])}, "
-              f"degree {field['degree']}", file=out)
-        for v in field["variables"]:
-            print(f"  d{v}/dt = {field['components'][v]}", file=out)
+    field = report["field"]
+    print(f"field: vars {' '.join(field['variables'])}, "
+          f"degree {field['degree']}", file=out)
+    for v in field["variables"]:
+        print(f"  d{v}/dt = {field['components'][v]}", file=out)
 
     def emit(value, indent=0):
         pad = "  " * indent
@@ -292,18 +284,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    X = None
     try:
-        X = load_field(args.file)
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (FieldParseError, PolyParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        try:
+            X = load_field(args.file)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ValueError(f"cannot read {args.file}: {exc}") from None
         results = _COMMANDS[args.command](X, args)
-    except (argparse.ArgumentTypeError, ValueError, NonFiniteStateError,
-            EvalDomainError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InternalCheckError as exc:
@@ -320,14 +308,16 @@ def main(argv=None) -> int:
     if results is None:
         # reported once the handler is left: the exception's frames, and
         # whatever they held, are freed by then
+        if X is None:
+            print(f"error: out of memory reading {args.file}", file=sys.stderr)
+            return EXIT_USAGE
         *rest, last = [flag for flag in _SIZE_FLAGS
                        if flag[2:].replace("-", "_") in vars(args)]
         flags = f"{', '.join(rest)} or {last}" if rest else last
         print(f"error: out of memory; lower {flags}", file=sys.stderr)
         return EXIT_USAGE
 
-    config = {k: v for k, v in sorted(vars(args).items())
-              if k not in ("command",) and not callable(v)}
+    config = {k: v for k, v in sorted(vars(args).items()) if k != "command"}
     report = _report(args.command, X, config, results)
     try:
         if args.format == "json":

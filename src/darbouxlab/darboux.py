@@ -807,10 +807,7 @@ def certificates_from_kernels(X: VectorField,
     for f in sorted(prepared, key=Poly.sort_key):
         if any(divides(h, f) for h in found):
             continue
-        cert = DarbouxCert(f, prepared[f])
-        if not cert.check(X):
-            raise InternalCheckError(f"certificate check failed for {f}")
-        certs.append(cert)
+        certs.append(DarbouxCert(f, prepared[f]))
         found.append(f)
     return certs
 
@@ -895,11 +892,7 @@ def search_exp_factors(X: VectorField, deg_g: int,
                 continue  # x_i divides g: not coprime with the denominator
             L = Poly(X.variables, {tuple(a - b for a, b in zip(m, s)): c
                                    for m, c in image.terms.items()})
-            cert = ExpFactorCert(g, s, L)
-            if not cert.check(X):
-                raise InternalCheckError(
-                    f"exponential-factor check failed for {cert.record()}")
-            results.append(cert)
+            results.append(ExpFactorCert(g, s, L))
     return results
 
 

@@ -385,9 +385,9 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             tokens.append((ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             if j < n and text[j] == ".":
                 raise PolyParseError(
@@ -502,7 +502,13 @@ class _ExprParser:
 def parse_poly(text: str, variables: Sequence[str],
                bindings: Mapping[str, Fraction] | None = None) -> Poly:
     """Parse the canonical text form (and ordinary expressions) into a Poly."""
-    return _ExprParser(_tokenize(text), variables, bindings).parse()
+    parser = _ExprParser(_tokenize(text), variables, bindings)
+    try:
+        return parser.parse()
+    except RecursionError:
+        # the column of the token whose parse ran out of stack
+        pos = parser.tokens[min(parser.k, len(parser.tokens) - 1)][2]
+        raise PolyParseError("expression nested too deeply", pos) from None
 
 
 # -- exact dense linear algebra ----------------------------------------------

@@ -25,9 +25,10 @@ Every norm, of the step error and of the Lyapunov tangent, is the sqrt of
 its squares summed left to right.  All arithmetic is sequential float64 on
 Python floats, with no BLAS call, so runs are bit-reproducible.  One call
 takes at most MAX_STEPS trial steps (or Lyapunov renormalisation intervals);
-a longer request is a ValueError.  No command runs the closures of
-`compile_rhs`/`compile_jacobian`: the finite-difference Jacobian tests and
-the benchmark trace use them.
+a longer request is a ValueError, and so are `EvalDomainError` and
+`NonFiniteStateError`, as Python's own math domain errors are.  No command
+runs the closures of `compile_rhs`/`compile_jacobian`: the finite-difference
+Jacobian tests and the benchmark trace use them.
 """
 
 from __future__ import annotations
@@ -52,13 +53,13 @@ DT_INIT = 1e-3         # first trial step of the adaptive pair
 MAX_STEPS = 2_000_000  # trial steps (or Lyapunov intervals) per call
 
 
-class EvalDomainError(ArithmeticError):
+class EvalDomainError(ValueError):
     """A value cannot be evaluated in floats: a Darboux function factor
     vanishes (or is negative) where forbidden, or a number is too large
     for a float64."""
 
 
-class NonFiniteStateError(RuntimeError):
+class NonFiniteStateError(ValueError):
     """Integration hit a non-finite state; carries the time of failure."""
 
     def __init__(self, t: float):

@@ -261,6 +261,43 @@ def test_non_utf8_field_exits_2(tmp_path):
     assert proc.stdout == ""
 
 
+# expressions the parser refuses with a positioned message: a nesting
+# deeper than the interpreter's stack, by parentheses or by unary signs,
+# and a digit that is not a decimal digit
+MALFORMED = {
+    "parentheses": ("(" * 3000 + "x" + ")" * 3000,
+                    "expression nested too deeply"),
+    "unary_minus": ("- " * 3000 + "x", "expression nested too deeply"),
+    "superscript": ("x^\u00b2", "unexpected character '\u00b2'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_field_expression_exits_2(tmp_path, name):
+    expr, message = MALFORMED[name]
+    field = tmp_path / "malformed.vf"
+    field.write_text(f"vars: x\ndx/dt = {expr}\n", encoding="utf-8")
+    proc = run_module(["darboux", str(field)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: SyntaxError: {message} (line 2, "
+                                  "column ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_observable_exits_2(name):
+    expr, message = MALFORMED[name]
+    proc = run_module(["simulate", "corpus/lv3_a0_b0_c0.vf", "--x0",
+                       "0.5,0.5,1", "--t-end", "0.01", "--observe", expr])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {message} (column ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_closed_stdout_exits_2(fmt):
     # the reader is gone before the report is written: one error line, and
@@ -530,7 +567,8 @@ def test_out_of_memory_exits_2(tmp_path, field, degree, code):
 def test_out_of_memory_is_one_error_line(monkeypatch, error):
     # a command that runs out of memory, including the SystemError that
     # CPython raises when unwinding a MemoryError needs memory, ends with
-    # one error line, naming that command's own size flags, and exit 2
+    # one error line, naming that command's own size flags (or the field
+    # file, while it is read), and exit 2
     import darbouxlab.cli as cli
 
     def exhausted(X, args):
@@ -548,6 +586,20 @@ def test_out_of_memory_is_one_error_line(monkeypatch, error):
         monkeypatch.setitem(cli._COMMANDS, command, exhausted)
         assert run_cli([command, "corpus/restricted_z0_c2.vf"]) == (
             2, "", line)
+    # the same, where the field file itself does not fit
+    monkeypatch.setattr(cli, "load_field", lambda path: exhausted(path, None))
+    assert run_cli(["darboux", "corpus/restricted_z0_c2.vf"]) == (
+        2, "", "error: out of memory reading corpus/restricted_z0_c2.vf\n")
+
+
+def test_field_out_of_memory_exits_2(tmp_path):
+    # the constant 2^9999999999 does not fit in 500,000 KiB
+    field = tmp_path / "huge_power.vf"
+    field.write_text("vars: x\ndx/dt = 2^9999999999*x\n")
+    proc = run_capped(["darboux", str(field)], timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: out of memory reading {field}\n"
+    assert proc.stdout == ""
 
 
 def test_other_system_error_is_raised(monkeypatch):
@@ -798,6 +850,64 @@ def test_large_rational_exit_contract(num, negative, den, bound):
                 f = parse_poly(cert["poly"], X.variables)
                 K = parse_poly(cert["cofactor"], X.variables)
                 assert lie_derivative(X, f) == K * f
+
+
+# polynomial text from a small grammar: names (one of them unbound),
+# numbers of ASCII and non-ASCII digits (Arabic-Indic and fullwidth ones are
+# decimal, the superscript is not), exponents of at most 3 on atoms, the
+# operators + - * /, and parentheses and unary signs nested up to 2,000 deep
+_ATOMS = st.one_of(
+    st.sampled_from(["x", "y", "a", "q"]),
+    st.text(st.sampled_from("0123456789\u0663\uff17\u00b2"),
+            min_size=1, max_size=3))
+_POWERS = st.tuples(_ATOMS, st.sampled_from(["", "^0", "^2", "^3", "^\u00b2"])
+                    ).map("".join)
+
+
+def _nested(inner):
+    # a depth, and a wrapper per level: parentheses or a unary sign
+    return st.tuples(inner, st.integers(0, 2000),
+                     st.sampled_from(["(", "-", "+"])).map(
+        lambda t: (f"{t[2]} " * t[1] + t[0] if t[2] != "("
+                   else "(" * t[1] + t[0] + ")" * t[1]))
+
+
+_EXPRESSIONS = _nested(st.recursive(
+    _POWERS,
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*", "/"]), inner).map(
+            " ".join),
+        inner.map(lambda e: f"({e})"),
+        inner.map(lambda e: f"-{e}")),
+    max_leaves=6))
+
+
+def _assert_contract(code, err):
+    # exit 0, or exit 2 with one error line; main raised nothing
+    assert code in (0, 2), err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@settings(max_examples=40, deadline=None)
+@given(dx=_EXPRESSIONS, dy=_EXPRESSIONS)
+def test_field_text_exit_contract(dx, dy):
+    with tempfile.TemporaryDirectory() as tmp:
+        field = Path(tmp) / "grammar.vf"
+        field.write_text(f"vars: x y\nparam a = 2/3\ndx/dt = {dx}\n"
+                         f"dy/dt = {dy}\n", encoding="utf-8")
+        code, _, err = run_cli(["formal", str(field), "--order", "1",
+                                "--margin", "0"])
+    _assert_contract(code, err)
+
+
+@settings(max_examples=40, deadline=None)
+@given(expr=_EXPRESSIONS)
+def test_observable_text_exit_contract(expr):
+    # one argument, so that argparse does not read "-x" as an option
+    code, _, err = run_cli(["simulate", "corpus/lv3_a0_b0_c0.vf", "--x0",
+                            "0.5,0.5,1", "--t-end", "0.01", f"--observe={expr}"])
+    _assert_contract(code, err)
 
 
 def test_observable_overflow_exits_2():

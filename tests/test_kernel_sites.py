@@ -1,8 +1,10 @@
-"""Where the package calls its exact-kernel building blocks, and where
-`darboux` reads residues: stdlib `ast` checks that keep one certified route
-to the kernels of X - K and one mod-p boundary."""
+"""Where the package calls its exact-kernel building blocks, where
+`darboux` reads residues, and where the CLI checks what it reports: stdlib
+`ast` checks that keep one certified route to the kernels of X - K, one
+mod-p boundary and one error boundary."""
 
 import ast
+import builtins
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "darbouxlab"
@@ -28,6 +30,14 @@ OPERATOR_KERNEL_SITES = {
 LIE_DERIVATIVE_SITES = {"darboux.DarbouxCert.check",
                         "darboux.ExpFactorCert.check"}
 
+# every reported certificate is checked once, by the CLI, before it is
+# printed; `analyze` reports through `cmd_integrals`
+CHECK_SITES = {"cli._recheck"}
+RECHECK_SITES = {"cli.cmd_darboux", "cli.cmd_expfactors", "cli.cmd_integrals"}
+# `cli.main` turns every ValueError into exit 2; the other exceptions are a
+# failed check (exit 1) and a prime that divides a denominator, which the
+# screening prime rules out
+NON_VALUE_ERRORS = {"darboux.InternalCheckError", "_modp.ModPUnavailableError"}
 
 # the mod-p boundary of `darboux`: the rank screens, and the sieve, which
 # owns the prime; `_LatticeBoxes` and the exact searches never see a residue
@@ -130,3 +140,64 @@ def test_the_check_finds_a_modp_site():
               "import numpy.linalg\n")
     assert scopes_where(source, "mod", reads_modp) == {
         "mod.A.f", "mod.A.g", "mod.h.k", "mod"}
+
+
+def test_certificates_are_checked_once_by_the_cli():
+    assert package_sites("check") == CHECK_SITES
+    assert package_sites("_recheck") == RECHECK_SITES
+
+
+def test_the_check_finds_a_certificate_check():
+    source = ("def report(X, certs):\n    _recheck(X, certs)\n"
+              "def search(X, cert):\n    ok = cert.check\n"
+              "    return [c for c in [cert] if c.check(X)]\n"
+              "class C:\n    def check(self, X):\n        return self._check(X)\n"
+              "def _recheck(X, certs):\n    return all(check(X, c) for c in certs)\n")
+    assert call_sites(source, "mod", "check") == {"mod.search", "mod._recheck"}
+    assert call_sites(source, "mod", "_recheck") == {"mod.report"}
+
+
+def exceptions_outside(sources: dict[str, str], base: str) -> set[str]:
+    """Qualified names of the exception classes defined in `sources` (module
+    name to text) that do not derive from the builtin `base`.  A base is
+    resolved by its name: a class of the sources, else a builtin."""
+    bases = {}
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = (module, [
+                    getattr(b, "id", None) or getattr(b, "attr", None)
+                    for b in node.bases])
+
+    def ancestors(name) -> set[str]:
+        if name in bases:
+            return {name}.union(*map(ancestors, bases[name][1]))
+        found = getattr(builtins, name or "", None)
+        return ({c.__name__ for c in found.__mro__}
+                if isinstance(found, type) else set())
+
+    return {f"{bases[name][0]}.{name}" for name in bases
+            if {"BaseException"} <= ancestors(name)
+            and base not in ancestors(name)}
+
+
+def test_every_error_but_a_failed_check_is_a_value_error():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert exceptions_outside(sources, "ValueError") == NON_VALUE_ERRORS
+
+
+def test_the_check_finds_an_exception_outside_value_error():
+    sources = {
+        "a": ("class ParseError(ValueError):\n    pass\n"
+              "class DeepError(ParseError):\n    pass\n"
+              "class Broken(RuntimeError):\n    pass\n"
+              "class Record(NamedTuple):\n    x: int\n"
+              "class Plain:\n    class Inner(ArithmeticError):\n        pass\n"),
+        "b": ("from .a import DeepError\n"
+              "class Both(DeepError, KeyError):\n    pass\n"
+              "class Later(a.Broken):\n    pass\n"
+              "class Domain(ZeroDivisionError):\n    pass\n"),
+    }
+    assert exceptions_outside(sources, "ValueError") == {
+        "a.Broken", "a.Inner", "b.Later", "b.Domain"}

@@ -509,7 +509,7 @@ def _valued(fn, point):
     (an overflow, or a point outside the domain)."""
     try:
         return fn(point).hex()
-    except ArithmeticError as exc:
+    except (ArithmeticError, EvalDomainError) as exc:
         return type(exc), str(exc)
 
 
